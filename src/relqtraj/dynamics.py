@@ -11,6 +11,11 @@ with tau_T = exp(-Q / m c^2) and the force components (for x^alpha = (ct, x))
 
 so the force is the slice-restricted gradient of the quantum potential mapped
 back to inertial components, always orthogonal to the four-velocity.
+
+The RK stages work on the raw (4, N) array y = (t, x, u0, u1): each stage is
+checked against the EnsembleState invariants in one fused pass, then _slice
+computes every slice field once from y.  An EnsembleState is built once per
+accepted step and the g01 residual only for recorded snapshots.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import GeometryFields, GeometryError, attach_g01, compute_geometry
+from .geometry import GeometryFields, GeometryError, attach_g01, slice_metric
 from .qpotential import log_form_Q
 from .state import (
     EnsembleState,
@@ -28,6 +33,8 @@ from .state import (
     SpatialGrid,
     StateValidationError,
     WeightFunction,
+    check_state_arrays,
+    step_counts,
 )
 from .stencils import StencilPlan, build_plan, d_dC
 
@@ -98,11 +105,13 @@ def compute_Q(
     return Q, Q_C
 
 
+def _force(t_C, x_C, gamma, Q_C, c):
+    return -c * t_C / gamma * Q_C, -x_C / gamma * Q_C
+
+
 def compute_force(geom: GeometryFields, Q_C: np.ndarray, c: float):
     """Inertial components (f0, f1) of the quantum force, f0 for the ct slot."""
-    f0 = -c * geom.t_C / geom.gamma * Q_C
-    f1 = -geom.x_C / geom.gamma * Q_C
-    return f0, f1
+    return _force(geom.t_C, geom.x_C, geom.gamma, Q_C, c)
 
 
 def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
@@ -110,13 +119,43 @@ def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
     return np.exp(-np.asarray(Q, dtype=float) / (mass * c ** 2))
 
 
-def _fields(state: EnsembleState, config: SimConfig, plan: StencilPlan):
-    geom = compute_geometry(state, config.grid, plan, config.c)
-    Q, Q_C = compute_Q(geom, config.weight, config.grid, plan, config.hbar, config.mass)
+def _slice(t, x, T, config: SimConfig, plan: StencilPlan, dlogf):
+    """Every field of one slice from its coordinate arrays:
+    (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1).  dlogf is the weight's
+    log-derivative on the grid nodes, constant over a run."""
+    t_C, x_C, gamma = slice_metric(t, x, T, config.grid, plan, config.c)
+    Q = log_form_Q(dlogf, gamma, config.grid, plan, config.hbar, config.mass)
+    Q_C = d_dC(Q, config.grid, plan)
     tau = tau_factor(Q, config.mass, config.c)
-    f0, f1 = compute_force(geom, Q_C, config.c)
-    geom = attach_g01(geom, state, tau, config.c)
+    f0, f1 = _force(t_C, x_C, gamma, Q_C, config.c)
+    return t_C, x_C, gamma, Q, Q_C, tau, f0, f1
+
+
+def _fields(state: EnsembleState, config: SimConfig, plan: StencilPlan):
+    """Geometry (with the g01 residual) and quantum fields of a recorded slice."""
+    dlogf = config.weight.dlog_f(config.grid.nodes)
+    t_C, x_C, gamma, Q, Q_C, tau, f0, f1 = _slice(
+        state.t, state.x, state.tau_ensemble, config, plan, dlogf
+    )
+    geom = attach_g01(GeometryFields(t_C, x_C, gamma), state, tau, config.c)
     return geom, QuantumFields(Q=Q, Q_C=Q_C, f0=f0, f1=f1, tau_T=tau)
+
+
+def _stage_rhs(y, T, config: SimConfig, plan: StencilPlan, dlogf) -> np.ndarray:
+    """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of one RK stage
+    y = (t, x, u0, u1), shape (4, N).
+
+    The stage is checked against the EnsembleState invariants first and
+    raises StateValidationError when it breaks one.
+    """
+    check_state_arrays(y)
+    _, _, _, _, _, tau, f0, f1 = _slice(y[0], y[1], T, config, plan, dlogf)
+    return np.array([
+        tau * y[2] / config.c,
+        tau * y[3],
+        tau * f0 / config.mass,
+        tau * f1 / config.mass,
+    ])
 
 
 def eom_rhs(
@@ -125,19 +164,9 @@ def eom_rhs(
     """Right-hand side of the ensemble-time evolution equations."""
     if plan is None:
         plan = build_plan(config.grid, config.stencil_order)
-    _, qf = _fields(state, config, plan)
-    return StateDerivative(
-        dt_dT=qf.tau_T * state.u0 / config.c,
-        dx_dT=qf.tau_T * state.u1,
-        du0_dT=qf.tau_T * qf.f0 / config.mass,
-        du1_dT=qf.tau_T * qf.f1 / config.mass,
-    )
-
-
-def _rhs_arrays(y, T, config: SimConfig, plan: StencilPlan):
-    state = EnsembleState(T, y[0], y[1], y[2], y[3])
-    d = eom_rhs(state, config, plan)
-    return np.stack([d.dt_dT, d.dx_dT, d.du0_dT, d.du1_dT])
+    y = np.array([state.t, state.x, state.u0, state.u1])
+    dlogf = config.weight.dlog_f(config.grid.nodes)
+    return StateDerivative(*_stage_rhs(y, state.tau_ensemble, config, plan, dlogf))
 
 
 def rk4_step(
@@ -148,12 +177,13 @@ def rk4_step(
         plan = build_plan(config.grid, config.stencil_order)
     dt = config.dt
     T = state.tau_ensemble
-    y = np.stack([state.t, state.x, state.u0, state.u1])
+    dlogf = config.weight.dlog_f(config.grid.nodes)
+    y = np.array([state.t, state.x, state.u0, state.u1])
     try:
-        k1 = _rhs_arrays(y, T, config, plan)
-        k2 = _rhs_arrays(y + 0.5 * dt * k1, T + 0.5 * dt, config, plan)
-        k3 = _rhs_arrays(y + 0.5 * dt * k2, T + 0.5 * dt, config, plan)
-        k4 = _rhs_arrays(y + dt * k3, T + dt, config, plan)
+        k1 = _stage_rhs(y, T, config, plan, dlogf)
+        k2 = _stage_rhs(y + 0.5 * dt * k1, T + 0.5 * dt, config, plan, dlogf)
+        k3 = _stage_rhs(y + 0.5 * dt * k2, T + 0.5 * dt, config, plan, dlogf)
+        k4 = _stage_rhs(y + dt * k3, T + dt, config, plan, dlogf)
     except (GeometryError, StateValidationError, FloatingPointError) as exc:
         raise IntegrationError(f"step from T = {T:.6g} failed: {exc}") from exc
     y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -209,8 +239,10 @@ def integrate(
     """Fixed-step RK4 from T = 0 to t_final, recording snapshots every
     `cadence` units of T plus the final state.
 
+    t_final and cadence must be whole multiples of dt (ValueError otherwise).
     On failure raises IntegrationError with the partial series attached.
     """
+    n_steps, stride = step_counts(config, cadence)
     plan = build_plan(config.grid, config.stencil_order)
     if initial_state is None:
         if config.weight.kind == "gaussian":
@@ -219,14 +251,12 @@ def integrate(
             state = rest_initial_state(config)
     else:
         state = initial_state
-    n_steps = int(round(config.t_final / config.dt))
-    stride = max(1, int(round(cadence / config.dt)))
     series = SnapshotSeries(config=config, snapshots=[])
-    snap_error = None
     for k in range(n_steps + 1):
-        T = k * config.dt
-        state = EnsembleState(T, state.t, state.x, state.u0, state.u1)
         if k % stride == 0 or k == n_steps:
+            # k * dt, not the T accumulated by rk4_step, labels the snapshot
+            T = k * config.dt
+            state = EnsembleState(T, state.t, state.x, state.u0, state.u1)
             try:
                 series.snapshots.append(_snapshot(state, config, plan))
             except (GeometryError, FloatingPointError) as exc:

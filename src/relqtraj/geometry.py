@@ -5,6 +5,11 @@ gamma = x_C^2 - c^2 t_C^2, which must stay positive for the slice to remain
 spacelike.  The time-space block g01 = eta_ab x^a_T x^b_C vanishes for an
 orthogonal trajectory/slice foliation; it is monitored as a residual, never
 projected away, so drift stays visible as a correctness signal.
+
+slice_metric is the array-level computation that every RK stage runs.  The
+g01 residual is never needed to advance the ensemble, so it is attached
+(attach_g01) only to recorded snapshots and to slices read back for
+verification, not to the intermediate RK stages.
 """
 
 from __future__ import annotations
@@ -30,6 +35,21 @@ class GeometryFields:
     g01_residual: Optional[np.ndarray] = None
 
 
+def slice_metric(t, x, T: float, grid: SpatialGrid, plan: StencilPlan, c: float):
+    """(t_C, x_C, gamma) of the slice with coordinate arrays t, x at ensemble
+    time T; raises GeometryError unless gamma is positive and finite."""
+    t_C = d_dC(t, grid, plan)
+    x_C = d_dC(x, grid, plan)
+    gamma = x_C ** 2 - c ** 2 * t_C ** 2
+    if (gamma <= 0).any() or not np.isfinite(gamma).all():
+        k = int(np.argmin(gamma))
+        raise GeometryError(
+            f"non-positive spatial metric gamma = {gamma[k]:.6g} at node {k} "
+            f"(T = {T:.6g}): slice is no longer spacelike"
+        )
+    return t_C, x_C, gamma
+
+
 def compute_geometry(
     state: EnsembleState,
     grid: SpatialGrid,
@@ -41,18 +61,11 @@ def compute_geometry(
 
     The g01 residual needs the proper-time rate tau_T, which itself derives
     from the quantum potential computed *from* this geometry; callers supply
-    it afterwards (see attach_g01) to keep the pipeline acyclic.
+    it afterwards (see attach_g01) to keep the pipeline acyclic.  The solver
+    does so only for the snapshots it records; its RK stages use
+    slice_metric and never carry g01.
     """
-    t_C = d_dC(state.t, grid, plan)
-    x_C = d_dC(state.x, grid, plan)
-    gamma = x_C ** 2 - c ** 2 * t_C ** 2
-    if np.any(gamma <= 0) or not np.all(np.isfinite(gamma)):
-        k = int(np.argmin(gamma))
-        raise GeometryError(
-            f"non-positive spatial metric gamma = {gamma[k]:.6g} at node {k} "
-            f"(T = {state.tau_ensemble:.6g}): slice is no longer spacelike"
-        )
-    geom = GeometryFields(t_C=t_C, x_C=x_C, gamma=gamma)
+    geom = GeometryFields(*slice_metric(state.t, state.x, state.tau_ensemble, grid, plan, c))
     if tau_T is not None:
         geom = attach_g01(geom, state, tau_T, c)
     return geom

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .qpotential import log_form_Q
-from .state import SimConfig, SpatialGrid, WeightFunction
+from .state import SimConfig, SpatialGrid, WeightFunction, step_counts
 from .stencils import StencilPlan, build_plan, d_dC
 
 
@@ -35,6 +35,17 @@ class NonRelState:
             raise ValueError("x must be strictly increasing (no trajectory crossing)")
 
 
+def _potential(
+    x, w: WeightFunction, grid: SpatialGrid, plan: StencilPlan, hbar: float, mass: float
+):
+    """(Q, x_C) for positions x(C), with gamma = x_C^2."""
+    x_C = d_dC(np.asarray(x, dtype=float), grid, plan)
+    if (x_C <= 0).any():
+        raise ValueError("x must be monotone in C")
+    gamma = x_C ** 2
+    return log_form_Q(w.dlog_f(grid.nodes), gamma, grid, plan, hbar, mass), x_C
+
+
 def nonrel_Q(
     x: np.ndarray,
     w: WeightFunction,
@@ -44,11 +55,7 @@ def nonrel_Q(
     mass: float,
 ) -> np.ndarray:
     """Quantum potential for trajectory positions x(C), with gamma = x_C^2."""
-    x_C = d_dC(np.asarray(x, dtype=float), grid, plan)
-    if np.any(x_C <= 0):
-        raise ValueError("x must be monotone in C")
-    gamma = x_C ** 2
-    return log_form_Q(w.dlog_f(grid.nodes), gamma, grid, plan, hbar, mass)
+    return _potential(x, w, grid, plan, hbar, mass)[0]
 
 
 def nonrel_rhs(
@@ -57,8 +64,7 @@ def nonrel_rhs(
     """(dx/dt, dv/dt) for the free particle."""
     if plan is None:
         plan = build_plan(config.grid, config.stencil_order)
-    Q = nonrel_Q(state.x, config.weight, config.grid, plan, config.hbar, config.mass)
-    x_C = d_dC(state.x, config.grid, plan)
+    Q, x_C = _potential(state.x, config.weight, config.grid, plan, config.hbar, config.mass)
     f_Q = -d_dC(Q, config.grid, plan) / x_C
     return state.v.copy(), f_Q / config.mass
 
@@ -68,7 +74,11 @@ def nonrel_integrate(
     initial_state: Optional[NonRelState] = None,
     cadence: float = 1.0,
 ) -> list:
-    """Fixed-step RK4 from t = 0 to t_final; returns NonRelState snapshots."""
+    """Fixed-step RK4 from t = 0 to t_final; returns NonRelState snapshots.
+
+    t_final and cadence must be whole multiples of dt (ValueError otherwise).
+    """
+    n_steps, stride = step_counts(config, cadence)
     plan = build_plan(config.grid, config.stencil_order)
 
     def rhs(y):
@@ -81,8 +91,6 @@ def nonrel_integrate(
     else:
         y = np.stack([initial_state.x, initial_state.v])
     dt = config.dt
-    n_steps = int(round(config.t_final / dt))
-    stride = max(1, int(round(cadence / dt)))
     out = []
     for k in range(n_steps + 1):
         if k % stride == 0 or k == n_steps:

@@ -35,7 +35,7 @@ def log_form_Q(
 ) -> np.ndarray:
     """Quantum potential from the closed-form weight log-derivative and the
     (numerically computed) spatial metric gamma on the slice."""
-    if np.any(gamma <= 0):
+    if (gamma <= 0).any():
         raise ValueError("gamma must be positive")
     ln_gamma = np.log(gamma)
     Lp = 0.5 * dlogf - 0.25 * d_dC(ln_gamma, grid, plan)
@@ -45,6 +45,6 @@ def log_form_Q(
     Q = -(hbar ** 2 / (2.0 * mass)) * (
         inv_sqrt_gamma * Gp * Lp + (Lp ** 2 + Lpp) / gamma
     )
-    if not np.all(np.isfinite(Q)):
+    if not np.isfinite(Q).all():
         raise FloatingPointError("non-finite quantum potential")
     return Q

@@ -48,6 +48,14 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _integer(s: str) -> int:
+    """An integer-valued config entry; "25" and "25.0" pass, "17.9" does not."""
+    v = float(s)
+    if not v.is_integer():
+        raise ValueError(f"not an integer: {s!r}")
+    return int(v)
+
+
 def parse_config(text: str) -> SimConfig:
     """Parse flat key-value configuration text into a validated SimConfig."""
     kv = {}
@@ -98,7 +106,7 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"key {stray!r} does not apply to weight.kind {kind!r}")
 
     try:
-        grid = make_grid(take("grid.min"), take("grid.max"), take("grid.n", conv=lambda s: int(float(s))))
+        grid = make_grid(take("grid.min"), take("grid.max"), take("grid.n", conv=_integer))
         cfg = SimConfig(
             mass=take("mass"),
             hbar=take("hbar"),
@@ -107,7 +115,7 @@ def parse_config(text: str) -> SimConfig:
             grid=grid,
             t_final=take("time.final"),
             dt=take("time.dt"),
-            stencil_order=take("stencil.order", conv=lambda s: int(float(s))),
+            stencil_order=take("stencil.order", conv=_integer),
             residual_tol=take("tol.residual"),
             invariant_tol=take("tol.invariant"),
         )

@@ -17,6 +17,7 @@ import numpy as np
 
 UNIFORMITY_TOL = 1e-12  # relative node-spacing wobble tolerated in a grid
 MIN_POINTS = 9          # widest stencil pair (two nested 5-point windows)
+STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,35 @@ class StateValidationError(ValueError):
     """An ensemble state violates a structural invariant."""
 
 
+def _check_fields_one_by_one(t, x, u0, u1) -> None:
+    n = t.shape[0]
+    for name, arr in zip(("t", "x", "u0", "u1"), (t, x, u0, u1)):
+        if arr.shape != (n,):
+            raise StateValidationError(f"field {name} has shape {arr.shape}, want ({n},)")
+        if not np.all(np.isfinite(arr)):
+            raise StateValidationError(f"non-finite values in field {name}")
+    if np.any(u0 <= 0):
+        raise StateValidationError("u0 must be positive (forward-in-time propagation)")
+    if np.any(np.diff(x) <= 0):
+        k = int(np.argmin(np.diff(x)))
+        raise StateValidationError(
+            f"trajectory ordering lost between nodes {k} and {k + 1} "
+            f"(x = {x[k]:.6g}, {x[k + 1]:.6g}): ensemble degeneration"
+        )
+
+
+def check_state_arrays(y: np.ndarray) -> None:
+    """Raise StateValidationError unless y = (t, x, u0, u1), a (4, N) array,
+    is a valid ensemble: every value finite, u0 > 0 and x strictly increasing.
+
+    One fused pass over the whole array covers the valid case.  Only when it
+    fails are the fields checked one by one, so the error names the first
+    broken invariant exactly as the per-field checks always have.
+    """
+    if not (np.isfinite(y).all() and (y[2] > 0).all() and (y[1, 1:] > y[1, :-1]).all()):
+        _check_fields_one_by_one(*y)
+
+
 @dataclass(frozen=True)
 class EnsembleState:
     """Per-node trajectory data on one simultaneity submanifold.
@@ -135,22 +165,13 @@ class EnsembleState:
     u1: np.ndarray
 
     def __post_init__(self):
+        fields = (self.t, self.x, self.u0, self.u1)
         n = self.t.shape[0]
-        for name in ("t", "x", "u0", "u1"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise StateValidationError(f"field {name} has shape {arr.shape}, want ({n},)")
-            if not np.all(np.isfinite(arr)):
-                raise StateValidationError(f"non-finite values in field {name}")
+        if any(arr.shape != (n,) for arr in fields):
+            _check_fields_one_by_one(*fields)  # raises, naming the field
+        check_state_arrays(np.array(fields))
+        for arr in fields:
             arr.setflags(write=False)  # states are immutable value data
-        if np.any(self.u0 <= 0):
-            raise StateValidationError("u0 must be positive (forward-in-time propagation)")
-        if np.any(np.diff(self.x) <= 0):
-            k = int(np.argmin(np.diff(self.x)))
-            raise StateValidationError(
-                f"trajectory ordering lost between nodes {k} and {k + 1} "
-                f"(x = {self.x[k]:.6g}, {self.x[k + 1]:.6g}): ensemble degeneration"
-            )
 
     @property
     def n_points(self) -> int:
@@ -205,3 +226,24 @@ class SimConfig:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
+def step_counts(config: SimConfig, cadence: float) -> tuple:
+    """(n_steps, stride) of a fixed-step run: steps to t_final and steps
+    between snapshots.
+
+    t_final and cadence must both be whole multiples of dt, so the run ends
+    at t_final and records every cadence exactly as asked; anything else
+    is rejected with ValueError rather than rounded to a different run.
+    """
+    if not (cadence > 0 and math.isfinite(cadence)):
+        raise ValueError(f"cadence must be positive and finite, got {cadence}")
+    counts = []
+    for name, span in (("t_final", config.t_final), ("cadence", cadence)):
+        k = round(span / config.dt)
+        if not math.isclose(k * config.dt, span, rel_tol=STEP_MULTIPLE_RTOL):
+            raise ValueError(
+                f"{name} = {span:g} is not a whole multiple of dt = {config.dt:g}"
+            )
+        counts.append(k)
+    return tuple(counts)

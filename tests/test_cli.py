@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from relqtraj.cli import main
 
@@ -51,6 +52,22 @@ class TestSimulate:
     def test_bad_config_is_validation_error(self, tmp_path):
         cfg = _write(tmp_path, "bad.cfg", "c = 3\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("final, cadence, message", [
+        # each would once have run: recording every step, recording every
+        # 0.002, and stopping at T = 0.01
+        ("2", "-1", "cadence must be positive and finite, got -1"),
+        ("2", "0.0015", "cadence = 0.0015 is not a whole multiple of dt = 0.001"),
+        ("0.0105", "0.005", "t_final = 0.0105 is not a whole multiple of dt = 0.001"),
+    ])
+    def test_run_off_the_step_grid_is_validation_error(self, tmp_path, capsys, final,
+                                                       cadence, message):
+        cfg = _write(tmp_path, "g.cfg",
+                     GAUSS_CFG.replace("time.final = 2", f"time.final = {final}"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--cadence", cadence]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_is_validation_error(self, tmp_path):
         cfg = _write(tmp_path, "bad.cfg", GAUSS_CFG + "\nwhat = 1\n")

@@ -10,7 +10,7 @@ from relqtraj.analytic import (
     sample_state,
 )
 from relqtraj.dynamics import IntegrationError
-from relqtraj.state import WeightFunction
+from relqtraj.state import StateValidationError, WeightFunction, step_counts
 
 from conftest import baseline_config
 
@@ -227,6 +227,58 @@ class TestRk4Step:
         assert np.log2(e1 / e2) == pytest.approx(4.0, abs=0.5)
 
 
+class TestStageGuard:
+    """Intermediate RK stages are held to the EnsembleState invariants."""
+
+    @staticmethod
+    def _streaming(u1, dt):
+        # uniform weight and an undistorted slice: Q = 0, so k1 is free streaming
+        cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.uniform_weight(),
+                           grid=rq.make_grid(-5, 5, 25), t_final=1, dt=dt)
+        u1 = np.asarray(u1, dtype=float)
+        st = rq.EnsembleState(0.0, np.zeros(25), cfg.grid.nodes.copy(),
+                              np.hypot(1.0, u1), u1)
+        return st, cfg
+
+    def test_stage_losing_order_aborts_step(self):
+        # nodes 12 and 13 close in at 2 * 5 per unit T; half a step of 0.1
+        # moves them 0.5 > h = 10/24 towards each other, so stage 2 crosses
+        u1 = np.zeros(25)
+        u1[12], u1[13] = 5.0, -5.0
+        st, cfg = self._streaming(u1, dt=0.1)
+        with pytest.raises(IntegrationError, match="step from T =") as exc_info:
+            rq.rk4_step(st, cfg)
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, StateValidationError)
+        assert "nodes 12 and 13" in str(cause)
+
+    def test_non_finite_stage_aborts_step(self):
+        # k1 is finite (u0 = u1 = 1e300), but half a step of 1e9 overflows t and x
+        st, cfg = self._streaming(np.full(25, 1e300), dt=1e9)
+        with np.errstate(over="ignore"), \
+                pytest.raises(IntegrationError, match="step from T =") as exc_info:
+            rq.rk4_step(st, cfg)
+        cause = exc_info.value.__cause__
+        assert isinstance(cause, StateValidationError)
+        assert "non-finite values in field t" in str(cause)
+
+    def test_eom_rhs_matches_the_per_layer_functions(self):
+        # the stage core against compute_geometry, compute_Q, tau_factor and
+        # compute_force chained field by field, bitwise
+        cfg = baseline_config()
+        plan = _plan(cfg)
+        st = rq.gaussian_initial_state(cfg)
+        geom = rq.compute_geometry(st, cfg.grid, plan, cfg.c)
+        Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.grid, plan, cfg.hbar, cfg.mass)
+        tau = rq.tau_factor(Q, cfg.mass, cfg.c)
+        f0, f1 = rq.compute_force(geom, Q_C, cfg.c)
+        want = np.array([tau * st.u0 / cfg.c, tau * st.u1,
+                         tau * f0 / cfg.mass, tau * f1 / cfg.mass])
+        d = rq.eom_rhs(st, cfg, plan)
+        got = np.array([d.dt_dT, d.dx_dT, d.du0_dT, d.du1_dT])
+        assert got.tobytes() == want.tobytes()
+
+
 class TestInitialStates:
     def test_gaussian_initial_state(self):
         cfg = baseline_config()
@@ -258,6 +310,22 @@ class TestIntegrate:
         assert [s.tau_ensemble for s in baseline_integer_snapshots] == pytest.approx(
             list(range(11))
         )
+
+    @pytest.mark.parametrize("cadence", [0.0, float("nan"), float("inf")])
+    def test_cadence_must_be_positive_and_finite(self, cadence):
+        with pytest.raises(ValueError, match="cadence must be positive"):
+            rq.integrate(baseline_config(t_final=0.01), cadence=cadence)
+
+    def test_nonrel_shares_the_step_counts(self):
+        with pytest.raises(ValueError, match="cadence"):
+            rq.nonrel_integrate(baseline_config(t_final=0.01), cadence=0.0015)
+        with pytest.raises(ValueError, match="t_final"):
+            rq.nonrel_integrate(baseline_config(t_final=0.0105), cadence=0.005)
+
+    def test_whole_multiples_of_dt_accepted(self):
+        cfg = baseline_config()
+        assert [step_counts(cfg, c) for c in (1.0, 0.1, 0.01, 0.025)] == [
+            (10000, 1000), (10000, 100), (10000, 10), (10000, 25)]
 
     def test_zero_duration(self):
         cfg = baseline_config(t_final=0.0)

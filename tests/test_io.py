@@ -53,6 +53,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             rq.parse_config(BASELINE_TEXT + "\nc = 4\n")
 
+    @pytest.mark.parametrize("key, old, new", [
+        ("grid.n", "grid.n = 25", "grid.n = 17.9"),
+        ("grid.n", "grid.n = 25", "grid.n = inf"),
+        ("stencil.order", "tol.invariant", "stencil.order = 4.5\ntol.invariant"),
+    ])
+    def test_non_integral_integer_key_rejected(self, key, old, new):
+        # int(float("17.9")) would silently run a 17-node grid
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            rq.parse_config(BASELINE_TEXT.replace(old, new))
+
+    def test_integral_float_integer_key_accepted(self):
+        cfg = rq.parse_config(BASELINE_TEXT.replace("grid.n = 25", "grid.n = 25.0"))
+        assert cfg.grid.n_points == 25
+
     def test_bad_value_names_key_and_line(self):
         text = BASELINE_TEXT.replace("c = 3", "c = fast")
         with pytest.raises(ConfigError, match="c"):

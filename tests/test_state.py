@@ -93,6 +93,14 @@ class TestEnsembleState:
         with pytest.raises(StateValidationError):
             rq.EnsembleState(0.0, t, x, u0, u1)
 
+    def test_first_broken_invariant_is_reported(self):
+        # non-finite t is reported before the ordering of x
+        t, x, u0, u1 = self._arrays()
+        t[2] = np.inf
+        x[4] = x[5] + 0.1
+        with pytest.raises(StateValidationError, match="non-finite values in field t"):
+            rq.EnsembleState(0.0, t, x, u0, u1)
+
     def test_length_mismatch_rejected(self):
         t, x, u0, u1 = self._arrays()
         with pytest.raises(StateValidationError):

@@ -17,10 +17,9 @@ from .state import (
     gaussian_weight,
     exponential_weight,
     uniform_weight,
-    weight_log_derivative,
 )
 from .stencils import StencilPlan, build_plan, d_dC, interpolate
-from .geometry import GeometryFields, compute_geometry, attach_g01, g00_from_tau
+from .geometry import GeometryFields, compute_geometry, attach_g01
 from .dynamics import (
     QuantumFields,
     StateDerivative,
@@ -32,7 +31,7 @@ from .dynamics import (
     tau_factor,
     eom_rhs,
     rk4_step,
-    gaussian_initial_state,
+    make_snapshot,
     rest_initial_state,
     integrate,
 )
@@ -52,9 +51,6 @@ from .diagnostics import (
     derived_fields,
     evaluate_invariants,
     pde_residual,
-    probability_conservation_check,
-    support_truncated,
-    inertial_limit_metric,
 )
 from .snapshot_io import (
     ConfigError,

@@ -69,11 +69,6 @@ def exponential_ensemble(kappa: float, mass: float, hbar: float, c: float) -> An
     )
 
 
-def exponential_time_rate(kappa: float, mass: float, hbar: float, c: float) -> float:
-    """dt/dT for the exponential ensemble."""
-    return math.exp(0.5 * (hbar * kappa / (mass * c)) ** 2)
-
-
 def hyperbolic_gamma_one_ensemble(B: float, c: float) -> AnalyticEnsemble:
     """Constant-acceleration family with unit slice metric:
     t = (C/c) sinh(c B T), x = C cosh(c B T).  Singular at C = 0."""
@@ -102,11 +97,6 @@ def hyperbolic_gamma_one_Q(B: float, C, mass: float, c: float):
     return -mass * c ** 2 * np.log(B * C)
 
 
-def hyperbolic_gamma_one_tau(B: float, C):
-    """dtau/dT of the unit-metric hyperbolic family: B*C."""
-    return B * np.asarray(C, dtype=float)
-
-
 def hyperbolic_gamma_T_ensemble(A: float, c: float) -> AnalyticEnsemble:
     """Straight-line fan through the origin: t = T cosh(A C), x = c T sinh(A C).
     Slice metric c^2 A^2 T^2 is uniform in C; degenerate at T = 0."""
@@ -123,22 +113,6 @@ def hyperbolic_gamma_T_ensemble(A: float, c: float) -> AnalyticEnsemble:
         return _broadcast4(t, x, c * np.cosh(A * C), c * np.sinh(A * C))
 
     return AnalyticEnsemble("hyperbolic_gamma_T", {"A": A, "c": c}, False, evaluate)
-
-
-def eval_inertial(beta0: float, T, C, c: float):
-    return inertial_ensemble(beta0, c).evaluate(T, C)
-
-
-def eval_exponential(kappa: float, T, C, mass: float, hbar: float, c: float):
-    return exponential_ensemble(kappa, mass, hbar, c).evaluate(T, C)
-
-
-def eval_hyperbolic_gamma_one(B: float, T, C, c: float):
-    return hyperbolic_gamma_one_ensemble(B, c).evaluate(T, C)
-
-
-def eval_hyperbolic_gamma_T(A: float, T, C, c: float):
-    return hyperbolic_gamma_T_ensemble(A, c).evaluate(T, C)
 
 
 def sample_state(ens: AnalyticEnsemble, grid: SpatialGrid, T: float) -> EnsembleState:

@@ -14,6 +14,7 @@ Exit codes: 0 success / all checks pass, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -29,18 +30,14 @@ from .analytic import (
     inertial_ensemble,
     sample_state,
 )
-from .diagnostics import DerivedFields, evaluate_invariants
-from .dynamics import (
-    IntegrationError,
-    QuantumFields,
-    Snapshot,
-    SnapshotSeries,
-    compute_force,
-    compute_Q,
-    integrate,
-    tau_factor,
+from .diagnostics import (
+    RESIDUAL_CADENCE_MAX,
+    RESIDUAL_MIN_SNAPSHOTS,
+    DerivedFields,
+    evaluate_invariants,
 )
-from .geometry import GeometryError, attach_g01, compute_geometry
+from .dynamics import IntegrationError, SnapshotSeries, integrate, make_snapshot
+from .geometry import GeometryError
 from .nonrel import nonrel_integrate
 from .snapshot_io import (
     ConfigError,
@@ -48,9 +45,10 @@ from .snapshot_io import (
     read_snapshots,
     write_report,
     write_snapshots,
+    write_table,
 )
 from .state import SimConfig, StateValidationError, make_grid, uniform_weight, exponential_weight
-from .stencils import build_plan, d_dC
+from .stencils import build_plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -131,31 +129,15 @@ def _cmd_analytic(args) -> int:
         stencil_order=args.stencil_order,
     )
     plan = build_plan(grid, cfg.stencil_order)
-    snapshots = []
-    derived = []
-    for T in times:
-        state = sample_state(ens, grid, T)
-        geom = compute_geometry(state, grid, plan, c)
-        if args.kind == "hyperbolic-gamma-one":
-            Q = hyperbolic_gamma_one_Q(args.B, grid.nodes, m, c)
-            rho_star = np.full(grid.n_points, np.nan)
-        else:
-            Q, _ = compute_Q(geom, weight, grid, plan, hb, m)
-            rho_star = np.exp(weight.log_f(grid.nodes)) / np.sqrt(geom.gamma)
-        tau = tau_factor(Q, m, c)
-        Q_C = d_dC(Q, grid, plan)
-        f0, f1 = compute_force(geom, Q_C, c)
-        geom = attach_g01(geom, state, tau, c)
-        snapshots.append(
-            Snapshot(T, state, geom, QuantumFields(Q=Q, Q_C=Q_C, f0=f0, f1=f1, tau_T=tau))
-        )
-        derived.append(
-            DerivedFields(
-                beta=np.abs(state.u1) / state.u0,
-                rho_star=rho_star,
-                j0_natural=c * np.exp(weight.log_f(grid.nodes)),
-            )
-        )
+    # the unit-metric hyperbolic family has a closed-form Q but no density
+    closed_Q = args.kind == "hyperbolic-gamma-one"
+    Q = hyperbolic_gamma_one_Q(args.B, grid.nodes, m, c) if closed_Q else None
+    snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, plan, Q) for T in times]
+    derived = None
+    if closed_Q:
+        no_density = np.full(grid.n_points, np.nan)
+        derived = [DerivedFields(np.abs(s.state.u1) / s.state.u0, no_density)
+                   for s in snapshots]
     series = SnapshotSeries(config=cfg, snapshots=snapshots)
     write_snapshots(series, args.out, code_version=__version__,
                     start_time=_now(), end_time=_now(), derived=derived)
@@ -177,9 +159,10 @@ def _cmd_verify(args) -> int:
               f"C={r.C_at_max:g} (tol {r.tolerance:.1e}) "
               f"{'pass' if r.passed else 'FAIL'}")
     if not any(r.name.startswith("pde_residual") for r in report.records):
-        print("note: evolution-equation residuals skipped; they need at least "
-              "9 uniformly spaced snapshots no more than 0.1 apart in T "
-              "(rerun simulate with --cadence 0.05 or finer)")
+        print(f"note: evolution-equation residuals skipped; they need at least "
+              f"{RESIDUAL_MIN_SNAPSHOTS} uniformly spaced snapshots no more than "
+              f"{RESIDUAL_CADENCE_MAX:g} apart in T (rerun simulate with --cadence "
+              f"{RESIDUAL_CADENCE_MAX:g} or finer)")
     print(f"verify: report written to {out}")
     return EXIT_OK if report.all_pass else EXIT_RUNTIME
 
@@ -218,40 +201,25 @@ def _cmd_compare_limits(args) -> int:
 
 def _cmd_figures(args) -> int:
     series = read_snapshots(args.snapshots)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     nodes = series.config.grid.nodes
-
-    def fmt(v):
-        return format(float(v), ".17g")
-
+    # (K, N) per field: one row per snapshot, one column per label
+    T = np.repeat(np.array(series.times)[:, None], len(nodes), axis=1)
+    C = np.broadcast_to(nodes, T.shape)
+    t = np.array([s.state.t for s in series])
+    x = np.array([s.state.x for s in series])
+    tables = (
+        # trajectories run label by label, the other tables slice by slice
+        ("fig_trajectories.tsv", ("C", "T", "t", "x"), tuple(a.T for a in (C, T, t, x))),
+        ("fig_simultaneity.tsv", ("T", "C", "t", "x"), (T, C, t, x)),
+        ("fig_gamma.tsv", ("T", "C", "gamma"),
+         (T, C, np.array([s.geometry.gamma for s in series]))),
+        ("fig_q.tsv", ("T", "C", "Q"), (T, C, np.array([s.quantum.Q for s in series]))),
+    )
     paths = []
-    p = os.path.join(args.out, "fig_trajectories.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("C\tT\tt\tx\n")
-        for i, C in enumerate(nodes):
-            for s in series:
-                fh.write(f"{fmt(C)}\t{fmt(s.tau_ensemble)}\t"
-                         f"{fmt(s.state.t[i])}\t{fmt(s.state.x[i])}\n")
-    paths.append(p)
-    p = os.path.join(args.out, "fig_simultaneity.tsv")
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("T\tC\tt\tx\n")
-        for s in series:
-            for i, C in enumerate(nodes):
-                fh.write(f"{fmt(s.tau_ensemble)}\t{fmt(C)}\t"
-                         f"{fmt(s.state.t[i])}\t{fmt(s.state.x[i])}\n")
-    paths.append(p)
-    for fname, field in (("fig_gamma.tsv", "gamma"), ("fig_q.tsv", "Q")):
-        p = os.path.join(args.out, fname)
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"T\tC\t{field}\n")
-            for s in series:
-                vals = s.geometry.gamma if field == "gamma" else s.quantum.Q
-                for i, C in enumerate(nodes):
-                    fh.write(f"{fmt(s.tau_ensemble)}\t{fmt(C)}\t{fmt(vals[i])}\n")
-        paths.append(p)
+    for fname, header, columns in tables:
+        paths.append(os.path.join(args.out, fname))
+        write_table(paths[-1], header, [a.ravel() for a in columns])
     print("figures: " + ", ".join(paths))
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from .dynamics import SnapshotSeries
-from .state import SimConfig, WeightFunction, make_grid
+from .state import WeightFunction, make_grid
 from .stencils import build_plan, interpolate
 
 ORTHOGONALITY_EPS = 1e-30      # guards the force-scale denominator
@@ -21,15 +21,16 @@ REFERENCE_ZERO_REL_TOL = 1e-3  # |Q| at the reference labels, relative to max |Q
                                # the zeros sit there only as c -> infinity and
                                # move by O(1/c^2) otherwise (~2.6e-3 at c = 3,
                                # T = 1, whatever the resolution)
-RESIDUAL_CADENCE_MAX = 0.1     # coarser recordings swamp the residual with
-                               # time-differencing error
+RESIDUAL_CADENCE_MAX = 0.05    # coarser recordings swamp the residual with
+                               # time-differencing error (a correct c = 3 run
+                               # reads 1.3e-4 at 0.1, 8.3e-6 at 0.05)
+RESIDUAL_MIN_SNAPSHOTS = 9     # two nested 5-point time stencils
 
 
 @dataclass(frozen=True)
 class DerivedFields:
     beta: np.ndarray
     rho_star: np.ndarray
-    j0_natural: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,11 @@ class InvariantReport:
         raise KeyError(name)
 
 
-def derived_fields(state, geom, w: WeightFunction, grid, c: float) -> DerivedFields:
-    """Speed in units of c, invariant density f/sqrt(gamma) and the
-    ensemble-frame flux time component c*f, per node."""
+def derived_fields(state, geom, w: WeightFunction, grid) -> DerivedFields:
+    """Speed in units of c and invariant density f/sqrt(gamma), per node."""
     beta = np.abs(state.u1) / state.u0
     f = np.exp(w.log_f(grid.nodes))
-    return DerivedFields(
-        beta=beta, rho_star=f / np.sqrt(geom.gamma), j0_natural=c * f
-    )
+    return DerivedFields(beta=beta, rho_star=f / np.sqrt(geom.gamma))
 
 
 def _track_max(cur, arr, T, nodes):
@@ -79,18 +77,18 @@ def evaluate_invariants(
     series: SnapshotSeries,
     invariant_tol: Optional[float] = None,
     residual_tol: Optional[float] = None,
-    include_residual="auto",
+    include_residual: bool = True,
 ) -> InvariantReport:
     """Evaluate the full invariant list over a snapshot series.
 
     Kinematic checks: four-velocity normalization (relative to c^2), force
     orthogonality (scaled by c times the largest force component), the
     time-space metric residual (absolute) and strict subluminality.  The two
-    evolution-equation residuals need a fine uniform recording; with
-    include_residual="auto" they are added when there are at least 9 uniform
-    snapshots no more than RESIDUAL_CADENCE_MAX apart (True forces them,
-    False drops them).  For gaussian weights the quantum potential is
-    additionally checked to vanish at the reference labels +-sqrt(1/a).
+    evolution-equation residuals need a fine uniform recording: unless
+    include_residual is False they are added when there are at least
+    RESIDUAL_MIN_SNAPSHOTS uniform snapshots no more than RESIDUAL_CADENCE_MAX
+    apart.  For gaussian weights the quantum potential is additionally
+    checked to vanish at the reference labels +-sqrt(1/a).
     That check is exact only as c -> infinity, where the slice metric is
     uniform in C; at finite c the label dependence of tau_T shifts the zeros
     by O(1/c^2), independently of the resolution, so a correct strongly
@@ -126,15 +124,13 @@ def evaluate_invariants(
         InvariantRecord("subluminality", *sub, 0.0, sub[0] < 0.0),
     ]
 
-    want_residual = include_residual
-    if include_residual == "auto":
-        ts = series.times
-        want_residual = (
-            len(series) >= 9
-            and _uniform_cadence(series)
-            and (ts[1] - ts[0]) <= RESIDUAL_CADENCE_MAX * (1 + 1e-9)
-        )
-    if want_residual and len(series) >= 9 and _uniform_cadence(series):
+    ts = series.times
+    if (
+        include_residual
+        and len(series) >= RESIDUAL_MIN_SNAPSHOTS
+        and _uniform_cadence(series)
+        and ts[1] - ts[0] <= RESIDUAL_CADENCE_MAX * (1 + 1e-9)
+    ):
         res_t, res_x, sn, nd = pde_residual(series)
         for name, res in (("pde_residual_t", res_t), ("pde_residual_x", res_x)):
             block = np.abs(res[sn, nd])
@@ -184,7 +180,7 @@ def reference_zero_ratio(series: SnapshotSeries, a: float):
     return worst if worst is not None else (0.0, 0.0, 0.0)
 
 
-def pde_residual(series: SnapshotSeries, config: Optional[SimConfig] = None):
+def pde_residual(series: SnapshotSeries):
     """Residuals of the two second-order evolution equations, evaluated from
     stored snapshots with the same spatial stencils the solver used and
     nested fourth-order central differences in ensemble time.
@@ -193,10 +189,12 @@ def pde_residual(series: SnapshotSeries, config: Optional[SimConfig] = None):
     arrays of shape (n_snapshots, n_points) and the slices over which both
     the time and space differencing are fully centered.
     """
-    cfg = series.config if config is None else config
+    cfg = series.config
     K = len(series)
-    if K < 9:
-        raise ValueError(f"need at least 9 uniformly spaced snapshots, got {K}")
+    if K < RESIDUAL_MIN_SNAPSHOTS:
+        raise ValueError(
+            f"need at least {RESIDUAL_MIN_SNAPSHOTS} uniformly spaced snapshots, got {K}"
+        )
     ts = np.asarray(series.times)
     dT = ts[1] - ts[0]
     if np.max(np.abs(np.diff(ts) - dT)) > 1e-9 * max(dT, 1.0):
@@ -222,34 +220,3 @@ def pde_residual(series: SnapshotSeries, config: Optional[SimConfig] = None):
     interior_snaps = slice(4, K - 4)          # two nested central time stencils
     interior_nodes = slice(half_s, cfg.grid.n_points - half_s)
     return res_t, res_x, interior_snaps, interior_nodes
-
-
-def probability_conservation_check(series: SnapshotSeries, w: WeightFunction) -> float:
-    """Relative drift, across snapshots, of the slice integral of the
-    invariant density against the slice arclength element sqrt(gamma) dC."""
-    cfg = series.config
-    nodes = cfg.grid.nodes
-    f = np.exp(w.log_f(nodes))
-    totals = []
-    for s in series:
-        rho_star = f / np.sqrt(s.geometry.gamma)
-        totals.append(float(np.trapezoid(rho_star * np.sqrt(s.geometry.gamma), nodes)))
-    totals = np.asarray(totals)
-    return float(np.max(np.abs(totals - totals[0])) / max(abs(totals[0]), 1e-300))
-
-
-def support_truncated(w: WeightFunction, grid, rel_threshold: float = 1e-6) -> bool:
-    """True when the weight at either grid edge exceeds rel_threshold of its
-    maximum, i.e. the grid visibly truncates the ensemble's support."""
-    f = np.exp(w.log_f(grid.nodes))
-    return bool(max(f[0], f[-1]) > rel_threshold * float(np.max(f)))
-
-
-def inertial_limit_metric(series: SnapshotSeries) -> float:
-    """max |Q| / (m c^2) over the series: dimensionless distance from
-    quantum inertial motion."""
-    cfg = series.config
-    worst = 0.0
-    for s in series:
-        worst = max(worst, float(np.max(np.abs(s.quantum.Q))))
-    return worst / (cfg.mass * cfg.c ** 2)

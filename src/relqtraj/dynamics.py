@@ -15,7 +15,10 @@ back to inertial components, always orthogonal to the four-velocity.
 The RK stages work on the raw (4, N) array y = (t, x, u0, u1): each stage is
 checked against the EnsembleState invariants in one fused pass, then _slice
 computes every slice field once from y.  An EnsembleState is built once per
-accepted step and the g01 residual only for recorded snapshots.
+accepted step and the g01 residual only for recorded snapshots.  make_snapshot
+is the one function that turns a state (and optionally a stored Q) into every
+field of a slice; the solver, the snapshot reader and the closed-form sampler
+all go through it.
 """
 
 from __future__ import annotations
@@ -119,26 +122,31 @@ def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
     return np.exp(-np.asarray(Q, dtype=float) / (mass * c ** 2))
 
 
-def _slice(t, x, T, config: SimConfig, plan: StencilPlan, dlogf):
+def _slice(t, x, T, config: SimConfig, plan: StencilPlan, dlogf=None, Q=None):
     """Every field of one slice from its coordinate arrays:
-    (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1).  dlogf is the weight's
-    log-derivative on the grid nodes, constant over a run."""
+    (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1).  Q is computed from dlogf, the
+    weight's log-derivative on the grid nodes, unless it is given."""
     t_C, x_C, gamma = slice_metric(t, x, T, config.grid, plan, config.c)
-    Q = log_form_Q(dlogf, gamma, config.grid, plan, config.hbar, config.mass)
+    if Q is None:
+        Q = log_form_Q(dlogf, gamma, config.grid, plan, config.hbar, config.mass)
     Q_C = d_dC(Q, config.grid, plan)
     tau = tau_factor(Q, config.mass, config.c)
     f0, f1 = _force(t_C, x_C, gamma, Q_C, config.c)
     return t_C, x_C, gamma, Q, Q_C, tau, f0, f1
 
 
-def _fields(state: EnsembleState, config: SimConfig, plan: StencilPlan):
-    """Geometry (with the g01 residual) and quantum fields of a recorded slice."""
-    dlogf = config.weight.dlog_f(config.grid.nodes)
+def make_snapshot(
+    state: EnsembleState, config: SimConfig, plan: StencilPlan, Q: Optional[np.ndarray] = None
+) -> Snapshot:
+    """Every field of a recorded slice: geometry with the g01 residual, Q,
+    Q_C, tau_T and the force.  Q is computed from the config's weight unless
+    it is given (a stored or closed-form potential)."""
+    dlogf = config.weight.dlog_f(config.grid.nodes) if Q is None else None
     t_C, x_C, gamma, Q, Q_C, tau, f0, f1 = _slice(
-        state.t, state.x, state.tau_ensemble, config, plan, dlogf
+        state.t, state.x, state.tau_ensemble, config, plan, dlogf, Q
     )
     geom = attach_g01(GeometryFields(t_C, x_C, gamma), state, tau, config.c)
-    return geom, QuantumFields(Q=Q, Q_C=Q_C, f0=f0, f1=f1, tau_T=tau)
+    return Snapshot(state.tau_ensemble, state, geom, QuantumFields(Q, Q_C, f0, f1, tau))
 
 
 def _stage_rhs(y, T, config: SimConfig, plan: StencilPlan, dlogf) -> np.ndarray:
@@ -156,6 +164,15 @@ def _stage_rhs(y, T, config: SimConfig, plan: StencilPlan, dlogf) -> np.ndarray:
         tau * f0 / config.mass,
         tau * f1 / config.mass,
     ])
+
+
+def _rk4(rhs, y, dt):
+    """One classical RK4 step of y' = rhs(y, h) over dt; h is the stage's offset."""
+    k1 = rhs(y, 0.0)
+    k2 = rhs(y + 0.5 * dt * k1, 0.5 * dt)
+    k3 = rhs(y + 0.5 * dt * k2, 0.5 * dt)
+    k4 = rhs(y + dt * k3, dt)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def eom_rhs(
@@ -180,13 +197,9 @@ def rk4_step(
     dlogf = config.weight.dlog_f(config.grid.nodes)
     y = np.array([state.t, state.x, state.u0, state.u1])
     try:
-        k1 = _stage_rhs(y, T, config, plan, dlogf)
-        k2 = _stage_rhs(y + 0.5 * dt * k1, T + 0.5 * dt, config, plan, dlogf)
-        k3 = _stage_rhs(y + 0.5 * dt * k2, T + 0.5 * dt, config, plan, dlogf)
-        k4 = _stage_rhs(y + dt * k3, T + dt, config, plan, dlogf)
+        y = _rk4(lambda y, h: _stage_rhs(y, T + h, config, plan, dlogf), y, dt)
     except (GeometryError, StateValidationError, FloatingPointError) as exc:
         raise IntegrationError(f"step from T = {T:.6g} failed: {exc}") from exc
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     try:
         new = EnsembleState(T + dt, y[0], y[1], y[2], y[3])
     except StateValidationError as exc:
@@ -201,19 +214,6 @@ def rk4_step(
     return new
 
 
-def gaussian_initial_state(config: SimConfig) -> EnsembleState:
-    """Stationary wavepacket start: t = 0, x = C, four-velocity at rest.
-
-    With these data the initial slice has gamma = 1, so dt/dT at T = 0 equals
-    the time-dilation factor of the initial quantum potential while dx/dT = 0.
-    """
-    if config.weight.kind != "gaussian":
-        raise ValueError(
-            f"gaussian initial state requires a gaussian weight, got {config.weight.kind!r}"
-        )
-    return rest_initial_state(config)
-
-
 def rest_initial_state(config: SimConfig) -> EnsembleState:
     """Ensemble at rest on the t = 0 slice with labels C as positions."""
     n = config.grid.n_points
@@ -224,11 +224,6 @@ def rest_initial_state(config: SimConfig) -> EnsembleState:
         u0=np.full(n, config.c),
         u1=np.zeros(n),
     )
-
-
-def _snapshot(state: EnsembleState, config: SimConfig, plan: StencilPlan) -> Snapshot:
-    geom, qf = _fields(state, config, plan)
-    return Snapshot(state.tau_ensemble, state, geom, qf)
 
 
 def integrate(
@@ -244,13 +239,7 @@ def integrate(
     """
     n_steps, stride = step_counts(config, cadence)
     plan = build_plan(config.grid, config.stencil_order)
-    if initial_state is None:
-        if config.weight.kind == "gaussian":
-            state = gaussian_initial_state(config)
-        else:
-            state = rest_initial_state(config)
-    else:
-        state = initial_state
+    state = rest_initial_state(config) if initial_state is None else initial_state
     series = SnapshotSeries(config=config, snapshots=[])
     for k in range(n_steps + 1):
         if k % stride == 0 or k == n_steps:
@@ -258,7 +247,7 @@ def integrate(
             T = k * config.dt
             state = EnsembleState(T, state.t, state.x, state.u0, state.u1)
             try:
-                series.snapshots.append(_snapshot(state, config, plan))
+                series.snapshots.append(make_snapshot(state, config, plan))
             except (GeometryError, FloatingPointError) as exc:
                 raise IntegrationError(
                     f"field evaluation failed at T = {T:.6g}: {exc}", series

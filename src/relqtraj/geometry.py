@@ -51,24 +51,12 @@ def slice_metric(t, x, T: float, grid: SpatialGrid, plan: StencilPlan, c: float)
 
 
 def compute_geometry(
-    state: EnsembleState,
-    grid: SpatialGrid,
-    plan: StencilPlan,
-    c: float,
-    tau_T: Optional[np.ndarray] = None,
+    state: EnsembleState, grid: SpatialGrid, plan: StencilPlan, c: float
 ) -> GeometryFields:
-    """Slice derivatives and spatial metric for one ensemble state.
-
-    The g01 residual needs the proper-time rate tau_T, which itself derives
-    from the quantum potential computed *from* this geometry; callers supply
-    it afterwards (see attach_g01) to keep the pipeline acyclic.  The solver
-    does so only for the snapshots it records; its RK stages use
-    slice_metric and never carry g01.
-    """
-    geom = GeometryFields(*slice_metric(state.t, state.x, state.tau_ensemble, grid, plan, c))
-    if tau_T is not None:
-        geom = attach_g01(geom, state, tau_T, c)
-    return geom
+    """Slice derivatives and spatial metric for one ensemble state, without
+    the g01 residual: that needs tau_T, which derives from the quantum
+    potential computed *from* this geometry (see attach_g01)."""
+    return GeometryFields(*slice_metric(state.t, state.x, state.tau_ensemble, grid, plan, c))
 
 
 def attach_g01(
@@ -82,11 +70,3 @@ def attach_g01(
     x_T = tau_T * state.u1
     g01 = -c ** 2 * t_T * geom.t_C + x_T * geom.x_C
     return replace(geom, g01_residual=g01)
-
-
-def g00_from_tau(tau_T: np.ndarray) -> np.ndarray:
-    """Time-time metric component in ensemble coordinates: g00 = -(dtau/dT)^2."""
-    tau_T = np.asarray(tau_T, dtype=float)
-    if np.any(tau_T <= 0) or not np.all(np.isfinite(tau_T)):
-        raise ValueError("tau_T must be positive and finite")
-    return -(tau_T ** 2)

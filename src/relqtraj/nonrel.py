@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import _rk4
 from .qpotential import log_form_Q
 from .state import SimConfig, SpatialGrid, WeightFunction, step_counts
 from .stencils import StencilPlan, build_plan, d_dC
@@ -81,25 +82,18 @@ def nonrel_integrate(
     n_steps, stride = step_counts(config, cadence)
     plan = build_plan(config.grid, config.stencil_order)
 
-    def rhs(y):
-        st = NonRelState(0.0, y[0], y[1])
-        dx, dv = nonrel_rhs(st, config, plan)
-        return np.stack([dx, dv])
+    def rhs(y, _h):
+        return np.stack(nonrel_rhs(NonRelState(0.0, y[0], y[1]), config, plan))
 
     if initial_state is None:
         y = np.stack([config.grid.nodes.copy(), np.zeros(config.grid.n_points)])
     else:
         y = np.stack([initial_state.x, initial_state.v])
-    dt = config.dt
     out = []
     for k in range(n_steps + 1):
         if k % stride == 0 or k == n_steps:
-            out.append(NonRelState(k * dt, y[0].copy(), y[1].copy()))
+            out.append(NonRelState(k * config.dt, y[0].copy(), y[1].copy()))
         if k == n_steps:
             break
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4(rhs, y, config.dt)
     return out

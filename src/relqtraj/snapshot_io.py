@@ -14,8 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .diagnostics import InvariantReport, derived_fields
-from .dynamics import QuantumFields, Snapshot, SnapshotSeries, compute_force, tau_factor
-from .geometry import attach_g01, compute_geometry
+from .dynamics import SnapshotSeries, make_snapshot
 from .state import (
     EnsembleState,
     SimConfig,
@@ -24,7 +23,7 @@ from .state import (
     make_grid,
     uniform_weight,
 )
-from .stencils import build_plan, d_dC
+from .stencils import build_plan
 
 SNAPSHOT_COLUMNS = ("T", "C", "t", "x", "u0", "u1", "gamma", "Q", "tau_T", "beta", "rho_star")
 
@@ -149,6 +148,18 @@ def config_to_text(cfg: SimConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_table(fname: str, header, columns) -> None:
+    """Tab-separated table: the header row, then row i holds element i of
+    every (equal-length) column, each value to 17 significant digits."""
+    cells = [map(_fmt, np.asarray(col, dtype=float).tolist()) for col in columns]
+    try:
+        with open(fname, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\t".join(header) + "\n")
+            fh.writelines("\t".join(row) + "\n" for row in zip(*cells))
+    except OSError as exc:
+        raise OSError(f"cannot write table {fname}: {exc}") from exc
+
+
 def _snapshot_filename(T: float) -> str:
     return f"snap_T{format(float(T), '.10g')}.tsv"
 
@@ -177,29 +188,14 @@ def write_snapshots(
         if derived is not None:
             df = derived[idx]
         else:
-            df = derived_fields(s.state, s.geometry, cfg.weight, cfg.grid, cfg.c)
-        cols = {
-            "T": np.full(cfg.grid.n_points, s.tau_ensemble),
-            "C": nodes,
-            "t": s.state.t,
-            "x": s.state.x,
-            "u0": s.state.u0,
-            "u1": s.state.u1,
-            "gamma": s.geometry.gamma,
-            "Q": s.quantum.Q,
-            "tau_T": s.quantum.tau_T,
-            "beta": df.beta,
-            "rho_star": df.rho_star,
-        }
+            df = derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)
         name = _snapshot_filename(s.tau_ensemble)
         fname = os.path.join(path, name)
-        try:
-            with open(fname, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\t".join(SNAPSHOT_COLUMNS) + "\n")
-                for i in range(cfg.grid.n_points):
-                    fh.write("\t".join(_fmt(cols[k][i]) for k in SNAPSHOT_COLUMNS) + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write snapshot file {fname}: {exc}") from exc
+        write_table(fname, SNAPSHOT_COLUMNS, (  # in SNAPSHOT_COLUMNS order
+            np.full(cfg.grid.n_points, s.tau_ensemble), nodes,
+            s.state.t, s.state.x, s.state.u0, s.state.u1,
+            s.geometry.gamma, s.quantum.Q, s.quantum.tau_T, df.beta, df.rho_star,
+        ))
         written.append(fname)
         names.append(name)
 
@@ -260,15 +256,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
             np.atleast_1d(data["u0"]),
             np.atleast_1d(data["u1"]),
         )
-        Q = np.atleast_1d(data["Q"])
-        tau = tau_factor(Q, cfg.mass, cfg.c)
-        geom = compute_geometry(state, cfg.grid, plan, cfg.c)
-        Q_C = d_dC(Q, cfg.grid, plan)
-        f0, f1 = compute_force(geom, Q_C, cfg.c)
-        geom = attach_g01(geom, state, tau, cfg.c)
-        snapshots.append(
-            Snapshot(T, state, geom, QuantumFields(Q=Q, Q_C=Q_C, f0=f0, f1=f1, tau_T=tau))
-        )
+        snapshots.append(make_snapshot(state, cfg, plan, Q=np.atleast_1d(data["Q"])))
     return SnapshotSeries(config=cfg, snapshots=snapshots)
 
 

@@ -108,14 +108,6 @@ def uniform_weight() -> WeightFunction:
     )
 
 
-def weight_log_derivative(w: WeightFunction, C):
-    """d ln f / dC, evaluated in closed form (never by differencing f)."""
-    C = np.asarray(C, dtype=float)
-    if not np.all(np.isfinite(C)):
-        raise ValueError("C must be finite")
-    return w.dlog_f(C)
-
-
 class StateValidationError(ValueError):
     """An ensemble state violates a structural invariant."""
 
@@ -182,21 +174,6 @@ class EnsembleState:
         return np.abs(-self.u0 ** 2 + self.u1 ** 2 + c ** 2) / c ** 2
 
 
-def validate_state(state: EnsembleState, grid: SpatialGrid, c: float, norm_tol: float) -> None:
-    """Check grid length and four-velocity normalization at a diagnostic tolerance."""
-    if state.n_points != grid.n_points:
-        raise StateValidationError(
-            f"state has {state.n_points} nodes, grid has {grid.n_points}"
-        )
-    worst = float(np.max(state.norm_violation(c)))
-    if worst > norm_tol:
-        k = int(np.argmax(state.norm_violation(c)))
-        raise StateValidationError(
-            f"four-velocity normalization off by {worst:.3e} (> {norm_tol:.1e}) "
-            f"at node {k}, T = {state.tau_ensemble:.6g}"
-        )
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Physical constants, grid, integrator step and tolerances for one run."""
@@ -211,7 +188,6 @@ class SimConfig:
     stencil_order: int = 4
     residual_tol: float = 1e-5
     invariant_tol: float = 1e-8
-    interp_tol: float = 1e-5
 
     def __post_init__(self):
         for name in ("mass", "hbar", "c", "dt"):
@@ -222,7 +198,7 @@ class SimConfig:
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.stencil_order not in (2, 4):
             raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
-        for name in ("residual_tol", "invariant_tol", "interp_tol"):
+        for name in ("residual_tol", "invariant_tol"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")

@@ -50,14 +50,11 @@ def fornberg_weights(xs: np.ndarray, x0: float, deriv: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StencilPlan:
-    """First-derivative plan for a uniform grid: row coefficients and the
-    assembled dense operator matrix."""
+    """First-derivative plan for a uniform grid: the assembled dense operator
+    matrix, centered rows in the interior and one-sided rows at the edges."""
 
     order: int
     n_points: int
-    interior_row: np.ndarray            # centered coefficients, width order+1
-    left_rows: tuple                    # one-sided rows for nodes 0..order/2-1
-    right_rows: tuple                   # one-sided rows for the last order/2 nodes
     matrix: np.ndarray                  # (n, n) dense derivative operator
 
     def __post_init__(self):
@@ -78,9 +75,6 @@ def build_plan(grid: SpatialGrid, order: int = 4) -> StencilPlan:
     half = order // 2
     width = order + 1
     D = np.zeros((n, n))
-    left = []
-    right = []
-    interior_row = None
     for i in range(n):
         if i < half:
             lo = 0
@@ -88,15 +82,8 @@ def build_plan(grid: SpatialGrid, order: int = 4) -> StencilPlan:
             lo = n - width
         else:
             lo = i - half
-        row = fornberg_weights(nodes[lo:lo + width], nodes[i], 1)
-        D[i, lo:lo + width] = row
-        if i < half:
-            left.append(row.copy())
-        elif i >= n - half:
-            right.append(row.copy())
-        elif interior_row is None:
-            interior_row = row.copy()
-    return StencilPlan(order, n, interior_row, tuple(left), tuple(right), D)
+        D[i, lo:lo + width] = fornberg_weights(nodes[lo:lo + width], nodes[i], 1)
+    return StencilPlan(order, n, D)
 
 
 def d_dC(values: np.ndarray, grid: SpatialGrid, plan: StencilPlan) -> np.ndarray:

@@ -15,11 +15,11 @@ import pytest
 
 import relqtraj as rq
 from relqtraj.analytic import (
-    eval_inertial,
-    exponential_time_rate,
+    exponential_ensemble,
     hyperbolic_gamma_one_ensemble,
     hyperbolic_gamma_one_Q,
     hyperbolic_gamma_T_ensemble,
+    inertial_ensemble,
     sample_state,
 )
 
@@ -109,7 +109,7 @@ class TestAcceptance:
                            grid=rq.make_grid(-2, 2, 25), t_final=T, dt=1e-3,
                            invariant_tol=1e-6)
         series = rq.integrate(cfg, cadence=0.5)
-        rate = exponential_time_rate(kappa, 1.0, 1.0, c)
+        rate = exponential_ensemble(kappa, 1.0, 1.0, c).evaluate(1.0, 0.0)[0]  # t/T
         dx = max(float(np.max(np.abs(s.state.x - cfg.grid.nodes))) for s in series)
         dt_err = max(float(np.max(np.abs(s.state.t - rate * s.tau_ensemble)))
                      for s in series)
@@ -126,12 +126,13 @@ class TestAcceptance:
         grid = rq.make_grid(-8, 8, 17)
         cfg = rq.SimConfig(mass=1, hbar=1, c=c, weight=rq.uniform_weight(),
                            grid=grid, t_final=T, dt=1e-3, invariant_tol=1e-6)
-        t0, x0, u00, u10 = eval_inertial(beta0, 0.0, grid.nodes, c)
+        ens = inertial_ensemble(beta0, c)
+        t0, x0, u00, u10 = ens.evaluate(0.0, grid.nodes)
         series = rq.integrate(cfg, initial_state=rq.EnsembleState(0.0, t0, x0, u00, u10),
                               cadence=1.0)
         err = 0.0
         for s in series:
-            te, xe, u0e, u1e = eval_inertial(beta0, s.tau_ensemble, grid.nodes, c)
+            te, xe, u0e, u1e = ens.evaluate(s.tau_ensemble, grid.nodes)
             err = max(err,
                       float(np.max(np.abs(s.state.t - te))),
                       float(np.max(np.abs(s.state.x - xe))),
@@ -199,7 +200,7 @@ class TestAcceptance:
         grid6 = rq.make_grid(-8, 8, 17)
         cfg6 = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                             grid=grid6, t_final=2, dt=1e-3, invariant_tol=1e-6)
-        t0, x0, u00, u10 = eval_inertial(0.6, 0.0, grid6.nodes, 2.0)
+        t0, x0, u00, u10 = inertial_ensemble(0.6, 2.0).evaluate(0.0, grid6.nodes)
         inert_series = rq.integrate(
             cfg6, initial_state=rq.EnsembleState(0.0, t0, x0, u00, u10), cadence=0.5)
 

@@ -3,13 +3,7 @@ import pytest
 
 import relqtraj as rq
 from relqtraj.analytic import (
-    eval_exponential,
-    eval_hyperbolic_gamma_one,
-    eval_hyperbolic_gamma_T,
-    eval_inertial,
-    exponential_time_rate,
     hyperbolic_gamma_one_Q,
-    hyperbolic_gamma_one_tau,
     hyperbolic_gamma_one_ensemble,
     hyperbolic_gamma_T_ensemble,
     inertial_ensemble,
@@ -20,7 +14,7 @@ from relqtraj.analytic import (
 
 class TestInertial:
     def test_rest_frame_identity(self):
-        t, x, u0, u1 = eval_inertial(0.0, 1.5, np.array([-1.0, 0.0, 2.0]), c=1.0)
+        t, x, u0, u1 = inertial_ensemble(0.0, 1.0).evaluate(1.5, np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(t, [1.5, 1.5, 1.5])
         np.testing.assert_array_equal(x, [-1.0, 0.0, 2.0])
         np.testing.assert_array_equal(u0, [1.0, 1.0, 1.0])
@@ -29,12 +23,12 @@ class TestInertial:
     @pytest.mark.parametrize("beta0", [-0.9, -0.3, 0.0, 0.5, 0.99])
     def test_norm_preserved_for_any_boost(self, beta0):
         c = 2.0
-        _, _, u0, u1 = eval_inertial(beta0, 0.7, np.linspace(-1, 1, 5), c)
+        _, _, u0, u1 = inertial_ensemble(beta0, c).evaluate(0.7, np.linspace(-1, 1, 5))
         np.testing.assert_allclose(-u0 ** 2 + u1 ** 2, -c ** 2, rtol=1e-12)
 
     def test_frozen_boost_values(self):
         # Gamma = 1.25 at beta0 = 0.6: t = 1.25*(0 + 0.6*1) and x = 1.25*1
-        t, x, _, _ = eval_inertial(0.6, 0.0, np.array([1.0]), c=1.0)
+        t, x, _, _ = inertial_ensemble(0.6, 1.0).evaluate(0.0, np.array([1.0]))
         assert t[0] == pytest.approx(0.75, rel=1e-15)
         assert x[0] == pytest.approx(1.25, rel=1e-15)
 
@@ -45,18 +39,18 @@ class TestInertial:
 
 class TestExponential:
     def test_zero_decay_is_rest_inertial(self):
-        t, x, u0, u1 = eval_exponential(0.0, 2.0, np.array([0.5]), 1.0, 1.0, 1.0)
+        t, x, u0, u1 = exponential_ensemble(0.0, 1.0, 1.0, 1.0).evaluate(2.0, np.array([0.5]))
         assert t[0] == pytest.approx(2.0)
         assert x[0] == pytest.approx(0.5)
 
     def test_unit_parameters_rate(self):
-        t, _, _, _ = eval_exponential(1.0, 3.0, np.array([0.0]), 1.0, 1.0, 1.0)
+        t, _, _, _ = exponential_ensemble(1.0, 1.0, 1.0, 1.0).evaluate(3.0, np.array([0.0]))
         assert t[0] == pytest.approx(np.exp(0.5) * 3.0, rel=1e-15)
 
     def test_trajectories_at_rest(self):
         C = np.linspace(-3, 3, 7)
         for T in (0.0, 1.0, 5.0):
-            _, x, u0, u1 = eval_exponential(0.4, T, C, 1.0, 1.0, 2.0)
+            _, x, u0, u1 = exponential_ensemble(0.4, 1.0, 1.0, 2.0).evaluate(T, C)
             np.testing.assert_array_equal(x, C)
             np.testing.assert_array_equal(u1, np.zeros(7))
 
@@ -64,13 +58,13 @@ class TestExponential:
 class TestHyperbolicGammaOne:
     def test_initial_slice(self):
         C = np.linspace(0.5, 2.5, 9)
-        t, x, _, _ = eval_hyperbolic_gamma_one(1.0, 0.0, C, c=3.0)
+        t, x, _, _ = hyperbolic_gamma_one_ensemble(1.0, 3.0).evaluate(0.0, C)
         np.testing.assert_allclose(t, 0.0, atol=1e-15)
         np.testing.assert_array_equal(x, C)
 
     def test_singular_origin_rejected(self):
         with pytest.raises(ValueError):
-            eval_hyperbolic_gamma_one(1.0, 0.5, np.array([0.0, 1.0]), c=1.0)
+            hyperbolic_gamma_one_ensemble(1.0, 1.0).evaluate(0.5, np.array([0.0, 1.0]))
 
     def test_flagged_non_viable(self):
         assert not hyperbolic_gamma_one_ensemble(1.0, 1.0).viable
@@ -80,12 +74,13 @@ class TestHyperbolicGammaOne:
         B, c = 0.8, 2.0
         C = np.linspace(0.5, 2.5, 9)
         d = 1e-6
-        tp = eval_hyperbolic_gamma_one(B, 0.7 + d, C, c)
-        tm = eval_hyperbolic_gamma_one(B, 0.7 - d, C, c)
+        ens = hyperbolic_gamma_one_ensemble(B, c)
+        tp = ens.evaluate(0.7 + d, C)
+        tm = ens.evaluate(0.7 - d, C)
         t_T = (tp[0] - tm[0]) / (2 * d)
         x_T = (tp[1] - tm[1]) / (2 * d)
         tau = np.sqrt(t_T ** 2 - x_T ** 2 / c ** 2)
-        np.testing.assert_allclose(tau, hyperbolic_gamma_one_tau(B, C), rtol=1e-9)
+        np.testing.assert_allclose(tau, B * C, rtol=1e-9)
 
     def test_closed_form_potential_consistent_with_tau(self):
         # exp(-Q / m c^2) must equal dtau/dT = B C
@@ -101,22 +96,23 @@ class TestHyperbolicGammaOne:
 
 class TestHyperbolicGammaT:
     def test_central_rest_trajectory(self):
-        t, x, _, _ = eval_hyperbolic_gamma_T(1.0, 2.5, np.array([0.0]), c=1.0)
+        t, x, _, _ = hyperbolic_gamma_T_ensemble(1.0, 1.0).evaluate(2.5, np.array([0.0]))
         assert t[0] == pytest.approx(2.5)
         assert x[0] == pytest.approx(0.0)
 
     def test_speed_below_light(self):
         A, c = 1.0, 2.0
         C = np.linspace(-2, 2, 9)
-        tp = eval_hyperbolic_gamma_T(A, 1.0 + 1e-6, C, c)
-        tm = eval_hyperbolic_gamma_T(A, 1.0 - 1e-6, C, c)
+        ens = hyperbolic_gamma_T_ensemble(A, c)
+        tp = ens.evaluate(1.0 + 1e-6, C)
+        tm = ens.evaluate(1.0 - 1e-6, C)
         speed = np.abs((tp[1] - tm[1]) / (tp[0] - tm[0]))
         np.testing.assert_allclose(speed, c * np.tanh(A * np.abs(C)), rtol=1e-6)
         assert np.all(speed < c)
 
     def test_degenerate_slice_rejected(self):
         with pytest.raises(ValueError):
-            eval_hyperbolic_gamma_T(1.0, 0.0, np.array([1.0]), c=1.0)
+            hyperbolic_gamma_T_ensemble(1.0, 1.0).evaluate(0.0, np.array([1.0]))
 
     def test_flagged_non_viable(self):
         assert not hyperbolic_gamma_T_ensemble(1.0, 1.0).viable
@@ -148,7 +144,7 @@ class TestEvolutionConsistency:
         C = np.linspace(-2, 2, 9)
         t, x, u0, u1 = ens.evaluate(1.3, C)
         dt, dx, du0, du1 = self._T_derivatives(ens, C, 1.3)
-        rate = exponential_time_rate(kap, m_, hb, c)
+        rate = ens.evaluate(1.0, 0.0)[0]  # t = rate * T at rest
         np.testing.assert_allclose(dt, rate * u0 / c, rtol=1e-9)
         np.testing.assert_allclose(dx, 0.0, atol=1e-9)
         np.testing.assert_allclose(du0, 0.0, atol=1e-7)
@@ -161,7 +157,7 @@ class TestEvolutionConsistency:
         T = 0.6
         t, x, u0, u1 = ens.evaluate(T, C)
         dt, dx, du0, du1 = self._T_derivatives(ens, C, T)
-        tau = hyperbolic_gamma_one_tau(B, C)
+        tau = B * C  # dtau/dT of this family
         np.testing.assert_allclose(dt, tau * u0 / c, rtol=1e-8)
         np.testing.assert_allclose(dx, tau * u1, rtol=1e-8, atol=1e-9)
         f0 = m_ * c ** 2 * np.sinh(c * B * T) / C
@@ -195,7 +191,7 @@ class TestSampledInvariants:
         st = sample_state(ens, g, T)
         c = ens.params["c"]
         np.testing.assert_allclose(-st.u0 ** 2 + st.u1 ** 2, -c ** 2, rtol=1e-13)
-        geom = rq.compute_geometry(st, g, plan, c, tau_T=np.ones(25))
+        geom = rq.attach_g01(rq.compute_geometry(st, g, plan, c), st, np.ones(25), c)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-12)
 
     def test_norm_on_hyperbolic_families(self):

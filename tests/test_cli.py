@@ -80,7 +80,8 @@ class TestAnalyticVerify:
         code = main([
             "analytic", "--kind", "inertial", "--beta0", "0.6", "--c", "2",
             "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
-            "--times", ",".join(str(0.1 * k) for k in range(13)),
+            # 25 slices 0.05 apart: fine enough for the residual rows
+            "--times", ",".join(f"{k / 20:g}" for k in range(25)),
             "--out", str(out),
         ])
         assert code == 0
@@ -99,6 +100,15 @@ class TestAnalyticVerify:
               "--times", "0,0.5,1.0", "--out", str(out)])
         assert main(["verify", "--snapshots", str(out),
                      "--tol-invariant", "1e-18"]) == 2
+
+    def test_verify_notes_the_residual_rule(self, tmp_path, capsys):
+        out = tmp_path / "inertial"
+        main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
+              "--grid-max", "2", "--grid-n", "25", "--times", "0,0.5,1.0",
+              "--out", str(out)])
+        assert main(["verify", "--snapshots", str(out)]) == 0
+        assert ("need at least 9 uniformly spaced snapshots no more than 0.05 apart"
+                in capsys.readouterr().out)
 
     def test_exponential_analytic_round_trip(self, tmp_path):
         out = tmp_path / "exp"

@@ -3,8 +3,8 @@ import pytest
 
 import relqtraj as rq
 from relqtraj.analytic import (
-    eval_inertial,
-    exponential_time_rate,
+    exponential_ensemble,
+    inertial_ensemble,
     hyperbolic_gamma_one_ensemble,
     hyperbolic_gamma_one_Q,
     sample_state,
@@ -152,7 +152,7 @@ class TestTauFactor:
         Q = np.full(9, -(hbar ** 2 / (2 * m)) * kappa ** 2)
         tau = rq.tau_factor(Q, m, c)
         np.testing.assert_allclose(
-            tau, exponential_time_rate(kappa, m, hbar, c), rtol=1e-15
+            tau, exponential_ensemble(kappa, m, hbar, c).evaluate(1.0, 0.0)[0], rtol=1e-15
         )
         assert np.all(tau > 1.0)
 
@@ -166,7 +166,7 @@ class TestEomRhs:
     def test_inertial_straight_lines(self):
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                            grid=rq.make_grid(-8, 8, 17), t_final=1, dt=1e-3)
-        t, x, u0, u1 = eval_inertial(0.6, 0.7, cfg.grid.nodes, cfg.c)
+        t, x, u0, u1 = inertial_ensemble(0.6, cfg.c).evaluate(0.7, cfg.grid.nodes)
         st = rq.EnsembleState(0.7, t, x, u0, u1)
         d = rq.eom_rhs(st, cfg)
         np.testing.assert_allclose(d.du0_dT, 0.0, atol=1e-12)
@@ -180,7 +180,7 @@ class TestEomRhs:
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
         d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
-        rate = exponential_time_rate(kappa, 1.0, 1.0, 1.0)
+        rate = exponential_ensemble(kappa, 1.0, 1.0, 1.0).evaluate(1.0, 0.0)[0]  # t/T
         np.testing.assert_allclose(d.dt_dT, rate, rtol=1e-12)
         np.testing.assert_allclose(d.dx_dT, 0.0, atol=1e-13)
         np.testing.assert_allclose(d.du0_dT, 0.0, atol=5e-12)
@@ -189,7 +189,7 @@ class TestEomRhs:
     def test_gaussian_center_symmetry(self):
         # Q is even at T = 0, so the central node feels no force
         cfg = baseline_config()
-        d = rq.eom_rhs(rq.gaussian_initial_state(cfg), cfg)
+        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
         assert d.du1_dT[12] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -197,10 +197,11 @@ class TestRk4Step:
     def test_inertial_exact_translation(self):
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                            grid=rq.make_grid(-8, 8, 17), t_final=1, dt=0.1)
-        t, x, u0, u1 = eval_inertial(0.6, 0.0, cfg.grid.nodes, cfg.c)
+        ens = inertial_ensemble(0.6, cfg.c)
+        t, x, u0, u1 = ens.evaluate(0.0, cfg.grid.nodes)
         st = rq.EnsembleState(0.0, t, x, u0, u1)
         new = rq.rk4_step(st, cfg)
-        te, xe, _, _ = eval_inertial(0.6, 0.1, cfg.grid.nodes, cfg.c)
+        te, xe, _, _ = ens.evaluate(0.1, cfg.grid.nodes)
         np.testing.assert_allclose(new.x, xe, atol=1e-13)
         np.testing.assert_allclose(new.t, te, atol=1e-13)
         assert new.tau_ensemble == pytest.approx(0.1)
@@ -210,7 +211,7 @@ class TestRk4Step:
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=0.1)
         new = rq.rk4_step(rq.rest_initial_state(cfg), cfg)
-        rate = exponential_time_rate(kappa, 1.0, 1.0, 2.0)
+        rate = exponential_ensemble(kappa, 1.0, 1.0, 2.0).evaluate(1.0, 0.0)[0]  # t/T
         np.testing.assert_allclose(new.t, rate * 0.1, rtol=1e-13)
         np.testing.assert_allclose(new.x, cfg.grid.nodes, atol=1e-13)
 
@@ -267,7 +268,7 @@ class TestStageGuard:
         # compute_force chained field by field, bitwise
         cfg = baseline_config()
         plan = _plan(cfg)
-        st = rq.gaussian_initial_state(cfg)
+        st = rq.rest_initial_state(cfg)
         geom = rq.compute_geometry(st, cfg.grid, plan, cfg.c)
         Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.grid, plan, cfg.hbar, cfg.mass)
         tau = rq.tau_factor(Q, cfg.mass, cfg.c)
@@ -282,7 +283,7 @@ class TestStageGuard:
 class TestInitialStates:
     def test_gaussian_initial_state(self):
         cfg = baseline_config()
-        st = rq.gaussian_initial_state(cfg)
+        st = rq.rest_initial_state(cfg)
         np.testing.assert_array_equal(st.x, cfg.grid.nodes)
         np.testing.assert_array_equal(st.t, np.zeros(25))
         np.testing.assert_array_equal(st.u0, np.full(25, 3.0))
@@ -290,14 +291,8 @@ class TestInitialStates:
 
     def test_initial_time_rate_is_dilation_factor(self):
         cfg = baseline_config()
-        d = rq.eom_rhs(rq.gaussian_initial_state(cfg), cfg)
+        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
         assert d.dt_dT[12] == pytest.approx(np.exp(-1.0 / 36.0), rel=1e-12)
-
-    def test_wrong_weight_kind_rejected(self):
-        cfg = rq.SimConfig(mass=1, hbar=1, c=3, weight=rq.uniform_weight(),
-                           grid=rq.make_grid(-5, 5, 25), t_final=1, dt=1e-3)
-        with pytest.raises(ValueError, match="gaussian"):
-            rq.gaussian_initial_state(cfg)
 
 
 class TestIntegrate:

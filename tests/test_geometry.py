@@ -49,7 +49,7 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = inertial_ensemble(beta0=0.6, c=1.0)
         st = sample_state(ens, g, T=1.3)
-        geom = rq.compute_geometry(st, g, plan, c=1.0, tau_T=np.ones(25))
+        geom = rq.attach_g01(rq.compute_geometry(st, g, plan, c=1.0), st, np.ones(25), 1.0)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-13)
         np.testing.assert_allclose(geom.g01_residual, 0.0, atol=1e-13)
 
@@ -62,21 +62,3 @@ class TestComputeGeometry:
         with pytest.raises(GeometryError, match="node"):
             rq.compute_geometry(st, g, plan, c=1.0)
 
-
-class TestG00:
-    def test_unit_rate(self):
-        np.testing.assert_array_equal(rq.g00_from_tau(np.ones(5)), -np.ones(5))
-
-    def test_exponential_rate(self):
-        # with (hbar kappa / m c)^2 = 0.2 the rate is e^0.1, so g00 = -e^0.2
-        tau = np.full(7, np.exp(0.1))
-        np.testing.assert_allclose(rq.g00_from_tau(tau), -np.exp(0.2), rtol=1e-15)
-
-    def test_hyperbolic_rate_is_label_dependent(self):
-        # dtau/dT = B C gives g00 = -B^2 C^2, static in ensemble time
-        C = np.linspace(0.5, 2.5, 9)
-        np.testing.assert_allclose(rq.g00_from_tau(1.0 * C), -C ** 2, rtol=1e-15)
-
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            rq.g00_from_tau(np.array([1.0, 0.0, 1.0]))

@@ -1,15 +1,20 @@
-"""Golden-snapshot regression: SHA-256 of every snapshot table, bitwise.
+"""Golden-output regression: SHA-256 of every written table, bitwise.
 
-The hashes were recorded before the RK stages moved onto the array-level
-slice-field core; any change to the stage path, the snapshot fields or the
-TSV writer that moves a single bit of output fails here.  manifest.tsv is
-left out because it carries the code version and timestamps.
+The simulate hashes were recorded before the RK stages moved onto the
+array-level slice-field core; the analytic, figures and verify-report hashes
+before the snapshot fields, the RK4 combine and the TSV writer were shared
+between the solver, the reader and the CLI.  Any change to those paths that
+moves a single bit of output fails here.  manifest.tsv is left out because
+it carries the code version and timestamps.
 """
 
 import hashlib
 from pathlib import Path
 
+import pytest
+
 import relqtraj as rq
+from relqtraj.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,10 +55,76 @@ EXPONENTIAL = {
 }
 
 
+# `relqtraj analytic --grid-n 25` with these arguments, one run per --kind.
+ANALYTIC_ARGS = {
+    "inertial": ["--beta0", "0.6", "--c", "2", "--grid-min", "-2", "--grid-max", "2",
+                 "--times", "0,0.5,1"],
+    "exponential": ["--kappa", "0.3", "--c", "1", "--grid-min", "-2", "--grid-max", "2",
+                    "--times", "0,1,2"],
+    "hyperbolic-gamma-one": ["--B", "1", "--c", "1", "--grid-min", "0.5",
+                             "--grid-max", "2.5", "--times", "0,0.4,0.8"],
+    "hyperbolic-gamma-t": ["--A", "0.5", "--c", "2", "--grid-min", "-1", "--grid-max", "1",
+                           "--times", "0.5,1"],
+}
+ANALYTIC = {
+    "inertial": {
+        "snap_T0.5.tsv":
+            "8a42e8019f8bbe3dc75d1ce390d881e433511e90be3d867c72978ea16709f27c",
+        "snap_T0.tsv":
+            "91fa951f414de1912bf5a694a1b243080036b71ea719417740b042fd15fb7b4d",
+        "snap_T1.tsv":
+            "16deb6cd8a1eb6e1ffa42b59d8136834c6940ec1a4841571696d30136fdfd99f",
+    },
+    "exponential": {
+        "snap_T0.tsv":
+            "6d0fbdac261f6b29ca81276a2722bebaa6786c70c3d288a0702b6003636ab094",
+        "snap_T1.tsv":
+            "6cc092b3b9f8437f5a65bfb14a8d56274be99610bb80494466080a74c23e8ab2",
+        "snap_T2.tsv":
+            "7a8108ceabde47a571e1aea5073887fe99c62591864fc242e5fcabffcabbd4b0",
+    },
+    "hyperbolic-gamma-one": {
+        "snap_T0.4.tsv":
+            "029798b849083a2f05de3247c31d95bf154d6e244a4247ae62cb4c3c9604537b",
+        "snap_T0.8.tsv":
+            "52a9c4d1890859f0ab7909167c95b25cc70304d298d6c6538dcf5c3279deb94b",
+        "snap_T0.tsv":
+            "b635d34283558912dea63ff55792754bc1bb45dc82581b8cdcd888cdc2a71eb9",
+    },
+    "hyperbolic-gamma-t": {
+        "snap_T0.5.tsv":
+            "8ec37aa6feda8b6a22d002c826391cc0dbe30f72a0f2a172ecf94a0623b06fca",
+        "snap_T1.tsv":
+            "c56e949040b38b63c468a90b3971455edf7620a565c15a1f6088ceb18cd7c659",
+    },
+}
+
+# configs/gaussian_c3.txt to T = 1 at cadence 0.025 (41 slices): the
+# report.tsv that `verify` writes and the four `figures` files.
+REPORT = "89f00ae12b03b0a13986a3eeb75e581652b97d7498233a9ae2c0b90b20c4ce4c"
+FIGURES = {
+    "fig_gamma.tsv":
+        "1e34001fd87191d694e0f8dc954a76471690a8ef5bce3caee8e84b2ef9c0d72f",
+    "fig_q.tsv":
+        "456fe2d6379bcfccfcf708522056f029b638c8aba532d6c2c8bc1171f13c7ed1",
+    "fig_simultaneity.tsv":
+        "f0d31a2d3036ea7f845109fc5f4a7f7b757373ea47c5c2bc605fca29a52f306b",
+    "fig_trajectories.tsv":
+        "490b9db1cb5f33f17a9c82592ab7b8fc415daf16a438c187c5034464fbaf12c2",
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _snapshot_hashes(series, out):
     rq.write_snapshots(series, str(out))
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.glob("snap_T*.tsv"))}
+    return _table_hashes(out, "snap_T*.tsv")
+
+
+def _table_hashes(out, pattern):
+    return {p.name: _sha(p) for p in sorted(out.glob(pattern))}
 
 
 def test_gaussian_c3_integer_slices(baseline_run, baseline_integer_snapshots, tmp_path):
@@ -69,3 +140,38 @@ def test_exponential(tmp_path):
     cfg = rq.parse_config((CONFIGS / "exponential.txt").read_text())
     series = rq.integrate(cfg, cadence=1.0)
     assert _snapshot_hashes(series, tmp_path) == EXPONENTIAL
+
+
+@pytest.mark.parametrize("kind", sorted(ANALYTIC_ARGS))
+def test_analytic(kind, tmp_path):
+    out = tmp_path / kind
+    assert main(["analytic", "--kind", kind, "--grid-n", "25", "--out", str(out)]
+                + ANALYTIC_ARGS[kind]) == 0
+    assert _table_hashes(out, "snap_T*.tsv") == ANALYTIC[kind]
+
+
+@pytest.fixture(scope="module")
+def short_c3_snapshots(tmp_path_factory):
+    """configs/gaussian_c3.txt to T = 1, simulated at cadence 0.025."""
+    tmp = tmp_path_factory.mktemp("short_c3")
+    text = (CONFIGS / "gaussian_c3.txt").read_text()
+    cfg = tmp / "g.cfg"
+    cfg.write_text(text.replace("time.final = 10", "time.final = 1"))
+    snaps = tmp / "snaps"
+    # exit 2: the c = 3 run fails the reference-zero record by design
+    assert main(["simulate", "--config", str(cfg), "--out", str(snaps),
+                 "--cadence", "0.025"]) == 2
+    return snaps
+
+
+def test_verify_report(short_c3_snapshots, tmp_path):
+    report = tmp_path / "report.tsv"
+    assert main(["verify", "--snapshots", str(short_c3_snapshots),
+                 "--report", str(report)]) == 2
+    assert _sha(report) == REPORT
+
+
+def test_figures(short_c3_snapshots, tmp_path):
+    assert main(["figures", "--snapshots", str(short_c3_snapshots),
+                 "--out", str(tmp_path)]) == 0
+    assert _table_hashes(tmp_path, "fig_*.tsv") == FIGURES

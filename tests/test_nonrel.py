@@ -104,18 +104,6 @@ class TestNonRelIntegrate:
             spread = gamma.max() - gamma.min()
             assert spread <= 1e-3 * gamma.mean()
 
-    def test_probability_conserved(self):
-        cfg = baseline_config(t_final=5.0)
-        plan = rq.build_plan(cfg.grid, 4)
-        f = np.exp(cfg.weight.log_f(cfg.grid.nodes))
-        totals = []
-        for st in rq.nonrel_integrate(cfg):
-            x_C = rq.d_dC(st.x, cfg.grid, plan)
-            rho = f / x_C
-            totals.append(np.trapezoid(rho * x_C, cfg.grid.nodes))
-        totals = np.asarray(totals)
-        assert np.max(np.abs(totals - totals[0])) <= 1e-6 * abs(totals[0])
-
     def test_step_halving_fourth_order(self):
         finals = []
         for dt in (0.05, 0.025, 0.0125):

@@ -22,7 +22,6 @@ from .stencils import StencilPlan, build_plan, d_dC, interpolate
 from .geometry import GeometryFields, compute_geometry, attach_g01
 from .dynamics import (
     QuantumFields,
-    StateDerivative,
     Snapshot,
     SnapshotSeries,
     IntegrationError,

@@ -195,11 +195,10 @@ def pde_residual(series: SnapshotSeries):
         raise ValueError(
             f"need at least {RESIDUAL_MIN_SNAPSHOTS} uniformly spaced snapshots, got {K}"
         )
-    ts = np.asarray(series.times)
-    dT = ts[1] - ts[0]
-    if np.max(np.abs(np.diff(ts) - dT)) > 1e-9 * max(dT, 1.0):
+    if not _uniform_cadence(series):
         raise ValueError("snapshots must be recorded at uniform cadence")
 
+    ts = series.times
     tgrid = make_grid(ts[0], ts[-1], K)
     tplan = build_plan(tgrid, 4)
     Dt = tplan.matrix

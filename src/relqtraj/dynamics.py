@@ -19,10 +19,15 @@ accepted step and the g01 residual only for recorded snapshots.  make_snapshot
 is the one function that turns a state (and optionally a stored Q) into every
 field of a slice; the solver, the snapshot reader and the closed-form sampler
 all go through it.
+
+run_fixed_steps is the one stepping loop: integrate and the non-relativistic
+solver give it their own step and record functions, and it owns the step
+counts, the record cadence and the failure handling of both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,11 +42,12 @@ from .state import (
     StateValidationError,
     WeightFunction,
     check_state_arrays,
-    step_counts,
 )
 from .stencils import StencilPlan, build_plan, d_dC
 
 ABORT_FACTOR = 10.0  # rk4_step aborts when norm drift exceeds this times invariant_tol
+STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
+STEP_FAILURES = (GeometryError, StateValidationError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -51,14 +57,6 @@ class QuantumFields:
     f0: np.ndarray
     f1: np.ndarray
     tau_T: np.ndarray
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    dt_dT: np.ndarray
-    dx_dT: np.ndarray
-    du0_dT: np.ndarray
-    du1_dT: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,15 +78,18 @@ class SnapshotSeries:
     def __len__(self):
         return len(self.snapshots)
 
+    def append(self, snapshot):
+        self.snapshots.append(snapshot)
+
     @property
     def times(self):
         return [s.tau_ensemble for s in self.snapshots]
 
 
 class IntegrationError(RuntimeError):
-    """Evolution aborted; carries whatever snapshots were completed."""
+    """Evolution aborted; carries the records completed so far in `series`."""
 
-    def __init__(self, message: str, series: Optional[SnapshotSeries] = None):
+    def __init__(self, message: str, series=None):
         super().__init__(message)
         self.series = series
 
@@ -177,13 +178,14 @@ def _rk4(rhs, y, dt):
 
 def eom_rhs(
     state: EnsembleState, config: SimConfig, plan: Optional[StencilPlan] = None
-) -> StateDerivative:
-    """Right-hand side of the ensemble-time evolution equations."""
+) -> np.ndarray:
+    """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of the
+    ensemble-time evolution equations, shape (4, N)."""
     if plan is None:
         plan = build_plan(config.grid, config.stencil_order)
     y = np.array([state.t, state.x, state.u0, state.u1])
     dlogf = config.weight.dlog_f(config.grid.nodes)
-    return StateDerivative(*_stage_rhs(y, state.tau_ensemble, config, plan, dlogf))
+    return _stage_rhs(y, state.tau_ensemble, config, plan, dlogf)
 
 
 def rk4_step(
@@ -198,12 +200,9 @@ def rk4_step(
     y = np.array([state.t, state.x, state.u0, state.u1])
     try:
         y = _rk4(lambda y, h: _stage_rhs(y, T + h, config, plan, dlogf), y, dt)
-    except (GeometryError, StateValidationError, FloatingPointError) as exc:
-        raise IntegrationError(f"step from T = {T:.6g} failed: {exc}") from exc
-    try:
         new = EnsembleState(T + dt, y[0], y[1], y[2], y[3])
-    except StateValidationError as exc:
-        raise IntegrationError(f"state invalid after step to T = {T + dt:.6g}: {exc}") from exc
+    except STEP_FAILURES as exc:
+        raise IntegrationError(f"step from T = {T:.6g} failed: {exc}") from exc
     worst = float(np.max(new.norm_violation(config.c)))
     if worst > ABORT_FACTOR * config.invariant_tol:
         raise IntegrationError(
@@ -226,6 +225,47 @@ def rest_initial_state(config: SimConfig) -> EnsembleState:
     )
 
 
+def step_counts(config: SimConfig, cadence: float) -> tuple:
+    """(n_steps, stride) of a fixed-step run: steps to t_final and steps
+    between snapshots.
+
+    t_final and cadence must both be whole multiples of dt, so the run ends
+    at t_final and records every cadence exactly as asked; anything else
+    is rejected with ValueError rather than rounded to a different run.
+    """
+    if not (cadence > 0 and math.isfinite(cadence)):
+        raise ValueError(f"cadence must be positive and finite, got {cadence}")
+    counts = []
+    for name, span in (("t_final", config.t_final), ("cadence", cadence)):
+        k = round(span / config.dt)
+        if not math.isclose(k * config.dt, span, rel_tol=STEP_MULTIPLE_RTOL):
+            raise ValueError(
+                f"{name} = {span:g} is not a whole multiple of dt = {config.dt:g}"
+            )
+        counts.append(k)
+    return tuple(counts)
+
+
+def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, out):
+    """Advance y = step(y) from T = 0 to t_final, appending record(T, y) to
+    out every `cadence` and at the end, with T = k * dt after k steps.  A failed
+    step or record raises IntegrationError naming T, with out attached."""
+    n_steps, stride = step_counts(config, cadence)
+    for k in range(n_steps + 1):
+        T = k * config.dt
+        try:
+            if k % stride == 0 or k == n_steps:
+                out.append(record(T, y))
+            if k == n_steps:
+                break
+            y = step(y)
+        except IntegrationError as exc:
+            raise IntegrationError(str(exc), out) from exc
+        except STEP_FAILURES as exc:
+            raise IntegrationError(f"run failed at T = {T:.6g}: {exc}", out) from exc
+    return out
+
+
 def integrate(
     config: SimConfig,
     initial_state: Optional[EnsembleState] = None,
@@ -237,25 +277,14 @@ def integrate(
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
     On failure raises IntegrationError with the partial series attached.
     """
-    n_steps, stride = step_counts(config, cadence)
     plan = build_plan(config.grid, config.stencil_order)
     state = rest_initial_state(config) if initial_state is None else initial_state
-    series = SnapshotSeries(config=config, snapshots=[])
-    for k in range(n_steps + 1):
-        if k % stride == 0 or k == n_steps:
-            # k * dt, not the T accumulated by rk4_step, labels the snapshot
-            T = k * config.dt
-            state = EnsembleState(T, state.t, state.x, state.u0, state.u1)
-            try:
-                series.snapshots.append(make_snapshot(state, config, plan))
-            except (GeometryError, FloatingPointError) as exc:
-                raise IntegrationError(
-                    f"field evaluation failed at T = {T:.6g}: {exc}", series
-                ) from exc
-        if k == n_steps:
-            break
-        try:
-            state = rk4_step(state, config, plan)
-        except IntegrationError as exc:
-            raise IntegrationError(str(exc), series) from exc
-    return series
+    if state.tau_ensemble != 0.0:  # rk4_step labels the run's steps from T = 0
+        state = EnsembleState(0.0, state.t, state.x, state.u0, state.u1)
+
+    def record(T, s):
+        # k * dt, not the T accumulated by rk4_step, labels the snapshot
+        return make_snapshot(EnsembleState(T, s.t, s.x, s.u0, s.u1), config, plan)
+
+    return run_fixed_steps(config, cadence, state, lambda s: rk4_step(s, config, plan),
+                           record, SnapshotSeries(config=config, snapshots=[]))

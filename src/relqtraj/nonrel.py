@@ -1,7 +1,8 @@
 """Non-relativistic 1d quantum-trajectory solver.
 
-Independent reference for the large-c limit: same grids, stencils and weight
-machinery as the relativistic solver, but its own dynamics.  Here the slice
+Independent reference for the large-c limit.  It shares the machinery of the
+relativistic solver (grids, stencils, weights, the state guard, the RK4
+combine and the fixed-step driver) but not its physics: here the slice
 metric is gamma = x_C^2, coordinate time is the evolution parameter, and the
 equations are
 
@@ -11,13 +12,13 @@ equations are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .dynamics import _rk4
+from .dynamics import _rk4, run_fixed_steps
 from .qpotential import log_form_Q
-from .state import SimConfig, SpatialGrid, WeightFunction, step_counts
+from .state import (SimConfig, SpatialGrid, StateValidationError, WeightFunction,
+                    check_fields, check_state_arrays)
 from .stencils import StencilPlan, build_plan, d_dC
 
 
@@ -28,23 +29,17 @@ class NonRelState:
     v: np.ndarray
 
     def __post_init__(self):
-        if self.x.shape != self.v.shape:
-            raise ValueError("x and v must have the same shape")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))):
-            raise ValueError("non-finite state")
-        if np.any(np.diff(self.x) <= 0):
-            raise ValueError("x must be strictly increasing (no trajectory crossing)")
+        check_fields(self.x, self.v)
 
 
-def _potential(
-    x, w: WeightFunction, grid: SpatialGrid, plan: StencilPlan, hbar: float, mass: float
-):
-    """(Q, x_C) for positions x(C), with gamma = x_C^2."""
+def _potential(x, dlogf, grid: SpatialGrid, plan: StencilPlan, hbar: float, mass: float):
+    """(Q, x_C) for positions x(C), with gamma = x_C^2; dlogf is the weight's
+    log-derivative on the grid nodes."""
     x_C = d_dC(np.asarray(x, dtype=float), grid, plan)
     if (x_C <= 0).any():
-        raise ValueError("x must be monotone in C")
+        raise StateValidationError("x must be monotone in C")
     gamma = x_C ** 2
-    return log_form_Q(w.dlog_f(grid.nodes), gamma, grid, plan, hbar, mass), x_C
+    return log_form_Q(dlogf, gamma, grid, plan, hbar, mass), x_C
 
 
 def nonrel_Q(
@@ -56,44 +51,38 @@ def nonrel_Q(
     mass: float,
 ) -> np.ndarray:
     """Quantum potential for trajectory positions x(C), with gamma = x_C^2."""
-    return _potential(x, w, grid, plan, hbar, mass)[0]
+    return _potential(x, w.dlog_f(grid.nodes), grid, plan, hbar, mass)[0]
 
 
 def nonrel_rhs(
-    state: NonRelState, config: SimConfig, plan: Optional[StencilPlan] = None
-):
-    """(dx/dt, dv/dt) for the free particle."""
-    if plan is None:
-        plan = build_plan(config.grid, config.stencil_order)
-    Q, x_C = _potential(state.x, config.weight, config.grid, plan, config.hbar, config.mass)
+    y: np.ndarray, config: SimConfig, plan: StencilPlan, dlogf: np.ndarray
+) -> np.ndarray:
+    """Right-hand side rows (dx/dt, dv/dt) of one RK stage y = (x, v),
+    shape (2, N), for the free particle; dlogf is the weight's
+    log-derivative on the grid nodes.
+
+    The stage is checked by the state guard first and raises
+    StateValidationError when it breaks an invariant.
+    """
+    check_state_arrays(y)
+    Q, x_C = _potential(y[0], dlogf, config.grid, plan, config.hbar, config.mass)
     f_Q = -d_dC(Q, config.grid, plan) / x_C
-    return state.v.copy(), f_Q / config.mass
+    return np.array([y[1], f_Q / config.mass])
 
 
-def nonrel_integrate(
-    config: SimConfig,
-    initial_state: Optional[NonRelState] = None,
-    cadence: float = 1.0,
-) -> list:
-    """Fixed-step RK4 from t = 0 to t_final; returns NonRelState snapshots.
+def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
+    """Fixed-step RK4 from rest at x = C, t = 0, to t_final; returns one
+    NonRelState per record (the RK stages run on the raw (x, v) array).
 
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
+    On failure raises IntegrationError with the partial list attached.
     """
-    n_steps, stride = step_counts(config, cadence)
     plan = build_plan(config.grid, config.stencil_order)
+    dlogf = config.weight.dlog_f(config.grid.nodes)
 
-    def rhs(y, _h):
-        return np.stack(nonrel_rhs(NonRelState(0.0, y[0], y[1]), config, plan))
+    def step(y):
+        return _rk4(lambda y, _h: nonrel_rhs(y, config, plan, dlogf), y, config.dt)
 
-    if initial_state is None:
-        y = np.stack([config.grid.nodes.copy(), np.zeros(config.grid.n_points)])
-    else:
-        y = np.stack([initial_state.x, initial_state.v])
-    out = []
-    for k in range(n_steps + 1):
-        if k % stride == 0 or k == n_steps:
-            out.append(NonRelState(k * config.dt, y[0].copy(), y[1].copy()))
-        if k == n_steps:
-            break
-        y = _rk4(rhs, y, config.dt)
-    return out
+    y = np.stack([config.grid.nodes, np.zeros(config.grid.n_points)])
+    return run_fixed_steps(config, cadence, y, step,
+                           lambda t, y: NonRelState(t, y[0], y[1]), [])

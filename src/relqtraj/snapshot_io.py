@@ -226,7 +226,9 @@ def read_snapshots(path: str) -> SnapshotSeries:
 
     Stored t, x, u0, u1, Q round-trip bitwise; geometry derivatives, forces
     and the g01 residual are recomputed from them with the same stencils the
-    run used, so verification never trusts integrator internals.
+    run used, so verification never trusts integrator internals.  A table
+    whose header, C or T column differs from SNAPSHOT_COLUMNS, the manifest's
+    grid nodes or its manifest T is rejected with ValueError.
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -246,17 +248,18 @@ def read_snapshots(path: str) -> SnapshotSeries:
     snap_files.sort()
     snapshots = []
     for _, name, T in snap_files:
-        data = np.genfromtxt(
-            os.path.join(path, name), delimiter="\t", names=True, dtype=float
-        )
-        state = EnsembleState(
-            T,
-            np.atleast_1d(data["t"]),
-            np.atleast_1d(data["x"]),
-            np.atleast_1d(data["u0"]),
-            np.atleast_1d(data["u1"]),
-        )
-        snapshots.append(make_snapshot(state, cfg, plan, Q=np.atleast_1d(data["Q"])))
+        fname = os.path.join(path, name)
+        with open(fname, "r", encoding="utf-8") as fh:
+            if tuple(fh.readline().rstrip("\n").split("\t")) != SNAPSHOT_COLUMNS:
+                raise ValueError(f"{fname}: header row is not {' '.join(SNAPSHOT_COLUMNS)}")
+            # rows in SNAPSHOT_COLUMNS order, each contiguous like the solver's arrays
+            cols = np.ascontiguousarray(np.loadtxt(fh, delimiter="\t", ndmin=2).T)
+        Ts, C, t, x, u0, u1, _, Q, _, _, _ = cols
+        if not np.array_equal(C, cfg.grid.nodes):
+            raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
+        if not (Ts == T).all():
+            raise ValueError(f"{fname}: column T is not the manifest's T = {_fmt(T)}")
+        snapshots.append(make_snapshot(EnsembleState(T, t, x, u0, u1), cfg, plan, Q=Q))
     return SnapshotSeries(config=cfg, snapshots=snapshots)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 UNIFORMITY_TOL = 1e-12  # relative node-spacing wobble tolerated in a grid
 MIN_POINTS = 9          # widest stencil pair (two nested 5-point windows)
-STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,6 @@ class SpatialGrid:
             raise ValueError("grid nodes must be uniformly spaced")
         self.nodes.setflags(write=False)
 
-    @property
-    def spacing(self) -> float:
-        return (self.c_max - self.c_min) / (self.n_points - 1)
-
 
 def make_grid(c_min: float, c_max: float, n_points: int) -> SpatialGrid:
     c_min, c_max, n_points = float(c_min), float(c_max), int(n_points)
@@ -69,9 +64,6 @@ class WeightFunction:
     log_f: Callable[[np.ndarray], np.ndarray]
     dlog_f: Callable[[np.ndarray], np.ndarray]
     params: tuple = ()
-
-    def __call__(self, C):
-        return np.exp(self.log_f(np.asarray(C, dtype=float)))
 
 
 def gaussian_weight(a: float) -> WeightFunction:
@@ -112,15 +104,17 @@ class StateValidationError(ValueError):
     """An ensemble state violates a structural invariant."""
 
 
-def _check_fields_one_by_one(t, x, u0, u1) -> None:
-    n = t.shape[0]
-    for name, arr in zip(("t", "x", "u0", "u1"), (t, x, u0, u1)):
+def _check_fields_one_by_one(*fields) -> None:
+    names = ("t", "x", "u0", "u1") if len(fields) == 4 else ("x", "v")
+    n = fields[0].shape[0]
+    for name, arr in zip(names, fields):
         if arr.shape != (n,):
             raise StateValidationError(f"field {name} has shape {arr.shape}, want ({n},)")
         if not np.all(np.isfinite(arr)):
             raise StateValidationError(f"non-finite values in field {name}")
-    if np.any(u0 <= 0):
+    if "u0" in names and np.any(fields[2] <= 0):
         raise StateValidationError("u0 must be positive (forward-in-time propagation)")
+    x = fields[names.index("x")]
     if np.any(np.diff(x) <= 0):
         k = int(np.argmin(np.diff(x)))
         raise StateValidationError(
@@ -130,15 +124,26 @@ def _check_fields_one_by_one(t, x, u0, u1) -> None:
 
 
 def check_state_arrays(y: np.ndarray) -> None:
-    """Raise StateValidationError unless y = (t, x, u0, u1), a (4, N) array,
-    is a valid ensemble: every value finite, u0 > 0 and x strictly increasing.
+    """Raise StateValidationError unless y is a valid ensemble: every value
+    finite and x strictly increasing, and u0 > 0 where there is a u0.  y is
+    (t, x, u0, u1), shape (4, N), or the non-relativistic (x, v), shape (2, N).
 
     One fused pass over the whole array covers the valid case.  Only when it
     fails are the fields checked one by one, so the error names the first
     broken invariant exactly as the per-field checks always have.
     """
-    if not (np.isfinite(y).all() and (y[2] > 0).all() and (y[1, 1:] > y[1, :-1]).all()):
+    x = y[1] if len(y) == 4 else y[0]
+    if not (np.isfinite(y).all() and (x[1:] > x[:-1]).all()
+            and (len(y) == 2 or (y[2] > 0).all())):
         _check_fields_one_by_one(*y)
+
+
+def check_fields(*fields) -> None:
+    """check_state_arrays for the 1d fields of one state, lengths checked first."""
+    n = fields[0].shape[0]
+    if any(arr.shape != (n,) for arr in fields):
+        _check_fields_one_by_one(*fields)  # raises, naming the field
+    check_state_arrays(np.array(fields))
 
 
 @dataclass(frozen=True)
@@ -158,16 +163,9 @@ class EnsembleState:
 
     def __post_init__(self):
         fields = (self.t, self.x, self.u0, self.u1)
-        n = self.t.shape[0]
-        if any(arr.shape != (n,) for arr in fields):
-            _check_fields_one_by_one(*fields)  # raises, naming the field
-        check_state_arrays(np.array(fields))
+        check_fields(*fields)
         for arr in fields:
             arr.setflags(write=False)  # states are immutable value data
-
-    @property
-    def n_points(self) -> int:
-        return self.t.shape[0]
 
     def norm_violation(self, c: float) -> np.ndarray:
         """|eta_ab U^a U^b + c^2| / c^2 per node."""
@@ -202,24 +200,3 @@ class SimConfig:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-
-
-def step_counts(config: SimConfig, cadence: float) -> tuple:
-    """(n_steps, stride) of a fixed-step run: steps to t_final and steps
-    between snapshots.
-
-    t_final and cadence must both be whole multiples of dt, so the run ends
-    at t_final and records every cadence exactly as asked; anything else
-    is rejected with ValueError rather than rounded to a different run.
-    """
-    if not (cadence > 0 and math.isfinite(cadence)):
-        raise ValueError(f"cadence must be positive and finite, got {cadence}")
-    counts = []
-    for name, span in (("t_final", config.t_final), ("cadence", cadence)):
-        k = round(span / config.dt)
-        if not math.isclose(k * config.dt, span, rel_tol=STEP_MULTIPLE_RTOL):
-            raise ValueError(
-                f"{name} = {span:g} is not a whole multiple of dt = {config.dt:g}"
-            )
-        counts.append(k)
-    return tuple(counts)

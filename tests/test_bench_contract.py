@@ -5,7 +5,10 @@ on its relqtraj module, the workloads time their stages by pacer functions
 named the same way, and the workloads and the reference recorder call the
 top-level ``rq.<name>`` API.  A rename or deletion of any of them breaks
 ``bench/run.py --trace 1`` and ``bench/smoke.py``; these tests fail first.
-bench/ is only read here.
+A pacer is also a rate: wall_s charges each stage's loop at per_op pacer
+calls per period (an RK step or a snapshot), so a change in how often the
+package calls it would silently mis-charge the loop; the cadence test counts
+the calls over a short run of each stage.  bench/ is only read here.
 """
 
 import importlib
@@ -15,8 +18,10 @@ import sys
 from pathlib import Path
 
 import relqtraj as rq
+from relqtraj.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+CONFIGS = BENCH.parent / "configs"
 
 
 def _load(name):
@@ -51,3 +56,47 @@ def test_top_level_names_resolve():
         used |= set(re.findall(r"\brq\.(\w+)", path.read_text()))
     assert used
     assert sorted(n for n in used if not hasattr(rq, n)) == []
+
+
+def test_pacers_fire_per_op_times_per_period(tmp_path):
+    # each workload stage's package calls, as bench/workloads.py makes them,
+    # on configs/gaussian_c3.txt cut to 30 steps and 4 snapshots
+    text = (CONFIGS / "gaussian_c3.txt").read_text().replace("time.final = 10",
+                                                             "time.final = 0.03")
+    cfg, cadence = rq.parse_config(text), 0.01
+    series = rq.integrate(cfg, cadence=cadence)
+    snaps = tmp_path / "snaps"
+    rq.write_snapshots(series, str(snaps))
+    n_steps, n_snaps = 30, len(series)
+    assert n_snaps == 4
+
+    def simulate():
+        s = rq.integrate(cfg, cadence=cadence)
+        rq.write_snapshots(s, str(tmp_path / "sim"), report=rq.evaluate_invariants(s),
+                           cadence=cadence)
+
+    def row():
+        c = rq.parse_config(text)
+        rq.integrate(c, cadence=cadence)
+        rq.nonrel_integrate(c, cadence=cadence)
+
+    stages = {  # stage -> (periods, the stage's calls)
+        "simulate": (n_steps, simulate),
+        "row": (n_steps, row),
+        "write": (n_snaps, lambda: rq.write_snapshots(series, str(tmp_path / "w"))),
+        "read": (n_snaps, lambda: rq.read_snapshots(str(snaps))),
+        "figures": (n_snaps, lambda: main(["figures", "--snapshots", str(snaps),
+                                           "--out", str(tmp_path / "f")])),
+    }
+    tracer_type = _load("spans").Tracer
+    counted = []
+    for wl in _load("workloads").WORKLOADS.values():
+        for stage, pacers in wl.pacers.items():
+            for mod, name, per_op in pacers:
+                periods, run = stages[stage]
+                with tracer_type(targets=((mod, name),)) as tracer:
+                    run()
+                calls = len(tracer.arrays()[0])
+                counted.append((wl.name, stage, f"{mod}.{name}", calls, per_op * periods))
+    assert counted
+    assert [c for c in counted if c[3] != c[4]] == []

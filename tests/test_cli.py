@@ -135,6 +135,22 @@ class TestAnalyticVerify:
                      "--c", "2", "--grid-min", "-1", "--grid-max", "1",
                      "--grid-n", "25", "--times", "0,1", "--out", str(out2)]) == 1
 
+    @pytest.mark.parametrize("column, value", [("C", "999"), ("T", "7")])
+    def test_verify_rejects_a_tampered_column(self, tmp_path, capsys, column, value):
+        out = tmp_path / "inertial"
+        assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
+                     "--grid-max", "2", "--grid-n", "25", "--times", "0,0.5,1",
+                     "--out", str(out)]) == 0
+        table = out / "snap_T0.5.tsv"
+        lines = table.read_text().splitlines()
+        k = lines[0].split("\t").index(column)
+        row = lines[5].split("\t")
+        row[k] = value
+        lines[5] = "\t".join(row)
+        table.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--snapshots", str(out)]) == 1
+        assert f"snap_T0.5.tsv: column {column} is not" in capsys.readouterr().err
+
     def test_verify_missing_directory(self, tmp_path):
         assert main(["verify", "--snapshots", str(tmp_path / "none")]) == 1
 

@@ -9,8 +9,8 @@ from relqtraj.analytic import (
     hyperbolic_gamma_one_Q,
     sample_state,
 )
-from relqtraj.dynamics import IntegrationError
-from relqtraj.state import StateValidationError, WeightFunction, step_counts
+from relqtraj.dynamics import IntegrationError, step_counts
+from relqtraj.state import StateValidationError, WeightFunction
 
 from conftest import baseline_config
 
@@ -169,11 +169,11 @@ class TestEomRhs:
         t, x, u0, u1 = inertial_ensemble(0.6, cfg.c).evaluate(0.7, cfg.grid.nodes)
         st = rq.EnsembleState(0.7, t, x, u0, u1)
         d = rq.eom_rhs(st, cfg)
-        np.testing.assert_allclose(d.du0_dT, 0.0, atol=1e-12)
-        np.testing.assert_allclose(d.du1_dT, 0.0, atol=1e-12)
+        np.testing.assert_allclose(d[2], 0.0, atol=1e-12)
+        np.testing.assert_allclose(d[3], 0.0, atol=1e-12)
         G = 1.0 / np.sqrt(1 - 0.36)
-        np.testing.assert_allclose(d.dx_dT, G * 0.6 * cfg.c, rtol=1e-12)
-        np.testing.assert_allclose(d.dt_dT, G, rtol=1e-12)
+        np.testing.assert_allclose(d[1], G * 0.6 * cfg.c, rtol=1e-12)
+        np.testing.assert_allclose(d[0], G, rtol=1e-12)
 
     def test_exponential_rest_rates(self):
         kappa = 0.3
@@ -181,16 +181,16 @@ class TestEomRhs:
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
         d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
         rate = exponential_ensemble(kappa, 1.0, 1.0, 1.0).evaluate(1.0, 0.0)[0]  # t/T
-        np.testing.assert_allclose(d.dt_dT, rate, rtol=1e-12)
-        np.testing.assert_allclose(d.dx_dT, 0.0, atol=1e-13)
-        np.testing.assert_allclose(d.du0_dT, 0.0, atol=5e-12)
-        np.testing.assert_allclose(d.du1_dT, 0.0, atol=5e-12)
+        np.testing.assert_allclose(d[0], rate, rtol=1e-12)
+        np.testing.assert_allclose(d[1], 0.0, atol=1e-13)
+        np.testing.assert_allclose(d[2], 0.0, atol=5e-12)
+        np.testing.assert_allclose(d[3], 0.0, atol=5e-12)
 
     def test_gaussian_center_symmetry(self):
         # Q is even at T = 0, so the central node feels no force
         cfg = baseline_config()
         d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
-        assert d.du1_dT[12] == pytest.approx(0.0, abs=1e-13)
+        assert d[3, 12] == pytest.approx(0.0, abs=1e-13)
 
 
 class TestRk4Step:
@@ -275,9 +275,7 @@ class TestStageGuard:
         f0, f1 = rq.compute_force(geom, Q_C, cfg.c)
         want = np.array([tau * st.u0 / cfg.c, tau * st.u1,
                          tau * f0 / cfg.mass, tau * f1 / cfg.mass])
-        d = rq.eom_rhs(st, cfg, plan)
-        got = np.array([d.dt_dT, d.dx_dT, d.du0_dT, d.du1_dT])
-        assert got.tobytes() == want.tobytes()
+        assert rq.eom_rhs(st, cfg, plan).tobytes() == want.tobytes()
 
 
 class TestInitialStates:
@@ -292,7 +290,7 @@ class TestInitialStates:
     def test_initial_time_rate_is_dilation_factor(self):
         cfg = baseline_config()
         d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
-        assert d.dt_dT[12] == pytest.approx(np.exp(-1.0 / 36.0), rel=1e-12)
+        assert d[0, 12] == pytest.approx(np.exp(-1.0 / 36.0), rel=1e-12)
 
 
 class TestIntegrate:
@@ -334,6 +332,12 @@ class TestIntegrate:
             rq.integrate(cfg)
         assert exc_info.value.series is not None
         assert len(exc_info.value.series) >= 1
+
+    def test_run_starts_at_zero_whatever_the_initial_label(self):
+        cfg = baseline_config(t_final=5.0, invariant_tol=1e-13)
+        s = rq.rest_initial_state(cfg)
+        with pytest.raises(IntegrationError, match=r"after step to T = 0\.001$"):
+            rq.integrate(cfg, initial_state=rq.EnsembleState(0.7, s.t, s.x, s.u0, s.u1))
 
     def test_truncation_envelope_of_coarse_run(self, baseline_series):
         # 25 nodes resolve the c=3 wavepacket to about h^4: the kinematic

@@ -3,14 +3,16 @@
 The simulate hashes were recorded before the RK stages moved onto the
 array-level slice-field core; the analytic, figures and verify-report hashes
 before the snapshot fields, the RK4 combine and the TSV writer were shared
-between the solver, the reader and the CLI.  Any change to those paths that
-moves a single bit of output fails here.  manifest.tsv is left out because
-it carries the code version and timestamps.
+between the solver, the reader and the CLI; the non-relativistic hashes
+before that solver moved onto the shared fixed-step driver.  Any change to
+those paths that moves a single bit of output fails here.  manifest.tsv is
+left out because it carries the code version and timestamps.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relqtraj as rq
@@ -52,6 +54,20 @@ EXPONENTIAL = {
         "89b53b3eb91f3d721b4a66bf2665d2dd0ca6306301cfaf178a21e75c5df08ed2",
     "snap_T2.tsv":
         "c012818f52f7aaeea2d5ca5542376f7ae6054f480246552bb1db01ea644d7473",
+}
+
+
+# nonrel_integrate of each shipped config at cadence 1: SHA-256 over (t, x, v)
+# of every record, in order, as float64 bytes.
+NONREL = {
+    "exponential.txt":
+        "6e244bdbcfc3e7cb873f0967dfca2f291cb1799686c03d38108cf5a280d42e89",
+    "gaussian_c100.txt":
+        "9acb21134756c2eefe9ea02a00e2cde4d845edc7cdc0ab0a25c074daeceb67ac",
+    "gaussian_c3.txt":
+        "89726d743761b327c2de2d3680ad9805dadf5eac7e0272c676fd51b31a2b3ed5",
+    "uniform_rest.txt":
+        "db677a23cdcfa254b6b5aba608e727ff48f03d1f5c5f1be974eb1d60a1371650",
 }
 
 
@@ -140,6 +156,37 @@ def test_exponential(tmp_path):
     cfg = rq.parse_config((CONFIGS / "exponential.txt").read_text())
     series = rq.integrate(cfg, cadence=1.0)
     assert _snapshot_hashes(series, tmp_path) == EXPONENTIAL
+
+
+def _nonrel_hash(records):
+    h = hashlib.sha256()
+    for s in records:
+        h.update(np.float64(s.t).tobytes())
+        h.update(s.x.tobytes())
+        h.update(s.v.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NONREL))
+def test_nonrel(name, c100_pair):
+    cfg = rq.parse_config((CONFIGS / name).read_text())
+    if name == "gaussian_c100.txt":
+        # the c100_pair fixture already ran this config at cadence 1
+        assert rq.config_to_text(cfg) == rq.config_to_text(c100_pair[0])
+        records = c100_pair[2]
+    else:
+        records = rq.nonrel_integrate(cfg, cadence=1.0)
+    assert _nonrel_hash(records) == NONREL[name]
+
+
+def test_nonrel_failure_keeps_partial_records():
+    # at 61 labels and dt = 1e-2, x stops being monotone in C in the sixth unit of t
+    text = (CONFIGS / "gaussian_c3.txt").read_text()
+    cfg = rq.parse_config(text.replace("grid.n = 25", "grid.n = 61")
+                          .replace("time.dt = 1e-3", "time.dt = 1e-2"))
+    with pytest.raises(rq.IntegrationError, match=r"T = 5\.54\b") as exc_info:
+        rq.nonrel_integrate(cfg, cadence=1.0)
+    assert [s.t for s in exc_info.value.series] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 @pytest.mark.parametrize("kind", sorted(ANALYTIC_ARGS))

@@ -28,7 +28,7 @@ class TestParseConfig:
         assert cfg.weight.kind == "gaussian"
         assert cfg.weight.params == (0.5,)
         assert cfg.grid.n_points == 25
-        assert cfg.grid.spacing == pytest.approx(10 / 24)
+        assert (cfg.grid.c_min, cfg.grid.c_max) == (-5.0, 5.0)
         assert cfg.t_final == 10.0
         # documented defaults fill the rest
         assert cfg.dt == 1e-3
@@ -150,6 +150,15 @@ class TestSnapshotRoundTrip:
         # 17 significant digits round-trip doubles exactly
         val = first[1].split("\t")[3]
         assert float(val) == short_series.snapshots[0].state.x[0]
+
+    def test_header_must_be_the_snapshot_columns(self, short_series, tmp_path):
+        # the reader takes the columns by position, so it checks their names
+        out = tmp_path / "snaps"
+        rq.write_snapshots(short_series, str(out))
+        table = out / "snap_T1.tsv"
+        table.write_text(table.read_text().replace("rho_star", "rho", 1))
+        with pytest.raises(ValueError, match="snap_T1.tsv: header row is not"):
+            rq.read_snapshots(str(out))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -3,6 +3,7 @@ import pytest
 
 import relqtraj as rq
 from relqtraj.nonrel import NonRelState
+from relqtraj.state import StateValidationError
 
 from conftest import baseline_config
 
@@ -56,11 +57,15 @@ class TestNonRelQ:
             rq.nonrel_Q(x, rq.gaussian_weight(0.5), grid25, plan25, 1.0, 1.0)
 
 
+def _rhs(cfg, x, v):
+    plan = rq.build_plan(cfg.grid, cfg.stencil_order)
+    return rq.nonrel_rhs(np.array([x, v]), cfg, plan, cfg.weight.dlog_f(cfg.grid.nodes))
+
+
 class TestNonRelRhs:
     def test_initial_gaussian_linear_acceleration(self, grid25):
         cfg = baseline_config()
-        st = NonRelState(0.0, grid25.nodes.copy(), np.zeros(25))
-        dx, dv = rq.nonrel_rhs(st, cfg)
+        dx, dv = _rhs(cfg, grid25.nodes, np.zeros(25))
         np.testing.assert_allclose(dv, 0.25 * grid25.nodes, atol=1e-12)
         np.testing.assert_array_equal(dx, np.zeros(25))
         assert dv[12] == pytest.approx(0.0, abs=1e-13)
@@ -68,13 +73,45 @@ class TestNonRelRhs:
     def test_uniform_weight_free_motion(self, grid25):
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.uniform_weight(),
                            grid=grid25, t_final=1, dt=1e-3)
-        st = NonRelState(0.0, grid25.nodes.copy(), np.full(25, 0.3))
-        dx, dv = rq.nonrel_rhs(st, cfg)
+        dx, dv = _rhs(cfg, grid25.nodes, np.full(25, 0.3))
         np.testing.assert_allclose(dv, 0.0, atol=1e-13)
         np.testing.assert_allclose(dx, 0.3, rtol=1e-15)
 
 
+class TestNonRelState:
+    """NonRelState is held to the same guard as the RK stages."""
+
+    def test_crossing_rejected(self, grid25):
+        x = grid25.nodes.copy()
+        x[4] = x[5] + 0.1
+        with pytest.raises(StateValidationError, match="between nodes 4 and 5"):
+            NonRelState(0.0, x, np.zeros(25))
+
+    def test_nonfinite_velocity_rejected(self, grid25):
+        v = np.zeros(25)
+        v[7] = np.nan
+        with pytest.raises(StateValidationError, match="non-finite values in field v"):
+            NonRelState(0.0, grid25.nodes, v)
+
+    def test_length_mismatch_rejected(self, grid25):
+        with pytest.raises(StateValidationError, match="field v has shape"):
+            NonRelState(0.0, grid25.nodes, np.zeros(24))
+
+
 class TestNonRelIntegrate:
+    def test_one_state_per_kept_record(self, monkeypatch):
+        # the RK stages run on the raw (x, v) array; only records build a state
+        built = []
+        init = NonRelState.__init__
+
+        def counting(self, t, x, v):
+            built.append(t)
+            init(self, t, x, v)
+
+        monkeypatch.setattr(NonRelState, "__init__", counting)
+        out = rq.nonrel_integrate(baseline_config(t_final=0.5, dt=0.01), cadence=0.1)
+        assert built == [s.t for s in out] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+
     def test_zero_duration_returns_initial(self):
         cfg = baseline_config(t_final=0.0)
         out = rq.nonrel_integrate(cfg)

@@ -8,7 +8,7 @@ from relqtraj.state import StateValidationError
 class TestMakeGrid:
     def test_benchmark_grid_spacing(self):
         g = rq.make_grid(-5, 5, 25)
-        assert g.spacing == pytest.approx(10.0 / 24.0, rel=1e-15)
+        np.testing.assert_allclose(np.diff(g.nodes), 10.0 / 24.0, rtol=1e-14)
         assert g.nodes[0] == -5.0 and g.nodes[-1] == 5.0
 
     def test_unit_interval_nodes(self):
@@ -69,7 +69,7 @@ class TestEnsembleState:
     def test_valid_state_accepted(self):
         t, x, u0, u1 = self._arrays()
         st = rq.EnsembleState(0.0, t, x, u0, u1)
-        assert st.n_points == 9
+        assert st.x.shape == (9,)
 
     def test_crossing_trajectories_rejected(self):
         t, x, u0, u1 = self._arrays()

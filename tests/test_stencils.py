@@ -65,7 +65,7 @@ class TestDerivative:
         assert rate1 == pytest.approx(4.0, abs=0.2)
         assert rate2 == pytest.approx(4.0, abs=0.2)
         # error bounded by K h^4 with an O(1) empirical constant
-        h = rq.make_grid(-np.pi, np.pi, 81).spacing
+        h = 2 * np.pi / 80
         K = errs[81] / h ** 4
         assert K < 10.0
 

@@ -8,13 +8,14 @@ to externally produced trajectory files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter, le, lt
 from typing import List, Optional
 
 import numpy as np
 
 from .dynamics import SnapshotSeries
-from .state import WeightFunction, make_grid
-from .stencils import build_plan, interpolate
+from .state import WeightFunction, make_grid, norm_violation
+from .stencils import build_plan, d_dC, interpolate
 
 ORTHOGONALITY_EPS = 1e-30      # guards the force-scale denominator
 REFERENCE_ZERO_REL_TOL = 1e-3  # |Q| at the reference labels, relative to max |Q|;
@@ -65,95 +66,81 @@ def derived_fields(state, geom, w: WeightFunction, grid) -> DerivedFields:
     return DerivedFields(beta=beta, rho_star=f / np.sqrt(geom.gamma))
 
 
-def _track_max(cur, arr, T, nodes):
-    k = int(np.argmax(arr))
-    v = float(arr[k])
-    if cur is None or v > cur[0]:
-        return (v, float(T), float(nodes[k]))
-    return cur
+def _stack(series: SnapshotSeries, *fields):
+    """The named per-node fields ("state.u0", "quantum.Q", ...) of every
+    snapshot as (K, N) arrays, one row per snapshot."""
+    return [np.stack([get(s) for s in series]) for get in map(attrgetter, fields)]
+
+
+def _worst(block: np.ndarray, Ts, Cs):
+    """(value, T, C) at the largest entry of a (snapshot, point) block, the
+    first in row order on ties; a NaN counts as the largest value.  An empty
+    block (nothing to check) reads (0, 0, 0)."""
+    if block.size == 0:
+        return 0.0, 0.0, 0.0
+    k, j = np.unravel_index(int(np.argmax(block)), block.shape)
+    return float(block[k, j]), float(Ts[k]), float(Cs[j])
 
 
 def evaluate_invariants(
     series: SnapshotSeries,
     invariant_tol: Optional[float] = None,
     residual_tol: Optional[float] = None,
-    include_residual: bool = True,
 ) -> InvariantReport:
     """Evaluate the full invariant list over a snapshot series.
 
     Kinematic checks: four-velocity normalization (relative to c^2), force
     orthogonality (scaled by c times the largest force component), the
     time-space metric residual (absolute) and strict subluminality.  The two
-    evolution-equation residuals need a fine uniform recording: unless
-    include_residual is False they are added when there are at least
-    RESIDUAL_MIN_SNAPSHOTS uniform snapshots no more than RESIDUAL_CADENCE_MAX
-    apart.  For gaussian weights the quantum potential is additionally
-    checked to vanish at the reference labels +-sqrt(1/a).
+    evolution-equation residuals need a fine uniform recording: they are
+    added when there are at least RESIDUAL_MIN_SNAPSHOTS uniform snapshots no
+    more than RESIDUAL_CADENCE_MAX apart.  For gaussian weights the quantum
+    potential is additionally checked to vanish at the reference labels
+    +-sqrt(1/a).
     That check is exact only as c -> infinity, where the slice metric is
     uniform in C; at finite c the label dependence of tau_T shifts the zeros
     by O(1/c^2), independently of the resolution, so a correct strongly
     relativistic run fails it.
+
+    Every record is the worst point of one (snapshot, point) block, found by
+    _worst; a NaN anywhere in a block fails its record.
     """
     if len(series) == 0:
         raise ValueError("empty snapshot series")
-    cfg = series.config
-    c = cfg.c
-    tol = cfg.invariant_tol if invariant_tol is None else invariant_tol
-    rtol = cfg.residual_tol if residual_tol is None else residual_tol
-    nodes = cfg.grid.nodes
-
-    norm = orth = g01 = sub = None
     for s in series:
-        st, qf = s.state, s.quantum
-        norm = _track_max(norm, st.norm_violation(c), s.tau_ensemble, nodes)
-        fmax = max(float(np.max(np.abs(qf.f0))), float(np.max(np.abs(qf.f1))))
-        o = np.abs(-st.u0 * qf.f0 + st.u1 * qf.f1) / (c * fmax + ORTHOGONALITY_EPS)
-        orth = _track_max(orth, o, s.tau_ensemble, nodes)
         if s.geometry.g01_residual is None:
             raise ValueError(
                 f"snapshot at T = {s.tau_ensemble:g} lacks the g01 residual; "
                 "attach it with attach_g01 before evaluating invariants"
             )
-        g01 = _track_max(g01, np.abs(s.geometry.g01_residual), s.tau_ensemble, nodes)
-        sub = _track_max(sub, np.abs(st.u1) / st.u0 - 1.0, s.tau_ensemble, nodes)
+    cfg = series.config
+    tol = cfg.invariant_tol if invariant_tol is None else invariant_tol
+    rtol = cfg.residual_tol if residual_tol is None else residual_tol
+    Ts, nodes = np.asarray(series.times), cfg.grid.nodes
 
-    records = [
-        InvariantRecord("four_velocity_norm", *norm, tol, norm[0] <= tol),
-        InvariantRecord("force_orthogonality", *orth, tol, orth[0] <= tol),
-        InvariantRecord("simultaneity_g01", *g01, tol, g01[0] <= tol),
-        InvariantRecord("subluminality", *sub, 0.0, sub[0] < 0.0),
+    u0, u1, f0, f1, g01 = _stack(series, "state.u0", "state.u1", "quantum.f0",
+                                 "quantum.f1", "geometry.g01_residual")
+    fmax = np.maximum(np.abs(f0).max(axis=1), np.abs(f1).max(axis=1))[:, None]
+    orth = np.abs(-u0 * f0 + u1 * f1) / (cfg.c * fmax + ORTHOGONALITY_EPS)
+    checks = [
+        ("four_velocity_norm", _worst(norm_violation(u0, u1, cfg.c), Ts, nodes), tol, le),
+        ("force_orthogonality", _worst(orth, Ts, nodes), tol, le),
+        ("simultaneity_g01", _worst(np.abs(g01), Ts, nodes), tol, le),
+        ("subluminality", _worst(np.abs(u1) / u0 - 1.0, Ts, nodes), 0.0, lt),
     ]
-
-    ts = series.times
     if (
-        include_residual
-        and len(series) >= RESIDUAL_MIN_SNAPSHOTS
+        len(series) >= RESIDUAL_MIN_SNAPSHOTS
         and _uniform_cadence(series)
-        and ts[1] - ts[0] <= RESIDUAL_CADENCE_MAX * (1 + 1e-9)
+        and Ts[1] - Ts[0] <= RESIDUAL_CADENCE_MAX * (1 + 1e-9)
     ):
         res_t, res_x, sn, nd = pde_residual(series)
-        for name, res in (("pde_residual_t", res_t), ("pde_residual_x", res_x)):
-            block = np.abs(res[sn, nd])
-            k = np.unravel_index(int(np.argmax(block)), block.shape)
-            v = float(block[k])
-            T_at = series.snapshots[sn.start + k[0]].tau_ensemble
-            C_at = nodes[nd.start + k[1]]
-            records.append(InvariantRecord(name, v, T_at, float(C_at), rtol, v <= rtol))
-
+        checks += [(name, _worst(np.abs(res[sn, nd]), Ts[sn], nodes[nd]), rtol, le)
+                   for name, res in (("pde_residual_t", res_t), ("pde_residual_x", res_x))]
     if cfg.weight.kind == "gaussian":
-        a = cfg.weight.params[0]
-        ref = reference_zero_ratio(series, a)
-        records.append(
-            InvariantRecord(
-                "reference_trajectory_zeros",
-                ref[0],
-                ref[1],
-                ref[2],
-                REFERENCE_ZERO_REL_TOL,
-                ref[0] <= REFERENCE_ZERO_REL_TOL,
-            )
-        )
-    return InvariantReport(records)
+        ref = reference_zero_ratio(series, cfg.weight.params[0])
+        checks.append(("reference_trajectory_zeros", ref, REFERENCE_ZERO_REL_TOL, le))
+    return InvariantReport([InvariantRecord(name, *worst, t, passes(worst[0], t))
+                            for name, worst, t, passes in checks])
 
 
 def _uniform_cadence(series: SnapshotSeries) -> bool:
@@ -164,20 +151,16 @@ def _uniform_cadence(series: SnapshotSeries) -> bool:
 
 def reference_zero_ratio(series: SnapshotSeries, a: float):
     """Largest |Q| at the reference labels +-sqrt(1/a), relative to the
-    per-snapshot max |Q|; returns (ratio, T, C) at the worst point."""
+    per-snapshot max |Q|; returns (ratio, T, C) at the worst point.  Slices
+    with Q = 0 everywhere are skipped."""
     cfg = series.config
     c_ref = 1.0 / np.sqrt(a)
     labels = [cq for cq in (c_ref, -c_ref) if cfg.grid.c_min <= cq <= cfg.grid.c_max]
-    worst = None
-    for s in series:
-        qmax = float(np.max(np.abs(s.quantum.Q)))
-        if qmax == 0.0:
-            continue
-        for cq in labels:
-            r = abs(interpolate(s.quantum.Q, cfg.grid, cq)) / qmax
-            if worst is None or r > worst[0]:
-                worst = (r, s.tau_ensemble, cq)
-    return worst if worst is not None else (0.0, 0.0, 0.0)
+    (Q,) = _stack(series, "quantum.Q")
+    qmax = np.abs(Q).max(axis=1)
+    rows = qmax != 0.0
+    at_labels = np.array([interpolate(Q[rows].T, cfg.grid, cq) for cq in labels]).T
+    return _worst(np.abs(at_labels) / qmax[rows, None], np.asarray(series.times)[rows], labels)
 
 
 def pde_residual(series: SnapshotSeries):
@@ -201,21 +184,15 @@ def pde_residual(series: SnapshotSeries):
     ts = series.times
     tgrid = make_grid(ts[0], ts[-1], K)
     tplan = build_plan(tgrid, 4)
-    Dt = tplan.matrix
+    t, x, Q, t_C, x_C, gamma, Q_C = _stack(
+        series, "state.t", "state.x", "quantum.Q", "geometry.t_C", "geometry.x_C",
+        "geometry.gamma", "quantum.Q_C")
 
-    t_all = np.stack([s.state.t for s in series])
-    x_all = np.stack([s.state.x for s in series])
-    Q_all = np.stack([s.quantum.Q for s in series])
-    tC_all = np.stack([s.geometry.t_C for s in series])
-    xC_all = np.stack([s.geometry.x_C for s in series])
-    g_all = np.stack([s.geometry.gamma for s in series])
-    QC_all = np.stack([s.quantum.Q_C for s in series])
+    eQ = np.exp(Q / (cfg.mass * cfg.c ** 2))
+    res_t, res_x = (eQ * d_dC(eQ * d_dC(y, tgrid, tplan), tgrid, tplan)
+                    + (y_C / gamma) * Q_C / cfg.mass
+                    for y, y_C in ((t, t_C), (x, x_C)))
 
-    eQ = np.exp(Q_all / (cfg.mass * cfg.c ** 2))
-    res_t = eQ * (Dt @ (eQ * (Dt @ t_all))) + (tC_all / g_all) * QC_all / cfg.mass
-    res_x = eQ * (Dt @ (eQ * (Dt @ x_all))) + (xC_all / g_all) * QC_all / cfg.mass
-
-    half_s = cfg.stencil_order // 2
     interior_snaps = slice(4, K - 4)          # two nested central time stencils
-    interior_nodes = slice(half_s, cfg.grid.n_points - half_s)
+    interior_nodes = build_plan(cfg.grid, cfg.stencil_order).interior
     return res_t, res_x, interior_snaps, interior_nodes

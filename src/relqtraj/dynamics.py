@@ -42,6 +42,7 @@ from .state import (
     StateValidationError,
     WeightFunction,
     check_state_arrays,
+    norm_violation,
 )
 from .stencils import StencilPlan, build_plan, d_dC
 
@@ -203,7 +204,7 @@ def rk4_step(
         new = EnsembleState(T + dt, y[0], y[1], y[2], y[3])
     except STEP_FAILURES as exc:
         raise IntegrationError(f"step from T = {T:.6g} failed: {exc}") from exc
-    worst = float(np.max(new.norm_violation(config.c)))
+    worst = float(np.max(norm_violation(new.u0, new.u1, config.c)))
     if worst > ABORT_FACTOR * config.invariant_tol:
         raise IntegrationError(
             f"four-velocity norm drift {worst:.3e} exceeds "

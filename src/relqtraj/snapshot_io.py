@@ -252,9 +252,12 @@ def read_snapshots(path: str) -> SnapshotSeries:
         with open(fname, "r", encoding="utf-8") as fh:
             if tuple(fh.readline().rstrip("\n").split("\t")) != SNAPSHOT_COLUMNS:
                 raise ValueError(f"{fname}: header row is not {' '.join(SNAPSHOT_COLUMNS)}")
-            # rows in SNAPSHOT_COLUMNS order, each contiguous like the solver's arrays
-            cols = np.ascontiguousarray(np.loadtxt(fh, delimiter="\t", ndmin=2).T)
-        Ts, C, t, x, u0, u1, _, Q, _, _, _ = cols
+            try:
+                # rows in SNAPSHOT_COLUMNS order, each contiguous like the solver's arrays
+                Ts, C, t, x, u0, u1, _, Q, _, _, _ = np.ascontiguousarray(
+                    np.loadtxt(fh, delimiter="\t", ndmin=2).T)
+            except ValueError as exc:  # a row or every row of the wrong length
+                raise ValueError(f"{fname}: {exc}") from exc
         if not np.array_equal(C, cfg.grid.nodes):
             raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
         if not (Ts == T).all():

@@ -167,9 +167,10 @@ class EnsembleState:
         for arr in fields:
             arr.setflags(write=False)  # states are immutable value data
 
-    def norm_violation(self, c: float) -> np.ndarray:
-        """|eta_ab U^a U^b + c^2| / c^2 per node."""
-        return np.abs(-self.u0 ** 2 + self.u1 ** 2 + c ** 2) / c ** 2
+
+def norm_violation(u0, u1, c: float) -> np.ndarray:
+    """|eta_ab U^a U^b + c^2| / c^2, elementwise over the four-velocity arrays."""
+    return np.abs(-u0 ** 2 + u1 ** 2 + c ** 2) / c ** 2
 
 
 @dataclass(frozen=True)

@@ -86,26 +86,31 @@ def build_plan(grid: SpatialGrid, order: int = 4) -> StencilPlan:
     return StencilPlan(order, n, D)
 
 
-def d_dC(values: np.ndarray, grid: SpatialGrid, plan: StencilPlan) -> np.ndarray:
-    """First derivative of nodal values with respect to the label C."""
+def _grid_values(values, grid: SpatialGrid) -> np.ndarray:
+    """values as a float (n,) or (n, k) array, n the number of grid nodes."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_points,):
+    if values.shape[:1] != (grid.n_points,) or values.ndim > 2:
         raise ValueError(
-            f"values shape {values.shape} does not match grid ({grid.n_points},)"
+            f"values shape {values.shape} does not match grid ({grid.n_points}[, k])"
         )
-    return plan.matrix @ values
+    return values
 
 
-def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float) -> float:
+def d_dC(values: np.ndarray, grid: SpatialGrid, plan: StencilPlan) -> np.ndarray:
+    """First derivative of nodal values with respect to the label C along the
+    first axis; a stacked (n, k) array is one BLAS matrix product, whose
+    columns can differ from 1-D calls in the last bits."""
+    return plan.matrix @ _grid_values(values, grid)
+
+
+def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):
     """Cubic 4-point Lagrange interpolation of nodal values at c_query.
 
     Exact for polynomials up to degree 3; the query must lie inside the grid.
+    Interpolates along the first axis: a float for 1-D values, one value per
+    column for a stacked (n, k) array.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_points,):
-        raise ValueError(
-            f"values shape {values.shape} does not match grid ({grid.n_points},)"
-        )
+    values = _grid_values(values, grid)
     nodes = grid.nodes
     if not (nodes[0] <= c_query <= nodes[-1]):
         raise ValueError(f"query {c_query} outside grid [{nodes[0]}, {nodes[-1]}]")
@@ -120,4 +125,4 @@ def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float) -> float:
             if jj != i:
                 li *= (c_query - xs[jj]) / (xs[i] - xs[jj])
         out += ys[i] * li
-    return float(out)
+    return float(out) if out.ndim == 0 else out

@@ -2,10 +2,11 @@ import pytest
 
 import relqtraj as rq
 
-# The 25-point wavepacket runs drift at the grid's truncation level
-# (~1e-4 relative norm error by T=10 at c=3), so production configs for this
-# resolution carry a matching invariant tolerance; 1e-8 would trip the
-# 10x abort guard almost immediately.
+# The 25-point wavepacket runs drift with the grid-scale instability of the
+# nested label stencils, not at a truncation level (~1e-4 relative norm error
+# by T=10 at c=3, worst at the edge labels, unchanged when dt is halved), so
+# production configs for this resolution carry a matching invariant
+# tolerance; 1e-8 would trip the 10x abort guard almost immediately.
 BASELINE_INVARIANT_TOL = 1e-3
 
 

@@ -189,8 +189,7 @@ class TestAcceptance:
                "simultaneity_g01", "subluminality")
 
         def gate(series):
-            rep = rq.evaluate_invariants(series, invariant_tol=TOL,
-                                         include_residual=False)
+            rep = rq.evaluate_invariants(series, invariant_tol=TOL)
             return rep, all(rep[k].passed for k in kin)
 
         cfg5 = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.exponential_weight(0.25),

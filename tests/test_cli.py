@@ -151,6 +151,40 @@ class TestAnalyticVerify:
         assert main(["verify", "--snapshots", str(out)]) == 1
         assert f"snap_T0.5.tsv: column {column} is not" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table", ["snap_T0.tsv", "snap_T2.tsv"])
+    def test_verify_fails_a_nan_wherever_it_sits(self, tmp_path, table):
+        out = tmp_path / "exp"
+        assert main(["analytic", "--kind", "exponential", "--kappa", "0.5", "--c", "2",
+                     "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
+                     "--times", "0,1,2,3", "--out", str(out)]) == 0
+        path = out / table
+        lines = path.read_text().splitlines()
+        row = lines[5].split("\t")
+        row[lines[0].split("\t").index("Q")] = "nan"
+        lines[5] = "\t".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--snapshots", str(out)]) == 2
+        report = (out / "report.tsv").read_text().splitlines()
+        rows = {ln.split("\t")[0]: ln.split("\t") for ln in report[1:]}
+        T = float(table[len("snap_T"):-len(".tsv")])
+        for name in ("force_orthogonality", "simultaneity_g01"):
+            assert rows[name][1] == "nan"
+            assert float(rows[name][2]) == T
+            assert rows[name][-1] == "FAIL"
+
+    @pytest.mark.parametrize("rows", ["one", "every"])
+    def test_verify_names_a_table_with_short_rows(self, tmp_path, capsys, rows):
+        cfg = _write(tmp_path, "g.cfg", GAUSS_CFG.replace("time.final = 2", "time.final = 1"))
+        out = tmp_path / "out"
+        main(["simulate", "--config", cfg, "--out", str(out)])
+        table = out / "snap_T1.tsv"
+        lines = table.read_text().splitlines()
+        for k in ([3] if rows == "one" else range(1, len(lines))):
+            lines[k] = lines[k].rsplit("\t", 1)[0]
+        table.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--snapshots", str(out)]) == 1
+        assert "snap_T1.tsv" in capsys.readouterr().err
+
     def test_verify_missing_directory(self, tmp_path):
         assert main(["verify", "--snapshots", str(tmp_path / "none")]) == 1
 

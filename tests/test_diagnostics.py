@@ -136,7 +136,7 @@ class TestInvariantReport:
             assert required in names
 
     def test_gaussian_report_includes_reference_zeros(self, baseline_series):
-        rep = rq.evaluate_invariants(baseline_series, include_residual=False)
+        rep = rq.evaluate_invariants(baseline_series)
         rec = rep["reference_trajectory_zeros"]
         assert rec.tolerance == 1e-3
 

@@ -340,10 +340,10 @@ class TestIntegrate:
             rq.integrate(cfg, initial_state=rq.EnsembleState(0.7, s.t, s.x, s.u0, s.u1))
 
     def test_truncation_envelope_of_coarse_run(self, baseline_series):
-        # 25 nodes resolve the c=3 wavepacket to about h^4: the kinematic
-        # invariants drift at that level, far above machine precision but
-        # bounded; these ceilings pin the measured envelope
-        rep = rq.evaluate_invariants(baseline_series, include_residual=False)
+        # the kinematic invariants of the 25-node c=3 run drift with the
+        # grid-scale instability, far above machine precision but bounded;
+        # these ceilings pin the measured envelope
+        rep = rq.evaluate_invariants(baseline_series)
         assert rep["four_velocity_norm"].max_abs_violation < 5e-4
         assert rep["force_orthogonality"].max_abs_violation < 5e-3
         assert rep["simultaneity_g01"].max_abs_violation < 0.2

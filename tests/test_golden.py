@@ -4,7 +4,8 @@ The simulate hashes were recorded before the RK stages moved onto the
 array-level slice-field core; the analytic, figures and verify-report hashes
 before the snapshot fields, the RK4 combine and the TSV writer were shared
 between the solver, the reader and the CLI; the non-relativistic hashes
-before that solver moved onto the shared fixed-step driver.  Any change to
+before that solver moved onto the shared fixed-step driver; the full-run
+report pin before the invariants moved onto whole-series arrays.  Any change to
 those paths that moves a single bit of output fails here.  manifest.tsv is
 left out because it carries the code version and timestamps.
 """
@@ -130,6 +131,12 @@ FIGURES = {
 }
 
 
+# evaluate_invariants over the baseline fixture (configs/gaussian_c3.txt to
+# T = 10 at cadence 0.025, 401 slices): all seven rows of its report.tsv.  The
+# worst force-orthogonality (T = 8.825) and reference-zero (T = 6.575) points
+# lie past T = 1, so only this pin covers where the whole-run maximum is found.
+FULL_REPORT = "255c6d19f37e261493d4069a5c94d0dddea47f8434beb4ad030e843d03cf7df7"
+
 def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -222,3 +229,9 @@ def test_figures(short_c3_snapshots, tmp_path):
     assert main(["figures", "--snapshots", str(short_c3_snapshots),
                  "--out", str(tmp_path)]) == 0
     assert _table_hashes(tmp_path, "fig_*.tsv") == FIGURES
+
+
+def test_full_run_report(baseline_series, tmp_path):
+    report = tmp_path / "report.tsv"
+    rq.write_report(rq.evaluate_invariants(baseline_series), str(report))
+    assert _sha(report) == FULL_REPORT

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relqtraj as rq
 from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS
@@ -102,6 +104,48 @@ class TestParseConfig:
         assert again.invariant_tol == cfg.invariant_tol
 
 
+def _positive(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    """Valid SimConfigs: every weight kind, any grid, t_final a multiple of dt."""
+    weight = draw(st.one_of(
+        st.builds(rq.gaussian_weight, _positive(1e-3, 10.0)),
+        st.builds(rq.exponential_weight, st.floats(-5.0, 5.0)),
+        st.just(rq.uniform_weight()),
+    ))
+    c_min = draw(st.floats(-50.0, 50.0))
+    dt = draw(_positive(1e-5, 0.1))
+    return rq.SimConfig(
+        mass=draw(_positive(1e-3, 1e3)), hbar=draw(_positive(1e-3, 1e3)),
+        c=draw(_positive(1e-3, 1e3)), weight=weight,
+        grid=rq.make_grid(c_min, c_min + draw(_positive(0.1, 100.0)),
+                          draw(st.integers(9, 201))),
+        t_final=draw(st.integers(0, 10_000)) * dt, dt=dt,
+        stencil_order=draw(st.sampled_from([2, 4])),
+        residual_tol=draw(_positive(1e-15, 1.0)), invariant_tol=draw(_positive(1e-15, 1.0)),
+    )
+
+
+def _config_bits(cfg):
+    """Every field of a SimConfig, floats as their exact float64 bytes."""
+    g = cfg.grid
+    floats = (cfg.mass, cfg.hbar, cfg.c, *cfg.weight.params, g.c_min, g.c_max,
+              cfg.t_final, cfg.dt, cfg.residual_tol, cfg.invariant_tol)
+    return (cfg.weight.kind, len(cfg.weight.params), g.n_points, cfg.stencil_order,
+            np.array(floats).tobytes(), g.nodes.tobytes())
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(configs())
+def test_config_text_round_trip(cfg):
+    text = rq.config_to_text(cfg)
+    again = rq.parse_config(text)
+    assert _config_bits(again) == _config_bits(cfg)
+    assert rq.config_to_text(again) == text
+
 @pytest.fixture(scope="module")
 def short_series():
     return rq.integrate(baseline_config(t_final=2.0), cadence=0.5)
@@ -168,7 +212,7 @@ class TestSnapshotRoundTrip:
 class TestReport:
     def test_report_rows(self, tmp_path):
         series = rq.integrate(baseline_config(t_final=1.0), cadence=1.0)
-        rep = rq.evaluate_invariants(series, include_residual=False)
+        rep = rq.evaluate_invariants(series)
         out = tmp_path / "report.tsv"
         rq.write_report(rep, str(out))
         lines = out.read_text().splitlines()

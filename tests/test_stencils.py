@@ -109,3 +109,40 @@ class TestInterpolate:
         g = rq.make_grid(0, 1, 11)
         with pytest.raises(ValueError):
             rq.interpolate(np.zeros(11), g, 1.5)
+
+
+class TestStackedValues:
+    """The first axis is the grid axis; each column of a stacked (n, k) array
+    is one field, treated as a 1-D call would treat it."""
+
+    def test_interpolate_is_the_per_column_call_bitwise(self):
+        g = rq.make_grid(-2, 2, 25)
+        stack = np.random.default_rng(7).standard_normal((25, 6))
+        for cq in (-2.0, -1.3, 0.1, 1.99, 2.0):
+            got = rq.interpolate(stack, g, cq)
+            assert got.shape == (6,)
+            assert got.tolist() == [rq.interpolate(stack[:, j], g, cq) for j in range(6)]
+
+    def test_d_dC_is_the_per_column_call(self, order):
+        # one matrix product for the whole stack: BLAS runs it as a gemm, whose
+        # summation order differs from the gemv of a 1-D call in the last bits
+        g = rq.make_grid(-2, 2, 25)
+        plan = rq.build_plan(g, order)
+        stack = np.random.default_rng(7).standard_normal((25, 6))
+        got = rq.d_dC(stack, g, plan)
+        assert got.shape == (25, 6)
+        for j in range(6):
+            np.testing.assert_allclose(got[:, j], rq.d_dC(stack[:, j], g, plan),
+                                       rtol=0, atol=1e-13)
+
+    def test_first_axis_must_be_the_grid(self):
+        g = rq.make_grid(-2, 2, 25)
+        plan = rq.build_plan(g, 4)
+        with pytest.raises(ValueError, match="does not match grid"):
+            rq.d_dC(np.zeros((6, 25)), g, plan)
+        with pytest.raises(ValueError, match="does not match grid"):
+            rq.interpolate(np.zeros((6, 25)), g, 0.0)
+        # a (n, n, k) array would be read by the matrix product as n stacked
+        # (n, k) matrices, differentiated along the wrong axis
+        with pytest.raises(ValueError, match="does not match grid"):
+            rq.d_dC(np.zeros((25, 25, 2)), g, plan)

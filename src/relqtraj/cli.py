@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -33,7 +34,6 @@ from .analytic import (
 from .diagnostics import (
     RESIDUAL_CADENCE_MAX,
     RESIDUAL_MIN_SNAPSHOTS,
-    DerivedFields,
     evaluate_invariants,
 )
 from .dynamics import IntegrationError, SnapshotSeries, integrate, make_snapshot
@@ -48,7 +48,6 @@ from .snapshot_io import (
     write_table,
 )
 from .state import SimConfig, StateValidationError, make_grid, uniform_weight, exponential_weight
-from .stencils import build_plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -104,6 +103,7 @@ def _cmd_analytic(args) -> int:
     grid = make_grid(args.grid_min, args.grid_max, args.grid_n)
     times = [float(s) for s in args.times.split(",")]
     m, hb, c = args.mass, args.hbar, args.c
+    Q = None  # given only for the family with a closed-form Q but no density
     if args.kind == "inertial":
         ens = inertial_ensemble(args.beta0, c)
         weight = uniform_weight()
@@ -114,7 +114,9 @@ def _cmd_analytic(args) -> int:
         if grid.c_min <= 0:
             raise ConfigError("hyperbolic-gamma-one sampling needs grid.min > 0")
         ens = hyperbolic_gamma_one_ensemble(args.B, c)
-        weight = uniform_weight()  # placeholder: no closed-form density exists
+        Q = hyperbolic_gamma_one_Q(args.B, grid.nodes, m, c)
+        # no closed-form density exists: ln f is NaN, and so is rho_star
+        weight = replace(uniform_weight(), log_f=lambda C: np.full(np.shape(C), np.nan))
     elif args.kind == "hyperbolic-gamma-t":
         if any(T == 0 for T in times):
             raise ConfigError("hyperbolic-gamma-t is degenerate at T = 0")
@@ -128,19 +130,10 @@ def _cmd_analytic(args) -> int:
         t_final=max(times) if max(times) > 0 else 1.0, dt=1e-3,
         stencil_order=args.stencil_order,
     )
-    plan = build_plan(grid, cfg.stencil_order)
-    # the unit-metric hyperbolic family has a closed-form Q but no density
-    closed_Q = args.kind == "hyperbolic-gamma-one"
-    Q = hyperbolic_gamma_one_Q(args.B, grid.nodes, m, c) if closed_Q else None
-    snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, plan, Q) for T in times]
-    derived = None
-    if closed_Q:
-        no_density = np.full(grid.n_points, np.nan)
-        derived = [DerivedFields(np.abs(s.state.u1) / s.state.u0, no_density)
-                   for s in snapshots]
+    snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
     series = SnapshotSeries(config=cfg, snapshots=snapshots)
     write_snapshots(series, args.out, code_version=__version__,
-                    start_time=_now(), end_time=_now(), derived=derived)
+                    start_time=_now(), end_time=_now())
     print(f"analytic: {len(snapshots)} {args.kind} snapshots to {args.out}")
     return EXIT_OK
 

@@ -189,10 +189,9 @@ def pde_residual(series: SnapshotSeries):
         "geometry.gamma", "quantum.Q_C")
 
     eQ = np.exp(Q / (cfg.mass * cfg.c ** 2))
-    res_t, res_x = (eQ * d_dC(eQ * d_dC(y, tgrid, tplan), tgrid, tplan)
+    res_t, res_x = (eQ * d_dC(eQ * d_dC(y, tplan), tplan)
                     + (y_C / gamma) * Q_C / cfg.mass
                     for y, y_C in ((t, t_C), (x, x_C)))
 
     interior_snaps = slice(4, K - 4)          # two nested central time stencils
-    interior_nodes = build_plan(cfg.grid, cfg.stencil_order).interior
-    return res_t, res_x, interior_snaps, interior_nodes
+    return res_t, res_x, interior_snaps, cfg.plan.interior

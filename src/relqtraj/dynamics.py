@@ -14,11 +14,12 @@ back to inertial components, always orthogonal to the four-velocity.
 
 The RK stages work on the raw (4, N) array y = (t, x, u0, u1): each stage is
 checked against the EnsembleState invariants in one fused pass, then _slice
-computes every slice field once from y.  An EnsembleState is built once per
-accepted step and the g01 residual only for recorded snapshots.  make_snapshot
-is the one function that turns a state (and optionally a stored Q) into every
-field of a slice; the solver, the snapshot reader and the closed-form sampler
-all go through it.
+computes every slice field once from y with the config's plan and dlogf, so
+make_snapshot, eom_rhs and rk4_step take only a state and its SimConfig.  An
+EnsembleState is built once per accepted step and the g01 residual only for
+recorded snapshots.  make_snapshot is the one function that turns a state
+(and optionally a stored Q) into every field of a slice; the solver, the
+snapshot reader and the closed-form sampler all go through it.
 
 run_fixed_steps is the one stepping loop: integrate and the non-relativistic
 solver give it their own step and record functions, and it owns the step
@@ -38,13 +39,12 @@ from .qpotential import log_form_Q
 from .state import (
     EnsembleState,
     SimConfig,
-    SpatialGrid,
     StateValidationError,
     WeightFunction,
     check_state_arrays,
     norm_violation,
 )
-from .stencils import StencilPlan, build_plan, d_dC
+from .stencils import StencilPlan, d_dC
 
 ABORT_FACTOR = 10.0  # rk4_step aborts when norm drift exceeds this times invariant_tol
 STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
@@ -98,15 +98,14 @@ class IntegrationError(RuntimeError):
 def compute_Q(
     geom: GeometryFields,
     w: WeightFunction,
-    grid: SpatialGrid,
     plan: StencilPlan,
     hbar: float,
     mass: float,
 ):
     """Quantum potential and its label-derivative on one slice."""
-    dlogf = w.dlog_f(grid.nodes)
-    Q = log_form_Q(dlogf, geom.gamma, grid, plan, hbar, mass)
-    Q_C = d_dC(Q, grid, plan)
+    dlogf = w.dlog_f(plan.grid.nodes)
+    Q = log_form_Q(dlogf, geom.gamma, plan, hbar, mass)
+    Q_C = d_dC(Q, plan)
     return Q, Q_C
 
 
@@ -124,34 +123,34 @@ def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
     return np.exp(-np.asarray(Q, dtype=float) / (mass * c ** 2))
 
 
-def _slice(t, x, T, config: SimConfig, plan: StencilPlan, dlogf=None, Q=None):
+def _slice(t, x, T, config: SimConfig, Q=None):
     """Every field of one slice from its coordinate arrays:
-    (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1).  Q is computed from dlogf, the
-    weight's log-derivative on the grid nodes, unless it is given."""
-    t_C, x_C, gamma = slice_metric(t, x, T, config.grid, plan, config.c)
+    (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1).  Q is computed from the
+    config's weight unless it is given."""
+    plan = config.plan
+    t_C, x_C, gamma = slice_metric(t, x, T, plan, config.c)
     if Q is None:
-        Q = log_form_Q(dlogf, gamma, config.grid, plan, config.hbar, config.mass)
-    Q_C = d_dC(Q, config.grid, plan)
+        Q = log_form_Q(config.dlogf, gamma, plan, config.hbar, config.mass)
+    Q_C = d_dC(Q, plan)
     tau = tau_factor(Q, config.mass, config.c)
     f0, f1 = _force(t_C, x_C, gamma, Q_C, config.c)
     return t_C, x_C, gamma, Q, Q_C, tau, f0, f1
 
 
 def make_snapshot(
-    state: EnsembleState, config: SimConfig, plan: StencilPlan, Q: Optional[np.ndarray] = None
+    state: EnsembleState, config: SimConfig, Q: Optional[np.ndarray] = None
 ) -> Snapshot:
     """Every field of a recorded slice: geometry with the g01 residual, Q,
     Q_C, tau_T and the force.  Q is computed from the config's weight unless
     it is given (a stored or closed-form potential)."""
-    dlogf = config.weight.dlog_f(config.grid.nodes) if Q is None else None
     t_C, x_C, gamma, Q, Q_C, tau, f0, f1 = _slice(
-        state.t, state.x, state.tau_ensemble, config, plan, dlogf, Q
+        state.t, state.x, state.tau_ensemble, config, Q
     )
     geom = attach_g01(GeometryFields(t_C, x_C, gamma), state, tau, config.c)
     return Snapshot(state.tau_ensemble, state, geom, QuantumFields(Q, Q_C, f0, f1, tau))
 
 
-def _stage_rhs(y, T, config: SimConfig, plan: StencilPlan, dlogf) -> np.ndarray:
+def _stage_rhs(y, T, config: SimConfig) -> np.ndarray:
     """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of one RK stage
     y = (t, x, u0, u1), shape (4, N).
 
@@ -159,7 +158,7 @@ def _stage_rhs(y, T, config: SimConfig, plan: StencilPlan, dlogf) -> np.ndarray:
     raises StateValidationError when it breaks one.
     """
     check_state_arrays(y)
-    _, _, _, _, _, tau, f0, f1 = _slice(y[0], y[1], T, config, plan, dlogf)
+    _, _, _, _, _, tau, f0, f1 = _slice(y[0], y[1], T, config)
     return np.array([
         tau * y[2] / config.c,
         tau * y[3],
@@ -177,30 +176,20 @@ def _rk4(rhs, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def eom_rhs(
-    state: EnsembleState, config: SimConfig, plan: Optional[StencilPlan] = None
-) -> np.ndarray:
+def eom_rhs(state: EnsembleState, config: SimConfig) -> np.ndarray:
     """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of the
     ensemble-time evolution equations, shape (4, N)."""
-    if plan is None:
-        plan = build_plan(config.grid, config.stencil_order)
     y = np.array([state.t, state.x, state.u0, state.u1])
-    dlogf = config.weight.dlog_f(config.grid.nodes)
-    return _stage_rhs(y, state.tau_ensemble, config, plan, dlogf)
+    return _stage_rhs(y, state.tau_ensemble, config)
 
 
-def rk4_step(
-    state: EnsembleState, config: SimConfig, plan: Optional[StencilPlan] = None
-) -> EnsembleState:
+def rk4_step(state: EnsembleState, config: SimConfig) -> EnsembleState:
     """One classical four-stage Runge-Kutta step of size config.dt."""
-    if plan is None:
-        plan = build_plan(config.grid, config.stencil_order)
     dt = config.dt
     T = state.tau_ensemble
-    dlogf = config.weight.dlog_f(config.grid.nodes)
     y = np.array([state.t, state.x, state.u0, state.u1])
     try:
-        y = _rk4(lambda y, h: _stage_rhs(y, T + h, config, plan, dlogf), y, dt)
+        y = _rk4(lambda y, h: _stage_rhs(y, T + h, config), y, dt)
         new = EnsembleState(T + dt, y[0], y[1], y[2], y[3])
     except STEP_FAILURES as exc:
         raise IntegrationError(f"step from T = {T:.6g} failed: {exc}") from exc
@@ -278,14 +267,13 @@ def integrate(
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
     On failure raises IntegrationError with the partial series attached.
     """
-    plan = build_plan(config.grid, config.stencil_order)
     state = rest_initial_state(config) if initial_state is None else initial_state
     if state.tau_ensemble != 0.0:  # rk4_step labels the run's steps from T = 0
         state = EnsembleState(0.0, state.t, state.x, state.u0, state.u1)
 
     def record(T, s):
         # k * dt, not the T accumulated by rk4_step, labels the snapshot
-        return make_snapshot(EnsembleState(T, s.t, s.x, s.u0, s.u1), config, plan)
+        return make_snapshot(EnsembleState(T, s.t, s.x, s.u0, s.u1), config)
 
-    return run_fixed_steps(config, cadence, state, lambda s: rk4_step(s, config, plan),
+    return run_fixed_steps(config, cadence, state, lambda s: rk4_step(s, config),
                            record, SnapshotSeries(config=config, snapshots=[]))

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .state import EnsembleState, SpatialGrid
+from .state import EnsembleState
 from .stencils import StencilPlan, d_dC
 
 
@@ -35,11 +35,11 @@ class GeometryFields:
     g01_residual: Optional[np.ndarray] = None
 
 
-def slice_metric(t, x, T: float, grid: SpatialGrid, plan: StencilPlan, c: float):
+def slice_metric(t, x, T: float, plan: StencilPlan, c: float):
     """(t_C, x_C, gamma) of the slice with coordinate arrays t, x at ensemble
     time T; raises GeometryError unless gamma is positive and finite."""
-    t_C = d_dC(t, grid, plan)
-    x_C = d_dC(x, grid, plan)
+    t_C = d_dC(t, plan)
+    x_C = d_dC(x, plan)
     gamma = x_C ** 2 - c ** 2 * t_C ** 2
     if (gamma <= 0).any() or not np.isfinite(gamma).all():
         k = int(np.argmin(gamma))
@@ -50,13 +50,11 @@ def slice_metric(t, x, T: float, grid: SpatialGrid, plan: StencilPlan, c: float)
     return t_C, x_C, gamma
 
 
-def compute_geometry(
-    state: EnsembleState, grid: SpatialGrid, plan: StencilPlan, c: float
-) -> GeometryFields:
+def compute_geometry(state: EnsembleState, plan: StencilPlan, c: float) -> GeometryFields:
     """Slice derivatives and spatial metric for one ensemble state, without
     the g01 residual: that needs tau_T, which derives from the quantum
     potential computed *from* this geometry (see attach_g01)."""
-    return GeometryFields(*slice_metric(state.t, state.x, state.tau_ensemble, grid, plan, c))
+    return GeometryFields(*slice_metric(state.t, state.x, state.tau_ensemble, plan, c))
 
 
 def attach_g01(

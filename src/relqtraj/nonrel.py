@@ -2,9 +2,9 @@
 
 Independent reference for the large-c limit.  It shares the machinery of the
 relativistic solver (grids, stencils, weights, the state guard, the RK4
-combine and the fixed-step driver) but not its physics: here the slice
-metric is gamma = x_C^2, coordinate time is the evolution parameter, and the
-equations are
+combine, the fixed-step driver and the config's plan and dlogf) but not its
+physics: here the slice metric is gamma = x_C^2, coordinate time is the
+evolution parameter, and the equations are
 
     dx/dt = v        dv/dt = f_Q / m,   f_Q = -(1 / x_C) dQ/dC .
 """
@@ -17,9 +17,9 @@ import numpy as np
 
 from .dynamics import _rk4, run_fixed_steps
 from .qpotential import log_form_Q
-from .state import (SimConfig, SpatialGrid, StateValidationError, WeightFunction,
-                    check_fields, check_state_arrays)
-from .stencils import StencilPlan, build_plan, d_dC
+from .state import (SimConfig, StateValidationError, WeightFunction, check_fields,
+                    check_state_arrays)
+from .stencils import StencilPlan, d_dC
 
 
 @dataclass(frozen=True)
@@ -32,41 +32,37 @@ class NonRelState:
         check_fields(self.x, self.v)
 
 
-def _potential(x, dlogf, grid: SpatialGrid, plan: StencilPlan, hbar: float, mass: float):
+def _potential(x, dlogf, plan: StencilPlan, hbar: float, mass: float):
     """(Q, x_C) for positions x(C), with gamma = x_C^2; dlogf is the weight's
     log-derivative on the grid nodes."""
-    x_C = d_dC(np.asarray(x, dtype=float), grid, plan)
+    x_C = d_dC(np.asarray(x, dtype=float), plan)
     if (x_C <= 0).any():
         raise StateValidationError("x must be monotone in C")
     gamma = x_C ** 2
-    return log_form_Q(dlogf, gamma, grid, plan, hbar, mass), x_C
+    return log_form_Q(dlogf, gamma, plan, hbar, mass), x_C
 
 
 def nonrel_Q(
     x: np.ndarray,
     w: WeightFunction,
-    grid: SpatialGrid,
     plan: StencilPlan,
     hbar: float,
     mass: float,
 ) -> np.ndarray:
     """Quantum potential for trajectory positions x(C), with gamma = x_C^2."""
-    return _potential(x, w.dlog_f(grid.nodes), grid, plan, hbar, mass)[0]
+    return _potential(x, w.dlog_f(plan.grid.nodes), plan, hbar, mass)[0]
 
 
-def nonrel_rhs(
-    y: np.ndarray, config: SimConfig, plan: StencilPlan, dlogf: np.ndarray
-) -> np.ndarray:
+def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
     """Right-hand side rows (dx/dt, dv/dt) of one RK stage y = (x, v),
-    shape (2, N), for the free particle; dlogf is the weight's
-    log-derivative on the grid nodes.
+    shape (2, N), for the free particle.
 
     The stage is checked by the state guard first and raises
     StateValidationError when it breaks an invariant.
     """
     check_state_arrays(y)
-    Q, x_C = _potential(y[0], dlogf, config.grid, plan, config.hbar, config.mass)
-    f_Q = -d_dC(Q, config.grid, plan) / x_C
+    Q, x_C = _potential(y[0], config.dlogf, config.plan, config.hbar, config.mass)
+    f_Q = -d_dC(Q, config.plan) / x_C
     return np.array([y[1], f_Q / config.mass])
 
 
@@ -77,11 +73,8 @@ def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
     On failure raises IntegrationError with the partial list attached.
     """
-    plan = build_plan(config.grid, config.stencil_order)
-    dlogf = config.weight.dlog_f(config.grid.nodes)
-
     def step(y):
-        return _rk4(lambda y, _h: nonrel_rhs(y, config, plan, dlogf), y, config.dt)
+        return _rk4(lambda y, _h: nonrel_rhs(y, config), y, config.dt)
 
     y = np.stack([config.grid.nodes, np.zeros(config.grid.n_points)])
     return run_fixed_steps(config, cadence, y, step,

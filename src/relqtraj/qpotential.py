@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import SpatialGrid
 from .stencils import StencilPlan, d_dC
 
 
 def log_form_Q(
     dlogf: np.ndarray,
     gamma: np.ndarray,
-    grid: SpatialGrid,
     plan: StencilPlan,
     hbar: float,
     mass: float,
@@ -38,10 +36,10 @@ def log_form_Q(
     if (gamma <= 0).any():
         raise ValueError("gamma must be positive")
     ln_gamma = np.log(gamma)
-    Lp = 0.5 * dlogf - 0.25 * d_dC(ln_gamma, grid, plan)
-    Lpp = d_dC(Lp, grid, plan)
+    Lp = 0.5 * dlogf - 0.25 * d_dC(ln_gamma, plan)
+    Lpp = d_dC(Lp, plan)
     inv_sqrt_gamma = gamma ** -0.5
-    Gp = d_dC(inv_sqrt_gamma, grid, plan)
+    Gp = d_dC(inv_sqrt_gamma, plan)
     Q = -(hbar ** 2 / (2.0 * mass)) * (
         inv_sqrt_gamma * Gp * Lp + (Lp ** 2 + Lpp) / gamma
     )

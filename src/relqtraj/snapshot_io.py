@@ -23,7 +23,6 @@ from .state import (
     make_grid,
     uniform_weight,
 )
-from .stencils import build_plan
 
 SNAPSHOT_COLUMNS = ("T", "C", "t", "x", "u0", "u1", "gamma", "Q", "tau_T", "beta", "rho_star")
 
@@ -171,24 +170,16 @@ def write_snapshots(
     start_time: str = "",
     end_time: str = "",
     report: Optional[InvariantReport] = None,
-    derived: Optional[List] = None,
     cadence: Optional[float] = None,
 ) -> List[str]:
-    """One TSV table per snapshot plus manifest.tsv; returns written paths.
-
-    `derived` optionally supplies precomputed DerivedFields per snapshot
-    (used when the weight behind a sampled ensemble has no closed form).
-    """
+    """One TSV table per snapshot plus manifest.tsv; returns written paths."""
     cfg = series.config
     os.makedirs(path, exist_ok=True)
     nodes = cfg.grid.nodes
     written = []
     names = []
-    for idx, s in enumerate(series):
-        if derived is not None:
-            df = derived[idx]
-        else:
-            df = derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)
+    for s in series:
+        df = derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)
         name = _snapshot_filename(s.tau_ensemble)
         fname = os.path.join(path, name)
         write_table(fname, SNAPSHOT_COLUMNS, (  # in SNAPSHOT_COLUMNS order
@@ -228,7 +219,8 @@ def read_snapshots(path: str) -> SnapshotSeries:
     and the g01 residual are recomputed from them with the same stencils the
     run used, so verification never trusts integrator internals.  A table
     whose header, C or T column differs from SNAPSHOT_COLUMNS, the manifest's
-    grid nodes or its manifest T is rejected with ValueError.
+    grid nodes or its manifest T is rejected with ValueError, as is a manifest
+    line with the wrong number of fields or a bad snapshot index or T.
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -236,15 +228,19 @@ def read_snapshots(path: str) -> SnapshotSeries:
     config_lines = []
     snap_files: List[Tuple[int, str, float]] = []
     with open(manifest, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            parts = raw.rstrip("\n").split("\t")
-            key = parts[0]
-            if key.startswith("config."):
-                config_lines.append(f"{key[len('config.'):]} = {parts[1]}")
-            elif key.startswith("snapshot."):
-                snap_files.append((int(key.split(".", 1)[1]), parts[1], float(parts[2])))
+        for lineno, raw in enumerate(fh, start=1):
+            key, *values = raw.rstrip("\n").split("\t")
+            try:
+                if key.startswith("config."):
+                    (value,) = values
+                    config_lines.append(f"{key[len('config.'):]} = {value}")
+                elif key.startswith("snapshot."):
+                    name, T = values
+                    snap_files.append((int(key[len("snapshot."):]), name, float(T)))
+            except ValueError as exc:  # wrong field count, bad index or T
+                raise ValueError(
+                    f"{manifest}: line {lineno}: malformed entry {raw.rstrip()!r}") from exc
     cfg = parse_config("\n".join(config_lines))
-    plan = build_plan(cfg.grid, cfg.stencil_order)
     snap_files.sort()
     snapshots = []
     for _, name, T in snap_files:
@@ -262,7 +258,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
             raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
         if not (Ts == T).all():
             raise ValueError(f"{fname}: column T is not the manifest's T = {_fmt(T)}")
-        snapshots.append(make_snapshot(EnsembleState(T, t, x, u0, u1), cfg, plan, Q=Q))
+        snapshots.append(make_snapshot(EnsembleState(T, t, x, u0, u1), cfg, Q=Q))
     return SnapshotSeries(config=cfg, snapshots=snapshots)
 
 

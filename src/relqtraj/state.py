@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+
+from .stencils import StencilPlan, build_plan
 
 UNIFORMITY_TOL = 1e-12  # relative node-spacing wobble tolerated in a grid
 MIN_POINTS = 9          # widest stencil pair (two nested 5-point windows)
@@ -175,7 +178,9 @@ def norm_violation(u0, u1, c: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Physical constants, grid, integrator step and tolerances for one run."""
+    """Physical constants, grid, integrator step and tolerances for one run.
+    The run's derivative operator (plan) and the weight's log-derivative on
+    the grid nodes (dlogf) are derived once, on first use."""
 
     mass: float
     hbar: float
@@ -201,3 +206,13 @@ class SimConfig:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+
+    @cached_property
+    def plan(self) -> StencilPlan:
+        return build_plan(self.grid, self.stencil_order)
+
+    @cached_property
+    def dlogf(self) -> np.ndarray:
+        dlogf = np.array(self.weight.dlog_f(self.grid.nodes), dtype=float)
+        dlogf.setflags(write=False)
+        return dlogf

@@ -4,16 +4,20 @@ First derivatives use centered stencils of the configured order in the
 interior and matching-order one-sided stencils at the edges (no boundary
 condition is imposed; edge rows simply use the widest available window).
 Nested second derivatives are always formed by applying the first-derivative
-operator twice, never by a dedicated second-derivative stencil.
+operator twice, never by a dedicated second-derivative stencil.  A plan
+carries its grid, so d_dC(values, plan) needs nothing else; a run's plan is
+SimConfig.plan, built once per config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .state import SpatialGrid
+if TYPE_CHECKING:
+    from .state import SpatialGrid
 
 
 def fornberg_weights(xs: np.ndarray, x0: float, deriv: int) -> np.ndarray:
@@ -50,11 +54,11 @@ def fornberg_weights(xs: np.ndarray, x0: float, deriv: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StencilPlan:
-    """First-derivative plan for a uniform grid: the assembled dense operator
-    matrix, centered rows in the interior and one-sided rows at the edges."""
+    """First-derivative plan for a uniform grid and its dense operator matrix:
+    centered rows in the interior, one-sided rows at the edges."""
 
+    grid: SpatialGrid
     order: int
-    n_points: int
     matrix: np.ndarray                  # (n, n) dense derivative operator
 
     def __post_init__(self):
@@ -64,10 +68,10 @@ class StencilPlan:
     def interior(self) -> slice:
         """Node range covered by the centered stencil."""
         half = self.order // 2
-        return slice(half, self.n_points - half)
+        return slice(half, self.grid.n_points - half)
 
 
-def build_plan(grid: SpatialGrid, order: int = 4) -> StencilPlan:
+def build_plan(grid: SpatialGrid, order: int) -> StencilPlan:
     if order not in (2, 4):
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     nodes = grid.nodes
@@ -83,7 +87,7 @@ def build_plan(grid: SpatialGrid, order: int = 4) -> StencilPlan:
         else:
             lo = i - half
         D[i, lo:lo + width] = fornberg_weights(nodes[lo:lo + width], nodes[i], 1)
-    return StencilPlan(order, n, D)
+    return StencilPlan(grid, order, D)
 
 
 def _grid_values(values, grid: SpatialGrid) -> np.ndarray:
@@ -96,11 +100,11 @@ def _grid_values(values, grid: SpatialGrid) -> np.ndarray:
     return values
 
 
-def d_dC(values: np.ndarray, grid: SpatialGrid, plan: StencilPlan) -> np.ndarray:
+def d_dC(values: np.ndarray, plan: StencilPlan) -> np.ndarray:
     """First derivative of nodal values with respect to the label C along the
     first axis; a stacked (n, k) array is one BLAS matrix product, whose
     columns can differ from 1-D calls in the last bits."""
-    return plan.matrix @ _grid_values(values, grid)
+    return plan.matrix @ _grid_values(values, plan.grid)
 
 
 def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):

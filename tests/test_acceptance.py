@@ -152,11 +152,11 @@ class TestAcceptance:
         grid = rq.make_grid(0.5, 2.5, 81)
         plan = rq.build_plan(grid, 4)
         st = sample_state(hyperbolic_gamma_one_ensemble(B, c), grid, 0.7)
-        geom = rq.compute_geometry(st, grid, plan, c)
+        geom = rq.compute_geometry(st, plan, c)
         gamma_err = float(np.max(np.abs(geom.gamma - 1.0)))
 
         w = hyperbolic_unit_metric_weight(B, m, hb, c, 0.45, 2.55)
-        Q_num, _ = rq.compute_Q(geom, w, grid, plan, hb, m)
+        Q_num, _ = rq.compute_Q(geom, w, plan, hb, m)
         Q_exact = hyperbolic_gamma_one_Q(B, grid.nodes, m, c)
         interior = plan.interior
         q_err = float(np.max(np.abs((Q_num - Q_exact)[interior])))
@@ -166,7 +166,7 @@ class TestAcceptance:
         grid2 = rq.make_grid(-1, 1, 201)
         plan2 = rq.build_plan(grid2, 4)
         st2 = sample_state(hyperbolic_gamma_T_ensemble(0.5, 2.0), grid2, 1.0)
-        geom2 = rq.compute_geometry(st2, grid2, plan2, 2.0)
+        geom2 = rq.compute_geometry(st2, plan2, 2.0)
         spread = float((np.max(geom2.gamma) - np.min(geom2.gamma)) / np.mean(geom2.gamma))
 
         ok = gamma_err <= 1e-6 and q_rel <= 1e-4 and spread <= 1e-8
@@ -245,7 +245,7 @@ class TestAcceptance:
         for n in (81, 161, 321):
             g = rq.make_grid(-np.pi, np.pi, n)
             plan = rq.build_plan(g, 4)
-            errs.append(np.max(np.abs(rq.d_dC(np.sin(g.nodes), g, plan) - np.cos(g.nodes))))
+            errs.append(np.max(np.abs(rq.d_dC(np.sin(g.nodes), plan) - np.cos(g.nodes))))
         space_rate = float(np.mean([np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])]))
 
         finals = []

@@ -191,7 +191,7 @@ class TestSampledInvariants:
         st = sample_state(ens, g, T)
         c = ens.params["c"]
         np.testing.assert_allclose(-st.u0 ** 2 + st.u1 ** 2, -c ** 2, rtol=1e-13)
-        geom = rq.attach_g01(rq.compute_geometry(st, g, plan, c), st, np.ones(25), c)
+        geom = rq.attach_g01(rq.compute_geometry(st, plan, c), st, np.ones(25), c)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-12)
 
     def test_norm_on_hyperbolic_families(self):

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqtraj.cli import main
 
@@ -30,6 +35,14 @@ def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def _exponential_output(out):
+    """A small `analytic` output: 25 nodes, 4 slices."""
+    assert main(["analytic", "--kind", "exponential", "--kappa", "0.5", "--c", "2",
+                 "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
+                 "--times", "0,1,2,3", "--out", str(out)]) == 0
+    return out
 
 
 class TestSimulate:
@@ -153,10 +166,7 @@ class TestAnalyticVerify:
 
     @pytest.mark.parametrize("table", ["snap_T0.tsv", "snap_T2.tsv"])
     def test_verify_fails_a_nan_wherever_it_sits(self, tmp_path, table):
-        out = tmp_path / "exp"
-        assert main(["analytic", "--kind", "exponential", "--kappa", "0.5", "--c", "2",
-                     "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
-                     "--times", "0,1,2,3", "--out", str(out)]) == 0
+        out = _exponential_output(tmp_path / "exp")
         path = out / table
         lines = path.read_text().splitlines()
         row = lines[5].split("\t")
@@ -187,6 +197,21 @@ class TestAnalyticVerify:
 
     def test_verify_missing_directory(self, tmp_path):
         assert main(["verify", "--snapshots", str(tmp_path / "none")]) == 1
+
+    @pytest.mark.parametrize("key, bad", [
+        ("snapshot.1\t", "snapshot.1\tsnap_T1.tsv"),
+        ("config.grid.n\t", "config.grid.n"),
+        ("snapshot.1\t", "snapshot.one\tsnap_T1.tsv\t1"),
+    ], ids=["snapshot-without-T", "config-without-value", "snapshot-index-not-int"])
+    def test_verify_names_a_malformed_manifest_line(self, tmp_path, capsys, key, bad):
+        out = _exponential_output(tmp_path / "exp")
+        manifest = out / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines) if line.startswith(key))
+        lines[k] = bad
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--snapshots", str(out)]) == 1
+        assert f"manifest.tsv: line {k + 1}: malformed" in capsys.readouterr().err
 
 
 class TestCompareLimits:
@@ -232,3 +257,55 @@ class TestFigures:
             Q = np.array([p[1] for p in pts])
             sign_changes = C[:-1][np.sign(Q[:-1]) != np.sign(Q[1:])]
             assert any(1.0 < abs(cc) < 1.9 for cc in sign_changes)
+
+
+CORRUPTIONS = ("drop line", "drop cell", "truncate", "text", "nan", "inf", "-inf",
+               "rename header")
+
+
+@pytest.fixture(scope="module")
+def pristine_output(tmp_path_factory):
+    """The files of a small `analytic` output that verifies cleanly, by name."""
+    out = _exponential_output(tmp_path_factory.mktemp("pristine") / "exp")
+    files = {p.name: p.read_text() for p in out.iterdir()}
+    assert main(["verify", "--snapshots", str(out)]) == 0
+    return files
+
+
+@st.composite
+def corrupted(draw, files):
+    """files with one manifest line, table row or cell dropped, truncated,
+    replaced by text (never a number) or nan/inf, or one header renamed."""
+    name = draw(st.sampled_from(sorted(files)))
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    lines = files[name].splitlines()
+    # a table's header is its first row, a manifest line's is its key
+    header = kind == "rename header"
+    k = 0 if header and name != "manifest.tsv" else draw(st.integers(0, len(lines) - 1))
+    cells = lines[k].split("\t")
+    j = 0 if header and name == "manifest.tsv" else draw(st.integers(0, len(cells) - 1))
+    if kind == "drop line":
+        del lines[k]
+    else:
+        if kind == "drop cell":
+            del cells[j]
+        elif kind == "truncate":
+            cells[j] = cells[j][:draw(st.integers(0, max(len(cells[j]) - 1, 0)))]
+        elif kind == "text":
+            cells[j] = draw(st.text("abcdefxyz_.-", max_size=6))
+        elif kind == "rename header":
+            cells[j] += "x"
+        else:
+            cells[j] = kind
+        lines[k] = "\t".join(cells)
+    return {**files, name: "\n".join(lines) + "\n"}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_verify_survives_a_corrupted_output(pristine_output, data):
+    files = data.draw(corrupted(pristine_output))
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            Path(d, name).write_text(text)
+        assert main(["verify", "--snapshots", d]) in (0, 1, 2)

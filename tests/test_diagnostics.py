@@ -16,8 +16,7 @@ from conftest import baseline_config
 def analytic_series(ens, cfg, times):
     """Assemble a SnapshotSeries by sampling a closed form and running the
     standard field pipeline on each slice."""
-    plan = rq.build_plan(cfg.grid, cfg.stencil_order)
-    snaps = [rq.make_snapshot(sample_state(ens, cfg.grid, T), cfg, plan) for T in times]
+    snaps = [rq.make_snapshot(sample_state(ens, cfg.grid, T), cfg) for T in times]
     return SnapshotSeries(config=cfg, snapshots=snaps)
 
 
@@ -51,8 +50,7 @@ class TestDerivedFields:
     def test_rest_state(self):
         cfg = baseline_config()
         st = rq.rest_initial_state(cfg)
-        plan = rq.build_plan(cfg.grid, 4)
-        geom = rq.compute_geometry(st, cfg.grid, plan, cfg.c)
+        geom = rq.compute_geometry(st, cfg.plan, cfg.c)
         df = rq.derived_fields(st, geom, cfg.weight, cfg.grid)
         np.testing.assert_array_equal(df.beta, np.zeros(25))
         # unit metric: invariant density reduces to the weight itself

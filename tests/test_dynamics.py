@@ -15,13 +15,9 @@ from relqtraj.state import StateValidationError, WeightFunction
 from conftest import baseline_config
 
 
-def _plan(cfg):
-    return rq.build_plan(cfg.grid, cfg.stencil_order)
-
-
 def _initial_geometry(cfg):
     st = rq.rest_initial_state(cfg)
-    return st, rq.compute_geometry(st, cfg.grid, _plan(cfg), cfg.c)
+    return st, rq.compute_geometry(st, cfg.plan, cfg.c)
 
 
 class TestComputeQ:
@@ -31,7 +27,7 @@ class TestComputeQ:
         # polynomials the stencils reproduce
         cfg = baseline_config()
         st, geom = _initial_geometry(cfg)
-        Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.grid, _plan(cfg), cfg.hbar, cfg.mass)
+        Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.plan, cfg.hbar, cfg.mass)
         C = cfg.grid.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5), atol=1e-12)
         assert rq.interpolate(Q, cfg.grid, 0.0) == pytest.approx(0.25, abs=1e-12)
@@ -44,7 +40,7 @@ class TestComputeQ:
         cfg = rq.SimConfig(mass=1, hbar=1, c=3, weight=rq.uniform_weight(),
                            grid=cfg.grid, t_final=1, dt=1e-3)
         st, geom = _initial_geometry(cfg)
-        Q, _ = rq.compute_Q(geom, cfg.weight, cfg.grid, _plan(cfg), 1.0, 1.0)
+        Q, _ = rq.compute_Q(geom, cfg.weight, cfg.plan, 1.0, 1.0)
         np.testing.assert_allclose(Q, 0.0, atol=1e-13)
 
     def test_exponential_weight_constant(self):
@@ -53,7 +49,7 @@ class TestComputeQ:
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
         st, geom = _initial_geometry(cfg)
-        Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.grid, _plan(cfg), 1.0, 1.0)
+        Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.plan, 1.0, 1.0)
         np.testing.assert_allclose(Q, -0.5 * kappa ** 2, atol=1e-14)
         # one stencil pass amplifies the ~1e-16 nodal rounding of Q by sum|w|
         np.testing.assert_allclose(Q_C, 0.0, atol=5e-12)
@@ -63,7 +59,7 @@ class TestComputeQ:
         # so Q, forces and tau are bitwise unchanged
         cfg = baseline_config()
         st, geom = _initial_geometry(cfg)
-        plan = _plan(cfg)
+        plan = cfg.plan
         a = 0.5
         scaled = WeightFunction(
             kind="gaussian",
@@ -71,8 +67,8 @@ class TestComputeQ:
             dlog_f=cfg.weight.dlog_f,
             params=(a,),
         )
-        Q1, QC1 = rq.compute_Q(geom, cfg.weight, cfg.grid, plan, 1.0, 1.0)
-        Q2, QC2 = rq.compute_Q(geom, scaled, cfg.grid, plan, 1.0, 1.0)
+        Q1, QC1 = rq.compute_Q(geom, cfg.weight, plan, 1.0, 1.0)
+        Q2, QC2 = rq.compute_Q(geom, scaled, plan, 1.0, 1.0)
         assert np.array_equal(Q1, Q2)
         assert np.array_equal(QC1, QC2)
         f1a, f1b = rq.compute_force(geom, QC1, cfg.c)
@@ -85,8 +81,8 @@ class TestComputeQ:
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, 4)
         st = rq.EnsembleState(0.0, np.zeros(25), 2.0 * g.nodes, np.ones(25), np.zeros(25))
-        geom = rq.compute_geometry(st, g, plan, c=1.0)
-        Q, _ = rq.compute_Q(geom, rq.gaussian_weight(0.5), g, plan, 1.0, 1.0)
+        geom = rq.compute_geometry(st, plan, c=1.0)
+        Q, _ = rq.compute_Q(geom, rq.gaussian_weight(0.5), plan, 1.0, 1.0)
         C = g.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5) / 4.0, atol=1e-12)
 
@@ -96,7 +92,7 @@ class TestComputeForce:
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(0.3),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
         st, geom = _initial_geometry(cfg)
-        _, Q_C = rq.compute_Q(geom, cfg.weight, cfg.grid, _plan(cfg), 1.0, 1.0)
+        _, Q_C = rq.compute_Q(geom, cfg.weight, cfg.plan, 1.0, 1.0)
         f0, f1 = rq.compute_force(geom, Q_C, cfg.c)
         np.testing.assert_allclose(f0, 0.0, atol=5e-12)
         np.testing.assert_allclose(f1, 0.0, atol=5e-12)
@@ -105,7 +101,7 @@ class TestComputeForce:
         # t_C = 0, x_C = 1, gamma = 1: f0 = 0 and f1 = -Q_C = (hbar^2 a^2/m) C
         cfg = baseline_config()
         st, geom = _initial_geometry(cfg)
-        _, Q_C = rq.compute_Q(geom, cfg.weight, cfg.grid, _plan(cfg), cfg.hbar, cfg.mass)
+        _, Q_C = rq.compute_Q(geom, cfg.weight, cfg.plan, cfg.hbar, cfg.mass)
         f0, f1 = rq.compute_force(geom, Q_C, cfg.c)
         np.testing.assert_allclose(f0, 0.0, atol=1e-13)
         np.testing.assert_allclose(f1, 0.25 * cfg.grid.nodes, atol=1e-12)
@@ -117,7 +113,7 @@ class TestComputeForce:
         plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_one_ensemble(B, c)
         st = sample_state(ens, g, T=0.0)
-        geom = rq.compute_geometry(st, g, plan, c)
+        geom = rq.compute_geometry(st, plan, c)
         Q = hyperbolic_gamma_one_Q(B, g.nodes, m, c)
         Q_C_exact = -m * c ** 2 / g.nodes
         f0, f1 = rq.compute_force(geom, Q_C_exact, c)
@@ -126,8 +122,8 @@ class TestComputeForce:
         # at later slices the inertial components rotate but stay orthogonal
         # to the four-velocity; the label-derivative comes from the stencils
         st = sample_state(ens, g, T=0.8)
-        geom = rq.compute_geometry(st, g, plan, c)
-        Q_C = rq.d_dC(Q, g, plan)
+        geom = rq.compute_geometry(st, plan, c)
+        Q_C = rq.d_dC(Q, plan)
         f0, f1 = rq.compute_force(geom, Q_C, c)
         interior = plan.interior
         # d_dC of ln(C) at 25 nodes carries ~2e-4 relative truncation at
@@ -267,15 +263,15 @@ class TestStageGuard:
         # the stage core against compute_geometry, compute_Q, tau_factor and
         # compute_force chained field by field, bitwise
         cfg = baseline_config()
-        plan = _plan(cfg)
+        plan = cfg.plan
         st = rq.rest_initial_state(cfg)
-        geom = rq.compute_geometry(st, cfg.grid, plan, cfg.c)
-        Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.grid, plan, cfg.hbar, cfg.mass)
+        geom = rq.compute_geometry(st, plan, cfg.c)
+        Q, Q_C = rq.compute_Q(geom, cfg.weight, plan, cfg.hbar, cfg.mass)
         tau = rq.tau_factor(Q, cfg.mass, cfg.c)
         f0, f1 = rq.compute_force(geom, Q_C, cfg.c)
         want = np.array([tau * st.u0 / cfg.c, tau * st.u1,
                          tau * f0 / cfg.mass, tau * f1 / cfg.mass])
-        assert rq.eom_rhs(st, cfg, plan).tobytes() == want.tobytes()
+        assert rq.eom_rhs(st, cfg).tobytes() == want.tobytes()
 
 
 class TestInitialStates:

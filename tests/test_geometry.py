@@ -18,7 +18,7 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         st = rq.EnsembleState(0.0, np.zeros(25), g.nodes.copy(),
                               np.full(25, 3.0), np.zeros(25))
-        geom = rq.compute_geometry(st, g, plan, c=3.0)
+        geom = rq.compute_geometry(st, plan, c=3.0)
         np.testing.assert_allclose(geom.t_C, 0.0, atol=1e-14)
         np.testing.assert_allclose(geom.x_C, 1.0, atol=1e-13)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-12)
@@ -29,7 +29,7 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_one_ensemble(B=1.0, c=3.0)
         st = sample_state(ens, g, T=0.7)
-        geom = rq.compute_geometry(st, g, plan, c=3.0)
+        geom = rq.compute_geometry(st, plan, c=3.0)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-10)
 
     def test_hyperbolic_fan_slice(self):
@@ -38,7 +38,7 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_T_ensemble(A=1.0, c=2.0)
         st = sample_state(ens, g, T=1.0)
-        geom = rq.compute_geometry(st, g, plan, c=2.0)
+        geom = rq.compute_geometry(st, plan, c=2.0)
         # edge rows carry the largest truncation constants at 25 nodes
         np.testing.assert_allclose(geom.gamma, 4.0, rtol=1e-4)
         assert np.max(np.abs(geom.gamma[plan.interior] - geom.gamma[12])) < 1e-9
@@ -49,7 +49,7 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = inertial_ensemble(beta0=0.6, c=1.0)
         st = sample_state(ens, g, T=1.3)
-        geom = rq.attach_g01(rq.compute_geometry(st, g, plan, c=1.0), st, np.ones(25), 1.0)
+        geom = rq.attach_g01(rq.compute_geometry(st, plan, c=1.0), st, np.ones(25), 1.0)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-13)
         np.testing.assert_allclose(geom.g01_residual, 0.0, atol=1e-13)
 
@@ -60,5 +60,5 @@ class TestComputeGeometry:
         st = rq.EnsembleState(0.0, 2.0 * g.nodes, g.nodes.copy(),
                               np.full(11, 1.0), np.zeros(11))
         with pytest.raises(GeometryError, match="node"):
-            rq.compute_geometry(st, g, plan, c=1.0)
+            rq.compute_geometry(st, plan, c=1.0)
 

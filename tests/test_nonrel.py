@@ -20,12 +20,12 @@ def plan25(grid25):
 
 class TestNonRelQ:
     def test_identity_positions_gaussian(self, grid25, plan25):
-        Q = rq.nonrel_Q(grid25.nodes, rq.gaussian_weight(0.5), grid25, plan25, 1.0, 1.0)
+        Q = rq.nonrel_Q(grid25.nodes, rq.gaussian_weight(0.5), plan25, 1.0, 1.0)
         C = grid25.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5), atol=1e-12)
 
     def test_uniform_weight_zero(self, grid25, plan25):
-        Q = rq.nonrel_Q(grid25.nodes, rq.uniform_weight(), grid25, plan25, 1.0, 1.0)
+        Q = rq.nonrel_Q(grid25.nodes, rq.uniform_weight(), plan25, 1.0, 1.0)
         np.testing.assert_allclose(Q, 0.0, atol=1e-13)
 
     def test_uniform_stretch_against_symbolic_oracle(self):
@@ -45,7 +45,7 @@ class TestNonRelQ:
 
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, 4)
-        Q_num = rq.nonrel_Q(2.0 * g.nodes, rq.gaussian_weight(a_val), g, plan, hbar, m)
+        Q_num = rq.nonrel_Q(2.0 * g.nodes, rq.gaussian_weight(a_val), plan, hbar, m)
         for idx in (2, 7, 12, 17, 22):
             expect = float(Q_sym.subs(C, sympy.Float(g.nodes[idx], 30)))
             assert Q_num[idx] == pytest.approx(expect, abs=1e-12)
@@ -54,12 +54,11 @@ class TestNonRelQ:
         x = grid25.nodes.copy()
         x[3] = x[5]
         with pytest.raises(ValueError):
-            rq.nonrel_Q(x, rq.gaussian_weight(0.5), grid25, plan25, 1.0, 1.0)
+            rq.nonrel_Q(x, rq.gaussian_weight(0.5), plan25, 1.0, 1.0)
 
 
 def _rhs(cfg, x, v):
-    plan = rq.build_plan(cfg.grid, cfg.stencil_order)
-    return rq.nonrel_rhs(np.array([x, v]), cfg, plan, cfg.weight.dlog_f(cfg.grid.nodes))
+    return rq.nonrel_rhs(np.array([x, v]), cfg)
 
 
 class TestNonRelRhs:
@@ -120,11 +119,10 @@ class TestNonRelIntegrate:
 
     def test_monotone_broadening(self):
         cfg = baseline_config(t_final=5.0)
-        plan = rq.build_plan(cfg.grid, 4)
         out = rq.nonrel_integrate(cfg)
         prev = None
         for st in out:
-            x_C = rq.d_dC(st.x, cfg.grid, plan)
+            x_C = rq.d_dC(st.x, cfg.plan)
             assert np.all(x_C >= 1.0 - 1e-9)
             width = st.x[-1] - st.x[0]
             if prev is not None:
@@ -135,9 +133,8 @@ class TestNonRelIntegrate:
         # x_C is label-independent for the gaussian packet: the defining
         # preservation property of the family
         cfg = baseline_config(t_final=10.0)
-        plan = rq.build_plan(cfg.grid, 4)
         for st in rq.nonrel_integrate(cfg):
-            gamma = rq.d_dC(st.x, cfg.grid, plan) ** 2
+            gamma = rq.d_dC(st.x, cfg.plan) ** 2
             spread = gamma.max() - gamma.min()
             assert spread <= 1e-3 * gamma.mean()
 

@@ -1,8 +1,14 @@
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import relqtraj as rq
 from relqtraj.stencils import fornberg_weights
+
+from conftest import baseline_config
 
 
 @pytest.fixture(params=[2, 4])
@@ -22,7 +28,7 @@ class TestStencilPlan:
         g = rq.make_grid(-1, 1, 21)
         plan = rq.build_plan(g, order)
         for k in range(order + 1):
-            d = rq.d_dC(g.nodes ** k, g, plan)
+            d = rq.d_dC(g.nodes ** k, plan)
             expect = np.zeros(21) if k == 0 else k * g.nodes ** (k - 1)
             np.testing.assert_allclose(d, expect, atol=5e-12)
 
@@ -43,12 +49,12 @@ class TestDerivative:
     def test_identity_samples(self):
         g = rq.make_grid(-3, 3, 15)
         plan = rq.build_plan(g, 4)
-        np.testing.assert_allclose(rq.d_dC(g.nodes, g, plan), 1.0, atol=1e-13)
+        np.testing.assert_allclose(rq.d_dC(g.nodes, plan), 1.0, atol=1e-13)
 
     def test_quadratic_exact_at_half(self):
         g = rq.make_grid(-1, 1, 21)
         plan = rq.build_plan(g, 2)
-        d = rq.d_dC(g.nodes ** 2, g, plan)
+        d = rq.d_dC(g.nodes ** 2, plan)
         i = int(np.argmin(np.abs(g.nodes - 0.5)))
         assert g.nodes[i] == pytest.approx(0.5)
         assert d[i] == pytest.approx(1.0, abs=1e-13)
@@ -58,7 +64,7 @@ class TestDerivative:
         for n in (81, 161, 321):
             g = rq.make_grid(-np.pi, np.pi, n)
             plan = rq.build_plan(g, 4)
-            err = np.max(np.abs(rq.d_dC(np.sin(g.nodes), g, plan) - np.cos(g.nodes)))
+            err = np.max(np.abs(rq.d_dC(np.sin(g.nodes), plan) - np.cos(g.nodes)))
             errs[n] = err
         rate1 = np.log2(errs[81] / errs[161])
         rate2 = np.log2(errs[161] / errs[321])
@@ -74,7 +80,7 @@ class TestDerivative:
         for n in (81, 161):
             g = rq.make_grid(-1, 1, n)
             plan = rq.build_plan(g, order)
-            errs.append(np.max(np.abs(rq.d_dC(np.exp(g.nodes), g, plan) - np.exp(g.nodes))))
+            errs.append(np.max(np.abs(rq.d_dC(np.exp(g.nodes), plan) - np.exp(g.nodes))))
         rate = np.log2(errs[0] / errs[1])
         assert rate == pytest.approx(order, abs=0.3)
 
@@ -82,7 +88,7 @@ class TestDerivative:
         g = rq.make_grid(0, 1, 11)
         plan = rq.build_plan(g, 4)
         with pytest.raises(ValueError):
-            rq.d_dC(np.zeros(10), g, plan)
+            rq.d_dC(np.zeros(10), plan)
 
 
 class TestInterpolate:
@@ -129,20 +135,54 @@ class TestStackedValues:
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, order)
         stack = np.random.default_rng(7).standard_normal((25, 6))
-        got = rq.d_dC(stack, g, plan)
+        got = rq.d_dC(stack, plan)
         assert got.shape == (25, 6)
         for j in range(6):
-            np.testing.assert_allclose(got[:, j], rq.d_dC(stack[:, j], g, plan),
+            np.testing.assert_allclose(got[:, j], rq.d_dC(stack[:, j], plan),
                                        rtol=0, atol=1e-13)
 
     def test_first_axis_must_be_the_grid(self):
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, 4)
         with pytest.raises(ValueError, match="does not match grid"):
-            rq.d_dC(np.zeros((6, 25)), g, plan)
+            rq.d_dC(np.zeros((6, 25)), plan)
         with pytest.raises(ValueError, match="does not match grid"):
             rq.interpolate(np.zeros((6, 25)), g, 0.0)
         # a (n, n, k) array would be read by the matrix product as n stacked
         # (n, k) matrices, differentiated along the wrong axis
         with pytest.raises(ValueError, match="does not match grid"):
-            rq.d_dC(np.zeros((25, 25, 2)), g, plan)
+            rq.d_dC(np.zeros((25, 25, 2)), plan)
+
+
+def _bench_tracer():
+    """bench/spans.Tracer, loaded from its file as tests/test_bench_contract.py does."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans_plans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+class TestOnePlanPerConfig:
+    def test_a_run_and_its_check_build_one_space_and_one_time_plan(self):
+        cfg = baseline_config(t_final=1.0)
+        with _bench_tracer()(targets=(("stencils", "build_plan"),)) as tracer:
+            series = rq.integrate(cfg, cadence=0.05)
+            report = rq.evaluate_invariants(series)
+            state = series.snapshots[-1].state
+            for _ in range(3):
+                state = rq.rk4_step(state, cfg)
+        assert "pde_residual_x" in [r.name for r in report.records]
+        assert len(tracer.arrays()[0]) == 2
+
+    def test_the_plan_and_dlogf_are_cached_per_config(self):
+        cfg = baseline_config()
+        assert cfg.plan is cfg.plan and cfg.dlogf is cfg.dlogf
+        assert (cfg.plan.grid, cfg.plan.order) == (cfg.grid, 4)
+        second = replace(cfg, stencil_order=2)
+        assert second.plan is not cfg.plan
+        assert second.plan.order == 2 and cfg.plan.order == 4
+        assert np.array_equal(second.plan.matrix, rq.build_plan(cfg.grid, 2).matrix)
+        np.testing.assert_array_equal(cfg.dlogf, cfg.weight.dlog_f(cfg.grid.nodes))
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.dlogf[0] = 1.0

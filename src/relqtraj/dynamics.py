@@ -13,7 +13,7 @@ so the force is the slice-restricted gradient of the quantum potential mapped
 back to inertial components, always orthogonal to the four-velocity.
 
 The RK stages work on the raw (4, N) array y = (t, x, u0, u1): each stage is
-checked against the EnsembleState invariants in one fused pass, then _slice
+checked against the ensemble invariants by check_state_arrays, then _slice
 computes every slice field once from y with the config's plan and dlogf, so
 make_snapshot, eom_rhs and rk4_step take only a state and its SimConfig.  An
 EnsembleState is built once per accepted step and the g01 residual only for

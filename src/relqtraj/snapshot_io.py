@@ -1,14 +1,15 @@
 """Config parsing and snapshot/report serialization.
 
-Config files are flat "key = value" text.  Snapshot series are written as
-one tab-separated table per slice (17 significant digits, enough to round-
-trip float64 exactly) plus a manifest that echoes every input needed to
-reproduce the run bitwise.
+Config files are flat "key = value" text, every key stated once in _KEYS and
+_WEIGHTS.  Snapshot series are written as one tab-separated table per slice
+(17 significant digits, enough to round-trip float64 exactly) plus a manifest
+that echoes every input needed to reproduce the run bitwise.
 """
 
 from __future__ import annotations
 
 import os
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,17 +26,6 @@ from .state import (
 )
 
 SNAPSHOT_COLUMNS = ("T", "C", "t", "x", "u0", "u1", "gamma", "Q", "tau_T", "beta", "rho_star")
-
-_DEFAULTS = {
-    "mass": 1.0,
-    "hbar": 1.0,
-    "time.dt": 1e-3,
-    "stencil.order": 4,
-    "tol.residual": 1e-5,
-    "tol.invariant": 1e-8,
-}
-_REQUIRED = ("weight.kind", "c", "grid.min", "grid.max", "grid.n", "time.final")
-_KNOWN = set(_DEFAULTS) | set(_REQUIRED) | {"weight.a", "weight.kappa"}
 
 
 class ConfigError(ValueError):
@@ -54,6 +44,34 @@ def _integer(s: str) -> int:
     return int(v)
 
 
+# Every config key: the SimConfig attribute it sets and the converter of its
+# text, in the order config_to_text writes them.  A key the text leaves out
+# takes the SimConfig default.
+_KEYS = {
+    "mass": ("mass", float),
+    "hbar": ("hbar", float),
+    "c": ("c", float),
+    "weight.kind": ("weight.kind", str.lower),
+    "weight.a": ("weight.params", float),  # the weight's one parameter
+    "weight.kappa": ("weight.params", float),
+    "grid.min": ("grid.c_min", float),
+    "grid.max": ("grid.c_max", float),
+    "grid.n": ("grid.n_points", _integer),
+    "time.final": ("t_final", float),
+    "time.dt": ("dt", float),
+    "stencil.order": ("stencil_order", _integer),
+    "tol.residual": ("residual_tol", float),
+    "tol.invariant": ("invariant_tol", float),
+}
+# weight.kind -> (factory, the key of its parameter or None)
+_WEIGHTS = {
+    "gaussian": (gaussian_weight, "weight.a"),
+    "exponential": (exponential_weight, "weight.kappa"),
+    "uniform": (uniform_weight, None),
+}
+_REQUIRED = ("weight.kind", "c", "grid.min", "grid.max", "grid.n", "time.final")
+
+
 def parse_config(text: str) -> SimConfig:
     """Parse flat key-value configuration text into a validated SimConfig."""
     kv = {}
@@ -66,7 +84,7 @@ def parse_config(text: str) -> SimConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KNOWN:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in kv:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -76,74 +94,43 @@ def parse_config(text: str) -> SimConfig:
         if key not in kv:
             raise ConfigError(f"missing required key {key!r}")
 
-    def take(key, conv=float):
-        if key in kv:
-            val, lineno = kv.pop(key)
-            try:
-                return conv(val)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
-        return _DEFAULTS[key]
+    fields = {"": {}, "grid": {}, "weight": {}}  # by owner: SimConfig, grid, weight
+    for key, (val, lineno) in kv.items():
+        attr, conv = _KEYS[key]
+        owner, _, name = attr.rpartition(".")
+        try:
+            fields[owner][name] = conv(val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
 
-    kind_raw, kind_line = kv.pop("weight.kind")
-    kind = kind_raw.lower()
-    if kind == "gaussian":
-        if "weight.a" not in kv:
-            raise ConfigError("weight.kind gaussian requires weight.a")
-        weight = gaussian_weight(take("weight.a"))
-    elif kind == "exponential":
-        if "weight.kappa" not in kv:
-            raise ConfigError("weight.kind exponential requires weight.kappa")
-        weight = exponential_weight(take("weight.kappa"))
-    elif kind == "uniform":
-        weight = uniform_weight()
-    else:
-        raise ConfigError(f"line {kind_line}: unknown weight.kind {kind_raw!r}")
-    for stray in ("weight.a", "weight.kappa"):
-        if stray in kv:
-            raise ConfigError(f"key {stray!r} does not apply to weight.kind {kind!r}")
-
-    try:
-        grid = make_grid(take("grid.min"), take("grid.max"), take("grid.n", conv=_integer))
-        cfg = SimConfig(
-            mass=take("mass"),
-            hbar=take("hbar"),
-            c=take("c"),
-            weight=weight,
-            grid=grid,
-            t_final=take("time.final"),
-            dt=take("time.dt"),
-            stencil_order=take("stencil.order", conv=_integer),
-            residual_tol=take("tol.residual"),
-            invariant_tol=take("tol.invariant"),
-        )
+    kind = fields["weight"].pop("kind")
+    if kind not in _WEIGHTS:
+        val, lineno = kv["weight.kind"]
+        raise ConfigError(f"line {lineno}: unknown weight.kind {val!r}")
+    factory, param = _WEIGHTS[kind]
+    if param is not None and param not in kv:
+        raise ConfigError(f"weight.kind {kind} requires {param}")
+    for _, other in _WEIGHTS.values():
+        if other in kv and other != param:
+            raise ConfigError(f"key {other!r} does not apply to weight.kind {kind!r}")
+    try:  # fields["weight"] now holds only the kind's parameter, if it has one
+        return SimConfig(weight=factory(*fields["weight"].values()),
+                         grid=make_grid(**fields["grid"]), **fields[""])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def config_to_text(cfg: SimConfig) -> str:
-    """Flat key-value echo of a SimConfig; parse_config inverts it exactly."""
-    lines = [
-        f"mass = {_fmt(cfg.mass)}",
-        f"hbar = {_fmt(cfg.hbar)}",
-        f"c = {_fmt(cfg.c)}",
-        f"weight.kind = {cfg.weight.kind}",
-    ]
-    if cfg.weight.kind == "gaussian":
-        lines.append(f"weight.a = {_fmt(cfg.weight.params[0])}")
-    elif cfg.weight.kind == "exponential":
-        lines.append(f"weight.kappa = {_fmt(cfg.weight.params[0])}")
-    lines += [
-        f"grid.min = {_fmt(cfg.grid.c_min)}",
-        f"grid.max = {_fmt(cfg.grid.c_max)}",
-        f"grid.n = {cfg.grid.n_points}",
-        f"time.final = {_fmt(cfg.t_final)}",
-        f"time.dt = {_fmt(cfg.dt)}",
-        f"stencil.order = {cfg.stencil_order}",
-        f"tol.residual = {_fmt(cfg.residual_tol)}",
-        f"tol.invariant = {_fmt(cfg.invariant_tol)}",
-    ]
+    """Flat key-value echo of a SimConfig; parse_config inverts it exactly.
+    Every key is written but the parameter keys of the other weight kinds."""
+    others = {p for kind, (_, p) in _WEIGHTS.items() if kind != cfg.weight.kind}
+    lines = []
+    for key, (attr, _) in _KEYS.items():
+        if key not in others:
+            value = attrgetter(attr)(cfg)
+            if isinstance(value, tuple):  # a weight's one parameter
+                (value,) = value
+            lines.append(f"{key} = {value if isinstance(value, (str, int)) else _fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -172,15 +159,22 @@ def write_snapshots(
     report: Optional[InvariantReport] = None,
     cadence: Optional[float] = None,
 ) -> List[str]:
-    """One TSV table per snapshot plus manifest.tsv; returns written paths."""
+    """One TSV table per snapshot plus manifest.tsv; returns written paths.
+    Two snapshots whose T give one file name (10 significant digits) are a
+    ValueError, raised before any file is written."""
     cfg = series.config
+    names = {}  # file name -> T, one entry per snapshot
+    for s in series:
+        name = _snapshot_filename(s.tau_ensemble)
+        if name in names:
+            raise ValueError(f"snapshots at T = {_fmt(names[name])} and T = "
+                             f"{_fmt(s.tau_ensemble)} would share the file {name}")
+        names[name] = s.tau_ensemble
     os.makedirs(path, exist_ok=True)
     nodes = cfg.grid.nodes
     written = []
-    names = []
-    for s in series:
+    for name, s in zip(names, series):
         df = derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)
-        name = _snapshot_filename(s.tau_ensemble)
         fname = os.path.join(path, name)
         write_table(fname, SNAPSHOT_COLUMNS, (  # in SNAPSHOT_COLUMNS order
             np.full(cfg.grid.n_points, s.tau_ensemble), nodes,
@@ -188,7 +182,6 @@ def write_snapshots(
             s.geometry.gamma, s.quantum.Q, s.quantum.tau_T, df.beta, df.rho_star,
         ))
         written.append(fname)
-        names.append(name)
 
     manifest = os.path.join(path, "manifest.tsv")
     with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
@@ -220,7 +213,8 @@ def read_snapshots(path: str) -> SnapshotSeries:
     run used, so verification never trusts integrator internals.  A table
     whose header, C or T column differs from SNAPSHOT_COLUMNS, the manifest's
     grid nodes or its manifest T is rejected with ValueError, as is a manifest
-    line with the wrong number of fields or a bad snapshot index or T.
+    line with the wrong number of fields, a bad snapshot index or T, or a
+    snapshot name that is not a plain file name inside path.
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -236,8 +230,10 @@ def read_snapshots(path: str) -> SnapshotSeries:
                     config_lines.append(f"{key[len('config.'):]} = {value}")
                 elif key.startswith("snapshot."):
                     name, T = values
+                    if name in ("", os.curdir, os.pardir) or os.path.basename(name) != name:
+                        raise ValueError(f"not a file name in {path}: {name!r}")
                     snap_files.append((int(key[len("snapshot."):]), name, float(T)))
-            except ValueError as exc:  # wrong field count, bad index or T
+            except ValueError as exc:  # wrong field count, bad index, name or T
                 raise ValueError(
                     f"{manifest}: line {lineno}: malformed entry {raw.rstrip()!r}") from exc
     cfg = parse_config("\n".join(config_lines))

@@ -5,6 +5,9 @@ d ln f / dC.  The quantum potential depends on f only through logarithmic
 derivatives of f^(1/2), so the log form sidesteps underflow in the far
 tails and makes the dynamics exactly independent of any normalization
 constant of f.
+
+check_state_arrays is the one statement of the ensemble invariants, for
+every state and RK stage; SimConfig holds every config default.
 """
 
 from __future__ import annotations
@@ -18,18 +21,18 @@ import numpy as np
 
 from .stencils import StencilPlan, build_plan
 
-UNIFORMITY_TOL = 1e-12  # relative node-spacing wobble tolerated in a grid
 MIN_POINTS = 9          # widest stencil pair (two nested 5-point windows)
+_FIELDS = {4: ("t", "x", "u0", "u1"), 2: ("x", "v")}  # state rows by row count
 
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform grid of trajectory labels C."""
+    """Uniform grid of trajectory labels C, compared and hashed as the value
+    (c_min, c_max, n_points); nodes is np.linspace of it, read-only."""
 
     c_min: float
     c_max: float
     n_points: int
-    nodes: np.ndarray
 
     def __post_init__(self):
         if not (math.isfinite(self.c_min) and math.isfinite(self.c_max)):
@@ -38,21 +41,16 @@ class SpatialGrid:
             raise ValueError(f"n_points must be >= {MIN_POINTS}, got {self.n_points}")
         if self.c_max <= self.c_min:
             raise ValueError("c_max must exceed c_min")
-        d = np.diff(self.nodes)
-        if np.any(d <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        h = (self.c_max - self.c_min) / (self.n_points - 1)
-        if np.max(np.abs(d - h)) > UNIFORMITY_TOL * max(abs(h), 1.0):
-            raise ValueError("grid nodes must be uniformly spaced")
-        self.nodes.setflags(write=False)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        nodes = np.linspace(self.c_min, self.c_max, self.n_points)
+        nodes.setflags(write=False)
+        return nodes
 
 
 def make_grid(c_min: float, c_max: float, n_points: int) -> SpatialGrid:
-    c_min, c_max, n_points = float(c_min), float(c_max), int(n_points)
-    if not (math.isfinite(c_min) and math.isfinite(c_max)):
-        raise ValueError("grid bounds must be finite")
-    nodes = np.linspace(c_min, c_max, n_points)
-    return SpatialGrid(c_min, c_max, n_points, nodes)
+    return SpatialGrid(float(c_min), float(c_max), int(n_points))
 
 
 @dataclass(frozen=True)
@@ -107,18 +105,20 @@ class StateValidationError(ValueError):
     """An ensemble state violates a structural invariant."""
 
 
-def _check_fields_one_by_one(*fields) -> None:
-    names = ("t", "x", "u0", "u1") if len(fields) == 4 else ("x", "v")
-    n = fields[0].shape[0]
-    for name, arr in zip(names, fields):
-        if arr.shape != (n,):
-            raise StateValidationError(f"field {name} has shape {arr.shape}, want ({n},)")
-        if not np.all(np.isfinite(arr)):
-            raise StateValidationError(f"non-finite values in field {name}")
-    if "u0" in names and np.any(fields[2] <= 0):
+def check_state_arrays(y: np.ndarray) -> None:
+    """Raise StateValidationError unless y is a valid ensemble: every value
+    finite and x strictly increasing, and u0 > 0 where there is a u0.  y is
+    (t, x, u0, u1), shape (4, N), or the non-relativistic (x, v), shape (2, N).
+    The error names the first broken invariant, in that order: the first
+    field with a non-finite value, then u0, then the ordering of x.
+    """
+    if not np.isfinite(y).all():
+        bad = int(np.argmin(np.isfinite(y).all(axis=1)))
+        raise StateValidationError(f"non-finite values in field {_FIELDS[len(y)][bad]}")
+    if len(y) == 4 and not (y[2] > 0).all():
         raise StateValidationError("u0 must be positive (forward-in-time propagation)")
-    x = fields[names.index("x")]
-    if np.any(np.diff(x) <= 0):
+    x = y[1] if len(y) == 4 else y[0]
+    if not (x[1:] > x[:-1]).all():
         k = int(np.argmin(np.diff(x)))
         raise StateValidationError(
             f"trajectory ordering lost between nodes {k} and {k + 1} "
@@ -126,26 +126,12 @@ def _check_fields_one_by_one(*fields) -> None:
         )
 
 
-def check_state_arrays(y: np.ndarray) -> None:
-    """Raise StateValidationError unless y is a valid ensemble: every value
-    finite and x strictly increasing, and u0 > 0 where there is a u0.  y is
-    (t, x, u0, u1), shape (4, N), or the non-relativistic (x, v), shape (2, N).
-
-    One fused pass over the whole array covers the valid case.  Only when it
-    fails are the fields checked one by one, so the error names the first
-    broken invariant exactly as the per-field checks always have.
-    """
-    x = y[1] if len(y) == 4 else y[0]
-    if not (np.isfinite(y).all() and (x[1:] > x[:-1]).all()
-            and (len(y) == 2 or (y[2] > 0).all())):
-        _check_fields_one_by_one(*y)
-
-
 def check_fields(*fields) -> None:
     """check_state_arrays for the 1d fields of one state, lengths checked first."""
     n = fields[0].shape[0]
-    if any(arr.shape != (n,) for arr in fields):
-        _check_fields_one_by_one(*fields)  # raises, naming the field
+    for name, arr in zip(_FIELDS[len(fields)], fields):
+        if arr.shape != (n,):
+            raise StateValidationError(f"field {name} has shape {arr.shape}, want ({n},)")
     check_state_arrays(np.array(fields))
 
 
@@ -182,19 +168,19 @@ class SimConfig:
     The run's derivative operator (plan) and the weight's log-derivative on
     the grid nodes (dlogf) are derived once, on first use."""
 
-    mass: float
-    hbar: float
     c: float
     weight: WeightFunction
     grid: SpatialGrid
     t_final: float
-    dt: float
+    mass: float = 1.0
+    hbar: float = 1.0
+    dt: float = 1e-3
     stencil_order: int = 4
     residual_tol: float = 1e-5
     invariant_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("mass", "hbar", "c", "dt"):
+        for name in ("mass", "hbar", "c", "dt", "residual_tol", "invariant_tol"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -202,10 +188,6 @@ class SimConfig:
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.stencil_order not in (2, 4):
             raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
-        for name in ("residual_tol", "invariant_tol"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
 
     @cached_property
     def plan(self) -> StencilPlan:

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +203,11 @@ class TestAnalyticVerify:
         ("snapshot.1\t", "snapshot.1\tsnap_T1.tsv"),
         ("config.grid.n\t", "config.grid.n"),
         ("snapshot.1\t", "snapshot.one\tsnap_T1.tsv\t1"),
-    ], ids=["snapshot-without-T", "config-without-value", "snapshot-index-not-int"])
+        # a snapshot name must be a plain file name inside the directory
+        *(("snapshot.1\t", f"snapshot.1\t{name}\t1")
+          for name in ("", ".", "..", "../snap_T1.tsv", "sub/snap_T1.tsv")),
+    ], ids=["snapshot-without-T", "config-without-value", "snapshot-index-not-int",
+            "name-empty", "name-dot", "name-dotdot", "name-in-parent", "name-in-subdir"])
     def test_verify_names_a_malformed_manifest_line(self, tmp_path, capsys, key, bad):
         out = _exponential_output(tmp_path / "exp")
         manifest = out / "manifest.tsv"
@@ -212,6 +217,35 @@ class TestAnalyticVerify:
         manifest.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--snapshots", str(out)]) == 1
         assert f"manifest.tsv: line {k + 1}: malformed" in capsys.readouterr().err
+
+
+    def test_verify_and_figures_warn_nothing_for_an_inf_cell(self, tmp_path):
+        out = _exponential_output(tmp_path / "exp")
+        path = out / "snap_T1.tsv"
+        lines = path.read_text().splitlines()
+        row = lines[5].split("\t")
+        row[lines[0].split("\t").index("Q")] = "inf"
+        lines[5] = "\t".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--snapshots", str(out)]) == 2
+            assert main(["figures", "--snapshots", str(out), "--out", str(tmp_path / "f")]) == 0
+        report = (out / "report.tsv").read_text().splitlines()
+        rows = {ln.split("\t")[0]: ln.split("\t") for ln in report[1:]}
+        assert rows["force_orthogonality"][1] == "nan"
+        assert rows["force_orthogonality"][-1] == "FAIL"
+
+    def test_analytic_refuses_times_that_share_a_file_name(self, tmp_path, capsys):
+        # file names keep 10 significant digits of T
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", "inertial", "--beta0", "0.6", "--c", "2",
+                     "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
+                     "--times", "0,1.00000000001,1.00000000002", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "T = 1.00000000001" in err and "T = 1.00000000002" in err
+        assert "snap_T1.tsv" in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestCompareLimits:
@@ -229,6 +263,14 @@ tol.invariant = 1e-6
         assert main(["compare-limits", "--config", cfg, "--nonrel"]) == 0
         out = capsys.readouterr().out
         assert "max |x difference|" in out
+
+    def test_second_config_against_itself(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "g.cfg", GAUSS_CFG.replace("time.final = 2", "time.final = 0.1"))
+        assert main(["compare-limits", "--config", cfg, "--config2", cfg,
+                     "--cadence", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "compare-limits vs second config:" in out
+        assert "max |x difference|      = 0.000000e+00" in out
 
     def test_needs_a_comparison_target(self, tmp_path):
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,21 @@ class TestParseConfig:
         assert cfg.weight.kind == "uniform"
         cfg = rq.parse_config(base + "weight.kind = exponential\nweight.kappa = 0.3\n")
         assert cfg.weight.params == (0.3,)
+
+    def test_shipped_config_echo_is_pinned(self):
+        # the manifest echo of configs/gaussian_c3.txt, byte for byte
+        path = Path(__file__).resolve().parents[1] / "configs" / "gaussian_c3.txt"
+        assert rq.config_to_text(rq.parse_config(path.read_text())) == (
+            "mass = 1\nhbar = 1\nc = 3\nweight.kind = gaussian\nweight.a = 0.5\n"
+            "grid.min = -5\ngrid.max = 5\ngrid.n = 25\ntime.final = 10\n"
+            "time.dt = 0.001\nstencil.order = 4\ntol.residual = 1.0000000000000001e-05\n"
+            "tol.invariant = 0.001\n")
+
+    def test_defaults_are_the_simconfig_defaults(self):
+        text = "c = 3\nweight.kind = uniform\ngrid.min = -1\ngrid.max = 1\ngrid.n = 11\ntime.final = 1\n"
+        cfg = rq.SimConfig(c=3.0, weight=rq.uniform_weight(), grid=rq.make_grid(-1, 1, 11),
+                           t_final=1.0)
+        assert rq.config_to_text(rq.parse_config(text)) == rq.config_to_text(cfg)
 
     def test_round_trip_through_text(self):
         cfg = rq.parse_config(BASELINE_TEXT)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import relqtraj as rq
-from relqtraj.state import StateValidationError
+from relqtraj.state import StateValidationError, check_fields, check_state_arrays
 
 
 class TestMakeGrid:
@@ -26,6 +26,19 @@ class TestMakeGrid:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
             rq.make_grid(5, -5, 25)
+
+    def test_grids_are_values(self):
+        g = rq.make_grid(-1, 1, 11)
+        assert g == rq.make_grid(-1, 1, 11)
+        assert g != rq.make_grid(-1, 1, 13)
+        assert hash(g) == hash(rq.make_grid(-1.0, 1.0, 11))
+        assert len({g, rq.make_grid(-1, 1, 11), rq.make_grid(-1, 1, 13)}) == 2
+
+    def test_nodes_are_read_only_linspace(self):
+        g = rq.make_grid(-5, 5, 25)
+        assert g.nodes.tobytes() == np.linspace(-5.0, 5.0, 25).tobytes()
+        with pytest.raises(ValueError):
+            g.nodes[0] = 0.0
 
 
 class TestWeightFunction:
@@ -102,6 +115,12 @@ class TestEnsembleState:
         with pytest.raises(StateValidationError):
             rq.EnsembleState(0.0, t[:-1], x, u0, u1)
 
+    def test_length_mismatch_reported_before_other_faults(self):
+        t, x, u0, u1 = self._arrays()
+        t[0] = np.nan
+        with pytest.raises(StateValidationError, match=r"field u1 has shape \(8,\)"):
+            rq.EnsembleState(0.0, t, x, u0, u1[:-1])
+
 
 class TestSimConfig:
     def test_positive_parameters_enforced(self):
@@ -114,3 +133,27 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             rq.SimConfig(mass=1, hbar=1, c=1, weight=w, grid=g, t_final=1, dt=1e-3,
                          stencil_order=3)
+
+
+def _ensemble(rows):
+    """A valid 9-node ensemble: (t, x, u0, u1) for 4 rows, (x, v) for 2."""
+    x = np.linspace(0.0, 1.0, 9)
+    return np.array([np.zeros(9), x, np.ones(9), np.zeros(9)] if rows == 4 else [x, np.zeros(9)])
+
+
+@pytest.mark.parametrize("rows, x_row, row, value, message", [
+    (4, 1, 3, np.nan, "non-finite values in field u1"),
+    (4, 1, 2, -1.0, "u0 must be positive"),
+    (2, 0, 1, np.inf, "non-finite values in field v"),
+])
+def test_guard_reports_the_first_of_two_faults(rows, x_row, row, value, message):
+    y = _ensemble(rows)
+    y[x_row, 4] = y[x_row, 5] + 0.1  # x out of order ...
+    y[row, 2] = value                # ... and one earlier invariant broken
+    with pytest.raises(StateValidationError, match=message):
+        check_state_arrays(y)
+    with pytest.raises(StateValidationError, match=message):
+        check_fields(*y)
+    y[row, 2] = _ensemble(rows)[row, 2]
+    with pytest.raises(StateValidationError, match="degeneration"):
+        check_state_arrays(y)

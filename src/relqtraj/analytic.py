@@ -18,19 +18,13 @@ import numpy as np
 from .state import EnsembleState, SpatialGrid
 
 
-def _broadcast4(t, x, u0, u1):
-    t, x, u0, u1 = np.broadcast_arrays(
-        np.asarray(t, dtype=float),
-        np.asarray(x, dtype=float),
-        np.asarray(u0, dtype=float),
-        np.asarray(u1, dtype=float),
-    )
-    return t.copy(), x.copy(), u0.copy(), u1.copy()
+def _stack4(t, x, u0, u1):
+    return np.array(np.broadcast_arrays(t, x, u0, u1), dtype=float)
 
 
 @dataclass(frozen=True)
 class AnalyticEnsemble:
-    """A closed-form map (T, C) -> (t, x, u0, u1) plus metadata."""
+    """A closed-form map (T, C) -> (t, x, u0, u1), one (4, ...) array, plus metadata."""
 
     kind: str
     params: dict
@@ -49,7 +43,7 @@ def inertial_ensemble(beta0: float, c: float) -> AnalyticEnsemble:
         C = np.asarray(C, dtype=float)
         t = G * (T + beta0 * C / c)
         x = G * (C + beta0 * c * T)
-        return _broadcast4(t, x, G * c, G * beta0 * c)
+        return _stack4(t, x, G * c, G * beta0 * c)
 
     return AnalyticEnsemble("inertial", {"beta0": beta0, "c": c}, True, evaluate)
 
@@ -62,7 +56,7 @@ def exponential_ensemble(kappa: float, mass: float, hbar: float, c: float) -> An
     def evaluate(T, C):
         T = np.asarray(T, dtype=float)
         C = np.asarray(C, dtype=float)
-        return _broadcast4(rate * T, C, c, 0.0)
+        return _stack4(rate * T, C, c, 0.0)
 
     return AnalyticEnsemble(
         "exponential", {"kappa": kappa, "mass": mass, "hbar": hbar, "c": c}, True, evaluate
@@ -84,7 +78,7 @@ def hyperbolic_gamma_one_ensemble(B: float, c: float) -> AnalyticEnsemble:
         x = C * np.cosh(c * B * T)
         # dt/dT = B C cosh and dx/dT = c B C sinh give dtau/dT = B C, so
         # dividing the slice velocity by B C leaves the unit four-velocity:
-        return _broadcast4(t, x, c * np.cosh(c * B * T), c * np.sinh(c * B * T))
+        return _stack4(t, x, c * np.cosh(c * B * T), c * np.sinh(c * B * T))
 
     return AnalyticEnsemble("hyperbolic_gamma_one", {"B": B, "c": c}, False, evaluate)
 
@@ -110,12 +104,11 @@ def hyperbolic_gamma_T_ensemble(A: float, c: float) -> AnalyticEnsemble:
             raise ValueError("T = 0 is a degenerate slice of this family")
         t = T * np.cosh(A * C)
         x = c * T * np.sinh(A * C)
-        return _broadcast4(t, x, c * np.cosh(A * C), c * np.sinh(A * C))
+        return _stack4(t, x, c * np.cosh(A * C), c * np.sinh(A * C))
 
     return AnalyticEnsemble("hyperbolic_gamma_T", {"A": A, "c": c}, False, evaluate)
 
 
 def sample_state(ens: AnalyticEnsemble, grid: SpatialGrid, T: float) -> EnsembleState:
     """Sample a closed-form ensemble onto a grid as an EnsembleState."""
-    t, x, u0, u1 = ens.evaluate(T, grid.nodes)
-    return EnsembleState(float(T), t, x, u0, u1)
+    return EnsembleState(float(T), ens.evaluate(T, grid.nodes))

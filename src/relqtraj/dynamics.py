@@ -12,18 +12,20 @@ with tau_T = exp(-Q / m c^2) and the force components (for x^alpha = (ct, x))
 so the force is the slice-restricted gradient of the quantum potential mapped
 back to inertial components, always orthogonal to the four-velocity.
 
-The RK stages work on the raw (4, N) array y = (t, x, u0, u1): each stage is
-checked against the ensemble invariants by check_state_arrays, then _slice
-computes every slice field once from y with the config's plan and dlogf, so
-make_snapshot, eom_rhs and rk4_step take only a state and its SimConfig.  An
-EnsembleState is built once per accepted step and the g01 residual only for
-recorded snapshots.  make_snapshot is the one function that turns a state
-(and optionally a stored Q) into every field of a slice; the solver, the
-snapshot reader and the closed-form sampler all go through it.
+The solver steps the raw (4, N) array y = (t, x, u0, u1) that an
+EnsembleState wraps: each RK stage is checked against the ensemble
+invariants by check_state_arrays, then _slice computes every slice field
+once from y with the config's plan and dlogf.  An EnsembleState, and the g01
+residual, are built only for recorded snapshots.  make_snapshot is the one
+function that turns a state (and optionally a stored Q) into every field of
+a slice; the solver, the snapshot reader and the closed-form sampler all go
+through it.
 
 run_fixed_steps is the one stepping loop: integrate and the non-relativistic
 solver give it their own step and record functions, and it owns the step
-counts, the record cadence and the failure handling of both.
+counts, the record cadence and the failure handling of both.  A step's
+output is checked by the next stage guard or record, so a bad step is
+reported at the T it reached.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .stencils import StencilPlan, d_dC
 
 ABORT_FACTOR = 10.0  # rk4_step aborts when norm drift exceeds this times invariant_tol
 STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
-STEP_FAILURES = (GeometryError, StateValidationError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,11 @@ class QuantumFields:
 
 @dataclass(frozen=True)
 class Snapshot:
-    tau_ensemble: float
     state: EnsembleState
     geometry: GeometryFields
     quantum: QuantumFields
+
+    tau_ensemble = property(lambda self: self.state.tau_ensemble)
 
 
 @dataclass
@@ -123,12 +125,12 @@ def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
     return np.exp(-np.asarray(Q, dtype=float) / (mass * c ** 2))
 
 
-def _slice(t, x, T, config: SimConfig, Q=None):
-    """Every field of one slice from its coordinate arrays:
+def _slice(y, T, config: SimConfig, Q=None):
+    """Every field of the slice y = (t, x, u0, u1) at ensemble time T:
     (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1).  Q is computed from the
     config's weight unless it is given."""
     plan = config.plan
-    t_C, x_C, gamma = slice_metric(t, x, T, plan, config.c)
+    t_C, x_C, gamma = slice_metric(y[0], y[1], T, plan, config.c)
     if Q is None:
         Q = log_form_Q(config.dlogf, gamma, plan, config.hbar, config.mass)
     Q_C = d_dC(Q, plan)
@@ -143,11 +145,9 @@ def make_snapshot(
     """Every field of a recorded slice: geometry with the g01 residual, Q,
     Q_C, tau_T and the force.  Q is computed from the config's weight unless
     it is given (a stored or closed-form potential)."""
-    t_C, x_C, gamma, Q, Q_C, tau, f0, f1 = _slice(
-        state.t, state.x, state.tau_ensemble, config, Q
-    )
+    t_C, x_C, gamma, Q, Q_C, tau, f0, f1 = _slice(state.y, state.tau_ensemble, config, Q)
     geom = attach_g01(GeometryFields(t_C, x_C, gamma), state, tau, config.c)
-    return Snapshot(state.tau_ensemble, state, geom, QuantumFields(Q, Q_C, f0, f1, tau))
+    return Snapshot(state, geom, QuantumFields(Q, Q_C, f0, f1, tau))
 
 
 def _stage_rhs(y, T, config: SimConfig) -> np.ndarray:
@@ -158,7 +158,7 @@ def _stage_rhs(y, T, config: SimConfig) -> np.ndarray:
     raises StateValidationError when it breaks one.
     """
     check_state_arrays(y)
-    _, _, _, _, _, tau, f0, f1 = _slice(y[0], y[1], T, config)
+    _, _, _, _, _, tau, f0, f1 = _slice(y, T, config)
     return np.array([
         tau * y[2] / config.c,
         tau * y[3],
@@ -179,40 +179,29 @@ def _rk4(rhs, y, dt):
 def eom_rhs(state: EnsembleState, config: SimConfig) -> np.ndarray:
     """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of the
     ensemble-time evolution equations, shape (4, N)."""
-    y = np.array([state.t, state.x, state.u0, state.u1])
-    return _stage_rhs(y, state.tau_ensemble, config)
+    return _stage_rhs(state.y, state.tau_ensemble, config)
 
 
-def rk4_step(state: EnsembleState, config: SimConfig) -> EnsembleState:
-    """One classical four-stage Runge-Kutta step of size config.dt."""
+def rk4_step(y: np.ndarray, T: float, config: SimConfig) -> np.ndarray:
+    """One classical four-stage Runge-Kutta step of size config.dt from the (4, N)
+    array y at ensemble time T; a stage that breaks an invariant raises StateValidationError."""
     dt = config.dt
-    T = state.tau_ensemble
-    y = np.array([state.t, state.x, state.u0, state.u1])
-    try:
-        y = _rk4(lambda y, h: _stage_rhs(y, T + h, config), y, dt)
-        new = EnsembleState(T + dt, y[0], y[1], y[2], y[3])
-    except STEP_FAILURES as exc:
-        raise IntegrationError(f"step from T = {T:.6g} failed: {exc}") from exc
-    worst = float(np.max(norm_violation(new.u0, new.u1, config.c)))
+    y = _rk4(lambda y, h: _stage_rhs(y, T + h, config), y, dt)
+    worst = float(np.max(norm_violation(y[2], y[3], config.c)))
     if worst > ABORT_FACTOR * config.invariant_tol:
         raise IntegrationError(
             f"four-velocity norm drift {worst:.3e} exceeds "
             f"{ABORT_FACTOR:g} x invariant_tol = {ABORT_FACTOR * config.invariant_tol:.1e} "
             f"after step to T = {T + dt:.6g}"
         )
-    return new
+    return y
 
 
 def rest_initial_state(config: SimConfig) -> EnsembleState:
     """Ensemble at rest on the t = 0 slice with labels C as positions."""
     n = config.grid.n_points
-    return EnsembleState(
-        tau_ensemble=0.0,
-        t=np.zeros(n),
-        x=config.grid.nodes.copy(),
-        u0=np.full(n, config.c),
-        u1=np.zeros(n),
-    )
+    return EnsembleState(0.0, np.array([np.zeros(n), config.grid.nodes,
+                                        np.full(n, config.c), np.zeros(n)]))
 
 
 def step_counts(config: SimConfig, cadence: float) -> tuple:
@@ -237,7 +226,7 @@ def step_counts(config: SimConfig, cadence: float) -> tuple:
 
 
 def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, out):
-    """Advance y = step(y) from T = 0 to t_final, appending record(T, y) to
+    """Advance y = step(y, T) from T = 0 to t_final, appending record(T, y) to
     out every `cadence` and at the end, with T = k * dt after k steps.  A failed
     step or record raises IntegrationError naming T, with out attached."""
     n_steps, stride = step_counts(config, cadence)
@@ -248,10 +237,10 @@ def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, out):
                 out.append(record(T, y))
             if k == n_steps:
                 break
-            y = step(y)
+            y = step(y, T)
         except IntegrationError as exc:
             raise IntegrationError(str(exc), out) from exc
-        except STEP_FAILURES as exc:
+        except (GeometryError, StateValidationError, FloatingPointError) as exc:
             raise IntegrationError(f"run failed at T = {T:.6g}: {exc}", out) from exc
     return out
 
@@ -268,12 +257,6 @@ def integrate(
     On failure raises IntegrationError with the partial series attached.
     """
     state = rest_initial_state(config) if initial_state is None else initial_state
-    if state.tau_ensemble != 0.0:  # rk4_step labels the run's steps from T = 0
-        state = EnsembleState(0.0, state.t, state.x, state.u0, state.u1)
-
-    def record(T, s):
-        # k * dt, not the T accumulated by rk4_step, labels the snapshot
-        return make_snapshot(EnsembleState(T, s.t, s.x, s.u0, s.u1), config)
-
-    return run_fixed_steps(config, cadence, state, lambda s: rk4_step(s, config),
-                           record, SnapshotSeries(config=config, snapshots=[]))
+    return run_fixed_steps(config, cadence, state.y, lambda y, T: rk4_step(y, T, config),
+                           lambda T, y: make_snapshot(EnsembleState(T, y), config),
+                           SnapshotSeries(config=config, snapshots=[]))

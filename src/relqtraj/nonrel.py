@@ -7,6 +7,8 @@ physics: here the slice metric is gamma = x_C^2, coordinate time is the
 evolution parameter, and the equations are
 
     dx/dt = v        dv/dt = f_Q / m,   f_Q = -(1 / x_C) dQ/dC .
+
+The RK stages step the raw (2, N) array (x, v) that a NonRelState wraps.
 """
 
 from __future__ import annotations
@@ -17,19 +19,23 @@ import numpy as np
 
 from .dynamics import _rk4, run_fixed_steps
 from .qpotential import log_form_Q
-from .state import (SimConfig, StateValidationError, WeightFunction, check_fields,
-                    check_state_arrays)
+from .state import SimConfig, StateValidationError, WeightFunction, check_state, check_state_arrays
 from .stencils import StencilPlan, d_dC
 
 
 @dataclass(frozen=True)
 class NonRelState:
+    """Rows x, v of the read-only (2, N) array y, at coordinate time t."""
+
     t: float
-    x: np.ndarray
-    v: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        check_fields(self.x, self.v)
+        check_state(self.y, 2)
+        self.y.setflags(write=False)
+
+    x = property(lambda self: self.y[0])
+    v = property(lambda self: self.y[1])
 
 
 def _potential(x, dlogf, plan: StencilPlan, hbar: float, mass: float):
@@ -68,14 +74,13 @@ def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
 
 def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
     """Fixed-step RK4 from rest at x = C, t = 0, to t_final; returns one
-    NonRelState per record (the RK stages run on the raw (x, v) array).
+    NonRelState per record.
 
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
     On failure raises IntegrationError with the partial list attached.
     """
-    def step(y):
+    def step(y, _t):
         return _rk4(lambda y, _h: nonrel_rhs(y, config), y, config.dt)
 
     y = np.stack([config.grid.nodes, np.zeros(config.grid.n_points)])
-    return run_fixed_steps(config, cadence, y, step,
-                           lambda t, y: NonRelState(t, y[0], y[1]), [])
+    return run_fixed_steps(config, cadence, y, step, NonRelState, [])

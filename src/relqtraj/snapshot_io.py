@@ -178,7 +178,7 @@ def write_snapshots(
         fname = os.path.join(path, name)
         write_table(fname, SNAPSHOT_COLUMNS, (  # in SNAPSHOT_COLUMNS order
             np.full(cfg.grid.n_points, s.tau_ensemble), nodes,
-            s.state.t, s.state.x, s.state.u0, s.state.u1,
+            *s.state.y,  # t, x, u0, u1
             s.geometry.gamma, s.quantum.Q, s.quantum.tau_T, df.beta, df.rho_star,
         ))
         written.append(fname)
@@ -245,16 +245,16 @@ def read_snapshots(path: str) -> SnapshotSeries:
             if tuple(fh.readline().rstrip("\n").split("\t")) != SNAPSHOT_COLUMNS:
                 raise ValueError(f"{fname}: header row is not {' '.join(SNAPSHOT_COLUMNS)}")
             try:
-                # rows in SNAPSHOT_COLUMNS order, each contiguous like the solver's arrays
-                Ts, C, t, x, u0, u1, _, Q, _, _, _ = np.ascontiguousarray(
-                    np.loadtxt(fh, delimiter="\t", ndmin=2).T)
+                # rows in SNAPSHOT_COLUMNS order, one contiguous array like the solver's
+                cols = np.ascontiguousarray(np.loadtxt(fh, delimiter="\t", ndmin=2).T)
+                Ts, C, _, _, _, _, _, Q, _, _, _ = cols
             except ValueError as exc:  # a row or every row of the wrong length
                 raise ValueError(f"{fname}: {exc}") from exc
         if not np.array_equal(C, cfg.grid.nodes):
             raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
         if not (Ts == T).all():
             raise ValueError(f"{fname}: column T is not the manifest's T = {_fmt(T)}")
-        snapshots.append(make_snapshot(EnsembleState(T, t, x, u0, u1), cfg, Q=Q))
+        snapshots.append(make_snapshot(EnsembleState(T, cols[2:6]), cfg, Q=Q))  # t, x, u0, u1
     return SnapshotSeries(config=cfg, snapshots=snapshots)
 
 

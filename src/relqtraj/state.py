@@ -6,6 +6,7 @@ derivatives of f^(1/2), so the log form sidesteps underflow in the far
 tails and makes the dynamics exactly independent of any normalization
 constant of f.
 
+EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
 check_state_arrays is the one statement of the ensemble invariants, for
 every state and RK stage; SimConfig holds every config default.
 """
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stencils import StencilPlan, build_plan
+from .stencils import STENCIL_ORDERS, StencilPlan, build_plan
 
 MIN_POINTS = 9          # widest stencil pair (two nested 5-point windows)
 _FIELDS = {4: ("t", "x", "u0", "u1"), 2: ("x", "v")}  # state rows by row count
@@ -126,35 +127,33 @@ def check_state_arrays(y: np.ndarray) -> None:
         )
 
 
-def check_fields(*fields) -> None:
-    """check_state_arrays for the 1d fields of one state, lengths checked first."""
-    n = fields[0].shape[0]
-    for name, arr in zip(_FIELDS[len(fields)], fields):
-        if arr.shape != (n,):
-            raise StateValidationError(f"field {name} has shape {arr.shape}, want ({n},)")
-    check_state_arrays(np.array(fields))
+def check_state(y: np.ndarray, rows: int) -> None:
+    """check_state_arrays for a state array, its shape (rows, N) checked first."""
+    if y.ndim != 2 or len(y) != rows:
+        raise StateValidationError(f"state array has shape {y.shape}, want ({rows}, N)")
+    check_state_arrays(y)
 
 
 @dataclass(frozen=True)
 class EnsembleState:
     """Per-node trajectory data on one simultaneity submanifold.
 
-    tau_ensemble is the ensemble proper time T of the slice; t, x are
-    inertial coordinates of each trajectory; u0, u1 the four-velocity
-    components for x^alpha = (c t, x).
+    tau_ensemble is the ensemble proper time T of the slice; y is the
+    read-only (4, N) array of rows t, x (inertial coordinates of each
+    trajectory) and u0, u1 (four-velocity components for x^alpha = (c t, x)).
     """
 
     tau_ensemble: float
-    t: np.ndarray
-    x: np.ndarray
-    u0: np.ndarray
-    u1: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        fields = (self.t, self.x, self.u0, self.u1)
-        check_fields(*fields)
-        for arr in fields:
-            arr.setflags(write=False)  # states are immutable value data
+        check_state(self.y, 4)
+        self.y.setflags(write=False)  # states are immutable value data
+
+    t = property(lambda self: self.y[0])
+    x = property(lambda self: self.y[1])
+    u0 = property(lambda self: self.y[2])
+    u1 = property(lambda self: self.y[3])
 
 
 def norm_violation(u0, u1, c: float) -> np.ndarray:
@@ -186,7 +185,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if not (self.t_final >= 0 and math.isfinite(self.t_final)):
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
-        if self.stencil_order not in (2, 4):
+        if self.stencil_order not in STENCIL_ORDERS:
             raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
 
     @cached_property

@@ -19,6 +19,8 @@ import numpy as np
 if TYPE_CHECKING:
     from .state import SpatialGrid
 
+STENCIL_ORDERS = (2, 4)  # the accuracy orders of the first-derivative stencils
+
 
 def fornberg_weights(xs: np.ndarray, x0: float, deriv: int) -> np.ndarray:
     """Finite-difference weights for the deriv-th derivative at x0 from nodes xs.
@@ -72,7 +74,7 @@ class StencilPlan:
 
 
 def build_plan(grid: SpatialGrid, order: int) -> StencilPlan:
-    if order not in (2, 4):
+    if order not in STENCIL_ORDERS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     nodes = grid.nodes
     n = grid.n_points

@@ -127,9 +127,8 @@ class TestAcceptance:
         cfg = rq.SimConfig(mass=1, hbar=1, c=c, weight=rq.uniform_weight(),
                            grid=grid, t_final=T, dt=1e-3, invariant_tol=1e-6)
         ens = inertial_ensemble(beta0, c)
-        t0, x0, u00, u10 = ens.evaluate(0.0, grid.nodes)
-        series = rq.integrate(cfg, initial_state=rq.EnsembleState(0.0, t0, x0, u00, u10),
-                              cadence=1.0)
+        y0 = ens.evaluate(0.0, grid.nodes)
+        series = rq.integrate(cfg, initial_state=rq.EnsembleState(0.0, y0), cadence=1.0)
         err = 0.0
         for s in series:
             te, xe, u0e, u1e = ens.evaluate(s.tau_ensemble, grid.nodes)
@@ -199,9 +198,8 @@ class TestAcceptance:
         grid6 = rq.make_grid(-8, 8, 17)
         cfg6 = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                             grid=grid6, t_final=2, dt=1e-3, invariant_tol=1e-6)
-        t0, x0, u00, u10 = inertial_ensemble(0.6, 2.0).evaluate(0.0, grid6.nodes)
-        inert_series = rq.integrate(
-            cfg6, initial_state=rq.EnsembleState(0.0, t0, x0, u00, u10), cadence=0.5)
+        y0 = inertial_ensemble(0.6, 2.0).evaluate(0.0, grid6.nodes)
+        inert_series = rq.integrate(cfg6, initial_state=rq.EnsembleState(0.0, y0), cadence=0.5)
 
         rep_exp, ok_exp = gate(exp_series)
         rep_in, ok_in = gate(inert_series)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from relqtraj.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 GAUSS_CFG = """
 c = 3
 weight.kind = gaussian
@@ -269,8 +271,20 @@ tol.invariant = 1e-6
         assert main(["compare-limits", "--config", cfg, "--config2", cfg,
                      "--cadence", "0.05"]) == 0
         out = capsys.readouterr().out
-        assert "compare-limits vs second config:" in out
+        assert "compare-limits vs second config: 3 of 3 slices compared" in out
         assert "max |x difference|      = 0.000000e+00" in out
+
+    def test_runs_sharing_only_the_initial_slice_are_refused(self, tmp_path, capsys):
+        # T = 0.035 is 35 steps of 1e-3 but 0.034999999999999996 after 50 of 7e-4
+        text = (CONFIGS / "gaussian_c3.txt").read_text()
+        cfg = _write(tmp_path, "a.cfg", text.replace("time.final = 10", "time.final = 0.1"))
+        cfg2 = _write(tmp_path, "b.cfg", text.replace("time.final = 10", "time.final = 0.105")
+                      .replace("time.dt = 1e-3", "time.dt = 7e-4"))
+        assert main(["compare-limits", "--config", cfg, "--config2", cfg2,
+                     "--cadence", "0.035"]) == 1
+        captured = capsys.readouterr()
+        assert "share no snapshot time after T = 0" in captured.err
+        assert "max |x difference|" not in captured.out
 
     def test_needs_a_comparison_target(self, tmp_path):
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from relqtraj.dynamics import IntegrationError, step_counts
 from relqtraj.state import StateValidationError, WeightFunction
 
 from conftest import baseline_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _initial_geometry(cfg):
@@ -80,7 +84,8 @@ class TestComputeQ:
         # x = 2C halves the density scale twice over: Q picks up a factor 1/4
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, 4)
-        st = rq.EnsembleState(0.0, np.zeros(25), 2.0 * g.nodes, np.ones(25), np.zeros(25))
+        st = rq.EnsembleState(0.0, np.array([np.zeros(25), 2.0 * g.nodes, np.ones(25),
+                                             np.zeros(25)]))
         geom = rq.compute_geometry(st, plan, c=1.0)
         Q, _ = rq.compute_Q(geom, rq.gaussian_weight(0.5), plan, 1.0, 1.0)
         C = g.nodes
@@ -162,8 +167,7 @@ class TestEomRhs:
     def test_inertial_straight_lines(self):
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                            grid=rq.make_grid(-8, 8, 17), t_final=1, dt=1e-3)
-        t, x, u0, u1 = inertial_ensemble(0.6, cfg.c).evaluate(0.7, cfg.grid.nodes)
-        st = rq.EnsembleState(0.7, t, x, u0, u1)
+        st = rq.EnsembleState(0.7, inertial_ensemble(0.6, cfg.c).evaluate(0.7, cfg.grid.nodes))
         d = rq.eom_rhs(st, cfg)
         np.testing.assert_allclose(d[2], 0.0, atol=1e-12)
         np.testing.assert_allclose(d[3], 0.0, atol=1e-12)
@@ -194,22 +198,19 @@ class TestRk4Step:
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                            grid=rq.make_grid(-8, 8, 17), t_final=1, dt=0.1)
         ens = inertial_ensemble(0.6, cfg.c)
-        t, x, u0, u1 = ens.evaluate(0.0, cfg.grid.nodes)
-        st = rq.EnsembleState(0.0, t, x, u0, u1)
-        new = rq.rk4_step(st, cfg)
+        new = rq.rk4_step(ens.evaluate(0.0, cfg.grid.nodes), 0.0, cfg)
         te, xe, _, _ = ens.evaluate(0.1, cfg.grid.nodes)
-        np.testing.assert_allclose(new.x, xe, atol=1e-13)
-        np.testing.assert_allclose(new.t, te, atol=1e-13)
-        assert new.tau_ensemble == pytest.approx(0.1)
+        np.testing.assert_allclose(new[1], xe, atol=1e-13)
+        np.testing.assert_allclose(new[0], te, atol=1e-13)
 
     def test_exponential_exact_rate(self):
         kappa = 0.25
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=0.1)
-        new = rq.rk4_step(rq.rest_initial_state(cfg), cfg)
+        new = rq.rk4_step(rq.rest_initial_state(cfg).y, 0.0, cfg)
         rate = exponential_ensemble(kappa, 1.0, 1.0, 2.0).evaluate(1.0, 0.0)[0]  # t/T
-        np.testing.assert_allclose(new.t, rate * 0.1, rtol=1e-13)
-        np.testing.assert_allclose(new.x, cfg.grid.nodes, atol=1e-13)
+        np.testing.assert_allclose(new[0], rate * 0.1, rtol=1e-13)
+        np.testing.assert_allclose(new[1], cfg.grid.nodes, atol=1e-13)
 
     def test_step_halving_fourth_order(self):
         # wavepacket run to T = 0.5 with dt, dt/2, dt/4: successive
@@ -233,31 +234,30 @@ class TestStageGuard:
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.uniform_weight(),
                            grid=rq.make_grid(-5, 5, 25), t_final=1, dt=dt)
         u1 = np.asarray(u1, dtype=float)
-        st = rq.EnsembleState(0.0, np.zeros(25), cfg.grid.nodes.copy(),
-                              np.hypot(1.0, u1), u1)
-        return st, cfg
+        y = np.array([np.zeros(25), cfg.grid.nodes, np.hypot(1.0, u1), u1])
+        return y, cfg
 
     def test_stage_losing_order_aborts_step(self):
         # nodes 12 and 13 close in at 2 * 5 per unit T; half a step of 0.1
         # moves them 0.5 > h = 10/24 towards each other, so stage 2 crosses
         u1 = np.zeros(25)
         u1[12], u1[13] = 5.0, -5.0
-        st, cfg = self._streaming(u1, dt=0.1)
-        with pytest.raises(IntegrationError, match="step from T =") as exc_info:
-            rq.rk4_step(st, cfg)
-        cause = exc_info.value.__cause__
-        assert isinstance(cause, StateValidationError)
-        assert "nodes 12 and 13" in str(cause)
+        y, cfg = self._streaming(u1, dt=0.1)
+        with pytest.raises(StateValidationError, match="nodes 12 and 13"):
+            rq.rk4_step(y, 0.0, cfg)
+        # a run names the T the failed step started from and keeps the records before it
+        with pytest.raises(IntegrationError,
+                           match=r"^run failed at T = 0: .*nodes 12 and 13") as exc_info:
+            rq.integrate(cfg, initial_state=rq.EnsembleState(0.0, y), cadence=0.1)
+        assert isinstance(exc_info.value.__cause__, StateValidationError)
+        assert exc_info.value.series.times == [0.0]
 
     def test_non_finite_stage_aborts_step(self):
         # k1 is finite (u0 = u1 = 1e300), but half a step of 1e9 overflows t and x
-        st, cfg = self._streaming(np.full(25, 1e300), dt=1e9)
+        y, cfg = self._streaming(np.full(25, 1e300), dt=1e9)
         with np.errstate(over="ignore"), \
-                pytest.raises(IntegrationError, match="step from T =") as exc_info:
-            rq.rk4_step(st, cfg)
-        cause = exc_info.value.__cause__
-        assert isinstance(cause, StateValidationError)
-        assert "non-finite values in field t" in str(cause)
+                pytest.raises(StateValidationError, match="non-finite values in field t"):
+            rq.rk4_step(y, 0.0, cfg)
 
     def test_eom_rhs_matches_the_per_layer_functions(self):
         # the stage core against compute_geometry, compute_Q, tau_factor and
@@ -333,7 +333,24 @@ class TestIntegrate:
         cfg = baseline_config(t_final=5.0, invariant_tol=1e-13)
         s = rq.rest_initial_state(cfg)
         with pytest.raises(IntegrationError, match=r"after step to T = 0\.001$"):
-            rq.integrate(cfg, initial_state=rq.EnsembleState(0.7, s.t, s.x, s.u0, s.u1))
+            rq.integrate(cfg, initial_state=rq.EnsembleState(0.7, s.y))
+
+    def test_one_state_per_record(self, monkeypatch):
+        # the RK steps run on the raw (4, N) array: the rest state and each of
+        # the 4 records build an EnsembleState, the 30 steps none
+        text = (CONFIGS / "gaussian_c3.txt").read_text()
+        cfg = rq.parse_config(text.replace("time.final = 10", "time.final = 0.03"))
+        builds = []
+        init = rq.EnsembleState.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(rq.EnsembleState, "__init__", counting)
+        series = rq.integrate(cfg, cadence=0.01)
+        assert series.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
+        assert len(builds) == 5
 
     def test_truncation_envelope_of_coarse_run(self, baseline_series):
         # the kinematic invariants of the 25-node c=3 run drift with the

@@ -16,8 +16,8 @@ class TestComputeGeometry:
         # t = 0, x = C gives t_C = 0, x_C = 1, gamma = 1 at every node
         g = rq.make_grid(-5, 5, 25)
         plan = rq.build_plan(g, 4)
-        st = rq.EnsembleState(0.0, np.zeros(25), g.nodes.copy(),
-                              np.full(25, 3.0), np.zeros(25))
+        st = rq.EnsembleState(0.0, np.array([np.zeros(25), g.nodes,
+                                             np.full(25, 3.0), np.zeros(25)]))
         geom = rq.compute_geometry(st, plan, c=3.0)
         np.testing.assert_allclose(geom.t_C, 0.0, atol=1e-14)
         np.testing.assert_allclose(geom.x_C, 1.0, atol=1e-13)
@@ -57,8 +57,8 @@ class TestComputeGeometry:
         # superluminal label spread: x_C^2 < c^2 t_C^2
         g = rq.make_grid(0, 1, 11)
         plan = rq.build_plan(g, 4)
-        st = rq.EnsembleState(0.0, 2.0 * g.nodes, g.nodes.copy(),
-                              np.full(11, 1.0), np.zeros(11))
+        st = rq.EnsembleState(0.0, np.array([2.0 * g.nodes, g.nodes,
+                                             np.full(11, 1.0), np.zeros(11)]))
         with pytest.raises(GeometryError, match="node"):
             rq.compute_geometry(st, plan, c=1.0)
 

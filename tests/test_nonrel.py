@@ -84,17 +84,19 @@ class TestNonRelState:
         x = grid25.nodes.copy()
         x[4] = x[5] + 0.1
         with pytest.raises(StateValidationError, match="between nodes 4 and 5"):
-            NonRelState(0.0, x, np.zeros(25))
+            NonRelState(0.0, np.array([x, np.zeros(25)]))
 
     def test_nonfinite_velocity_rejected(self, grid25):
         v = np.zeros(25)
         v[7] = np.nan
         with pytest.raises(StateValidationError, match="non-finite values in field v"):
-            NonRelState(0.0, grid25.nodes, v)
+            NonRelState(0.0, np.array([grid25.nodes, v]))
 
     def test_length_mismatch_rejected(self, grid25):
-        with pytest.raises(StateValidationError, match="field v has shape"):
-            NonRelState(0.0, grid25.nodes, np.zeros(24))
+        # the wrong row count is reported before the non-finite third row
+        y = np.array([grid25.nodes, np.zeros(25), np.full(25, np.nan)])
+        with pytest.raises(StateValidationError, match=r"shape \(3, 25\), want \(2, N\)"):
+            NonRelState(0.0, y)
 
 
 class TestNonRelIntegrate:
@@ -103,9 +105,9 @@ class TestNonRelIntegrate:
         built = []
         init = NonRelState.__init__
 
-        def counting(self, t, x, v):
+        def counting(self, t, y):
             built.append(t)
-            init(self, t, x, v)
+            init(self, t, y)
 
         monkeypatch.setattr(NonRelState, "__init__", counting)
         out = rq.nonrel_integrate(baseline_config(t_final=0.5, dt=0.01), cadence=0.1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import relqtraj as rq
-from relqtraj.state import StateValidationError, check_fields, check_state_arrays
+from relqtraj.state import StateValidationError, check_state_arrays
 
 
 class TestMakeGrid:
@@ -75,51 +75,62 @@ class TestWeightFunction:
 
 
 class TestEnsembleState:
-    def _arrays(self, n=9, c=1.0):
+    def _array(self, n=9, c=1.0):
         x = np.linspace(0, 1, n)
-        return np.zeros(n), x, np.full(n, c), np.zeros(n)
+        return np.array([np.zeros(n), x, np.full(n, c), np.zeros(n)])
 
     def test_valid_state_accepted(self):
-        t, x, u0, u1 = self._arrays()
-        st = rq.EnsembleState(0.0, t, x, u0, u1)
+        st = rq.EnsembleState(0.0, self._array())
         assert st.x.shape == (9,)
 
+    def test_state_wraps_its_array_read_only(self):
+        y = self._array()
+        st = rq.EnsembleState(0.0, y)
+        assert st.y is y and not y.flags.writeable
+        for k, row in enumerate((st.t, st.x, st.u0, st.u1)):
+            assert np.shares_memory(row, y) and np.array_equal(row, y[k])
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 1.0
+
     def test_crossing_trajectories_rejected(self):
-        t, x, u0, u1 = self._arrays()
-        x[4] = x[5] + 0.1
+        y = self._array()
+        y[1, 4] = y[1, 5] + 0.1
         with pytest.raises(StateValidationError, match="degeneration"):
-            rq.EnsembleState(0.0, t, x, u0, u1)
+            rq.EnsembleState(0.0, y)
 
     def test_backward_time_rejected(self):
-        t, x, u0, u1 = self._arrays()
-        u0[3] = -1.0
+        y = self._array()
+        y[2, 3] = -1.0
         with pytest.raises(StateValidationError, match="u0"):
-            rq.EnsembleState(0.0, t, x, u0, u1)
+            rq.EnsembleState(0.0, y)
 
     def test_nonfinite_rejected(self):
-        t, x, u0, u1 = self._arrays()
-        t[0] = np.nan
+        y = self._array()
+        y[0, 0] = np.nan
         with pytest.raises(StateValidationError):
-            rq.EnsembleState(0.0, t, x, u0, u1)
+            rq.EnsembleState(0.0, y)
 
     def test_first_broken_invariant_is_reported(self):
         # non-finite t is reported before the ordering of x
-        t, x, u0, u1 = self._arrays()
-        t[2] = np.inf
-        x[4] = x[5] + 0.1
+        y = self._array()
+        y[0, 2] = np.inf
+        y[1, 4] = y[1, 5] + 0.1
         with pytest.raises(StateValidationError, match="non-finite values in field t"):
-            rq.EnsembleState(0.0, t, x, u0, u1)
+            rq.EnsembleState(0.0, y)
 
     def test_length_mismatch_rejected(self):
-        t, x, u0, u1 = self._arrays()
-        with pytest.raises(StateValidationError):
-            rq.EnsembleState(0.0, t[:-1], x, u0, u1)
+        # a (4, N) state can be given only the wrong shape, not ragged rows
+        for rows, shape in ((np.s_[:3], r"\(3, 9\)"), (np.s_[:, 0], r"\(4,\)"),
+                            (np.s_[1:3], r"\(2, 9\)")):
+            with pytest.raises(StateValidationError,
+                               match=rf"state array has shape {shape}, want \(4, N\)"):
+                rq.EnsembleState(0.0, self._array()[rows])
 
     def test_length_mismatch_reported_before_other_faults(self):
-        t, x, u0, u1 = self._arrays()
-        t[0] = np.nan
-        with pytest.raises(StateValidationError, match=r"field u1 has shape \(8,\)"):
-            rq.EnsembleState(0.0, t, x, u0, u1[:-1])
+        y = self._array()[:3]
+        y[0, 0] = np.nan
+        with pytest.raises(StateValidationError, match=r"state array has shape \(3, 9\)"):
+            rq.EnsembleState(0.0, y)
 
 
 class TestSimConfig:
@@ -152,8 +163,6 @@ def test_guard_reports_the_first_of_two_faults(rows, x_row, row, value, message)
     y[row, 2] = value                # ... and one earlier invariant broken
     with pytest.raises(StateValidationError, match=message):
         check_state_arrays(y)
-    with pytest.raises(StateValidationError, match=message):
-        check_fields(*y)
     y[row, 2] = _ensemble(rows)[row, 2]
     with pytest.raises(StateValidationError, match="degeneration"):
         check_state_arrays(y)

@@ -3,19 +3,21 @@
 Four families: boosted straight-line (quantum inertial) motion, the
 exponential-weight ensemble at rest with a constant time-contraction rate,
 and two hyperbolic families that solve the evolution equations exactly but
-are singular (light-cone trajectories), so they are flagged non-viable and
-serve only as sampled comparison data, never as initial conditions.
+are singular (light-cone trajectories), so they are not viable initial
+conditions and serve only as sampled comparison data.  Each family carries
+its whole definition: the map (T, C) -> (t, x, u0, u1), the weight of its
+labels and, where the density has no closed form, its closed-form Q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
-from .state import EnsembleState, SpatialGrid
+from .state import EnsembleState, SpatialGrid, WeightFunction, exponential_weight, uniform_weight
 
 
 def _stack4(t, x, u0, u1):
@@ -24,12 +26,12 @@ def _stack4(t, x, u0, u1):
 
 @dataclass(frozen=True)
 class AnalyticEnsemble:
-    """A closed-form map (T, C) -> (t, x, u0, u1), one (4, ...) array, plus metadata."""
+    """A closed-form map (T, C) -> (t, x, u0, u1), one (4, ...) array, the
+    weight of its labels and, if given, its closed-form Q(C, mass)."""
 
-    kind: str
-    params: dict
-    viable: bool
     evaluate: Callable
+    weight: WeightFunction
+    Q: Optional[Callable] = None
 
 
 def inertial_ensemble(beta0: float, c: float) -> AnalyticEnsemble:
@@ -39,39 +41,28 @@ def inertial_ensemble(beta0: float, c: float) -> AnalyticEnsemble:
     G = 1.0 / math.sqrt(1.0 - beta0 ** 2)
 
     def evaluate(T, C):
-        T = np.asarray(T, dtype=float)
-        C = np.asarray(C, dtype=float)
         t = G * (T + beta0 * C / c)
         x = G * (C + beta0 * c * T)
         return _stack4(t, x, G * c, G * beta0 * c)
 
-    return AnalyticEnsemble("inertial", {"beta0": beta0, "c": c}, True, evaluate)
+    return AnalyticEnsemble(evaluate, uniform_weight())
 
 
 def exponential_ensemble(kappa: float, mass: float, hbar: float, c: float) -> AnalyticEnsemble:
     """Rest-frame ensemble with exponential weight: x = C, t advances at the
     constant contraction rate exp[(1/2)(hbar kappa / m c)^2]."""
     rate = math.exp(0.5 * (hbar * kappa / (mass * c)) ** 2)
-
-    def evaluate(T, C):
-        T = np.asarray(T, dtype=float)
-        C = np.asarray(C, dtype=float)
-        return _stack4(rate * T, C, c, 0.0)
-
-    return AnalyticEnsemble(
-        "exponential", {"kappa": kappa, "mass": mass, "hbar": hbar, "c": c}, True, evaluate
-    )
+    return AnalyticEnsemble(lambda T, C: _stack4(rate * T, C, c, 0.0), exponential_weight(kappa))
 
 
 def hyperbolic_gamma_one_ensemble(B: float, c: float) -> AnalyticEnsemble:
     """Constant-acceleration family with unit slice metric:
-    t = (C/c) sinh(c B T), x = C cosh(c B T).  Singular at C = 0."""
+    t = (C/c) sinh(c B T), x = C cosh(c B T).  Singular at C = 0; Q is
+    defined where B C > 0, and the density has no closed form."""
     if B == 0:
         raise ValueError("B must be nonzero")
 
     def evaluate(T, C):
-        T = np.asarray(T, dtype=float)
-        C = np.asarray(C, dtype=float)
         if np.any(C == 0):
             raise ValueError("C = 0 is a singular point of this family")
         t = (C / c) * np.sinh(c * B * T)
@@ -80,7 +71,10 @@ def hyperbolic_gamma_one_ensemble(B: float, c: float) -> AnalyticEnsemble:
         # dividing the slice velocity by B C leaves the unit four-velocity:
         return _stack4(t, x, c * np.cosh(c * B * T), c * np.sinh(c * B * T))
 
-    return AnalyticEnsemble("hyperbolic_gamma_one", {"B": B, "c": c}, False, evaluate)
+    # no closed-form density: ln f is NaN, and so is rho_star
+    weight = replace(uniform_weight(), log_f=lambda C: np.full(np.shape(C), np.nan))
+    return AnalyticEnsemble(evaluate, weight,
+                            lambda C, mass: hyperbolic_gamma_one_Q(B, C, mass, c))
 
 
 def hyperbolic_gamma_one_Q(B: float, C, mass: float, c: float):
@@ -98,15 +92,13 @@ def hyperbolic_gamma_T_ensemble(A: float, c: float) -> AnalyticEnsemble:
         raise ValueError("A must be nonzero")
 
     def evaluate(T, C):
-        T = np.asarray(T, dtype=float)
-        C = np.asarray(C, dtype=float)
         if np.any(T == 0):
             raise ValueError("T = 0 is a degenerate slice of this family")
         t = T * np.cosh(A * C)
         x = c * T * np.sinh(A * C)
         return _stack4(t, x, c * np.cosh(A * C), c * np.sinh(A * C))
 
-    return AnalyticEnsemble("hyperbolic_gamma_T", {"A": A, "c": c}, False, evaluate)
+    return AnalyticEnsemble(evaluate, uniform_weight())
 
 
 def sample_state(ens: AnalyticEnsemble, grid: SpatialGrid, T: float) -> EnsembleState:

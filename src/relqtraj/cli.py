@@ -7,7 +7,7 @@ Subcommands:
   compare-limits  relativistic vs non-relativistic (or second config) runs
   figures         emit plot-data polylines from a snapshot directory
 
-Exit codes: 0 success / all checks pass, 1 validation error,
+Exit codes: 0 success / all checks pass, 1 validation or usage error,
 2 runtime or invariant failure.
 """
 
@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from . import __version__
 from .analytic import (
     exponential_ensemble,
-    hyperbolic_gamma_one_Q,
     hyperbolic_gamma_one_ensemble,
     hyperbolic_gamma_T_ensemble,
     inertial_ensemble,
@@ -47,7 +45,7 @@ from .snapshot_io import (
     write_snapshots,
     write_table,
 )
-from .state import SimConfig, StateValidationError, make_grid, uniform_weight, exponential_weight
+from .state import SimConfig, StateValidationError, make_grid
 from .stencils import STENCIL_ORDERS
 
 EXIT_OK = 0
@@ -100,34 +98,23 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_RUNTIME
 
 
+# --kind -> the closed-form family it samples, built from the parsed arguments
+_KINDS = {
+    "inertial": lambda a: inertial_ensemble(a.beta0, a.c),
+    "exponential": lambda a: exponential_ensemble(a.kappa, a.mass, a.hbar, a.c),
+    "hyperbolic-gamma-one": lambda a: hyperbolic_gamma_one_ensemble(a.B, a.c),
+    "hyperbolic-gamma-t": lambda a: hyperbolic_gamma_T_ensemble(a.A, a.c),
+}
+
+
 def _cmd_analytic(args) -> int:
     grid = make_grid(args.grid_min, args.grid_max, args.grid_n)
     times = [float(s) for s in args.times.split(",")]
-    m, hb, c = args.mass, args.hbar, args.c
-    Q = None  # given only for the family with a closed-form Q but no density
-    if args.kind == "inertial":
-        ens = inertial_ensemble(args.beta0, c)
-        weight = uniform_weight()
-    elif args.kind == "exponential":
-        ens = exponential_ensemble(args.kappa, m, hb, c)
-        weight = exponential_weight(args.kappa)
-    elif args.kind == "hyperbolic-gamma-one":
-        if grid.c_min <= 0:
-            raise ConfigError("hyperbolic-gamma-one sampling needs grid.min > 0")
-        ens = hyperbolic_gamma_one_ensemble(args.B, c)
-        Q = hyperbolic_gamma_one_Q(args.B, grid.nodes, m, c)
-        # no closed-form density exists: ln f is NaN, and so is rho_star
-        weight = replace(uniform_weight(), log_f=lambda C: np.full(np.shape(C), np.nan))
-    elif args.kind == "hyperbolic-gamma-t":
-        if any(T == 0 for T in times):
-            raise ConfigError("hyperbolic-gamma-t is degenerate at T = 0")
-        ens = hyperbolic_gamma_T_ensemble(args.A, c)
-        weight = uniform_weight()
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown kind {args.kind}")
-
+    ens = _KINDS[args.kind](args)
+    # a closed-form Q is given only for the family whose density has none
+    Q = None if ens.Q is None else ens.Q(grid.nodes, args.mass)
     cfg = SimConfig(
-        mass=m, hbar=hb, c=c, weight=weight, grid=grid,
+        mass=args.mass, hbar=args.hbar, c=args.c, weight=ens.weight, grid=grid,
         t_final=max(times) if max(times) > 0 else 1.0, stencil_order=args.stencil_order,
     )
     snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
@@ -169,12 +156,10 @@ def _cmd_compare_limits(args) -> int:
         other = integrate(_load_config(args.config2), cadence=args.cadence)
         xs_other = {s.tau_ensemble: s.state.x for s in other}
         label = "second config"
-    elif args.nonrel:
+    else:  # --nonrel; argparse requires exactly one of the two
         nr = nonrel_integrate(cfg, cadence=args.cadence)
         xs_other = {s.t: s.x for s in nr}
         label = "non-relativistic reference"
-    else:
-        raise ConfigError("compare-limits needs --nonrel or --config2")
     shared = [s for s in series if s.tau_ensemble in xs_other]
     if all(s.tau_ensemble == 0.0 for s in shared):
         raise ConfigError("compare-limits: the runs share no snapshot time after T = 0 "
@@ -196,15 +181,13 @@ def _cmd_figures(args) -> int:
     # (K, N) per field: one row per snapshot, one column per label
     T = np.repeat(np.array(series.times)[:, None], len(nodes), axis=1)
     C = np.broadcast_to(nodes, T.shape)
-    t = np.array([s.state.t for s in series])
-    x = np.array([s.state.x for s in series])
+    t, x, gamma, Q = series.stack("state.t", "state.x", "geometry.gamma", "quantum.Q")
     tables = (
         # trajectories run label by label, the other tables slice by slice
         ("fig_trajectories.tsv", ("C", "T", "t", "x"), tuple(a.T for a in (C, T, t, x))),
         ("fig_simultaneity.tsv", ("T", "C", "t", "x"), (T, C, t, x)),
-        ("fig_gamma.tsv", ("T", "C", "gamma"),
-         (T, C, np.array([s.geometry.gamma for s in series]))),
-        ("fig_q.tsv", ("T", "C", "Q"), (T, C, np.array([s.quantum.Q for s in series]))),
+        ("fig_gamma.tsv", ("T", "C", "gamma"), (T, C, gamma)),
+        ("fig_q.tsv", ("T", "C", "Q"), (T, C, Q)),
     )
     paths = []
     for fname, header, columns in tables:
@@ -230,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analytic", help="sample a closed-form ensemble")
-    p.add_argument("--kind", required=True, choices=[
-        "inertial", "exponential", "hyperbolic-gamma-one", "hyperbolic-gamma-t"])
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--out", required=True)
     p.add_argument("--beta0", type=float, default=0.0, help="boost for inertial")
     p.add_argument("--kappa", type=float, default=0.5, help="decay rate for exponential")
@@ -260,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare-limits",
                        help="compare a run against the non-relativistic solver or a second config")
     p.add_argument("--config", required=True)
-    p.add_argument("--config2", default=None)
-    p.add_argument("--nonrel", action="store_true")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--config2", default=None)
+    target.add_argument("--nonrel", action="store_true")
     p.add_argument("--cadence", type=float, default=1.0)
     p.set_defaults(func=_cmd_compare_limits)
 
@@ -273,8 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is a validation error; --help is not
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ConfigError, StateValidationError, FileNotFoundError, ValueError) as exc:

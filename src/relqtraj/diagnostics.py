@@ -8,7 +8,7 @@ to externally produced trajectory files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, le, lt
+from operator import le, lt
 from typing import List, Optional
 
 import numpy as np
@@ -66,12 +66,6 @@ def derived_fields(state, geom, w: WeightFunction, grid) -> DerivedFields:
     return DerivedFields(beta=beta, rho_star=f / np.sqrt(geom.gamma))
 
 
-def _stack(series: SnapshotSeries, *fields):
-    """The named per-node fields ("state.u0", "quantum.Q", ...) of every
-    snapshot as (K, N) arrays, one row per snapshot."""
-    return [np.stack([get(s) for s in series]) for get in map(attrgetter, fields)]
-
-
 def _worst(block: np.ndarray, Ts, Cs):
     """(value, T, C) at the largest entry of a (snapshot, point) block, the
     first in row order on ties; a NaN counts as the largest value.  An empty
@@ -118,8 +112,8 @@ def evaluate_invariants(
     rtol = cfg.residual_tol if residual_tol is None else residual_tol
     Ts, nodes = np.asarray(series.times), cfg.grid.nodes
 
-    u0, u1, f0, f1, g01 = _stack(series, "state.u0", "state.u1", "quantum.f0",
-                                 "quantum.f1", "geometry.g01_residual")
+    u0, u1, f0, f1, g01 = series.stack("state.u0", "state.u1", "quantum.f0",
+                                       "quantum.f1", "geometry.g01_residual")
     fmax = np.maximum(np.abs(f0).max(axis=1), np.abs(f1).max(axis=1))[:, None]
     orth = np.abs(-u0 * f0 + u1 * f1) / (cfg.c * fmax + ORTHOGONALITY_EPS)
     checks = [
@@ -156,7 +150,7 @@ def reference_zero_ratio(series: SnapshotSeries, a: float):
     cfg = series.config
     c_ref = 1.0 / np.sqrt(a)
     labels = [cq for cq in (c_ref, -c_ref) if cfg.grid.c_min <= cq <= cfg.grid.c_max]
-    (Q,) = _stack(series, "quantum.Q")
+    (Q,) = series.stack("quantum.Q")
     qmax = np.abs(Q).max(axis=1)
     rows = qmax != 0.0
     at_labels = np.array([interpolate(Q[rows].T, cfg.grid, cq) for cq in labels]).T
@@ -184,8 +178,8 @@ def pde_residual(series: SnapshotSeries):
     ts = series.times
     tgrid = make_grid(ts[0], ts[-1], K)
     tplan = build_plan(tgrid, 4)
-    t, x, Q, t_C, x_C, gamma, Q_C = _stack(
-        series, "state.t", "state.x", "quantum.Q", "geometry.t_C", "geometry.x_C",
+    t, x, Q, t_C, x_C, gamma, Q_C = series.stack(
+        "state.t", "state.x", "quantum.Q", "geometry.t_C", "geometry.x_C",
         "geometry.gamma", "quantum.Q_C")
 
     eQ = np.exp(Q / (cfg.mass * cfg.c ** 2))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -87,6 +88,11 @@ class SnapshotSeries:
     @property
     def times(self):
         return [s.tau_ensemble for s in self.snapshots]
+
+    def stack(self, *fields):
+        """The named per-node fields ("state.u0", "quantum.Q", ...) of every
+        snapshot as (K, N) arrays, one row per snapshot."""
+        return [np.array([get(s) for s in self.snapshots]) for get in map(attrgetter, fields)]
 
 
 class IntegrationError(RuntimeError):

@@ -32,9 +32,8 @@ def log_form_Q(
     mass: float,
 ) -> np.ndarray:
     """Quantum potential from the closed-form weight log-derivative and the
-    (numerically computed) spatial metric gamma on the slice."""
-    if (gamma <= 0).any():
-        raise ValueError("gamma must be positive")
+    (numerically computed) spatial metric gamma on the slice; gamma > 0 is
+    the caller's guard (slice_metric, or x_C > 0 without relativity)."""
     ln_gamma = np.log(gamma)
     Lp = 0.5 * dlogf - 0.25 * d_dC(ln_gamma, plan)
     Lpp = d_dC(Lp, plan)

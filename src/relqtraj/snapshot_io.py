@@ -212,9 +212,10 @@ def read_snapshots(path: str) -> SnapshotSeries:
     and the g01 residual are recomputed from them with the same stencils the
     run used, so verification never trusts integrator internals.  A table
     whose header, C or T column differs from SNAPSHOT_COLUMNS, the manifest's
-    grid nodes or its manifest T is rejected with ValueError, as is a manifest
-    line with the wrong number of fields, a bad snapshot index or T, or a
-    snapshot name that is not a plain file name inside path.
+    grid nodes or its manifest T is rejected with ValueError, as is a table
+    with no data rows, a manifest line with the wrong number of fields, a bad
+    snapshot index or T, or a snapshot name that is not a plain file name
+    inside path.
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -244,9 +245,13 @@ def read_snapshots(path: str) -> SnapshotSeries:
         with open(fname, "r", encoding="utf-8") as fh:
             if tuple(fh.readline().rstrip("\n").split("\t")) != SNAPSHOT_COLUMNS:
                 raise ValueError(f"{fname}: header row is not {' '.join(SNAPSHOT_COLUMNS)}")
+            rows = fh.readlines()
+            if not any(row.strip() for row in rows):
+                raise ValueError(f"{fname}: no data rows")
             try:
                 # rows in SNAPSHOT_COLUMNS order, one contiguous array like the solver's
-                cols = np.ascontiguousarray(np.loadtxt(fh, delimiter="\t", ndmin=2).T)
+                cols = np.ascontiguousarray(
+                    np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2).T)
                 Ts, C, _, _, _, _, _, Q, _, _, _ = cols
             except ValueError as exc:  # a row or every row of the wrong length
                 raise ValueError(f"{fname}: {exc}") from exc

@@ -51,6 +51,8 @@ class SpatialGrid:
 
 
 def make_grid(c_min: float, c_max: float, n_points: int) -> SpatialGrid:
+    if not float(n_points).is_integer():
+        raise ValueError(f"n_points must be an integer, got {n_points}")
     return SpatialGrid(float(c_min), float(c_max), int(n_points))
 
 

@@ -66,9 +66,6 @@ class TestHyperbolicGammaOne:
         with pytest.raises(ValueError):
             hyperbolic_gamma_one_ensemble(1.0, 1.0).evaluate(0.5, np.array([0.0, 1.0]))
 
-    def test_flagged_non_viable(self):
-        assert not hyperbolic_gamma_one_ensemble(1.0, 1.0).viable
-
     def test_tau_matches_slice_velocity(self):
         # dtau/dT obtained from the T-derivatives equals B C
         B, c = 0.8, 2.0
@@ -113,9 +110,6 @@ class TestHyperbolicGammaT:
     def test_degenerate_slice_rejected(self):
         with pytest.raises(ValueError):
             hyperbolic_gamma_T_ensemble(1.0, 1.0).evaluate(0.0, np.array([1.0]))
-
-    def test_flagged_non_viable(self):
-        assert not hyperbolic_gamma_T_ensemble(1.0, 1.0).viable
 
 
 class TestEvolutionConsistency:
@@ -181,15 +175,15 @@ class TestEvolutionConsistency:
 
 class TestSampledInvariants:
     @pytest.mark.parametrize("make,T", [
-        (lambda: inertial_ensemble(0.6, 2.0), 1.0),
-        (lambda: exponential_ensemble(0.3, 1.0, 1.0, 2.0), 1.0),
+        (lambda c: inertial_ensemble(0.6, c), 1.0),
+        (lambda c: exponential_ensemble(0.3, 1.0, 1.0, c), 1.0),
     ], ids=["inertial", "exponential"])
     def test_machine_level_kinematics(self, make, T):
-        ens = make()
+        c = 2.0
+        ens = make(c)
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, 4)
         st = sample_state(ens, g, T)
-        c = ens.params["c"]
         np.testing.assert_allclose(-st.u0 ** 2 + st.u1 ** 2, -c ** 2, rtol=1e-13)
         geom = rq.attach_g01(rq.compute_geometry(st, plan, c), st, np.ones(25), c)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-12)
@@ -201,3 +195,28 @@ class TestSampledInvariants:
         g2 = rq.make_grid(-1, 1, 25)
         st2 = sample_state(hyperbolic_gamma_T_ensemble(1.0, 3.0), g2, 1.0)
         np.testing.assert_allclose(-st2.u0 ** 2 + st2.u1 ** 2, -9.0, rtol=1e-12)
+
+
+class TestFamilyData:
+    """Each family carries the weight of its labels and, where its density
+    has no closed form, its closed-form Q."""
+
+    @pytest.mark.parametrize("ens", [
+        inertial_ensemble(0.6, 2.0), hyperbolic_gamma_T_ensemble(1.0, 2.0),
+    ], ids=["inertial", "hyperbolic_gamma_T"])
+    def test_uniform_weight_and_no_closed_form_Q(self, ens):
+        assert ens.weight.kind == "uniform" and ens.Q is None
+
+    def test_exponential_weight(self):
+        ens = exponential_ensemble(0.3, 1.0, 1.0, 2.0)
+        assert (ens.weight.kind, ens.weight.params, ens.Q) == ("exponential", (0.3,), None)
+
+    def test_hyperbolic_gamma_one_carries_Q_and_no_density(self):
+        B, m, c = 1.3, 2.0, 3.0
+        ens = hyperbolic_gamma_one_ensemble(B, c)
+        C = np.linspace(0.5, 2.5, 9)
+        np.testing.assert_array_equal(ens.Q(C, m), hyperbolic_gamma_one_Q(B, C, m, c))
+        assert np.isnan(ens.weight.log_f(C)).all()
+        np.testing.assert_array_equal(ens.weight.dlog_f(C), np.zeros(9))
+        with pytest.raises(ValueError, match="B\\*C > 0"):
+            ens.Q(np.array([0.0, 1.0]), m)

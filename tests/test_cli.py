@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relqtraj import cli
 from relqtraj.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -151,6 +152,27 @@ class TestAnalyticVerify:
                      "--c", "2", "--grid-min", "-1", "--grid-max", "1",
                      "--grid-n", "25", "--times", "0,1", "--out", str(out2)]) == 1
 
+    @pytest.mark.parametrize("kind, args", [
+        # Q = -m c^2 ln(B C) is undefined at C = 0; the T = 0 slice is degenerate
+        ("hyperbolic-gamma-one", ["--grid-min", "0", "--grid-max", "2", "--times", "0,1"]),
+        ("hyperbolic-gamma-t", ["--grid-min", "-1", "--grid-max", "1", "--times", "0,1"]),
+    ])
+    def test_analytic_refuses_a_family_outside_its_domain(self, tmp_path, kind, args):
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", kind, "--grid-n", "25", *args,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_verify_rejects_a_table_of_only_its_header(self, tmp_path, capsys):
+        out = tmp_path / "inertial"
+        assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
+                     "--grid-max", "2", "--grid-n", "25", "--times", "0,0.5",
+                     "--out", str(out)]) == 0
+        table = out / "snap_T0.5.tsv"
+        table.write_text(table.read_text().splitlines()[0] + "\n")
+        assert main(["verify", "--snapshots", str(out)]) == 1
+        assert "snap_T0.5.tsv: no data rows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("column, value", [("C", "999"), ("T", "7")])
     def test_verify_rejects_a_tampered_column(self, tmp_path, capsys, column, value):
         out = tmp_path / "inertial"
@@ -286,9 +308,38 @@ tol.invariant = 1e-6
         assert "share no snapshot time after T = 0" in captured.err
         assert "max |x difference|" not in captured.out
 
-    def test_needs_a_comparison_target(self, tmp_path):
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        """Fail any solve: compare-limits must refuse its arguments first."""
+        def fail(*args, **kwargs):
+            raise AssertionError("integrated before refusing the arguments")
+
+        for name in ("integrate", "nonrel_integrate"):
+            monkeypatch.setattr(cli, name, fail)
+
+    def test_needs_a_comparison_target(self, tmp_path, capsys, no_run):
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG)
         assert main(["compare-limits", "--config", cfg]) == 1
+        assert "one of the arguments --config2 --nonrel is required" in capsys.readouterr().err
+
+    def test_takes_only_one_comparison_target(self, tmp_path, capsys, no_run):
+        cfg = _write(tmp_path, "g.cfg", GAUSS_CFG)
+        assert main(["compare-limits", "--config", cfg, "--nonrel", "--config2", cfg]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [[], ["simulate"], ["analytic", "--kind", "nope"],
+                                      ["verify", "--snapshots"]],
+                             ids=["no-command", "no-flags", "bad-choice", "no-value"])
+    def test_usage_error_is_validation_error(self, capsys, argv):
+        assert main(argv) == 1
+        assert "usage: relqtraj" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
+    def test_help_and_version_succeed(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
 
 class TestFigures:

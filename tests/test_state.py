@@ -19,6 +19,12 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             rq.make_grid(-5, 5, 5)
 
+    def test_non_integral_point_count_rejected(self):
+        with pytest.raises(ValueError, match="n_points must be an integer, got 9.7"):
+            rq.make_grid(-1, 1, 9.7)
+        for n in (11, 11.0, np.int64(11), np.float64(11)):
+            assert rq.make_grid(-1, 1, n).n_points == 11
+
     def test_nonfinite_bounds_rejected(self):
         with pytest.raises(ValueError):
             rq.make_grid(-np.inf, 5, 25)

@@ -50,8 +50,13 @@ def inertial_ensemble(beta0: float, c: float) -> AnalyticEnsemble:
 
 def exponential_ensemble(kappa: float, mass: float, hbar: float, c: float) -> AnalyticEnsemble:
     """Rest-frame ensemble with exponential weight: x = C, t advances at the
-    constant contraction rate exp[(1/2)(hbar kappa / m c)^2]."""
-    rate = math.exp(0.5 * (hbar * kappa / (mass * c)) ** 2)
+    constant contraction rate exp[(1/2)(hbar kappa / m c)^2]; a kappa whose
+    rate overflows a float is a ValueError."""
+    try:
+        rate = math.exp(0.5 * (hbar * kappa / (mass * c)) ** 2)
+    except OverflowError:
+        raise ValueError(f"kappa = {kappa:g}: the contraction rate "
+                         f"exp[(1/2)(hbar kappa / m c)^2] overflows") from None
     return AnalyticEnsemble(lambda T, C: _stack4(rate * T, C, c, 0.0), exponential_weight(kappa))
 
 

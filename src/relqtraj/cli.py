@@ -39,6 +39,7 @@ from .geometry import GeometryError
 from .nonrel import nonrel_integrate
 from .snapshot_io import (
     ConfigError,
+    format_cells,
     parse_config,
     read_snapshots,
     write_report,
@@ -176,23 +177,33 @@ def _cmd_compare_limits(args) -> int:
 def _cmd_figures(args) -> int:
     with np.errstate(invalid="ignore", over="ignore"):  # as in verify
         series = read_snapshots(args.snapshots)
-    os.makedirs(args.out, exist_ok=True)
-    nodes = series.config.grid.nodes
+    times, nodes = series.times, series.config.grid.nodes
     # (K, N) per field: one row per snapshot, one column per label
-    T = np.repeat(np.array(series.times)[:, None], len(nodes), axis=1)
-    C = np.broadcast_to(nodes, T.shape)
     t, x, gamma, Q = series.stack("state.t", "state.x", "geometry.gamma", "quantum.Q")
-    tables = (
-        # trajectories run label by label, the other tables slice by slice
-        ("fig_trajectories.tsv", ("C", "T", "t", "x"), tuple(a.T for a in (C, T, t, x))),
-        ("fig_simultaneity.tsv", ("T", "C", "t", "x"), (T, C, t, x)),
-        ("fig_gamma.tsv", ("T", "C", "gamma"), (T, C, gamma)),
-        ("fig_q.tsv", ("T", "C", "Q"), (T, C, Q)),
-    )
+    del series  # the tables need only these: free the snapshots before the cells are made
+    os.makedirs(args.out, exist_ok=True)
+    K, N = len(times), len(nodes)
+    # Each value is formatted once, and a field's cells are kept only while
+    # its tables are written.  Every column runs slice by slice, K blocks of
+    # N labels; T and C repeat their cells to fill it.
+    T = [cell for cell in format_cells(times) for _ in range(N)]
+    C = format_cells(nodes) * K
     paths = []
-    for fname, header, columns in tables:
+
+    def write(fname, header, *columns):
         paths.append(os.path.join(args.out, fname))
-        write_table(paths[-1], header, [a.ravel() for a in columns])
+        write_table(paths[-1], header, columns)
+
+    def by_label(cells):  # the same cells label by label, N blocks of K slices
+        return (cell for j in range(N) for cell in cells[j::N])
+
+    t, x = format_cells(t), format_cells(x)
+    # trajectories run label by label, the other tables slice by slice
+    write("fig_trajectories.tsv", ("C", "T", "t", "x"), *map(by_label, (C, T, t, x)))
+    write("fig_simultaneity.tsv", ("T", "C", "t", "x"), T, C, t, x)
+    del t, x
+    write("fig_gamma.tsv", ("T", "C", "gamma"), T, C, format_cells(gamma))
+    write("fig_q.tsv", ("T", "C", "Q"), T, C, format_cells(Q))
     print("figures: " + ", ".join(paths))
     return EXIT_OK
 

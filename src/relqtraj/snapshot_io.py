@@ -32,8 +32,19 @@ class ConfigError(ValueError):
     """Bad run configuration text."""
 
 
+# A float cell: 17 significant digits, enough to round-trip float64 exactly.
+_CELL = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    return _CELL % float(v)
+
+
+def format_cells(values) -> List[str]:
+    """The 17-digit cells of a float array of any shape, read flat, from one
+    string-formatting operation."""
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return ((_CELL + "\n") * len(flat) % tuple(flat)).splitlines()
 
 
 def _integer(s: str) -> int:
@@ -135,13 +146,13 @@ def config_to_text(cfg: SimConfig) -> str:
 
 
 def write_table(fname: str, header, columns) -> None:
-    """Tab-separated table: the header row, then row i holds element i of
-    every (equal-length) column, each value to 17 significant digits."""
-    cells = [map(_fmt, np.asarray(col, dtype=float).tolist()) for col in columns]
+    """Tab-separated table: the header row, then row i holds cell i of every
+    column.  The columns are equal-length sequences of cell strings, as
+    format_cells gives them; the rows are streamed to the file."""
     try:
         with open(fname, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\t".join(header) + "\n")
-            fh.writelines("\t".join(row) + "\n" for row in zip(*cells))
+            fh.writelines("\t".join(row) + "\n" for row in zip(*columns, strict=True))
     except OSError as exc:
         raise OSError(f"cannot write table {fname}: {exc}") from exc
 
@@ -171,16 +182,18 @@ def write_snapshots(
                              f"{_fmt(s.tau_ensemble)} would share the file {name}")
         names[name] = s.tau_ensemble
     os.makedirs(path, exist_ok=True)
-    nodes = cfg.grid.nodes
+    n = cfg.grid.n_points
+    C = format_cells(cfg.grid.nodes)
+    T_cells = format_cells(series.times)  # the tables' T and the manifest's
     written = []
-    for name, s in zip(names, series):
+    for name, T, s in zip(names, T_cells, series):
         df = derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)
+        # t, x, u0, u1, gamma, Q, tau_T, beta, rho_star, n cells each
+        cells = format_cells((*s.state.y, s.geometry.gamma, s.quantum.Q, s.quantum.tau_T,
+                              df.beta, df.rho_star))
         fname = os.path.join(path, name)
-        write_table(fname, SNAPSHOT_COLUMNS, (  # in SNAPSHOT_COLUMNS order
-            np.full(cfg.grid.n_points, s.tau_ensemble), nodes,
-            *s.state.y,  # t, x, u0, u1
-            s.geometry.gamma, s.quantum.Q, s.quantum.tau_T, df.beta, df.rho_star,
-        ))
+        write_table(fname, SNAPSHOT_COLUMNS,
+                    ([T] * n, C, *(cells[k:k + n] for k in range(0, len(cells), n))))
         written.append(fname)
 
     manifest = os.path.join(path, "manifest.tsv")
@@ -193,8 +206,8 @@ def write_snapshots(
         fh.write(f"run.end_time\t{end_time}\n")
         if cadence is not None:
             fh.write(f"run.cadence\t{_fmt(cadence)}\n")
-        for i, (name, s) in enumerate(zip(names, series)):
-            fh.write(f"snapshot.{i}\t{name}\t{_fmt(s.tau_ensemble)}\n")
+        for i, (name, T) in enumerate(zip(names, T_cells)):
+            fh.write(f"snapshot.{i}\t{name}\t{T}\n")
         if report is not None:
             for r in report.records:
                 fh.write(

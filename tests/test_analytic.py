@@ -47,6 +47,11 @@ class TestExponential:
         t, _, _, _ = exponential_ensemble(1.0, 1.0, 1.0, 1.0).evaluate(3.0, np.array([0.0]))
         assert t[0] == pytest.approx(np.exp(0.5) * 3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("kappa", [40.0, 1e200])  # exp, then the square, overflows
+    def test_overflowing_rate_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa .* overflows"):
+            exponential_ensemble(kappa, 1.0, 1.0, 1.0)
+
     def test_trajectories_at_rest(self):
         C = np.linspace(-3, 3, 7)
         for T in (0.0, 1.0, 5.0):

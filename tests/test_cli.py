@@ -163,6 +163,17 @@ class TestAnalyticVerify:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("kappa", ["40", "1e200"])
+    def test_analytic_refuses_an_overflowing_exponential_rate(self, tmp_path, capsys, kappa):
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", "exponential", "--kappa", kappa, "--c", "1",
+                     "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kappa = ") and "overflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_verify_rejects_a_table_of_only_its_header(self, tmp_path, capsys):
         out = tmp_path / "inertial"
         assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
@@ -364,6 +375,24 @@ class TestFigures:
             Q = np.array([p[1] for p in pts])
             sign_changes = C[:-1][np.sign(Q[:-1]) != np.sign(Q[1:])]
             assert any(1.0 < abs(cc) < 1.9 for cc in sign_changes)
+
+    def test_trajectories_are_the_simultaneity_cells_label_by_label(self, tmp_path):
+        # 3 slices of 25 labels, so a transpose that mixes up K and N shows;
+        # the two files are compared to each other, so no BLAS kernel matters
+        out, figs = tmp_path / "inertial", tmp_path / "figs"
+        assert main(["analytic", "--kind", "inertial", "--beta0", "0.6", "--c", "2",
+                     "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
+                     "--times", "0,0.5,1", "--out", str(out)]) == 0
+        assert main(["figures", "--snapshots", str(out), "--out", str(figs)]) == 0
+        traj = (figs / "fig_trajectories.tsv").read_text().splitlines()
+        simul = (figs / "fig_simultaneity.tsv").read_text().splitlines()
+        assert traj[0].split("\t") == ["C", "T", "t", "x"]
+        assert simul[0].split("\t") == ["T", "C", "t", "x"]
+        K, N = 3, 25
+        assert len(simul) == len(traj) == 1 + K * N
+        assert [r.split("\t")[0] for r in simul[1::N]] == ["0", "0.5", "1"]
+        swapped = ["\t".join((T, C, t, x)) for C, T, t, x in (r.split("\t") for r in traj[1:])]
+        assert swapped == [simul[1 + k * N + j] for j in range(N) for k in range(K)]
 
 
 CORRUPTIONS = ("drop line", "drop cell", "truncate", "text", "nan", "inf", "-inf",

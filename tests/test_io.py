@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relqtraj as rq
-from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS
+from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS, format_cells
 
 from conftest import baseline_config
 
@@ -162,6 +163,28 @@ def test_config_text_round_trip(cfg):
     again = rq.parse_config(text)
     assert _config_bits(again) == _config_bits(cfg)
     assert rq.config_to_text(again) == text
+
+
+# the edges of float64: non-finite values, signed zeros, the smallest
+# subnormal and normal magnitudes and the largest finite one
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), max_size=30))
+def test_format_cells_is_the_17_digit_cell_and_round_trips(values):
+    cells = format_cells(values)
+    assert cells == [format(v, ".17g") for v in values]
+    # any shape is read flat
+    assert format_cells(np.reshape(values, (1, -1, 1))) == cells
+    back = [float(cell) for cell in cells]
+    for v, b in zip(values, back):
+        if math.isnan(v):
+            assert math.isnan(b)
+        else:  # bitwise, so the sign of a zero counts
+            assert np.float64(b).view(np.uint64) == np.float64(v).view(np.uint64)
+
 
 @pytest.fixture(scope="module")
 def short_series():

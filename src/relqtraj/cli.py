@@ -46,7 +46,7 @@ from .snapshot_io import (
     write_snapshots,
     write_table,
 )
-from .state import SimConfig, StateValidationError, make_grid
+from .state import SimConfig, StateValidationError, check_positive, make_grid
 from .stencils import STENCIL_ORDERS
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def _cmd_simulate(args) -> int:
                             start_time=start, end_time=_now(),
                             cadence=args.cadence)
             print(f"simulate: aborted, {len(exc.series)} partial snapshots "
-                  f"kept in {args.out}", file=sys.stderr)
+                  f"kept in {args.out}")
         raise
     wall = time.perf_counter() - t0
     report = evaluate_invariants(series)
@@ -111,6 +111,7 @@ _KINDS = {
 def _cmd_analytic(args) -> int:
     grid = make_grid(args.grid_min, args.grid_max, args.grid_n)
     times = [float(s) for s in args.times.split(",")]
+    check_positive(mass=args.mass, hbar=args.hbar, c=args.c)  # before a family divides by them
     ens = _KINDS[args.kind](args)
     # a closed-form Q is given only for the family whose density has none
     Q = None if ens.Q is None else ens.Q(grid.nodes, args.mass)

@@ -67,11 +67,8 @@ def derived_fields(state, geom, w: WeightFunction, grid) -> DerivedFields:
 
 
 def _worst(block: np.ndarray, Ts, Cs):
-    """(value, T, C) at the largest entry of a (snapshot, point) block, the
-    first in row order on ties; a NaN counts as the largest value.  An empty
-    block (nothing to check) reads (0, 0, 0)."""
-    if block.size == 0:
-        return 0.0, 0.0, 0.0
+    """(value, T, C) at the largest entry of a non-empty (snapshot, point)
+    block, the first in row order on ties; a NaN counts as the largest value."""
     k, j = np.unravel_index(int(np.argmax(block)), block.shape)
     return float(block[k, j]), float(Ts[k]), float(Cs[j])
 
@@ -90,7 +87,7 @@ def evaluate_invariants(
     added when there are at least RESIDUAL_MIN_SNAPSHOTS uniform snapshots no
     more than RESIDUAL_CADENCE_MAX apart.  For gaussian weights the quantum
     potential is additionally checked to vanish at the reference labels
-    +-sqrt(1/a).
+    +-sqrt(1/a) that lie on the grid (no record when neither does).
     That check is exact only as c -> infinity, where the slice metric is
     uniform in C; at finite c the label dependence of tau_T shifts the zeros
     by O(1/c^2), independently of the resolution, so a correct strongly
@@ -130,8 +127,8 @@ def evaluate_invariants(
         res_t, res_x, sn, nd = pde_residual(series)
         checks += [(name, _worst(np.abs(res[sn, nd]), Ts[sn], nodes[nd]), rtol, le)
                    for name, res in (("pde_residual_t", res_t), ("pde_residual_x", res_x))]
-    if cfg.weight.kind == "gaussian":
-        ref = reference_zero_ratio(series, cfg.weight.params[0])
+    ref = cfg.weight.kind == "gaussian" and reference_zero_ratio(series, cfg.weight.params[0])
+    if ref:
         checks.append(("reference_trajectory_zeros", ref, REFERENCE_ZERO_REL_TOL, le))
     return InvariantReport([InvariantRecord(name, *worst, t, passes(worst[0], t))
                             for name, worst, t, passes in checks])
@@ -146,13 +143,16 @@ def _uniform_cadence(series: SnapshotSeries) -> bool:
 def reference_zero_ratio(series: SnapshotSeries, a: float):
     """Largest |Q| at the reference labels +-sqrt(1/a), relative to the
     per-snapshot max |Q|; returns (ratio, T, C) at the worst point.  Slices
-    with Q = 0 everywhere are skipped."""
+    with Q = 0 everywhere are skipped; None when nothing is left to check
+    (neither label on the grid, or no slice with Q != 0)."""
     cfg = series.config
     c_ref = 1.0 / np.sqrt(a)
     labels = [cq for cq in (c_ref, -c_ref) if cfg.grid.c_min <= cq <= cfg.grid.c_max]
     (Q,) = series.stack("quantum.Q")
     qmax = np.abs(Q).max(axis=1)
     rows = qmax != 0.0
+    if not (labels and rows.any()):
+        return None
     at_labels = np.array([interpolate(Q[rows].T, cfg.grid, cq) for cq in labels]).T
     return _worst(np.abs(at_labels) / qmax[rows, None], np.asarray(series.times)[rows], labels)
 

@@ -13,13 +13,12 @@ so the force is the slice-restricted gradient of the quantum potential mapped
 back to inertial components, always orthogonal to the four-velocity.
 
 The solver steps the raw (4, N) array y = (t, x, u0, u1) that an
-EnsembleState wraps: each RK stage is checked against the ensemble
-invariants by check_state_arrays, then _slice computes every slice field
-once from y with the config's plan and dlogf.  An EnsembleState, and the g01
-residual, are built only for recorded snapshots.  make_snapshot is the one
-function that turns a state (and optionally a stored Q) into every field of
-a slice; the solver, the snapshot reader and the closed-form sampler all go
-through it.
+EnsembleState wraps.  rk4_step runs eom_rhs 4 times per step; eom_rhs checks
+the stage (check_state_arrays), then _slice runs one function per layer:
+compute_geometry (t_C, x_C, gamma), compute_Q (Q, Q_C), tau_factor and
+compute_force (f0, f1).  make_snapshot runs the same chain (optionally on a
+stored Q) and adds the g01 residual, for recorded snapshots only; the solver,
+the snapshot reader and the closed-form sampler all go through it.
 
 run_fixed_steps is the one stepping loop: integrate and the non-relativistic
 solver give it their own step and record functions, and it owns the step
@@ -37,17 +36,16 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import GeometryFields, GeometryError, attach_g01, slice_metric
+from .geometry import GeometryFields, GeometryError, attach_g01, compute_geometry
 from .qpotential import log_form_Q
 from .state import (
     EnsembleState,
     SimConfig,
     StateValidationError,
-    WeightFunction,
     check_state_arrays,
     norm_violation,
 )
-from .stencils import StencilPlan, d_dC
+from .stencils import d_dC
 
 ABORT_FACTOR = 10.0  # rk4_step aborts when norm drift exceeds this times invariant_tol
 STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
@@ -103,27 +101,18 @@ class IntegrationError(RuntimeError):
         self.series = series
 
 
-def compute_Q(
-    geom: GeometryFields,
-    w: WeightFunction,
-    plan: StencilPlan,
-    hbar: float,
-    mass: float,
-):
-    """Quantum potential and its label-derivative on one slice."""
-    dlogf = w.dlog_f(plan.grid.nodes)
-    Q = log_form_Q(dlogf, geom.gamma, plan, hbar, mass)
-    Q_C = d_dC(Q, plan)
-    return Q, Q_C
+def compute_Q(gamma: np.ndarray, config: SimConfig, Q: Optional[np.ndarray] = None):
+    """(Q, Q_C): the quantum potential on a slice of spatial metric gamma and
+    its label-derivative.  Q is computed from the config's weight unless it
+    is given (a stored or closed-form potential)."""
+    if Q is None:
+        Q = log_form_Q(config.dlogf, gamma, config.plan, config.hbar, config.mass)
+    return Q, d_dC(Q, config.plan)
 
 
-def _force(t_C, x_C, gamma, Q_C, c):
-    return -c * t_C / gamma * Q_C, -x_C / gamma * Q_C
-
-
-def compute_force(geom: GeometryFields, Q_C: np.ndarray, c: float):
+def compute_force(t_C, x_C, gamma, Q_C, c):
     """Inertial components (f0, f1) of the quantum force, f0 for the ct slot."""
-    return _force(geom.t_C, geom.x_C, geom.gamma, Q_C, c)
+    return -c * t_C / gamma * Q_C, -x_C / gamma * Q_C
 
 
 def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
@@ -133,21 +122,16 @@ def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
 
 def _slice(y, T, config: SimConfig, Q=None):
     """Every field of the slice y = (t, x, u0, u1) at ensemble time T:
-    (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1).  Q is computed from the
-    config's weight unless it is given."""
-    plan = config.plan
-    t_C, x_C, gamma = slice_metric(y[0], y[1], T, plan, config.c)
-    if Q is None:
-        Q = log_form_Q(config.dlogf, gamma, plan, config.hbar, config.mass)
-    Q_C = d_dC(Q, plan)
+    (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1), layer by layer."""
+    t_C, x_C, gamma = compute_geometry(y[0], y[1], T, config.plan, config.c)
+    Q, Q_C = compute_Q(gamma, config, Q)
     tau = tau_factor(Q, config.mass, config.c)
-    f0, f1 = _force(t_C, x_C, gamma, Q_C, config.c)
+    f0, f1 = compute_force(t_C, x_C, gamma, Q_C, config.c)
     return t_C, x_C, gamma, Q, Q_C, tau, f0, f1
 
 
-def make_snapshot(
-    state: EnsembleState, config: SimConfig, Q: Optional[np.ndarray] = None
-) -> Snapshot:
+def make_snapshot(state: EnsembleState, config: SimConfig,
+                  Q: Optional[np.ndarray] = None) -> Snapshot:
     """Every field of a recorded slice: geometry with the g01 residual, Q,
     Q_C, tau_T and the force.  Q is computed from the config's weight unless
     it is given (a stored or closed-form potential)."""
@@ -156,7 +140,7 @@ def make_snapshot(
     return Snapshot(state, geom, QuantumFields(Q, Q_C, f0, f1, tau))
 
 
-def _stage_rhs(y, T, config: SimConfig) -> np.ndarray:
+def eom_rhs(y, T, config: SimConfig) -> np.ndarray:
     """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of one RK stage
     y = (t, x, u0, u1), shape (4, N).
 
@@ -182,17 +166,11 @@ def _rk4(rhs, y, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def eom_rhs(state: EnsembleState, config: SimConfig) -> np.ndarray:
-    """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of the
-    ensemble-time evolution equations, shape (4, N)."""
-    return _stage_rhs(state.y, state.tau_ensemble, config)
-
-
 def rk4_step(y: np.ndarray, T: float, config: SimConfig) -> np.ndarray:
     """One classical four-stage Runge-Kutta step of size config.dt from the (4, N)
     array y at ensemble time T; a stage that breaks an invariant raises StateValidationError."""
     dt = config.dt
-    y = _rk4(lambda y, h: _stage_rhs(y, T + h, config), y, dt)
+    y = _rk4(lambda y, h: eom_rhs(y, T + h, config), y, dt)
     worst = float(np.max(norm_violation(y[2], y[3], config.c)))
     if worst > ABORT_FACTOR * config.invariant_tol:
         raise IntegrationError(

@@ -6,10 +6,10 @@ spacelike.  The time-space block g01 = eta_ab x^a_T x^b_C vanishes for an
 orthogonal trajectory/slice foliation; it is monitored as a residual, never
 projected away, so drift stays visible as a correctness signal.
 
-slice_metric is the array-level computation that every RK stage runs.  The
-g01 residual is never needed to advance the ensemble, so it is attached
-(attach_g01) only to recorded snapshots and to slices read back for
-verification, not to the intermediate RK stages.
+compute_geometry is the first layer of every RK stage (dynamics.eom_rhs);
+Q, tau_T and the force follow from its (t_C, x_C, gamma).  The g01 residual
+is never needed to advance the ensemble, so it is attached (attach_g01) only
+to recorded snapshots and to slices read back for verification.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ class GeometryFields:
     g01_residual: Optional[np.ndarray] = None
 
 
-def slice_metric(t, x, T: float, plan: StencilPlan, c: float):
+def compute_geometry(t, x, T: float, plan: StencilPlan, c: float):
     """(t_C, x_C, gamma) of the slice with coordinate arrays t, x at ensemble
-    time T; raises GeometryError unless gamma is positive and finite."""
+    time T, without the g01 residual (see attach_g01); raises GeometryError
+    unless gamma is positive and finite."""
     t_C = d_dC(t, plan)
     x_C = d_dC(x, plan)
     gamma = x_C ** 2 - c ** 2 * t_C ** 2
@@ -50,19 +51,13 @@ def slice_metric(t, x, T: float, plan: StencilPlan, c: float):
     return t_C, x_C, gamma
 
 
-def compute_geometry(state: EnsembleState, plan: StencilPlan, c: float) -> GeometryFields:
-    """Slice derivatives and spatial metric for one ensemble state, without
-    the g01 residual: that needs tau_T, which derives from the quantum
-    potential computed *from* this geometry (see attach_g01)."""
-    return GeometryFields(*slice_metric(state.t, state.x, state.tau_ensemble, plan, c))
-
-
 def attach_g01(
     geom: GeometryFields, state: EnsembleState, tau_T: np.ndarray, c: float
 ) -> GeometryFields:
     """Fill in the time-space metric residual eta_ab x^a_T x^b_C.
 
-    Uses x^0_T = tau_T u0 and x^1_T = tau_T u1 from the evolution equations.
+    Uses x^0_T = tau_T u0 and x^1_T = tau_T u1 from the evolution equations;
+    tau_T derives from the quantum potential computed from this geometry.
     """
     t_T = tau_T * state.u0 / c
     x_T = tau_T * state.u1

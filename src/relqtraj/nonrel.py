@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import _rk4, run_fixed_steps
 from .qpotential import log_form_Q
-from .state import SimConfig, StateValidationError, WeightFunction, check_state, check_state_arrays
+from .state import SimConfig, StateValidationError, check_state, check_state_arrays
 from .stencils import StencilPlan, d_dC
 
 
@@ -38,7 +38,7 @@ class NonRelState:
     v = property(lambda self: self.y[1])
 
 
-def _potential(x, dlogf, plan: StencilPlan, hbar: float, mass: float):
+def nonrel_Q(x, dlogf, plan: StencilPlan, hbar: float, mass: float):
     """(Q, x_C) for positions x(C), with gamma = x_C^2; dlogf is the weight's
     log-derivative on the grid nodes."""
     x_C = d_dC(np.asarray(x, dtype=float), plan)
@@ -46,17 +46,6 @@ def _potential(x, dlogf, plan: StencilPlan, hbar: float, mass: float):
         raise StateValidationError("x must be monotone in C")
     gamma = x_C ** 2
     return log_form_Q(dlogf, gamma, plan, hbar, mass), x_C
-
-
-def nonrel_Q(
-    x: np.ndarray,
-    w: WeightFunction,
-    plan: StencilPlan,
-    hbar: float,
-    mass: float,
-) -> np.ndarray:
-    """Quantum potential for trajectory positions x(C), with gamma = x_C^2."""
-    return _potential(x, w.dlog_f(plan.grid.nodes), plan, hbar, mass)[0]
 
 
 def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -67,7 +56,7 @@ def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
     StateValidationError when it breaks an invariant.
     """
     check_state_arrays(y)
-    Q, x_C = _potential(y[0], config.dlogf, config.plan, config.hbar, config.mass)
+    Q, x_C = nonrel_Q(y[0], config.dlogf, config.plan, config.hbar, config.mass)
     f_Q = -d_dC(Q, config.plan) / x_C
     return np.array([y[1], f_Q / config.mass])
 

@@ -15,6 +15,9 @@ which is how it is computed here: the weight enters only through its exact
 log-derivative, so a constant rescaling of f leaves Q bitwise unchanged, and
 weights that are tiny at the grid edges never underflow.  Both second
 derivatives arise as two successive stencil applications.
+
+In an RK stage it is the second layer, after geometry.compute_geometry: called
+by dynamics.compute_Q (three of the stage's six d_dC calls) or nonrel.nonrel_Q.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def log_form_Q(
 ) -> np.ndarray:
     """Quantum potential from the closed-form weight log-derivative and the
     (numerically computed) spatial metric gamma on the slice; gamma > 0 is
-    the caller's guard (slice_metric, or x_C > 0 without relativity)."""
+    the caller's guard (compute_geometry, or x_C > 0 in nonrel_Q)."""
     ln_gamma = np.log(gamma)
     Lp = 0.5 * dlogf - 0.25 * d_dC(ln_gamma, plan)
     Lpp = d_dC(Lp, plan)

@@ -163,6 +163,13 @@ def norm_violation(u0, u1, c: float) -> np.ndarray:
     return np.abs(-u0 ** 2 + u1 ** 2 + c ** 2) / c ** 2
 
 
+def check_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not positive and finite."""
+    for name, v in values.items():
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Physical constants, grid, integrator step and tolerances for one run.
@@ -181,10 +188,8 @@ class SimConfig:
     invariant_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("mass", "hbar", "c", "dt", "residual_tol", "invariant_tol"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        check_positive(mass=self.mass, hbar=self.hbar, c=self.c, dt=self.dt,
+                       residual_tol=self.residual_tol, invariant_tol=self.invariant_tol)
         if not (self.t_final >= 0 and math.isfinite(self.t_final)):
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.stencil_order not in STENCIL_ORDERS:

@@ -149,15 +149,15 @@ class TestAcceptance:
         # unit-metric family: gamma = 1 and Q = -m c^2 ln(B C)
         m, hb, c, B = 1.0, 1.0, 1.0, 1.0
         grid = rq.make_grid(0.5, 2.5, 81)
-        plan = rq.build_plan(grid, 4)
-        st = sample_state(hyperbolic_gamma_one_ensemble(B, c), grid, 0.7)
-        geom = rq.compute_geometry(st, plan, c)
-        gamma_err = float(np.max(np.abs(geom.gamma - 1.0)))
-
         w = hyperbolic_unit_metric_weight(B, m, hb, c, 0.45, 2.55)
-        Q_num, _ = rq.compute_Q(geom, w, plan, hb, m)
+        cfg = rq.SimConfig(mass=m, hbar=hb, c=c, weight=w, grid=grid, t_final=1.0)
+        st = sample_state(hyperbolic_gamma_one_ensemble(B, c), grid, 0.7)
+        _, _, gamma = rq.compute_geometry(st.t, st.x, 0.7, cfg.plan, c)
+        gamma_err = float(np.max(np.abs(gamma - 1.0)))
+
+        Q_num, _ = rq.compute_Q(gamma, cfg)
         Q_exact = hyperbolic_gamma_one_Q(B, grid.nodes, m, c)
-        interior = plan.interior
+        interior = cfg.plan.interior
         q_err = float(np.max(np.abs((Q_num - Q_exact)[interior])))
         q_rel = q_err / float(np.max(np.abs(Q_exact)))
 
@@ -165,8 +165,8 @@ class TestAcceptance:
         grid2 = rq.make_grid(-1, 1, 201)
         plan2 = rq.build_plan(grid2, 4)
         st2 = sample_state(hyperbolic_gamma_T_ensemble(0.5, 2.0), grid2, 1.0)
-        geom2 = rq.compute_geometry(st2, plan2, 2.0)
-        spread = float((np.max(geom2.gamma) - np.min(geom2.gamma)) / np.mean(geom2.gamma))
+        _, _, gamma2 = rq.compute_geometry(st2.t, st2.x, 1.0, plan2, 2.0)
+        spread = float((np.max(gamma2) - np.min(gamma2)) / np.mean(gamma2))
 
         ok = gamma_err <= 1e-6 and q_rel <= 1e-4 and spread <= 1e-8
         assert _line(7, ok,

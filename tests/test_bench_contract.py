@@ -8,7 +8,10 @@ top-level ``rq.<name>`` API.  A rename or deletion of any of them breaks
 A pacer is also a rate: wall_s charges each stage's loop at per_op pacer
 calls per period (an RK step or a snapshot), so a change in how often the
 package calls it would silently mis-charge the loop; the cadence test counts
-the calls over a short run of each stage.  bench/ is only read here.
+the calls over a short run of each stage.  The traced table is also a
+per-layer account of the RK stage: each stage layer must fire once per stage
+under its own name, so the layer test counts those calls too.  bench/ is only
+read here.
 """
 
 import importlib
@@ -58,11 +61,17 @@ def test_top_level_names_resolve():
     assert sorted(n for n in used if not hasattr(rq, n)) == []
 
 
+def _cut_config_text():
+    """configs/gaussian_c3.txt cut to 30 steps; at cadence 0.01, 4 snapshots."""
+    text = (CONFIGS / "gaussian_c3.txt").read_text()
+    assert "time.final = 10" in text
+    return text.replace("time.final = 10", "time.final = 0.03")
+
+
 def test_pacers_fire_per_op_times_per_period(tmp_path):
     # each workload stage's package calls, as bench/workloads.py makes them,
     # on configs/gaussian_c3.txt cut to 30 steps and 4 snapshots
-    text = (CONFIGS / "gaussian_c3.txt").read_text().replace("time.final = 10",
-                                                             "time.final = 0.03")
+    text = _cut_config_text()
     cfg, cadence = rq.parse_config(text), 0.01
     series = rq.integrate(cfg, cadence=cadence)
     snaps = tmp_path / "snaps"
@@ -100,3 +109,22 @@ def test_pacers_fire_per_op_times_per_period(tmp_path):
                 counted.append((wl.name, stage, f"{mod}.{name}", calls, per_op * periods))
     assert counted
     assert [c for c in counted if c[3] != c[4]] == []
+
+
+def test_each_stage_layer_is_traced_once_per_stage():
+    # the traced table charges each layer of an RK stage to its own function;
+    # a record-level wrapper that no stage calls would read 0 calls here
+    spans = _load("spans")
+    cfg = rq.parse_config(_cut_config_text())
+    with spans.Tracer() as tracer:
+        records = len(rq.integrate(cfg, cadence=0.01))
+        rq.nonrel_integrate(cfg, cadence=0.01)
+    calls = spans.summarize(tracer)["calls"]
+    steps, rhs = 30, calls["dynamics.eom_rhs"]
+    assert (calls["dynamics.rk4_step"], rhs, records) == (steps, 4 * steps, 4)
+    per_stage = ("geometry.compute_geometry", "dynamics.compute_Q",
+                 "dynamics.compute_force", "dynamics.tau_factor")
+    assert {name: calls[name] for name in per_stage} == dict.fromkeys(per_stage, rhs + records)
+    assert spans.calls_under(tracer, "stencils.d_dC", "dynamics.eom_rhs") == 6 * rhs
+    assert calls["nonrel.nonrel_rhs"] == 4 * steps
+    assert calls["nonrel.nonrel_Q"] == calls["nonrel.nonrel_rhs"]

@@ -1,3 +1,4 @@
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -86,6 +87,24 @@ class TestSimulate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_abort_keeps_the_partial_series(self, tmp_path, capsys):
+        # tol.invariant = 1e-15 puts the abort guard (10 x tol) under the norm
+        # drift of the first step: the run stops there and keeps T = 0
+        text = (CONFIGS / "gaussian_c3.txt").read_text()
+        assert "tol.invariant = 1e-3" in text
+        cfg = _write(tmp_path, "abort.cfg",
+                     text.replace("tol.invariant = 1e-3", "tol.invariant = 1e-15"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"runtime failure: four-velocity norm drift \S+ exceeds .* "
+                            r"after step to T = 0\.001\n", captured.err)
+        assert captured.out == f"simulate: aborted, 1 partial snapshots kept in {out}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv", "snap_T0.tsv"]
+        manifest = (out / "manifest.tsv").read_text().splitlines()
+        assert [ln for ln in manifest if ln.startswith("invariant.")] == []
+        assert main(["verify", "--snapshots", str(out)]) == 0
+
     def test_unknown_key_is_validation_error(self, tmp_path):
         cfg = _write(tmp_path, "bad.cfg", GAUSS_CFG + "\nwhat = 1\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -172,6 +191,21 @@ class TestAnalyticVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: kappa = ") and "overflows" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("constant", ["--mass", "--c"])
+    @pytest.mark.parametrize("kind, lo, hi", [
+        ("inertial", "-2", "2"), ("exponential", "-2", "2"),
+        ("hyperbolic-gamma-one", "0.5", "2.5"), ("hyperbolic-gamma-t", "-1", "1"),
+    ])
+    def test_analytic_refuses_a_zero_constant_for_every_kind(self, tmp_path, capsys,
+                                                             kind, lo, hi, constant):
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", kind, constant, "0", "--grid-min", lo,
+                     "--grid-max", hi, "--grid-n", "25", "--times", "0.5,1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {constant[2:]} must be positive and finite, got 0.0"]
         assert not out.exists()
 
     def test_verify_rejects_a_table_of_only_its_header(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,8 @@ def exponential_series():
 class TestDerivedFields:
     def test_rest_state(self):
         cfg = baseline_config()
-        st = rq.rest_initial_state(cfg)
-        geom = rq.compute_geometry(st, cfg.plan, cfg.c)
+        snap = rq.make_snapshot(rq.rest_initial_state(cfg), cfg)
+        st, geom = snap.state, snap.geometry
         df = rq.derived_fields(st, geom, cfg.weight, cfg.grid)
         np.testing.assert_array_equal(df.beta, np.zeros(25))
         # unit metric: invariant density reduces to the weight itself
@@ -150,6 +152,20 @@ class TestInvariantReport:
         rep = rq.evaluate_invariants(fine)
         assert rep["pde_residual_t"].passed
         assert rep["pde_residual_x"].passed
+
+    def test_reference_zeros_left_out_when_no_label_is_on_the_grid(self):
+        # a = 0.01 puts the reference labels at +-10, off the grid [-5, 5]:
+        # there is nothing to check, so there is no record (not a pass)
+        cfg = replace(baseline_config(t_final=0.1), weight=rq.gaussian_weight(0.01))
+        series = rq.integrate(cfg, cadence=0.05)
+        assert reference_zero_ratio(series, 0.01) is None
+        names = [r.name for r in rq.evaluate_invariants(series).records]
+        assert names == ["four_velocity_norm", "force_orthogonality",
+                         "simultaneity_g01", "subluminality"]
+        # the same run at a = 0.5 (labels +-sqrt(2)) keeps it
+        series = rq.integrate(baseline_config(t_final=0.1), cadence=0.05)
+        assert "reference_trajectory_zeros" in [
+            r.name for r in rq.evaluate_invariants(series).records]
 
     def test_reference_zero_ratio_initially_exact(self):
         cfg = baseline_config(t_final=0.0)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _initial_geometry(cfg):
+    # (t_C, x_C, gamma) of the rest slice
     st = rq.rest_initial_state(cfg)
-    return st, rq.compute_geometry(st, cfg.plan, cfg.c)
+    return rq.compute_geometry(st.t, st.x, 0.0, cfg.plan, cfg.c)
 
 
 class TestComputeQ:
@@ -30,8 +32,8 @@ class TestComputeQ:
         # at every node because the log-derivative pipeline only touches
         # polynomials the stencils reproduce
         cfg = baseline_config()
-        st, geom = _initial_geometry(cfg)
-        Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.plan, cfg.hbar, cfg.mass)
+        _, _, gamma = _initial_geometry(cfg)
+        Q, Q_C = rq.compute_Q(gamma, cfg)
         C = cfg.grid.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5), atol=1e-12)
         assert rq.interpolate(Q, cfg.grid, 0.0) == pytest.approx(0.25, abs=1e-12)
@@ -43,8 +45,8 @@ class TestComputeQ:
         cfg = baseline_config()
         cfg = rq.SimConfig(mass=1, hbar=1, c=3, weight=rq.uniform_weight(),
                            grid=cfg.grid, t_final=1, dt=1e-3)
-        st, geom = _initial_geometry(cfg)
-        Q, _ = rq.compute_Q(geom, cfg.weight, cfg.plan, 1.0, 1.0)
+        _, _, gamma = _initial_geometry(cfg)
+        Q, _ = rq.compute_Q(gamma, cfg)
         np.testing.assert_allclose(Q, 0.0, atol=1e-13)
 
     def test_exponential_weight_constant(self):
@@ -52,8 +54,8 @@ class TestComputeQ:
         kappa = 0.3
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
-        st, geom = _initial_geometry(cfg)
-        Q, Q_C = rq.compute_Q(geom, cfg.weight, cfg.plan, 1.0, 1.0)
+        _, _, gamma = _initial_geometry(cfg)
+        Q, Q_C = rq.compute_Q(gamma, cfg)
         np.testing.assert_allclose(Q, -0.5 * kappa ** 2, atol=1e-14)
         # one stencil pass amplifies the ~1e-16 nodal rounding of Q by sum|w|
         np.testing.assert_allclose(Q_C, 0.0, atol=5e-12)
@@ -62,8 +64,7 @@ class TestComputeQ:
         # multiplying f by a constant shifts ln f but not d ln f / dC,
         # so Q, forces and tau are bitwise unchanged
         cfg = baseline_config()
-        st, geom = _initial_geometry(cfg)
-        plan = cfg.plan
+        geom = _initial_geometry(cfg)
         a = 0.5
         scaled = WeightFunction(
             kind="gaussian",
@@ -71,23 +72,21 @@ class TestComputeQ:
             dlog_f=cfg.weight.dlog_f,
             params=(a,),
         )
-        Q1, QC1 = rq.compute_Q(geom, cfg.weight, plan, 1.0, 1.0)
-        Q2, QC2 = rq.compute_Q(geom, scaled, plan, 1.0, 1.0)
+        Q1, QC1 = rq.compute_Q(geom[2], cfg)
+        Q2, QC2 = rq.compute_Q(geom[2], replace(cfg, weight=scaled))
         assert np.array_equal(Q1, Q2)
         assert np.array_equal(QC1, QC2)
-        f1a, f1b = rq.compute_force(geom, QC1, cfg.c)
-        f2a, f2b = rq.compute_force(geom, QC2, cfg.c)
+        f1a, f1b = rq.compute_force(*geom, QC1, cfg.c)
+        f2a, f2b = rq.compute_force(*geom, QC2, cfg.c)
         assert np.array_equal(f1a, f2a) and np.array_equal(f1b, f2b)
         assert np.array_equal(rq.tau_factor(Q1, 1.0, 3.0), rq.tau_factor(Q2, 1.0, 3.0))
 
     def test_stretch_scaling(self):
         # x = 2C halves the density scale twice over: Q picks up a factor 1/4
         g = rq.make_grid(-2, 2, 25)
-        plan = rq.build_plan(g, 4)
-        st = rq.EnsembleState(0.0, np.array([np.zeros(25), 2.0 * g.nodes, np.ones(25),
-                                             np.zeros(25)]))
-        geom = rq.compute_geometry(st, plan, c=1.0)
-        Q, _ = rq.compute_Q(geom, rq.gaussian_weight(0.5), plan, 1.0, 1.0)
+        cfg = rq.SimConfig(c=1, weight=rq.gaussian_weight(0.5), grid=g, t_final=1)
+        _, _, gamma = rq.compute_geometry(np.zeros(25), 2.0 * g.nodes, 0.0, cfg.plan, cfg.c)
+        Q, _ = rq.compute_Q(gamma, cfg)
         C = g.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5) / 4.0, atol=1e-12)
 
@@ -96,18 +95,18 @@ class TestComputeForce:
     def test_constant_Q_no_force(self):
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(0.3),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
-        st, geom = _initial_geometry(cfg)
-        _, Q_C = rq.compute_Q(geom, cfg.weight, cfg.plan, 1.0, 1.0)
-        f0, f1 = rq.compute_force(geom, Q_C, cfg.c)
+        geom = _initial_geometry(cfg)
+        _, Q_C = rq.compute_Q(geom[2], cfg)
+        f0, f1 = rq.compute_force(*geom, Q_C, cfg.c)
         np.testing.assert_allclose(f0, 0.0, atol=5e-12)
         np.testing.assert_allclose(f1, 0.0, atol=5e-12)
 
     def test_gaussian_initial_force_linear(self):
         # t_C = 0, x_C = 1, gamma = 1: f0 = 0 and f1 = -Q_C = (hbar^2 a^2/m) C
         cfg = baseline_config()
-        st, geom = _initial_geometry(cfg)
-        _, Q_C = rq.compute_Q(geom, cfg.weight, cfg.plan, cfg.hbar, cfg.mass)
-        f0, f1 = rq.compute_force(geom, Q_C, cfg.c)
+        geom = _initial_geometry(cfg)
+        _, Q_C = rq.compute_Q(geom[2], cfg)
+        f0, f1 = rq.compute_force(*geom, Q_C, cfg.c)
         np.testing.assert_allclose(f0, 0.0, atol=1e-13)
         np.testing.assert_allclose(f1, 0.25 * cfg.grid.nodes, atol=1e-12)
 
@@ -118,18 +117,18 @@ class TestComputeForce:
         plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_one_ensemble(B, c)
         st = sample_state(ens, g, T=0.0)
-        geom = rq.compute_geometry(st, plan, c)
+        geom = rq.compute_geometry(st.t, st.x, 0.0, plan, c)
         Q = hyperbolic_gamma_one_Q(B, g.nodes, m, c)
         Q_C_exact = -m * c ** 2 / g.nodes
-        f0, f1 = rq.compute_force(geom, Q_C_exact, c)
+        f0, f1 = rq.compute_force(*geom, Q_C_exact, c)
         np.testing.assert_allclose(f1, m * c ** 2 / g.nodes, rtol=1e-12)
         np.testing.assert_allclose(f0, 0.0, atol=1e-13)
         # at later slices the inertial components rotate but stay orthogonal
         # to the four-velocity; the label-derivative comes from the stencils
         st = sample_state(ens, g, T=0.8)
-        geom = rq.compute_geometry(st, plan, c)
+        geom = rq.compute_geometry(st.t, st.x, 0.8, plan, c)
         Q_C = rq.d_dC(Q, plan)
-        f0, f1 = rq.compute_force(geom, Q_C, c)
+        f0, f1 = rq.compute_force(*geom, Q_C, c)
         interior = plan.interior
         # d_dC of ln(C) at 25 nodes carries ~2e-4 relative truncation at
         # the small-C end (|Q^(5)| = 24/C^5)
@@ -167,8 +166,7 @@ class TestEomRhs:
     def test_inertial_straight_lines(self):
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                            grid=rq.make_grid(-8, 8, 17), t_final=1, dt=1e-3)
-        st = rq.EnsembleState(0.7, inertial_ensemble(0.6, cfg.c).evaluate(0.7, cfg.grid.nodes))
-        d = rq.eom_rhs(st, cfg)
+        d = rq.eom_rhs(inertial_ensemble(0.6, cfg.c).evaluate(0.7, cfg.grid.nodes), 0.7, cfg)
         np.testing.assert_allclose(d[2], 0.0, atol=1e-12)
         np.testing.assert_allclose(d[3], 0.0, atol=1e-12)
         G = 1.0 / np.sqrt(1 - 0.36)
@@ -179,7 +177,7 @@ class TestEomRhs:
         kappa = 0.3
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
-        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
+        d = rq.eom_rhs(rq.rest_initial_state(cfg).y, 0.0, cfg)
         rate = exponential_ensemble(kappa, 1.0, 1.0, 1.0).evaluate(1.0, 0.0)[0]  # t/T
         np.testing.assert_allclose(d[0], rate, rtol=1e-12)
         np.testing.assert_allclose(d[1], 0.0, atol=1e-13)
@@ -189,7 +187,7 @@ class TestEomRhs:
     def test_gaussian_center_symmetry(self):
         # Q is even at T = 0, so the central node feels no force
         cfg = baseline_config()
-        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
+        d = rq.eom_rhs(rq.rest_initial_state(cfg).y, 0.0, cfg)
         assert d[3, 12] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -263,15 +261,14 @@ class TestStageGuard:
         # the stage core against compute_geometry, compute_Q, tau_factor and
         # compute_force chained field by field, bitwise
         cfg = baseline_config()
-        plan = cfg.plan
-        st = rq.rest_initial_state(cfg)
-        geom = rq.compute_geometry(st, plan, cfg.c)
-        Q, Q_C = rq.compute_Q(geom, cfg.weight, plan, cfg.hbar, cfg.mass)
+        t, x, u0, u1 = y = rq.rest_initial_state(cfg).y
+        t_C, x_C, gamma = rq.compute_geometry(t, x, 0.0, cfg.plan, cfg.c)
+        Q, Q_C = rq.compute_Q(gamma, cfg)
         tau = rq.tau_factor(Q, cfg.mass, cfg.c)
-        f0, f1 = rq.compute_force(geom, Q_C, cfg.c)
-        want = np.array([tau * st.u0 / cfg.c, tau * st.u1,
+        f0, f1 = rq.compute_force(t_C, x_C, gamma, Q_C, cfg.c)
+        want = np.array([tau * u0 / cfg.c, tau * u1,
                          tau * f0 / cfg.mass, tau * f1 / cfg.mass])
-        assert rq.eom_rhs(st, cfg).tobytes() == want.tobytes()
+        assert rq.eom_rhs(y, 0.0, cfg).tobytes() == want.tobytes()
 
 
 class TestInitialStates:
@@ -285,7 +282,7 @@ class TestInitialStates:
 
     def test_initial_time_rate_is_dilation_factor(self):
         cfg = baseline_config()
-        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
+        d = rq.eom_rhs(rq.rest_initial_state(cfg).y, 0.0, cfg)
         assert d[0, 12] == pytest.approx(np.exp(-1.0 / 36.0), rel=1e-12)
 
 

@@ -16,12 +16,10 @@ class TestComputeGeometry:
         # t = 0, x = C gives t_C = 0, x_C = 1, gamma = 1 at every node
         g = rq.make_grid(-5, 5, 25)
         plan = rq.build_plan(g, 4)
-        st = rq.EnsembleState(0.0, np.array([np.zeros(25), g.nodes,
-                                             np.full(25, 3.0), np.zeros(25)]))
-        geom = rq.compute_geometry(st, plan, c=3.0)
-        np.testing.assert_allclose(geom.t_C, 0.0, atol=1e-14)
-        np.testing.assert_allclose(geom.x_C, 1.0, atol=1e-13)
-        np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-12)
+        t_C, x_C, gamma = rq.compute_geometry(np.zeros(25), g.nodes, 0.0, plan, c=3.0)
+        np.testing.assert_allclose(t_C, 0.0, atol=1e-14)
+        np.testing.assert_allclose(x_C, 1.0, atol=1e-13)
+        np.testing.assert_allclose(gamma, 1.0, atol=1e-12)
 
     def test_hyperbolic_unit_metric_slice(self):
         # x_C = cosh(cBT), c t_C = sinh(cBT): gamma = 1 identically
@@ -29,8 +27,8 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_one_ensemble(B=1.0, c=3.0)
         st = sample_state(ens, g, T=0.7)
-        geom = rq.compute_geometry(st, plan, c=3.0)
-        np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-10)
+        _, _, gamma = rq.compute_geometry(st.t, st.x, 0.7, plan, c=3.0)
+        np.testing.assert_allclose(gamma, 1.0, atol=1e-10)
 
     def test_hyperbolic_fan_slice(self):
         # gamma = c^2 A^2 T^2, uniform in C
@@ -38,10 +36,10 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_T_ensemble(A=1.0, c=2.0)
         st = sample_state(ens, g, T=1.0)
-        geom = rq.compute_geometry(st, plan, c=2.0)
+        _, _, gamma = rq.compute_geometry(st.t, st.x, 1.0, plan, c=2.0)
         # edge rows carry the largest truncation constants at 25 nodes
-        np.testing.assert_allclose(geom.gamma, 4.0, rtol=1e-4)
-        assert np.max(np.abs(geom.gamma[plan.interior] - geom.gamma[12])) < 1e-9
+        np.testing.assert_allclose(gamma, 4.0, rtol=1e-4)
+        assert np.max(np.abs(gamma[plan.interior] - gamma[12])) < 1e-9
 
     def test_inertial_slice_is_stencil_exact(self):
         # derivatives of linear fields are exact: gamma = 1, g01 = 0
@@ -49,7 +47,8 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = inertial_ensemble(beta0=0.6, c=1.0)
         st = sample_state(ens, g, T=1.3)
-        geom = rq.attach_g01(rq.compute_geometry(st, plan, c=1.0), st, np.ones(25), 1.0)
+        geom = rq.GeometryFields(*rq.compute_geometry(st.t, st.x, 1.3, plan, c=1.0))
+        geom = rq.attach_g01(geom, st, np.ones(25), 1.0)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-13)
         np.testing.assert_allclose(geom.g01_residual, 0.0, atol=1e-13)
 
@@ -57,8 +56,6 @@ class TestComputeGeometry:
         # superluminal label spread: x_C^2 < c^2 t_C^2
         g = rq.make_grid(0, 1, 11)
         plan = rq.build_plan(g, 4)
-        st = rq.EnsembleState(0.0, np.array([2.0 * g.nodes, g.nodes,
-                                             np.full(11, 1.0), np.zeros(11)]))
         with pytest.raises(GeometryError, match="node"):
-            rq.compute_geometry(st, plan, c=1.0)
+            rq.compute_geometry(2.0 * g.nodes, g.nodes, 0.0, plan, c=1.0)
 

@@ -113,8 +113,9 @@ def evaluate_invariants(
                                        "quantum.f1", "geometry.g01_residual")
     fmax = np.maximum(np.abs(f0).max(axis=1), np.abs(f1).max(axis=1))[:, None]
     orth = np.abs(-u0 * f0 + u1 * f1) / (cfg.c * fmax + ORTHOGONALITY_EPS)
+    norm = np.abs(norm_violation(u0, u1, cfg.c)) / cfg.c ** 2
     checks = [
-        ("four_velocity_norm", _worst(norm_violation(u0, u1, cfg.c), Ts, nodes), tol, le),
+        ("four_velocity_norm", _worst(norm, Ts, nodes), tol, le),
         ("force_orthogonality", _worst(orth, Ts, nodes), tol, le),
         ("simultaneity_g01", _worst(np.abs(g01), Ts, nodes), tol, le),
         ("subluminality", _worst(np.abs(u1) / u0 - 1.0, Ts, nodes), 0.0, lt),

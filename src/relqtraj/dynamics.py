@@ -14,11 +14,21 @@ back to inertial components, always orthogonal to the four-velocity.
 
 The solver steps the raw (4, N) array y = (t, x, u0, u1) that an
 EnsembleState wraps.  rk4_step runs eom_rhs 4 times per step; eom_rhs checks
-the stage (check_state_arrays), then _slice runs one function per layer:
-compute_geometry (t_C, x_C, gamma), compute_Q (Q, Q_C), tau_factor and
-compute_force (f0, f1).  make_snapshot runs the same chain (optionally on a
-stored Q) and adds the g01 residual, for recorded snapshots only; the solver,
-the snapshot reader and the closed-form sampler all go through it.
+the stage (check_state), then _slice runs one function per layer:
+compute_geometry ((t_C, x_C) as one (2, N) array, gamma), compute_Q (Q, Q_C),
+tau_factor and compute_force ((f0, f1) as one (2, N) array).  make_snapshot
+runs the same chain (optionally on a stored Q) and adds the g01 residual, for
+recorded snapshots only; the solver, the snapshot reader and the closed-form
+sampler all go through it.
+
+On N = 25 a stage's cost is the count of numpy calls, not arithmetic, so the
+chain is written to make few of them while every output stays bit for bit
+what the plain 1-D expressions give.  Two rules keep it so.  First, rows are
+stacked only for exactly-rounded elementwise operations whose regrouping is
+exact: x / 1.0 == x, (-1) x == -x, -a / b == a / -b, and max(a / k) ==
+max(a) / k for k > 0.  Second, log, exp and gamma^(-1/2) stay on 1-D arrays,
+and every derivative is one gemv per vector (d_dC on a 1-D row): a stacked
+gemm sums in another order and differs by up to 5e-15.
 
 run_fixed_steps is the one stepping loop: integrate and the non-relativistic
 solver give it their own step and record functions, and it owns the step
@@ -42,7 +52,7 @@ from .state import (
     EnsembleState,
     SimConfig,
     StateValidationError,
-    check_state_arrays,
+    check_state,
     norm_violation,
 )
 from .stencils import d_dC
@@ -106,28 +116,31 @@ def compute_Q(gamma: np.ndarray, config: SimConfig, Q: Optional[np.ndarray] = No
     its label-derivative.  Q is computed from the config's weight unless it
     is given (a stored or closed-form potential)."""
     if Q is None:
-        Q = log_form_Q(config.dlogf, gamma, config.plan, config.hbar, config.mass)
+        Q = log_form_Q(config.half_dlogf, gamma, config.plan, config.hbar, config.mass)
     return Q, d_dC(Q, config.plan)
 
 
-def compute_force(t_C, x_C, gamma, Q_C, c):
-    """Inertial components (f0, f1) of the quantum force, f0 for the ct slot."""
-    return -c * t_C / gamma * Q_C, -x_C / gamma * Q_C
+def compute_force(tx_C, gamma, Q_C, config: SimConfig) -> np.ndarray:
+    """Inertial components of the quantum force as the rows (f0, f1) of one
+    (2, N) array, f0 for the ct slot: (-c t_C, -x_C) / gamma * Q_C, from
+    compute_geometry's (t_C, x_C) rows and the config's force_sign rows
+    (-c, -1).  Since (-1) x == -x, each row is bitwise its 1-D expression."""
+    return tx_C * config.force_sign / gamma * Q_C
 
 
 def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
-    """Local rate of proper time against ensemble time, exp(-Q / m c^2)."""
-    return np.exp(-np.asarray(Q, dtype=float) / (mass * c ** 2))
+    """Local rate of proper time against ensemble time, exp(-Q / m c^2),
+    computed as exp(Q / -(m c^2)): -a / b == a / -b exactly."""
+    return np.exp(Q / -(mass * c ** 2))
 
 
 def _slice(y, T, config: SimConfig, Q=None):
     """Every field of the slice y = (t, x, u0, u1) at ensemble time T:
-    (t_C, x_C, gamma, Q, Q_C, tau_T, f0, f1), layer by layer."""
-    t_C, x_C, gamma = compute_geometry(y[0], y[1], T, config.plan, config.c)
+    (tx_C, gamma, Q, Q_C, tau_T, f), layer by layer; tx_C and f are (2, N)."""
+    tx_C, gamma = compute_geometry(y[0], y[1], T, config.plan, config.c)
     Q, Q_C = compute_Q(gamma, config, Q)
     tau = tau_factor(Q, config.mass, config.c)
-    f0, f1 = compute_force(t_C, x_C, gamma, Q_C, config.c)
-    return t_C, x_C, gamma, Q, Q_C, tau, f0, f1
+    return tx_C, gamma, Q, Q_C, tau, compute_force(tx_C, gamma, Q_C, config)
 
 
 def make_snapshot(state: EnsembleState, config: SimConfig,
@@ -135,26 +148,23 @@ def make_snapshot(state: EnsembleState, config: SimConfig,
     """Every field of a recorded slice: geometry with the g01 residual, Q,
     Q_C, tau_T and the force.  Q is computed from the config's weight unless
     it is given (a stored or closed-form potential)."""
-    t_C, x_C, gamma, Q, Q_C, tau, f0, f1 = _slice(state.y, state.tau_ensemble, config, Q)
-    geom = attach_g01(GeometryFields(t_C, x_C, gamma), state, tau, config.c)
-    return Snapshot(state, geom, QuantumFields(Q, Q_C, f0, f1, tau))
+    tx_C, gamma, Q, Q_C, tau, f = _slice(state.y, state.tau_ensemble, config, Q)
+    geom = attach_g01(GeometryFields(*tx_C, gamma), state, tau, config.c)
+    return Snapshot(state, geom, QuantumFields(Q, Q_C, *f, tau))
 
 
 def eom_rhs(y, T, config: SimConfig) -> np.ndarray:
     """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of one RK stage
-    y = (t, x, u0, u1), shape (4, N).
+    y = (t, x, u0, u1), shape (4, N): the rows (u0, u1, f0, f1) times tau_T
+    over the config's rhs_divisor rows (c, 1, m, m), three operations that
+    are bitwise the four 1-D rows (x / 1.0 == x).
 
-    The stage is checked against the EnsembleState invariants first and
-    raises StateValidationError when it breaks one.
+    The stage is checked against the EnsembleState invariants and its
+    shape first and raises StateValidationError when it breaks one.
     """
-    check_state_arrays(y)
-    _, _, _, _, _, tau, f0, f1 = _slice(y, T, config)
-    return np.array([
-        tau * y[2] / config.c,
-        tau * y[3],
-        tau * f0 / config.mass,
-        tau * f1 / config.mass,
-    ])
+    check_state(y, 4)
+    _, _, _, _, tau, f = _slice(y, T, config)
+    return np.concatenate((y[2:], f)) * tau / config.rhs_divisor
 
 
 def _rk4(rhs, y, dt):
@@ -171,7 +181,8 @@ def rk4_step(y: np.ndarray, T: float, config: SimConfig) -> np.ndarray:
     array y at ensemble time T; a stage that breaks an invariant raises StateValidationError."""
     dt = config.dt
     y = _rk4(lambda y, h: eom_rhs(y, T + h, config), y, dt)
-    worst = float(np.max(norm_violation(y[2], y[3], config.c)))
+    # max(|v| / c^2) == max(|v|) / c^2 exactly, so one division by c^2
+    worst = float(np.abs(norm_violation(y[2], y[3], config.c)).max()) / config.c ** 2
     if worst > ABORT_FACTOR * config.invariant_tol:
         raise IntegrationError(
             f"four-velocity norm drift {worst:.3e} exceeds "

@@ -7,13 +7,15 @@ orthogonal trajectory/slice foliation; it is monitored as a residual, never
 projected away, so drift stays visible as a correctness signal.
 
 compute_geometry is the first layer of every RK stage (dynamics.eom_rhs);
-Q, tau_T and the force follow from its (t_C, x_C, gamma).  The g01 residual
-is never needed to advance the ensemble, so it is attached (attach_g01) only
-to recorded snapshots and to slices read back for verification.
+Q, tau_T and the force follow from its (t_C, x_C) rows and gamma.  The g01
+residual is never needed to advance the ensemble, so it is attached
+(attach_g01) only to recorded snapshots and to slices read back for
+verification.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -36,19 +38,27 @@ class GeometryFields:
 
 
 def compute_geometry(t, x, T: float, plan: StencilPlan, c: float):
-    """(t_C, x_C, gamma) of the slice with coordinate arrays t, x at ensemble
-    time T, without the g01 residual (see attach_g01); raises GeometryError
-    unless gamma is positive and finite."""
+    """(tx_C, gamma) of the slice with coordinate arrays t, x at ensemble
+    time T: the label-derivatives (t_C, x_C) as the rows of one (2, N) array,
+    which compute_force scales as a whole, and gamma = x_C^2 - c^2 t_C^2,
+    without the g01 residual (see attach_g01).
+
+    Each derivative is its own gemv (d_dC on a 1-D row), and gamma is formed
+    on the 1-D rows: a stacked (N, 2) product would differ in the last bits.
+    Raises GeometryError, naming the first node and its value, unless gamma
+    is positive and finite; its fast pass is one min and one max.
+    """
     t_C = d_dC(t, plan)
     x_C = d_dC(x, plan)
     gamma = x_C ** 2 - c ** 2 * t_C ** 2
-    if (gamma <= 0).any() or not np.isfinite(gamma).all():
-        k = int(np.argmin(gamma))
+    if not (gamma.min() > 0 and gamma.max() < math.inf):
+        k = int(np.argmin((gamma > 0) & np.isfinite(gamma)))
+        kind = "non-positive" if gamma[k] <= 0 else "non-finite"
         raise GeometryError(
-            f"non-positive spatial metric gamma = {gamma[k]:.6g} at node {k} "
+            f"{kind} spatial metric gamma = {gamma[k]:.6g} at node {k} "
             f"(T = {T:.6g}): slice is no longer spacelike"
         )
-    return t_C, x_C, gamma
+    return np.array((t_C, x_C)), gamma
 
 
 def attach_g01(

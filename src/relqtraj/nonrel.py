@@ -2,8 +2,8 @@
 
 Independent reference for the large-c limit.  It shares the machinery of the
 relativistic solver (grids, stencils, weights, the state guard, the RK4
-combine, the fixed-step driver and the config's plan and dlogf) but not its
-physics: here the slice metric is gamma = x_C^2, coordinate time is the
+combine, the fixed-step driver and the config's plan and half_dlogf) but not
+its physics: here the slice metric is gamma = x_C^2, coordinate time is the
 evolution parameter, and the equations are
 
     dx/dt = v        dv/dt = f_Q / m,   f_Q = -(1 / x_C) dQ/dC .
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import _rk4, run_fixed_steps
 from .qpotential import log_form_Q
-from .state import SimConfig, StateValidationError, check_state, check_state_arrays
+from .state import SimConfig, StateValidationError, check_state
 from .stencils import StencilPlan, d_dC
 
 
@@ -38,14 +38,14 @@ class NonRelState:
     v = property(lambda self: self.y[1])
 
 
-def nonrel_Q(x, dlogf, plan: StencilPlan, hbar: float, mass: float):
-    """(Q, x_C) for positions x(C), with gamma = x_C^2; dlogf is the weight's
-    log-derivative on the grid nodes."""
-    x_C = d_dC(np.asarray(x, dtype=float), plan)
-    if (x_C <= 0).any():
+def nonrel_Q(x, half_dlogf, plan: StencilPlan, hbar: float, mass: float):
+    """(Q, x_C) for positions x(C), with gamma = x_C^2; half_dlogf is half
+    the weight's log-derivative on the grid nodes (SimConfig.half_dlogf)."""
+    x_C = d_dC(x, plan)
+    if np.count_nonzero(x_C <= 0):
         raise StateValidationError("x must be monotone in C")
     gamma = x_C ** 2
-    return log_form_Q(dlogf, gamma, plan, hbar, mass), x_C
+    return log_form_Q(half_dlogf, gamma, plan, hbar, mass), x_C
 
 
 def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -53,10 +53,10 @@ def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
     shape (2, N), for the free particle.
 
     The stage is checked by the state guard first and raises
-    StateValidationError when it breaks an invariant.
+    StateValidationError when it breaks an invariant or is not (2, N).
     """
-    check_state_arrays(y)
-    Q, x_C = nonrel_Q(y[0], config.dlogf, config.plan, config.hbar, config.mass)
+    check_state(y, 2)
+    Q, x_C = nonrel_Q(y[0], config.half_dlogf, config.plan, config.hbar, config.mass)
     f_Q = -d_dC(Q, config.plan) / x_C
     return np.array([y[1], f_Q / config.mass])
 

@@ -28,23 +28,26 @@ from .stencils import StencilPlan, d_dC
 
 
 def log_form_Q(
-    dlogf: np.ndarray,
+    half_dlogf: np.ndarray,
     gamma: np.ndarray,
     plan: StencilPlan,
     hbar: float,
     mass: float,
 ) -> np.ndarray:
-    """Quantum potential from the closed-form weight log-derivative and the
-    (numerically computed) spatial metric gamma on the slice; gamma > 0 is
-    the caller's guard (compute_geometry, or x_C > 0 in nonrel_Q)."""
+    """Quantum potential from half the closed-form weight log-derivative,
+    (ln f^(1/2))' = (ln f)'/2 (SimConfig.half_dlogf), and the (numerically
+    computed) spatial metric gamma on the slice; gamma > 0 is the caller's
+    guard (compute_geometry, or x_C > 0 in nonrel_Q).  Every operation runs
+    on a 1-D array of the slice, and each derivative is its own d_dC gemv.
+    Raises FloatingPointError if Q is not finite (one count of a mask)."""
     ln_gamma = np.log(gamma)
-    Lp = 0.5 * dlogf - 0.25 * d_dC(ln_gamma, plan)
+    Lp = half_dlogf - 0.25 * d_dC(ln_gamma, plan)
     Lpp = d_dC(Lp, plan)
     inv_sqrt_gamma = gamma ** -0.5
     Gp = d_dC(inv_sqrt_gamma, plan)
     Q = -(hbar ** 2 / (2.0 * mass)) * (
         inv_sqrt_gamma * Gp * Lp + (Lp ** 2 + Lpp) / gamma
     )
-    if not np.isfinite(Q).all():
+    if np.count_nonzero(np.isfinite(Q)) != Q.size:
         raise FloatingPointError("non-finite quantum potential")
     return Q

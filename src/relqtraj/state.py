@@ -114,14 +114,20 @@ def check_state_arrays(y: np.ndarray) -> None:
     (t, x, u0, u1), shape (4, N), or the non-relativistic (x, v), shape (2, N).
     The error names the first broken invariant, in that order: the first
     field with a non-finite value, then u0, then the ordering of x.
+
+    Each invariant is one mask counted by np.count_nonzero, which costs a
+    fraction of ndarray.all() on a stage's small arrays; the fault is located
+    only once a count comes up short.
     """
-    if not np.isfinite(y).all():
-        bad = int(np.argmin(np.isfinite(y).all(axis=1)))
+    finite = np.isfinite(y)
+    if np.count_nonzero(finite) != y.size:
+        bad = int(np.argmin(finite.all(axis=1)))
         raise StateValidationError(f"non-finite values in field {_FIELDS[len(y)][bad]}")
-    if len(y) == 4 and not (y[2] > 0).all():
+    if len(y) == 4 and np.count_nonzero(y[2] > 0) != y.shape[1]:
         raise StateValidationError("u0 must be positive (forward-in-time propagation)")
     x = y[1] if len(y) == 4 else y[0]
-    if not (x[1:] > x[:-1]).all():
+    increasing = x[1:] > x[:-1]
+    if np.count_nonzero(increasing) != increasing.size:
         k = int(np.argmin(np.diff(x)))
         raise StateValidationError(
             f"trajectory ordering lost between nodes {k} and {k + 1} "
@@ -159,8 +165,10 @@ class EnsembleState:
 
 
 def norm_violation(u0, u1, c: float) -> np.ndarray:
-    """|eta_ab U^a U^b + c^2| / c^2, elementwise over the four-velocity arrays."""
-    return np.abs(-u0 ** 2 + u1 ** 2 + c ** 2) / c ** 2
+    """eta_ab U^a U^b + c^2 = u1^2 - u0^2 + c^2, elementwise over the
+    four-velocity arrays: zero on the mass shell.  The relative drift is
+    its magnitude over c^2."""
+    return u1 ** 2 - u0 ** 2 + c ** 2
 
 
 def check_positive(**values: float) -> None:
@@ -173,8 +181,10 @@ def check_positive(**values: float) -> None:
 @dataclass(frozen=True)
 class SimConfig:
     """Physical constants, grid, integrator step and tolerances for one run.
-    The run's derivative operator (plan) and the weight's log-derivative on
-    the grid nodes (dlogf) are derived once, on first use."""
+    The run's derivative operator (plan), the weight's log-derivative on the
+    grid nodes (dlogf, and half_dlogf for log_form_Q) and the constant rows
+    of the RK stage (force_sign, rhs_divisor) are derived once, on first
+    use; they are not config keys."""
 
     c: float
     weight: WeightFunction
@@ -201,6 +211,34 @@ class SimConfig:
 
     @cached_property
     def dlogf(self) -> np.ndarray:
-        dlogf = np.array(self.weight.dlog_f(self.grid.nodes), dtype=float)
-        dlogf.setflags(write=False)
-        return dlogf
+        return _read_only(np.array(self.weight.dlog_f(self.grid.nodes), dtype=float))
+
+    @cached_property
+    def half_dlogf(self) -> np.ndarray:
+        """(ln f^(1/2))' = dlogf / 2, the weight's share of L' in log_form_Q."""
+        return _read_only(0.5 * self.dlogf)
+
+    @cached_property
+    def force_sign(self) -> np.ndarray:
+        """(2, N) rows -c and -1 taking the rows (t_C, x_C) to the force's
+        (ct, x) components in dynamics.compute_force."""
+        return _rows(self.grid.n_points, -self.c, -1.0)
+
+    @cached_property
+    def rhs_divisor(self) -> np.ndarray:
+        """(4, N) rows c, 1, m, m dividing tau_T (u0, u1, f0, f1) into the
+        rows of dynamics.eom_rhs; x / 1.0 == x, so the x row is tau_T u1."""
+        return _rows(self.grid.n_points, self.c, 1.0, self.mass, self.mass)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _rows(n: int, *values: float) -> np.ndarray:
+    """Read-only (len(values), n) array, row i filled with values[i].  A full
+    row block rather than a (k, 1) column: a product of equal shapes takes
+    numpy's elementwise fast path, about 1 us less per call at N = 25 than
+    a broadcast."""
+    return _read_only(np.repeat(np.array(values)[:, None], n, axis=1))

@@ -20,6 +20,7 @@ if TYPE_CHECKING:
     from .state import SpatialGrid
 
 STENCIL_ORDERS = (2, 4)  # the accuracy orders of the first-derivative stencils
+_FLOAT64 = np.dtype(np.float64)
 
 
 def fornberg_weights(xs: np.ndarray, x0: float, deriv: int) -> np.ndarray:
@@ -105,8 +106,16 @@ def _grid_values(values, grid: SpatialGrid) -> np.ndarray:
 def d_dC(values: np.ndarray, plan: StencilPlan) -> np.ndarray:
     """First derivative of nodal values with respect to the label C along the
     first axis; a stacked (n, k) array is one BLAS matrix product, whose
-    columns can differ from 1-D calls in the last bits."""
-    return plan.matrix @ _grid_values(values, plan.grid)
+    columns can differ from 1-D calls in the last bits.
+
+    A contiguous float64 (n,) array, the RK stages' only input, skips the
+    _grid_values check and runs as ndarray.dot: the same single gemv as the
+    matmul, bit for bit, at about half the call overhead."""
+    D = plan.matrix
+    if (type(values) is np.ndarray and values.dtype == _FLOAT64 and values.ndim == 1
+            and len(values) == len(D) and values.flags.c_contiguous):
+        return D.dot(values)
+    return D @ _grid_values(values, plan.grid)
 
 
 def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):

@@ -13,6 +13,7 @@ from relqtraj.analytic import (
     sample_state,
 )
 from relqtraj.dynamics import IntegrationError, step_counts
+from relqtraj.geometry import GeometryError
 from relqtraj.state import StateValidationError, WeightFunction
 
 from conftest import baseline_config
@@ -21,7 +22,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _initial_geometry(cfg):
-    # (t_C, x_C, gamma) of the rest slice
+    # ((t_C, x_C), gamma) of the rest slice
     st = rq.rest_initial_state(cfg)
     return rq.compute_geometry(st.t, st.x, 0.0, cfg.plan, cfg.c)
 
@@ -32,7 +33,7 @@ class TestComputeQ:
         # at every node because the log-derivative pipeline only touches
         # polynomials the stencils reproduce
         cfg = baseline_config()
-        _, _, gamma = _initial_geometry(cfg)
+        _, gamma = _initial_geometry(cfg)
         Q, Q_C = rq.compute_Q(gamma, cfg)
         C = cfg.grid.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5), atol=1e-12)
@@ -45,7 +46,7 @@ class TestComputeQ:
         cfg = baseline_config()
         cfg = rq.SimConfig(mass=1, hbar=1, c=3, weight=rq.uniform_weight(),
                            grid=cfg.grid, t_final=1, dt=1e-3)
-        _, _, gamma = _initial_geometry(cfg)
+        _, gamma = _initial_geometry(cfg)
         Q, _ = rq.compute_Q(gamma, cfg)
         np.testing.assert_allclose(Q, 0.0, atol=1e-13)
 
@@ -54,7 +55,7 @@ class TestComputeQ:
         kappa = 0.3
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
-        _, _, gamma = _initial_geometry(cfg)
+        _, gamma = _initial_geometry(cfg)
         Q, Q_C = rq.compute_Q(gamma, cfg)
         np.testing.assert_allclose(Q, -0.5 * kappa ** 2, atol=1e-14)
         # one stencil pass amplifies the ~1e-16 nodal rounding of Q by sum|w|
@@ -72,12 +73,12 @@ class TestComputeQ:
             dlog_f=cfg.weight.dlog_f,
             params=(a,),
         )
-        Q1, QC1 = rq.compute_Q(geom[2], cfg)
-        Q2, QC2 = rq.compute_Q(geom[2], replace(cfg, weight=scaled))
+        Q1, QC1 = rq.compute_Q(geom[1], cfg)
+        Q2, QC2 = rq.compute_Q(geom[1], replace(cfg, weight=scaled))
         assert np.array_equal(Q1, Q2)
         assert np.array_equal(QC1, QC2)
-        f1a, f1b = rq.compute_force(*geom, QC1, cfg.c)
-        f2a, f2b = rq.compute_force(*geom, QC2, cfg.c)
+        f1a, f1b = rq.compute_force(*geom, QC1, cfg)
+        f2a, f2b = rq.compute_force(*geom, QC2, cfg)
         assert np.array_equal(f1a, f2a) and np.array_equal(f1b, f2b)
         assert np.array_equal(rq.tau_factor(Q1, 1.0, 3.0), rq.tau_factor(Q2, 1.0, 3.0))
 
@@ -85,7 +86,7 @@ class TestComputeQ:
         # x = 2C halves the density scale twice over: Q picks up a factor 1/4
         g = rq.make_grid(-2, 2, 25)
         cfg = rq.SimConfig(c=1, weight=rq.gaussian_weight(0.5), grid=g, t_final=1)
-        _, _, gamma = rq.compute_geometry(np.zeros(25), 2.0 * g.nodes, 0.0, cfg.plan, cfg.c)
+        _, gamma = rq.compute_geometry(np.zeros(25), 2.0 * g.nodes, 0.0, cfg.plan, cfg.c)
         Q, _ = rq.compute_Q(gamma, cfg)
         C = g.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5) / 4.0, atol=1e-12)
@@ -96,8 +97,8 @@ class TestComputeForce:
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(0.3),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
         geom = _initial_geometry(cfg)
-        _, Q_C = rq.compute_Q(geom[2], cfg)
-        f0, f1 = rq.compute_force(*geom, Q_C, cfg.c)
+        _, Q_C = rq.compute_Q(geom[1], cfg)
+        f0, f1 = rq.compute_force(*geom, Q_C, cfg)
         np.testing.assert_allclose(f0, 0.0, atol=5e-12)
         np.testing.assert_allclose(f1, 0.0, atol=5e-12)
 
@@ -105,8 +106,8 @@ class TestComputeForce:
         # t_C = 0, x_C = 1, gamma = 1: f0 = 0 and f1 = -Q_C = (hbar^2 a^2/m) C
         cfg = baseline_config()
         geom = _initial_geometry(cfg)
-        _, Q_C = rq.compute_Q(geom[2], cfg)
-        f0, f1 = rq.compute_force(*geom, Q_C, cfg.c)
+        _, Q_C = rq.compute_Q(geom[1], cfg)
+        f0, f1 = rq.compute_force(*geom, Q_C, cfg)
         np.testing.assert_allclose(f0, 0.0, atol=1e-13)
         np.testing.assert_allclose(f1, 0.25 * cfg.grid.nodes, atol=1e-12)
 
@@ -114,13 +115,14 @@ class TestComputeForce:
         # unit-metric hyperbolic family: on the initial slice f1 = m c^2 / C
         m, c, B = 1.0, 1.0, 1.0
         g = rq.make_grid(0.5, 2.5, 25)
-        plan = rq.build_plan(g, 4)
+        cfg = rq.SimConfig(mass=m, c=c, weight=rq.uniform_weight(), grid=g, t_final=1)
+        plan = cfg.plan
         ens = hyperbolic_gamma_one_ensemble(B, c)
         st = sample_state(ens, g, T=0.0)
         geom = rq.compute_geometry(st.t, st.x, 0.0, plan, c)
         Q = hyperbolic_gamma_one_Q(B, g.nodes, m, c)
         Q_C_exact = -m * c ** 2 / g.nodes
-        f0, f1 = rq.compute_force(*geom, Q_C_exact, c)
+        f0, f1 = rq.compute_force(*geom, Q_C_exact, cfg)
         np.testing.assert_allclose(f1, m * c ** 2 / g.nodes, rtol=1e-12)
         np.testing.assert_allclose(f0, 0.0, atol=1e-13)
         # at later slices the inertial components rotate but stay orthogonal
@@ -128,7 +130,7 @@ class TestComputeForce:
         st = sample_state(ens, g, T=0.8)
         geom = rq.compute_geometry(st.t, st.x, 0.8, plan, c)
         Q_C = rq.d_dC(Q, plan)
-        f0, f1 = rq.compute_force(*geom, Q_C, c)
+        f0, f1 = rq.compute_force(*geom, Q_C, cfg)
         interior = plan.interior
         # d_dC of ln(C) at 25 nodes carries ~2e-4 relative truncation at
         # the small-C end (|Q^(5)| = 24/C^5)
@@ -262,14 +264,114 @@ class TestStageGuard:
         # compute_force chained field by field, bitwise
         cfg = baseline_config()
         t, x, u0, u1 = y = rq.rest_initial_state(cfg).y
-        t_C, x_C, gamma = rq.compute_geometry(t, x, 0.0, cfg.plan, cfg.c)
+        tx_C, gamma = rq.compute_geometry(t, x, 0.0, cfg.plan, cfg.c)
         Q, Q_C = rq.compute_Q(gamma, cfg)
         tau = rq.tau_factor(Q, cfg.mass, cfg.c)
-        f0, f1 = rq.compute_force(t_C, x_C, gamma, Q_C, cfg.c)
+        f0, f1 = rq.compute_force(tx_C, gamma, Q_C, cfg)
         want = np.array([tau * u0 / cfg.c, tau * u1,
                          tau * f0 / cfg.mass, tau * f1 / cfg.mass])
         assert rq.eom_rhs(y, 0.0, cfg).tobytes() == want.tobytes()
 
+    def test_eom_rhs_is_the_1d_row_expressions_bitwise(self):
+        # reference: every layer as plain 1-D expressions and one matmul per
+        # derivative, on an evolved slice where t_C, f0 and Q_C are all nonzero
+        cfg = baseline_config()
+        y = rq.rest_initial_state(cfg).y
+        for k in range(50):
+            y = rq.rk4_step(y, k * cfg.dt, cfg)
+        t, x, u0, u1 = y
+        c, m, hbar = cfg.c, cfg.mass, cfg.hbar
+
+        def D(v):
+            return cfg.plan.matrix @ v
+
+        t_C, x_C = D(t), D(x)
+        gamma = x_C ** 2 - c ** 2 * t_C ** 2
+        Lp = 0.5 * cfg.dlogf - 0.25 * D(np.log(gamma))
+        g = gamma ** -0.5
+        Q = -(hbar ** 2 / (2.0 * m)) * (g * D(g) * Lp + (Lp ** 2 + D(Lp)) / gamma)
+        tau = np.exp(-Q / (m * c ** 2))
+        f0, f1 = -c * t_C / gamma * D(Q), -x_C / gamma * D(Q)
+        assert np.count_nonzero(t_C) and np.count_nonzero(f0)
+        want = np.array([tau * u0 / c, tau * u1, tau * f0 / m, tau * f1 / m])
+        assert rq.eom_rhs(y, 0.05, cfg).tobytes() == want.tobytes()
+
+
+
+def _set(*cells):
+    """A stage mutation setting y[row, node] = value for each (row, node, value)."""
+    def mutate(y):
+        for row, node, value in cells:
+            y[row, node] = value
+    return mutate
+
+
+def _scale_x(factor):
+    def mutate(y):
+        y[len(y) - 3 if len(y) == 4 else 0] *= factor
+    return mutate
+
+
+def _swap_past(y):
+    x = y[1] if len(y) == 4 else y[0]
+    x[4] = x[5] + 0.1
+
+
+_ORDER_LOST = (r"^trajectory ordering lost between nodes 4 and 5 "
+               r"\(x = -2\.81667, -2\.91667\): ensemble degeneration$")
+_SPACELIKE = r" \(T = 0\.5\): slice is no longer spacelike$"
+
+# every stage-guard failure on the baseline rest slice at T = 0.5: rows 4 run
+# eom_rhs on (t, x, u0, u1), rows 2 nonrel_rhs on (x, v)
+_GUARD_FAULTS = [
+    ("t", 4, _set((0, 7, np.nan)), StateValidationError, r"^non-finite values in field t$"),
+    ("x", 4, _set((1, 7, np.inf)), StateValidationError, r"^non-finite values in field x$"),
+    ("u0", 4, _set((2, 7, np.nan)), StateValidationError, r"^non-finite values in field u0$"),
+    ("u1", 4, _set((3, 7, -np.inf)), StateValidationError, r"^non-finite values in field u1$"),
+    ("u0<=0", 4, _set((2, 7, 0.0)), StateValidationError,
+     r"^u0 must be positive \(forward-in-time propagation\)$"),
+    ("order", 4, _swap_past, StateValidationError, _ORDER_LOST),
+    # t_C at the last node only: gamma = 1 - 9 (25 * 0.2 / 5)^2
+    ("gamma<=0", 4, _set((0, 24, 0.2)), GeometryError,
+     r"^non-positive spatial metric gamma = -8 at node 24" + _SPACELIKE),
+    # t_C and x_C overflow together on the last three nodes: inf - inf
+    ("gamma-nan", 4, _set((0, 24, 1e308), (1, 24, 1.5e308)), GeometryError,
+     r"spatial metric gamma = nan at node 22" + _SPACELIKE),
+    # gamma ~ 1e-320 is positive and finite, but Q ~ 1/gamma overflows
+    ("Q", 4, _scale_x(1e-160), FloatingPointError, r"^non-finite quantum potential$"),
+    ("x", 2, _set((0, 7, np.nan)), StateValidationError, r"^non-finite values in field x$"),
+    ("v", 2, _set((1, 7, np.inf)), StateValidationError, r"^non-finite values in field v$"),
+    ("order", 2, _swap_past, StateValidationError, _ORDER_LOST),
+    # x increasing, but the one-sided stencil at the last node reads x_C < 0
+    ("gamma<=0", 2, _set((0, 23, 5.0 - 1e-3)), StateValidationError,
+     r"^x must be monotone in C$"),
+    # the edge-row products overflow to inf - inf: x_C and gamma = x_C^2 are nan
+    ("gamma-nan", 2, _scale_x(1e307), FloatingPointError, r"^non-finite quantum potential$"),
+    ("Q", 2, _scale_x(1e-160), FloatingPointError, r"^non-finite quantum potential$"),
+]
+
+
+@pytest.mark.parametrize("rows, mutate, error, message",
+                         [case[1:] for case in _GUARD_FAULTS],
+                         ids=[f"{case[0]}-{case[1]}rows" for case in _GUARD_FAULTS])
+def test_stage_guard_names_the_broken_invariant(rows, mutate, error, message):
+    cfg = baseline_config()
+    y = rq.rest_initial_state(cfg).y.copy()
+    y = y if rows == 4 else np.array([y[1], y[3]])
+    mutate(y)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
+        rq.eom_rhs(y, 0.5, cfg) if rows == 4 else rq.nonrel_rhs(y, cfg)
+
+
+@pytest.mark.parametrize("rhs, rows", [(lambda y, cfg: rq.eom_rhs(y, 0.0, cfg), 4),
+                                       (rq.nonrel_rhs, 2)], ids=["eom_rhs", "nonrel_rhs"])
+def test_stage_of_the_wrong_row_count_is_rejected(rhs, rows):
+    # the shape is checked before the non-finite third row is looked up
+    y = np.ones((3, 25))
+    y[2, 3] = np.nan
+    with pytest.raises(StateValidationError,
+                       match=rf"^state array has shape \(3, 25\), want \({rows}, N\)$"):
+        rhs(y, baseline_config())
 
 class TestInitialStates:
     def test_gaussian_initial_state(self):

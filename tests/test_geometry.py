@@ -16,7 +16,7 @@ class TestComputeGeometry:
         # t = 0, x = C gives t_C = 0, x_C = 1, gamma = 1 at every node
         g = rq.make_grid(-5, 5, 25)
         plan = rq.build_plan(g, 4)
-        t_C, x_C, gamma = rq.compute_geometry(np.zeros(25), g.nodes, 0.0, plan, c=3.0)
+        (t_C, x_C), gamma = rq.compute_geometry(np.zeros(25), g.nodes, 0.0, plan, c=3.0)
         np.testing.assert_allclose(t_C, 0.0, atol=1e-14)
         np.testing.assert_allclose(x_C, 1.0, atol=1e-13)
         np.testing.assert_allclose(gamma, 1.0, atol=1e-12)
@@ -27,7 +27,7 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_one_ensemble(B=1.0, c=3.0)
         st = sample_state(ens, g, T=0.7)
-        _, _, gamma = rq.compute_geometry(st.t, st.x, 0.7, plan, c=3.0)
+        _, gamma = rq.compute_geometry(st.t, st.x, 0.7, plan, c=3.0)
         np.testing.assert_allclose(gamma, 1.0, atol=1e-10)
 
     def test_hyperbolic_fan_slice(self):
@@ -36,7 +36,7 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_T_ensemble(A=1.0, c=2.0)
         st = sample_state(ens, g, T=1.0)
-        _, _, gamma = rq.compute_geometry(st.t, st.x, 1.0, plan, c=2.0)
+        _, gamma = rq.compute_geometry(st.t, st.x, 1.0, plan, c=2.0)
         # edge rows carry the largest truncation constants at 25 nodes
         np.testing.assert_allclose(gamma, 4.0, rtol=1e-4)
         assert np.max(np.abs(gamma[plan.interior] - gamma[12])) < 1e-9
@@ -47,7 +47,8 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         ens = inertial_ensemble(beta0=0.6, c=1.0)
         st = sample_state(ens, g, T=1.3)
-        geom = rq.GeometryFields(*rq.compute_geometry(st.t, st.x, 1.3, plan, c=1.0))
+        tx_C, gamma = rq.compute_geometry(st.t, st.x, 1.3, plan, c=1.0)
+        geom = rq.GeometryFields(*tx_C, gamma)
         geom = rq.attach_g01(geom, st, np.ones(25), 1.0)
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-13)
         np.testing.assert_allclose(geom.g01_residual, 0.0, atol=1e-13)
@@ -58,4 +59,14 @@ class TestComputeGeometry:
         plan = rq.build_plan(g, 4)
         with pytest.raises(GeometryError, match="node"):
             rq.compute_geometry(2.0 * g.nodes, g.nodes, 0.0, plan, c=1.0)
+
+    def test_overflowing_slice_names_the_first_bad_node(self):
+        # x_C^2 overflows to inf from node 18 on; the smallest gamma, 1 at
+        # node 0, is positive and finite and must not be the one named
+        g = rq.make_grid(-5, 5, 25)
+        x = g.nodes.copy()
+        x[20:] *= 1e160
+        with np.errstate(over="ignore"), pytest.raises(
+                GeometryError, match=r"^non-finite spatial metric gamma = inf at node 18 "):
+            rq.compute_geometry(np.zeros(25), x, 0.0, rq.build_plan(g, 4), c=3.0)
 

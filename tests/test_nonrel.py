@@ -21,12 +21,12 @@ def plan25(grid25):
 class TestNonRelQ:
     def test_identity_positions_gaussian(self, grid25, plan25):
         C = grid25.nodes
-        Q, _ = rq.nonrel_Q(C, rq.gaussian_weight(0.5).dlog_f(C), plan25, 1.0, 1.0)
+        Q, _ = rq.nonrel_Q(C, 0.5 * rq.gaussian_weight(0.5).dlog_f(C), plan25, 1.0, 1.0)
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5), atol=1e-12)
 
     def test_uniform_weight_zero(self, grid25, plan25):
         C = grid25.nodes
-        Q, _ = rq.nonrel_Q(C, rq.uniform_weight().dlog_f(C), plan25, 1.0, 1.0)
+        Q, _ = rq.nonrel_Q(C, 0.5 * rq.uniform_weight().dlog_f(C), plan25, 1.0, 1.0)
         np.testing.assert_allclose(Q, 0.0, atol=1e-13)
 
     def test_uniform_stretch_against_symbolic_oracle(self):
@@ -46,8 +46,8 @@ class TestNonRelQ:
 
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, 4)
-        dlogf = rq.gaussian_weight(a_val).dlog_f(g.nodes)
-        Q_num, _ = rq.nonrel_Q(2.0 * g.nodes, dlogf, plan, hbar, m)
+        half_dlogf = 0.5 * rq.gaussian_weight(a_val).dlog_f(g.nodes)
+        Q_num, _ = rq.nonrel_Q(2.0 * g.nodes, half_dlogf, plan, hbar, m)
         for idx in (2, 7, 12, 17, 22):
             expect = float(Q_sym.subs(C, sympy.Float(g.nodes[idx], 30)))
             assert Q_num[idx] == pytest.approx(expect, abs=1e-12)
@@ -56,7 +56,7 @@ class TestNonRelQ:
         x = grid25.nodes.copy()
         x[3] = x[5]
         with pytest.raises(ValueError):
-            rq.nonrel_Q(x, rq.gaussian_weight(0.5).dlog_f(grid25.nodes), plan25, 1.0, 1.0)
+            rq.nonrel_Q(x, 0.5 * rq.gaussian_weight(0.5).dlog_f(grid25.nodes), plan25, 1.0, 1.0)
 
 
 def _rhs(cfg, x, v):

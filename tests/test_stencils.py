@@ -90,6 +90,19 @@ class TestDerivative:
         with pytest.raises(ValueError):
             rq.d_dC(np.zeros(10), plan)
 
+    @pytest.mark.parametrize("n", [9, 25, 101, 401])
+    def test_every_1d_input_is_the_matrix_product_bitwise(self, order, n):
+        # a contiguous float64 row takes d_dC's fast path; views, lists and
+        # integer arrays take the checked one; all equal plan.matrix @ values
+        plan = rq.build_plan(rq.make_grid(-5, 5, n), order)
+        stack = np.random.default_rng(n).standard_normal((n, 3)) * [1.0, 1e-3, 1e6]
+        for v in (stack[:, 0].copy(), stack[:, 1], stack.T[2], np.arange(n)):
+            want = plan.matrix @ np.asarray(v, dtype=float)
+            assert rq.d_dC(v, plan).tobytes() == want.tobytes()
+            assert rq.d_dC(v.tolist(), plan).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="does not match grid"):
+            rq.d_dC(stack[1:, 0].copy(), plan)
+
 
 class TestInterpolate:
     def test_identity(self):
@@ -186,3 +199,17 @@ class TestOnePlanPerConfig:
         np.testing.assert_array_equal(cfg.dlogf, cfg.weight.dlog_f(cfg.grid.nodes))
         with pytest.raises(ValueError, match="read-only"):
             cfg.dlogf[0] = 1.0
+
+    def test_the_stage_constants_are_derived_once_per_config(self):
+        cfg = rq.SimConfig(c=3.0, mass=2.0, weight=rq.gaussian_weight(0.5),
+                           grid=rq.make_grid(-5, 5, 25), t_final=1)
+        ones = np.ones(25)
+        want = {"half_dlogf": [0.5 * cfg.dlogf],
+                "force_sign": [-3.0 * ones, -ones],
+                "rhs_divisor": [3.0 * ones, ones, 2.0 * ones, 2.0 * ones]}
+        for name, rows in want.items():
+            value = getattr(cfg, name)
+            assert value is getattr(cfg, name)
+            np.testing.assert_array_equal(value, np.squeeze(rows))
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 1.0

@@ -308,7 +308,7 @@ def _set(*cells):
 
 def _scale_x(factor):
     def mutate(y):
-        y[len(y) - 3 if len(y) == 4 else 0] *= factor
+        y[1 if len(y) == 4 else 0] *= factor  # the x row
     return mutate
 
 

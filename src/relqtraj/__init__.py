@@ -44,7 +44,6 @@ from .analytic import (
     sample_state,
 )
 from .diagnostics import (
-    DerivedFields,
     InvariantRecord,
     InvariantReport,
     derived_fields,

@@ -153,9 +153,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare_limits(args) -> int:
     cfg = _load_config(args.config)
+    cfg2 = _load_config(args.config2) if args.config2 else None
+    if cfg2 is not None and cfg2.grid != cfg.grid:
+        raise ConfigError(f"compare-limits: the two configs label different grids "
+                          f"({cfg.grid} and {cfg2.grid}); x is compared label by label")
     series = integrate(cfg, cadence=args.cadence)
-    if args.config2:
-        other = integrate(_load_config(args.config2), cadence=args.cadence)
+    if cfg2 is not None:
+        other = integrate(cfg2, cadence=args.cadence)
         xs_other = {s.tau_ensemble: s.state.x for s in other}
         label = "second config"
     else:  # --nonrel; argparse requires exactly one of the two

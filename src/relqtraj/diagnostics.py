@@ -29,12 +29,6 @@ RESIDUAL_MIN_SNAPSHOTS = 9     # two nested 5-point time stencils
 
 
 @dataclass(frozen=True)
-class DerivedFields:
-    beta: np.ndarray
-    rho_star: np.ndarray
-
-
-@dataclass(frozen=True)
 class InvariantRecord:
     name: str
     max_abs_violation: float
@@ -59,11 +53,11 @@ class InvariantReport:
         raise KeyError(name)
 
 
-def derived_fields(state, geom, w: WeightFunction, grid) -> DerivedFields:
-    """Speed in units of c and invariant density f/sqrt(gamma), per node."""
-    beta = np.abs(state.u1) / state.u0
+def derived_fields(state, geom, w: WeightFunction, grid):
+    """(beta, rho_star): speed in units of c and invariant density
+    f / sqrt(gamma), per node."""
     f = np.exp(w.log_f(grid.nodes))
-    return DerivedFields(beta=beta, rho_star=f / np.sqrt(geom.gamma))
+    return np.abs(state.u1) / state.u0, f / np.sqrt(geom.gamma)
 
 
 def _worst(block: np.ndarray, Ts, Cs):
@@ -98,12 +92,6 @@ def evaluate_invariants(
     """
     if len(series) == 0:
         raise ValueError("empty snapshot series")
-    for s in series:
-        if s.geometry.g01_residual is None:
-            raise ValueError(
-                f"snapshot at T = {s.tau_ensemble:g} lacks the g01 residual; "
-                "attach it with attach_g01 before evaluating invariants"
-            )
     cfg = series.config
     tol = cfg.invariant_tol if invariant_tol is None else invariant_tol
     rtol = cfg.residual_tol if residual_tol is None else residual_tol

@@ -16,10 +16,10 @@ The solver steps the raw (4, N) array y = (t, x, u0, u1) that an
 EnsembleState wraps.  rk4_step runs eom_rhs 4 times per step; eom_rhs checks
 the stage (check_state), then _slice runs one function per layer:
 compute_geometry ((t_C, x_C) as one (2, N) array, gamma), compute_Q (Q, Q_C),
-tau_factor and compute_force ((f0, f1) as one (2, N) array).  make_snapshot
-runs the same chain (optionally on a stored Q) and adds the g01 residual, for
-recorded snapshots only; the solver, the snapshot reader and the closed-form
-sampler all go through it.
+tau_factor, compute_force ((f0, f1) as one (2, N) array) and the rate rows.
+make_snapshot runs the same chain (optionally on a stored Q) and builds the
+g01 residual from the first two rate rows, for recorded snapshots only; the
+solver, the snapshot reader and the closed-form sampler all go through it.
 
 On N = 25 a stage's cost is the count of numpy calls, not arithmetic, so the
 chain is written to make few of them while every output stays bit for bit
@@ -136,11 +136,14 @@ def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
 
 def _slice(y, T, config: SimConfig, Q=None):
     """Every field of the slice y = (t, x, u0, u1) at ensemble time T:
-    (tx_C, gamma, Q, Q_C, tau_T, f), layer by layer; tx_C and f are (2, N)."""
+    (tx_C, gamma, Q, Q_C, tau_T, f, d), layer by layer; tx_C and f are (2, N)
+    and the rate rows d = (u0, u1, f0, f1) tau_T / rhs_divisor (c, 1, m, m)
+    are (4, N), three operations bitwise the 1-D rows (x / 1.0 == x)."""
     tx_C, gamma = compute_geometry(y[0], y[1], T, config.plan, config.c)
     Q, Q_C = compute_Q(gamma, config, Q)
     tau = tau_factor(Q, config.mass, config.c)
-    return tx_C, gamma, Q, Q_C, tau, compute_force(tx_C, gamma, Q_C, config)
+    f = compute_force(tx_C, gamma, Q_C, config)
+    return tx_C, gamma, Q, Q_C, tau, f, np.concatenate((y[2:], f)) * tau / config.rhs_divisor
 
 
 def make_snapshot(state: EnsembleState, config: SimConfig,
@@ -148,23 +151,18 @@ def make_snapshot(state: EnsembleState, config: SimConfig,
     """Every field of a recorded slice: geometry with the g01 residual, Q,
     Q_C, tau_T and the force.  Q is computed from the config's weight unless
     it is given (a stored or closed-form potential)."""
-    tx_C, gamma, Q, Q_C, tau, f = _slice(state.y, state.tau_ensemble, config, Q)
-    geom = attach_g01(GeometryFields(*tx_C, gamma), state, tau, config.c)
-    return Snapshot(state, geom, QuantumFields(Q, Q_C, *f, tau))
+    tx_C, gamma, Q, Q_C, tau, f, d = _slice(state.y, state.tau_ensemble, config, Q)
+    return Snapshot(state, attach_g01(tx_C, gamma, d[:2], config.c),
+                    QuantumFields(Q, Q_C, *f, tau))
 
 
 def eom_rhs(y, T, config: SimConfig) -> np.ndarray:
     """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of one RK stage
-    y = (t, x, u0, u1), shape (4, N): the rows (u0, u1, f0, f1) times tau_T
-    over the config's rhs_divisor rows (c, 1, m, m), three operations that
-    are bitwise the four 1-D rows (x / 1.0 == x).
-
-    The stage is checked against the EnsembleState invariants and its
-    shape first and raises StateValidationError when it breaks one.
-    """
+    y = (t, x, u0, u1), shape (4, N), from _slice.  The stage is checked
+    first, by the state guard, and raises StateValidationError when it
+    breaks an invariant or is not (4, N)."""
     check_state(y, 4)
-    _, _, _, _, tau, f = _slice(y, T, config)
-    return np.concatenate((y[2:], f)) * tau / config.rhs_divisor
+    return _slice(y, T, config)[-1]
 
 
 def _rk4(rhs, y, dt):

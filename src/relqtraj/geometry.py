@@ -8,20 +8,18 @@ projected away, so drift stays visible as a correctness signal.
 
 compute_geometry is the first layer of every RK stage (dynamics.eom_rhs);
 Q, tau_T and the force follow from its (t_C, x_C) rows and gamma.  The g01
-residual is never needed to advance the ensemble, so it is attached
-(attach_g01) only to recorded snapshots and to slices read back for
-verification.
+residual is never needed to advance the ensemble, so attach_g01 builds the
+whole record with it only for recorded snapshots and slices read back for
+verification, from the rates (t_T, x_T) the stage has already formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .state import EnsembleState
 from .stencils import StencilPlan, d_dC
 
 
@@ -34,7 +32,7 @@ class GeometryFields:
     t_C: np.ndarray
     x_C: np.ndarray
     gamma: np.ndarray
-    g01_residual: Optional[np.ndarray] = None
+    g01_residual: np.ndarray
 
 
 def compute_geometry(t, x, T: float, plan: StencilPlan, c: float):
@@ -61,15 +59,10 @@ def compute_geometry(t, x, T: float, plan: StencilPlan, c: float):
     return np.array((t_C, x_C)), gamma
 
 
-def attach_g01(
-    geom: GeometryFields, state: EnsembleState, tau_T: np.ndarray, c: float
-) -> GeometryFields:
-    """Fill in the time-space metric residual eta_ab x^a_T x^b_C.
-
-    Uses x^0_T = tau_T u0 and x^1_T = tau_T u1 from the evolution equations;
-    tau_T derives from the quantum potential computed from this geometry.
-    """
-    t_T = tau_T * state.u0 / c
-    x_T = tau_T * state.u1
-    g01 = -c ** 2 * t_T * geom.t_C + x_T * geom.x_C
-    return replace(geom, g01_residual=g01)
+def attach_g01(tx_C, gamma, d, c: float) -> GeometryFields:
+    """The geometry record of a slice: compute_geometry's (t_C, x_C) rows,
+    gamma, and the time-space metric residual eta_ab x^a_T x^b_C = -c^2 t_T
+    t_C + x_T x_C, with d = (t_T, x_T) = tau_T (u0 / c, u1) the first two
+    rate rows of the slice's RK stage (dynamics._slice)."""
+    t_C, x_C = tx_C
+    return GeometryFields(t_C, x_C, gamma, -c ** 2 * d[0] * t_C + d[1] * x_C)

@@ -171,9 +171,14 @@ def write_snapshots(
     cadence: Optional[float] = None,
 ) -> List[str]:
     """One TSV table per snapshot plus manifest.tsv; returns written paths.
-    Two snapshots whose T give one file name (10 significant digits) are a
-    ValueError, raised before any file is written."""
-    cfg = series.config
+    Snapshot times that do not strictly increase, or two snapshots whose T
+    give one file name (10 significant digits), are a ValueError, raised
+    before any file is written."""
+    cfg, times = series.config, series.times
+    for T0, T1 in zip(times, times[1:]):
+        if not T1 > T0:
+            raise ValueError(f"snapshot times must strictly increase: T = {_fmt(T0)} "
+                             f"is followed by T = {_fmt(T1)}")
     names = {}  # file name -> T, one entry per snapshot
     for s in series:
         name = _snapshot_filename(s.tau_ensemble)
@@ -184,13 +189,12 @@ def write_snapshots(
     os.makedirs(path, exist_ok=True)
     n = cfg.grid.n_points
     C = format_cells(cfg.grid.nodes)
-    T_cells = format_cells(series.times)  # the tables' T and the manifest's
+    T_cells = format_cells(times)  # the tables' T and the manifest's
     written = []
     for name, T, s in zip(names, T_cells, series):
-        df = derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)
         # t, x, u0, u1, gamma, Q, tau_T, beta, rho_star, n cells each
         cells = format_cells((*s.state.y, s.geometry.gamma, s.quantum.Q, s.quantum.tau_T,
-                              df.beta, df.rho_star))
+                              *derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)))
         fname = os.path.join(path, name)
         write_table(fname, SNAPSHOT_COLUMNS,
                     ([T] * n, C, *(cells[k:k + n] for k in range(0, len(cells), n))))
@@ -228,7 +232,8 @@ def read_snapshots(path: str) -> SnapshotSeries:
     grid nodes or its manifest T is rejected with ValueError, as is a table
     with no data rows, a manifest line with the wrong number of fields, a bad
     snapshot index or T, or a snapshot name that is not a plain file name
-    inside path.
+    inside path; so is a manifest that lists no snapshot, repeats an index
+    or whose T do not strictly increase in index order (gaps are legal).
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -252,6 +257,14 @@ def read_snapshots(path: str) -> SnapshotSeries:
                     f"{manifest}: line {lineno}: malformed entry {raw.rstrip()!r}") from exc
     cfg = parse_config("\n".join(config_lines))
     snap_files.sort()
+    if not snap_files:
+        raise ValueError(f"{manifest}: lists no snapshot")
+    for (i, _, T0), (j, _, T1) in zip(snap_files, snap_files[1:]):
+        if i == j:
+            raise ValueError(f"{manifest}: snapshot index {i} is listed twice")
+        if not T1 > T0:
+            raise ValueError(f"{manifest}: snapshot.{j} has T = {_fmt(T1)}, "
+                             f"not after snapshot.{i}'s T = {_fmt(T0)}")
     snapshots = []
     for _, name, T in snap_files:
         fname = os.path.join(path, name)

@@ -7,7 +7,7 @@ tails and makes the dynamics exactly independent of any normalization
 constant of f.
 
 EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
-check_state_arrays is the one statement of the ensemble invariants, for
+check_state is the one statement of a state's shape and invariants, for
 every state and RK stage; SimConfig holds every config default.
 """
 
@@ -108,24 +108,26 @@ class StateValidationError(ValueError):
     """An ensemble state violates a structural invariant."""
 
 
-def check_state_arrays(y: np.ndarray) -> None:
-    """Raise StateValidationError unless y is a valid ensemble: every value
-    finite and x strictly increasing, and u0 > 0 where there is a u0.  y is
-    (t, x, u0, u1), shape (4, N), or the non-relativistic (x, v), shape (2, N).
-    The error names the first broken invariant, in that order: the first
-    field with a non-finite value, then u0, then the ordering of x.
+def check_state(y: np.ndarray, rows: int) -> None:
+    """Raise StateValidationError unless y is a valid ensemble of shape
+    (rows, N), (t, x, u0, u1) for rows = 4 or the non-relativistic (x, v) for
+    rows = 2: every value finite, x strictly increasing, u0 > 0 where there
+    is a u0.  The error names the first broken rule, in that order: the
+    shape, the first field with a non-finite value, u0, the ordering of x.
 
     Each invariant is one mask counted by np.count_nonzero, which costs a
     fraction of ndarray.all() on a stage's small arrays; the fault is located
     only once a count comes up short.
     """
+    if y.ndim != 2 or len(y) != rows or rows not in _FIELDS:
+        raise StateValidationError(f"state array has shape {y.shape}, want ({rows}, N)")
     finite = np.isfinite(y)
     if np.count_nonzero(finite) != y.size:
         bad = int(np.argmin(finite.all(axis=1)))
-        raise StateValidationError(f"non-finite values in field {_FIELDS[len(y)][bad]}")
-    if len(y) == 4 and np.count_nonzero(y[2] > 0) != y.shape[1]:
+        raise StateValidationError(f"non-finite values in field {_FIELDS[rows][bad]}")
+    if rows == 4 and np.count_nonzero(y[2] > 0) != y.shape[1]:
         raise StateValidationError("u0 must be positive (forward-in-time propagation)")
-    x = y[1] if len(y) == 4 else y[0]
+    x = y[1] if rows == 4 else y[0]
     increasing = x[1:] > x[:-1]
     if np.count_nonzero(increasing) != increasing.size:
         k = int(np.argmin(np.diff(x)))
@@ -133,13 +135,6 @@ def check_state_arrays(y: np.ndarray) -> None:
             f"trajectory ordering lost between nodes {k} and {k + 1} "
             f"(x = {x[k]:.6g}, {x[k + 1]:.6g}): ensemble degeneration"
         )
-
-
-def check_state(y: np.ndarray, rows: int) -> None:
-    """check_state_arrays for a state array, its shape (rows, N) checked first."""
-    if y.ndim != 2 or len(y) != rows:
-        raise StateValidationError(f"state array has shape {y.shape}, want ({rows}, N)")
-    check_state_arrays(y)
 
 
 @dataclass(frozen=True)
@@ -181,8 +176,8 @@ def check_positive(**values: float) -> None:
 @dataclass(frozen=True)
 class SimConfig:
     """Physical constants, grid, integrator step and tolerances for one run.
-    The run's derivative operator (plan), the weight's log-derivative on the
-    grid nodes (dlogf, and half_dlogf for log_form_Q) and the constant rows
+    The run's derivative operator (plan), half the weight's log-derivative
+    on the grid nodes (half_dlogf, for log_form_Q) and the constant rows
     of the RK stage (force_sign, rhs_divisor) are derived once, on first
     use; they are not config keys."""
 
@@ -210,13 +205,9 @@ class SimConfig:
         return build_plan(self.grid, self.stencil_order)
 
     @cached_property
-    def dlogf(self) -> np.ndarray:
-        return _read_only(np.array(self.weight.dlog_f(self.grid.nodes), dtype=float))
-
-    @cached_property
     def half_dlogf(self) -> np.ndarray:
-        """(ln f^(1/2))' = dlogf / 2, the weight's share of L' in log_form_Q."""
-        return _read_only(0.5 * self.dlogf)
+        """(ln f^(1/2))' on the grid nodes, the weight's share of L' in log_form_Q."""
+        return _read_only(0.5 * np.asarray(self.weight.dlog_f(self.grid.nodes), dtype=float))
 
     @cached_property
     def force_sign(self) -> np.ndarray:

@@ -317,6 +317,46 @@ class TestAnalyticVerify:
         assert not out.exists() or not any(out.iterdir())
 
 
+# fault -> (analytic --times, manifest edit, the command run on the edited
+# output, the error it must print); with no edit, analytic itself refuses
+SNAPSHOT_ORDER_FAULTS = {
+    # a repeated index read one table twice, and the residual rows dropped out
+    "repeated-index": ("0,1,2,3",
+                       lambda ls: ls + [ln for ln in ls if ln.startswith("snapshot.1\t")],
+                       "verify", "manifest.tsv: snapshot index 1 is listed twice"),
+    "T-out-of-index-order": ("0,1,2,3", lambda ls: [ln.replace("snapshot.1\t", "snapshot.9\t")
+                                                    for ln in ls],
+                             "verify", "manifest.tsv: snapshot.9 has T = 1, not after "
+                                       "snapshot.3's T = 3"),
+    # figures wrote header-only files from a manifest with no snapshot
+    "no-snapshot": ("0,1,2,3", lambda ls: [ln for ln in ls if not ln.startswith("snapshot.")],
+                    "figures", "manifest.tsv: lists no snapshot"),
+    # a descending series was written, and verify rejected it as a bad grid
+    "descending-times": ("3,2,1,0", None, None, "T = 3 is followed by T = 2"),
+    # an unsorted series was written, its trajectories running backwards in T
+    "unsorted-times": ("0.2,0,0.1", None, None, "T = 0.20000000000000001 is followed by T = 0"),
+}
+
+
+@pytest.mark.parametrize("fault", SNAPSHOT_ORDER_FAULTS)
+def test_snapshot_order_is_checked(tmp_path, capsys, fault):
+    times, edit, command, message = SNAPSHOT_ORDER_FAULTS[fault]
+    out = tmp_path / "exp"
+    code = main(["analytic", "--kind", "exponential", "--kappa", "0.5", "--c", "2",
+                 "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
+                 "--times", times, "--out", str(out)])
+    if edit is None:
+        assert not out.exists()  # refused before anything is written
+    else:
+        assert code == 0
+        manifest = out / "manifest.tsv"
+        manifest.write_text("".join(edit(manifest.read_text().splitlines(keepends=True))))
+        code = main([command, "--snapshots", str(out)]
+                    + (["--out", str(tmp_path / "figs")] if command == "figures" else []))
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 class TestCompareLimits:
     def test_nonrel_comparison_runs(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c100.cfg", """
@@ -371,6 +411,18 @@ tol.invariant = 1e-6
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG)
         assert main(["compare-limits", "--config", cfg, "--nonrel", "--config2", cfg]) == 1
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [("grid.n = 25", "grid.n = 21"),
+                                          ("grid.min = -5", "grid.min = -4")],
+                             ids=["grid-n", "grid-min"])
+    def test_refuses_two_label_grids(self, tmp_path, capsys, no_run, old, new):
+        # x is compared label by label, so the two runs must share their labels
+        cfg = _write(tmp_path, "a.cfg", GAUSS_CFG)
+        cfg2 = _write(tmp_path, "b.cfg", GAUSS_CFG.replace(old, new))
+        assert main(["compare-limits", "--config", cfg, "--config2", cfg2]) == 1
+        captured = capsys.readouterr()
+        assert "the two configs label different grids" in captured.err
+        assert "max |x difference|" not in captured.out
 
 
 class TestUsage:

@@ -53,19 +53,19 @@ class TestDerivedFields:
         cfg = baseline_config()
         snap = rq.make_snapshot(rq.rest_initial_state(cfg), cfg)
         st, geom = snap.state, snap.geometry
-        df = rq.derived_fields(st, geom, cfg.weight, cfg.grid)
-        np.testing.assert_array_equal(df.beta, np.zeros(25))
+        beta, rho_star = rq.derived_fields(st, geom, cfg.weight, cfg.grid)
+        np.testing.assert_array_equal(beta, np.zeros(25))
         # unit metric: invariant density reduces to the weight itself
         f = np.exp(cfg.weight.log_f(cfg.grid.nodes))
-        np.testing.assert_allclose(df.rho_star, f, rtol=1e-12)
-        assert np.all(df.rho_star > 0)
+        np.testing.assert_allclose(rho_star, f, rtol=1e-12)
+        assert np.all(rho_star > 0)
 
     def test_edge_speeds_grow_relativistic(self, baseline_series):
         cfg = baseline_series.config
         last = baseline_series.snapshots[-1]
-        df = rq.derived_fields(last.state, last.geometry, cfg.weight, cfg.grid)
-        assert df.beta.max() > 0.5
-        assert np.all(df.beta < 1.0)
+        beta, _ = rq.derived_fields(last.state, last.geometry, cfg.weight, cfg.grid)
+        assert beta.max() > 0.5
+        assert np.all(beta < 1.0)
 
 
 class TestPdeResidual:

@@ -287,7 +287,7 @@ class TestStageGuard:
 
         t_C, x_C = D(t), D(x)
         gamma = x_C ** 2 - c ** 2 * t_C ** 2
-        Lp = 0.5 * cfg.dlogf - 0.25 * D(np.log(gamma))
+        Lp = 0.5 * cfg.weight.dlog_f(cfg.grid.nodes) - 0.25 * D(np.log(gamma))
         g = gamma ** -0.5
         Q = -(hbar ** 2 / (2.0 * m)) * (g * D(g) * Lp + (Lp ** 2 + D(Lp)) / gamma)
         tau = np.exp(-Q / (m * c ** 2))

@@ -5,12 +5,14 @@ array-level slice-field core; the analytic, figures and verify-report hashes
 before the snapshot fields, the RK4 combine and the TSV writer were shared
 between the solver, the reader and the CLI; the non-relativistic hashes
 before that solver moved onto the shared fixed-step driver; the full-run
-report pin before the invariants moved onto whole-series arrays.  Any change to
-those paths that moves a single bit of output fails here.  manifest.tsv is
-left out because it carries the code version and timestamps.
+report pin before the invariants moved onto whole-series arrays; the
+in-memory field pin before g01 took its rates from the RK stage's rows.
+Any change to those paths that moves a single bit of output fails here.
+manifest.tsv is left out because it carries the code version and timestamps.
 """
 
 import hashlib
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +139,16 @@ FIGURES = {
 # lie past T = 1, so only this pin covers where the whole-run maximum is found.
 FULL_REPORT = "255c6d19f37e261493d4069a5c94d0dddea47f8434beb4ad030e843d03cf7df7"
 
+# configs/gaussian_c3.txt cut to T = 0.05 at cadence 0.01 (6 records): SHA-256
+# over the 13 per-node fields of every record, in order, as float64 bytes.  No
+# file holds g01, t_C, x_C, Q_C or the force, so this is their only pin; the
+# series read back from its files must give the same value.
+IN_MEMORY_FIELDS = ("state.t", "state.x", "state.u0", "state.u1",
+                    "geometry.t_C", "geometry.x_C", "geometry.gamma", "geometry.g01_residual",
+                    "quantum.Q", "quantum.Q_C", "quantum.f0", "quantum.f1", "quantum.tau_T")
+IN_MEMORY = "249e822751f5d0cda1260e42d4e137712e0846bd40766f4fafde5e534f841a89"
+
+
 def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -235,3 +247,20 @@ def test_full_run_report(baseline_series, tmp_path):
     report = tmp_path / "report.tsv"
     rq.write_report(rq.evaluate_invariants(baseline_series), str(report))
     assert _sha(report) == FULL_REPORT
+
+
+def _fields_hash(series):
+    h = hashlib.sha256()
+    for s in series:
+        for get in map(attrgetter, IN_MEMORY_FIELDS):
+            h.update(np.asarray(get(s), dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_in_memory_fields(tmp_path):
+    text = (CONFIGS / "gaussian_c3.txt").read_text()
+    cfg = rq.parse_config(text.replace("time.final = 10", "time.final = 0.05"))
+    series = rq.integrate(cfg, cadence=0.01)
+    assert len(series) == 6
+    rq.write_snapshots(series, str(tmp_path))
+    assert [_fields_hash(series), _fields_hash(rq.read_snapshots(str(tmp_path)))] == [IN_MEMORY] * 2

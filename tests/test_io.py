@@ -206,6 +206,16 @@ class TestSnapshotRoundTrip:
             assert np.array_equal(a.state.u1, b.state.u1)
             assert np.array_equal(a.quantum.Q, b.quantum.Q)
 
+    def test_gaps_in_the_snapshot_indices_are_legal(self, short_series, tmp_path):
+        out = tmp_path / "snaps"
+        rq.write_snapshots(short_series, str(out))
+        manifest = out / "manifest.tsv"
+        text = manifest.read_text()
+        for k in range(1, len(short_series)):  # index k becomes 10 k
+            text = text.replace(f"snapshot.{k}\t", f"snapshot.{10 * k}\t")
+        manifest.write_text(text)
+        assert rq.read_snapshots(str(out)).times == short_series.times
+
     def test_manifest_reconstructs_config(self, short_series, tmp_path):
         out = tmp_path / "snaps"
         rq.write_snapshots(short_series, str(out))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import relqtraj as rq
-from relqtraj.state import StateValidationError, check_state_arrays
+from relqtraj.state import StateValidationError, check_state
 
 
 class TestMakeGrid:
@@ -168,7 +168,18 @@ def test_guard_reports_the_first_of_two_faults(rows, x_row, row, value, message)
     y[x_row, 4] = y[x_row, 5] + 0.1  # x out of order ...
     y[row, 2] = value                # ... and one earlier invariant broken
     with pytest.raises(StateValidationError, match=message):
-        check_state_arrays(y)
+        check_state(y, rows)
     y[row, 2] = _ensemble(rows)[row, 2]
     with pytest.raises(StateValidationError, match="degeneration"):
-        check_state_arrays(y)
+        check_state(y, rows)
+
+
+@pytest.mark.parametrize("rows", [4, 3, 2])
+def test_guard_rejects_a_row_count_no_state_has(rows):
+    # a finite (3, N) array, or one with a NaN in its third row, is no state
+    y = np.ones((3, 9))
+    with pytest.raises(StateValidationError, match=r"shape \(3, 9\)"):
+        check_state(y, rows)
+    y[2, 4] = np.nan
+    with pytest.raises(StateValidationError, match=r"shape \(3, 9\)"):
+        check_state(y, rows)

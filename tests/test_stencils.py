@@ -190,21 +190,21 @@ class TestOnePlanPerConfig:
 
     def test_the_plan_and_dlogf_are_cached_per_config(self):
         cfg = baseline_config()
-        assert cfg.plan is cfg.plan and cfg.dlogf is cfg.dlogf
+        assert cfg.plan is cfg.plan and cfg.half_dlogf is cfg.half_dlogf
         assert (cfg.plan.grid, cfg.plan.order) == (cfg.grid, 4)
         second = replace(cfg, stencil_order=2)
         assert second.plan is not cfg.plan
         assert second.plan.order == 2 and cfg.plan.order == 4
         assert np.array_equal(second.plan.matrix, rq.build_plan(cfg.grid, 2).matrix)
-        np.testing.assert_array_equal(cfg.dlogf, cfg.weight.dlog_f(cfg.grid.nodes))
+        np.testing.assert_array_equal(cfg.half_dlogf, 0.5 * cfg.weight.dlog_f(cfg.grid.nodes))
         with pytest.raises(ValueError, match="read-only"):
-            cfg.dlogf[0] = 1.0
+            cfg.half_dlogf[0] = 1.0
 
     def test_the_stage_constants_are_derived_once_per_config(self):
         cfg = rq.SimConfig(c=3.0, mass=2.0, weight=rq.gaussian_weight(0.5),
                            grid=rq.make_grid(-5, 5, 25), t_final=1)
         ones = np.ones(25)
-        want = {"half_dlogf": [0.5 * cfg.dlogf],
+        want = {"half_dlogf": [0.5 * cfg.weight.dlog_f(cfg.grid.nodes)],
                 "force_sign": [-3.0 * ones, -ones],
                 "rhs_divisor": [3.0 * ones, ones, 2.0 * ones, 2.0 * ones]}
         for name, rows in want.items():

@@ -14,6 +14,7 @@ Exit codes: 0 success / all checks pass, 1 validation or usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -111,13 +112,17 @@ _KINDS = {
 def _cmd_analytic(args) -> int:
     grid = make_grid(args.grid_min, args.grid_max, args.grid_n)
     times = [float(s) for s in args.times.split(",")]
+    # a series starts at its initial slice, T = 0, and ends at its last entry
+    for T in times:
+        if not (T >= 0 and math.isfinite(T)):
+            raise ValueError(f"--times entry {T:g} is not a nonnegative finite ensemble time")
     check_positive(mass=args.mass, hbar=args.hbar, c=args.c)  # before a family divides by them
     ens = _KINDS[args.kind](args)
     # a closed-form Q is given only for the family whose density has none
     Q = None if ens.Q is None else ens.Q(grid.nodes, args.mass)
     cfg = SimConfig(
         mass=args.mass, hbar=args.hbar, c=args.c, weight=ens.weight, grid=grid,
-        t_final=max(times) if max(times) > 0 else 1.0, stencil_order=args.stencil_order,
+        t_final=max(times), stencil_order=args.stencil_order,
     )
     snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
     series = SnapshotSeries(config=cfg, snapshots=snapshots)
@@ -128,6 +133,10 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the tolerances a config would refuse are usage errors, before anything is read
+    check_positive(**{flag: tol for flag, tol in (("--tol-invariant", args.tol_invariant),
+                                                  ("--tol-residual", args.tol_residual))
+                      if tol is not None})
     # a non-finite or overflowing stored cell gives NaN records, not numpy warnings
     with np.errstate(invalid="ignore", over="ignore"):
         series = read_snapshots(args.snapshots)

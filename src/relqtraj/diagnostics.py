@@ -101,7 +101,7 @@ def evaluate_invariants(
                                        "quantum.f1", "geometry.g01_residual")
     fmax = np.maximum(np.abs(f0).max(axis=1), np.abs(f1).max(axis=1))[:, None]
     orth = np.abs(-u0 * f0 + u1 * f1) / (cfg.c * fmax + ORTHOGONALITY_EPS)
-    norm = np.abs(norm_violation(u0, u1, cfg.c)) / cfg.c ** 2
+    norm = np.abs(norm_violation(np.array((u0, u1)), cfg.c_sq)) / cfg.c ** 2
     checks = [
         ("four_velocity_norm", _worst(norm, Ts, nodes), tol, le),
         ("force_orthogonality", _worst(orth, Ts, nodes), tol, le),

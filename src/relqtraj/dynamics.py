@@ -21,14 +21,22 @@ make_snapshot runs the same chain (optionally on a stored Q) and builds the
 g01 residual from the first two rate rows, for recorded snapshots only; the
 solver, the snapshot reader and the closed-form sampler all go through it.
 
-On N = 25 a stage's cost is the count of numpy calls, not arithmetic, so the
-chain is written to make few of them while every output stays bit for bit
-what the plain 1-D expressions give.  Two rules keep it so.  First, rows are
-stacked only for exactly-rounded elementwise operations whose regrouping is
-exact: x / 1.0 == x, (-1) x == -x, -a / b == a / -b, and max(a / k) ==
-max(a) / k for k > 0.  Second, log, exp and gamma^(-1/2) stay on 1-D arrays,
-and every derivative is one gemv per vector (d_dC on a 1-D row): a stacked
-gemm sums in another order and differs by up to 5e-15.
+On N = 25 a stage's cost is the count and kind of its numpy calls, not
+arithmetic, so the chain is written to make few and cheap ones while every
+output stays bit for bit what the plain 1-D expressions give.  Three rules
+keep it so.  First, rows are stacked only for exactly-rounded elementwise
+operations whose regrouping is exact: x / 1.0 == x, (-1) x == -x, -a / b ==
+a / -b, max(a / k) == max(a) / k for k > 0, and the squares of stacked rows
+are one product y * y.  Second, log, exp and gamma^(-1/2) stay on 1-D
+arrays, and every derivative is one gemv per vector (d_dC on a 1-D row): a
+stacked gemm sums in another order and differs by up to 5e-15.  Third, no
+array operation takes a Python scalar: under numpy 2's scalar promotion
+(NEP 50) a Python-float operand costs about 0.2-0.4 us more per call than a
+0-d float64 array and gives the same bits.  So every constant is a 0-d array
+cached on the config (c_sq, neg_mc_sq, neg_hbar_sq_over_2m, m, rk_weights)
+or a module constant (state.ZERO, the 1/4 and -1/2 of log_form_Q), x ** 2
+is x * x, 2 k is k + k, and a guard's minimum or maximum is one
+np.minimum.reduce or np.maximum.reduce.
 
 run_fixed_steps is the one stepping loop: integrate and the non-relativistic
 solver give it their own step and record functions, and it owns the step
@@ -116,7 +124,7 @@ def compute_Q(gamma: np.ndarray, config: SimConfig, Q: Optional[np.ndarray] = No
     its label-derivative.  Q is computed from the config's weight unless it
     is given (a stored or closed-form potential)."""
     if Q is None:
-        Q = log_form_Q(config.half_dlogf, gamma, config.plan, config.hbar, config.mass)
+        Q = log_form_Q(gamma, config)
     return Q, d_dC(Q, config.plan)
 
 
@@ -128,10 +136,11 @@ def compute_force(tx_C, gamma, Q_C, config: SimConfig) -> np.ndarray:
     return tx_C * config.force_sign / gamma * Q_C
 
 
-def tau_factor(Q: np.ndarray, mass: float, c: float) -> np.ndarray:
+def tau_factor(Q: np.ndarray, config: SimConfig) -> np.ndarray:
     """Local rate of proper time against ensemble time, exp(-Q / m c^2),
-    computed as exp(Q / -(m c^2)): -a / b == a / -b exactly."""
-    return np.exp(Q / -(mass * c ** 2))
+    computed as exp(Q / -(m c^2)) with -(m c^2) = config.neg_mc_sq:
+    -a / b == a / -b exactly."""
+    return np.exp(Q / config.neg_mc_sq)
 
 
 def _slice(y, T, config: SimConfig, Q=None):
@@ -139,9 +148,9 @@ def _slice(y, T, config: SimConfig, Q=None):
     (tx_C, gamma, Q, Q_C, tau_T, f, d), layer by layer; tx_C and f are (2, N)
     and the rate rows d = (u0, u1, f0, f1) tau_T / rhs_divisor (c, 1, m, m)
     are (4, N), three operations bitwise the 1-D rows (x / 1.0 == x)."""
-    tx_C, gamma = compute_geometry(y[0], y[1], T, config.plan, config.c)
+    tx_C, gamma = compute_geometry(y[0], y[1], T, config)
     Q, Q_C = compute_Q(gamma, config, Q)
-    tau = tau_factor(Q, config.mass, config.c)
+    tau = tau_factor(Q, config)
     f = compute_force(tx_C, gamma, Q_C, config)
     return tx_C, gamma, Q, Q_C, tau, f, np.concatenate((y[2:], f)) * tau / config.rhs_divisor
 
@@ -165,27 +174,31 @@ def eom_rhs(y, T, config: SimConfig) -> np.ndarray:
     return _slice(y, T, config)[-1]
 
 
-def _rk4(rhs, y, dt):
-    """One classical RK4 step of y' = rhs(y, h) over dt; h is the stage's offset."""
+def _rk4(rhs, y, config: SimConfig):
+    """One classical RK4 step of y' = rhs(y, h) over config.dt, h the stage's
+    offset: y + dt/6 (k1 + 2 k2 + 2 k3 + k4), with the weights dt/2, dt and
+    dt/6 of config.rk_weights and 2 k written k + k (the same bits)."""
+    half, full, sixth = config.rk_weights
+    h = 0.5 * config.dt
     k1 = rhs(y, 0.0)
-    k2 = rhs(y + 0.5 * dt * k1, 0.5 * dt)
-    k3 = rhs(y + 0.5 * dt * k2, 0.5 * dt)
-    k4 = rhs(y + dt * k3, dt)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(y + half * k1, h)
+    k3 = rhs(y + half * k2, h)
+    k4 = rhs(y + full * k3, config.dt)
+    return y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
 def rk4_step(y: np.ndarray, T: float, config: SimConfig) -> np.ndarray:
     """One classical four-stage Runge-Kutta step of size config.dt from the (4, N)
     array y at ensemble time T; a stage that breaks an invariant raises StateValidationError."""
-    dt = config.dt
-    y = _rk4(lambda y, h: eom_rhs(y, T + h, config), y, dt)
+    y = _rk4(lambda y, h: eom_rhs(y, T + h, config), y, config)
     # max(|v| / c^2) == max(|v|) / c^2 exactly, so one division by c^2
-    worst = float(np.abs(norm_violation(y[2], y[3], config.c)).max()) / config.c ** 2
+    drift = np.maximum.reduce(np.abs(norm_violation(y[2:], config.c_sq)))
+    worst = float(drift) / config.c ** 2
     if worst > ABORT_FACTOR * config.invariant_tol:
         raise IntegrationError(
             f"four-velocity norm drift {worst:.3e} exceeds "
             f"{ABORT_FACTOR:g} x invariant_tol = {ABORT_FACTOR * config.invariant_tol:.1e} "
-            f"after step to T = {T + dt:.6g}"
+            f"after step to T = {T + config.dt:.6g}"
         )
     return y
 

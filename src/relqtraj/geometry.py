@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stencils import StencilPlan, d_dC
+from .state import SimConfig
+from .stencils import d_dC
 
 
 class GeometryError(RuntimeError):
@@ -35,28 +36,28 @@ class GeometryFields:
     g01_residual: np.ndarray
 
 
-def compute_geometry(t, x, T: float, plan: StencilPlan, c: float):
+def compute_geometry(t, x, T: float, config: SimConfig):
     """(tx_C, gamma) of the slice with coordinate arrays t, x at ensemble
     time T: the label-derivatives (t_C, x_C) as the rows of one (2, N) array,
-    which compute_force scales as a whole, and gamma = x_C^2 - c^2 t_C^2,
-    without the g01 residual (see attach_g01).
+    which compute_force scales as a whole, and gamma = x_C^2 - c^2 t_C^2
+    with c^2 = config.c_sq, without the g01 residual (see attach_g01).
 
-    Each derivative is its own gemv (d_dC on a 1-D row), and gamma is formed
-    on the 1-D rows: a stacked (N, 2) product would differ in the last bits.
-    Raises GeometryError, naming the first node and its value, unless gamma
-    is positive and finite; its fast pass is one min and one max.
+    Each derivative is its own gemv (d_dC on a 1-D row); both squares are
+    the one exactly-rounded product tx_C * tx_C.  Raises GeometryError,
+    naming the first node and its value, unless gamma is positive and
+    finite; its fast pass is one minimum and one maximum reduction.
     """
-    t_C = d_dC(t, plan)
-    x_C = d_dC(x, plan)
-    gamma = x_C ** 2 - c ** 2 * t_C ** 2
-    if not (gamma.min() > 0 and gamma.max() < math.inf):
+    tx_C = np.array((d_dC(t, config.plan), d_dC(x, config.plan)))
+    sq = tx_C * tx_C
+    gamma = sq[1] - config.c_sq * sq[0]
+    if not (np.minimum.reduce(gamma) > 0 and np.maximum.reduce(gamma) < math.inf):
         k = int(np.argmin((gamma > 0) & np.isfinite(gamma)))
         kind = "non-positive" if gamma[k] <= 0 else "non-finite"
         raise GeometryError(
             f"{kind} spatial metric gamma = {gamma[k]:.6g} at node {k} "
             f"(T = {T:.6g}): slice is no longer spacelike"
         )
-    return np.array((t_C, x_C)), gamma
+    return tx_C, gamma
 
 
 def attach_g01(tx_C, gamma, d, c: float) -> GeometryFields:

@@ -2,13 +2,15 @@
 
 Independent reference for the large-c limit.  It shares the machinery of the
 relativistic solver (grids, stencils, weights, the state guard, the RK4
-combine, the fixed-step driver and the config's plan and half_dlogf) but not
-its physics: here the slice metric is gamma = x_C^2, coordinate time is the
-evolution parameter, and the equations are
+combine, the fixed-step driver, log_form_Q and the config's cached
+constants) but not its physics: here the slice metric is gamma = x_C^2,
+coordinate time is the evolution parameter, and the equations are
 
     dx/dt = v        dv/dt = f_Q / m,   f_Q = -(1 / x_C) dQ/dC .
 
-The RK stages step the raw (2, N) array (x, v) that a NonRelState wraps.
+The RK stages step the raw (2, N) array (x, v) that a NonRelState wraps;
+like the relativistic stage, every operand of their array operations is an
+array (the config's 0-d constants, state.ZERO), never a Python float.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .dynamics import _rk4, run_fixed_steps
 from .qpotential import log_form_Q
-from .state import SimConfig, StateValidationError, check_state
-from .stencils import StencilPlan, d_dC
+from .state import ZERO, SimConfig, StateValidationError, check_state
+from .stencils import d_dC
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,13 @@ class NonRelState:
     v = property(lambda self: self.y[1])
 
 
-def nonrel_Q(x, half_dlogf, plan: StencilPlan, hbar: float, mass: float):
-    """(Q, x_C) for positions x(C), with gamma = x_C^2; half_dlogf is half
-    the weight's log-derivative on the grid nodes (SimConfig.half_dlogf)."""
-    x_C = d_dC(x, plan)
-    if np.count_nonzero(x_C <= 0):
+def nonrel_Q(x, config: SimConfig):
+    """(Q, x_C) for positions x(C), with gamma = x_C^2 = x_C * x_C and Q by
+    log_form_Q from the config's weight, hbar and mass."""
+    x_C = d_dC(x, config.plan)
+    if np.count_nonzero(x_C <= ZERO):
         raise StateValidationError("x must be monotone in C")
-    gamma = x_C ** 2
-    return log_form_Q(half_dlogf, gamma, plan, hbar, mass), x_C
+    return log_form_Q(x_C * x_C, config), x_C
 
 
 def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -56,9 +57,9 @@ def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
     StateValidationError when it breaks an invariant or is not (2, N).
     """
     check_state(y, 2)
-    Q, x_C = nonrel_Q(y[0], config.half_dlogf, config.plan, config.hbar, config.mass)
+    Q, x_C = nonrel_Q(y[0], config)
     f_Q = -d_dC(Q, config.plan) / x_C
-    return np.array([y[1], f_Q / config.mass])
+    return np.array((y[1], f_Q / config.m))
 
 
 def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
@@ -68,8 +69,11 @@ def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
     On failure raises IntegrationError with the partial list attached.
     """
+    def rhs(y, _h):
+        return nonrel_rhs(y, config)
+
     def step(y, _t):
-        return _rk4(lambda y, _h: nonrel_rhs(y, config), y, config.dt)
+        return _rk4(rhs, y, config)
 
     y = np.stack([config.grid.nodes, np.zeros(config.grid.n_points)])
     return run_fixed_steps(config, cadence, y, step, NonRelState, [])

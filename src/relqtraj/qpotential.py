@@ -24,30 +24,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stencils import StencilPlan, d_dC
+from .state import SimConfig, scalar_array
+from .stencils import d_dC
+
+_QUARTER = scalar_array(0.25)    # the 1/4 of L = (ln f)/2 - (ln gamma)/4
+_NEG_HALF = scalar_array(-0.5)   # the exponent of gamma^(-1/2)
 
 
-def log_form_Q(
-    half_dlogf: np.ndarray,
-    gamma: np.ndarray,
-    plan: StencilPlan,
-    hbar: float,
-    mass: float,
-) -> np.ndarray:
-    """Quantum potential from half the closed-form weight log-derivative,
-    (ln f^(1/2))' = (ln f)'/2 (SimConfig.half_dlogf), and the (numerically
-    computed) spatial metric gamma on the slice; gamma > 0 is the caller's
-    guard (compute_geometry, or x_C > 0 in nonrel_Q).  Every operation runs
-    on a 1-D array of the slice, and each derivative is its own d_dC gemv.
+def log_form_Q(gamma: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Quantum potential on a slice of (numerically computed) spatial metric
+    gamma, from half the closed-form weight log-derivative, (ln f^(1/2))' =
+    (ln f)'/2 (config.half_dlogf), and the prefactor -(hbar^2 / 2m)
+    (config.neg_hbar_sq_over_2m); gamma > 0 is the caller's guard
+    (compute_geometry, or x_C > 0 in nonrel_Q).  Every operation runs on a
+    1-D array of the slice, and each derivative is its own d_dC gemv.
     Raises FloatingPointError if Q is not finite (one count of a mask)."""
+    plan = config.plan
     ln_gamma = np.log(gamma)
-    Lp = half_dlogf - 0.25 * d_dC(ln_gamma, plan)
+    Lp = config.half_dlogf - _QUARTER * d_dC(ln_gamma, plan)
     Lpp = d_dC(Lp, plan)
-    inv_sqrt_gamma = gamma ** -0.5
+    inv_sqrt_gamma = gamma ** _NEG_HALF
     Gp = d_dC(inv_sqrt_gamma, plan)
-    Q = -(hbar ** 2 / (2.0 * mass)) * (
-        inv_sqrt_gamma * Gp * Lp + (Lp ** 2 + Lpp) / gamma
-    )
+    Q = config.neg_hbar_sq_over_2m * (inv_sqrt_gamma * Gp * Lp + (Lp * Lp + Lpp) / gamma)
     if np.count_nonzero(np.isfinite(Q)) != Q.size:
         raise FloatingPointError("non-finite quantum potential")
     return Q

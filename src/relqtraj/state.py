@@ -8,7 +8,11 @@ constant of f.
 
 EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
 check_state is the one statement of a state's shape and invariants, for
-every state and RK stage; SimConfig holds every config default.
+every state and RK stage; SimConfig holds every config default and caches
+the constants of an RK stage.  Those are numpy arrays, never Python floats:
+under numpy 2's scalar promotion (NEP 50) a Python-float operand costs a
+small-array operation more dispatch time than a 0-d float64 array, for the
+same IEEE operation and the same bits.
 """
 
 from __future__ import annotations
@@ -24,6 +28,20 @@ from .stencils import STENCIL_ORDERS, StencilPlan, build_plan
 
 MIN_POINTS = 9          # widest stencil pair (two nested 5-point windows)
 _FIELDS = {4: ("t", "x", "u0", "u1"), 2: ("x", "v")}  # state rows by row count
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def scalar_array(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: the stage's operand for a
+    constant, bitwise the Python float in every elementwise operation."""
+    return _read_only(np.array(value, dtype=np.float64))
+
+
+ZERO = scalar_array(0.0)  # the bound of the stage guards' sign tests
 
 
 @dataclass(frozen=True)
@@ -125,7 +143,7 @@ def check_state(y: np.ndarray, rows: int) -> None:
     if np.count_nonzero(finite) != y.size:
         bad = int(np.argmin(finite.all(axis=1)))
         raise StateValidationError(f"non-finite values in field {_FIELDS[rows][bad]}")
-    if rows == 4 and np.count_nonzero(y[2] > 0) != y.shape[1]:
+    if rows == 4 and np.count_nonzero(y[2] > ZERO) != y.shape[1]:
         raise StateValidationError("u0 must be positive (forward-in-time propagation)")
     x = y[1] if rows == 4 else y[0]
     increasing = x[1:] > x[:-1]
@@ -159,11 +177,13 @@ class EnsembleState:
     u1 = property(lambda self: self.y[3])
 
 
-def norm_violation(u0, u1, c: float) -> np.ndarray:
+def norm_violation(u, c_sq) -> np.ndarray:
     """eta_ab U^a U^b + c^2 = u1^2 - u0^2 + c^2, elementwise over the
-    four-velocity arrays: zero on the mass shell.  The relative drift is
-    its magnitude over c^2."""
-    return u1 ** 2 - u0 ** 2 + c ** 2
+    four-velocity rows u = (u0, u1) stacked on the first axis, with c_sq =
+    c^2 (SimConfig.c_sq): zero on the mass shell.  Both squares are one
+    product u * u.  The relative drift is its magnitude over c^2."""
+    sq = u * u
+    return sq[1] - sq[0] + c_sq
 
 
 def check_positive(**values: float) -> None:
@@ -177,9 +197,10 @@ def check_positive(**values: float) -> None:
 class SimConfig:
     """Physical constants, grid, integrator step and tolerances for one run.
     The run's derivative operator (plan), half the weight's log-derivative
-    on the grid nodes (half_dlogf, for log_form_Q) and the constant rows
-    of the RK stage (force_sign, rhs_divisor) are derived once, on first
-    use; they are not config keys."""
+    on the grid nodes (half_dlogf, for log_form_Q), the constant rows of
+    the RK stage (force_sign, rhs_divisor) and its read-only 0-d constants
+    (c_sq, neg_mc_sq, neg_hbar_sq_over_2m, m, rk_weights) are derived once,
+    on first use; they are not config keys."""
 
     c: float
     weight: WeightFunction
@@ -221,10 +242,30 @@ class SimConfig:
         rows of dynamics.eom_rhs; x / 1.0 == x, so the x row is tau_T u1."""
         return _rows(self.grid.n_points, self.c, 1.0, self.mass, self.mass)
 
+    @cached_property
+    def c_sq(self) -> np.ndarray:
+        """c^2, for gamma = x_C^2 - c^2 t_C^2 and the norm check."""
+        return scalar_array(self.c ** 2)
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    @cached_property
+    def neg_mc_sq(self) -> np.ndarray:
+        """-(m c^2), the divisor of Q in tau_T = exp(Q / -(m c^2))."""
+        return scalar_array(-(self.mass * self.c ** 2))
+
+    @cached_property
+    def neg_hbar_sq_over_2m(self) -> np.ndarray:
+        """-(hbar^2 / 2m), the prefactor of the quantum potential."""
+        return scalar_array(-(self.hbar ** 2 / (2.0 * self.mass)))
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """The mass m, dividing the non-relativistic force."""
+        return scalar_array(self.mass)
+
+    @cached_property
+    def rk_weights(self) -> tuple:
+        """The RK4 step weights (dt / 2, dt, dt / 6)."""
+        return tuple(map(scalar_array, (0.5 * self.dt, self.dt, self.dt / 6.0)))
 
 
 def _rows(n: int, *values: float) -> np.ndarray:

@@ -110,9 +110,11 @@ def d_dC(values: np.ndarray, plan: StencilPlan) -> np.ndarray:
 
     A contiguous float64 (n,) array, the RK stages' only input, skips the
     _grid_values check and runs as ndarray.dot: the same single gemv as the
-    matmul, bit for bit, at about half the call overhead."""
+    matmul, bit for bit, at about half the call overhead.  The cheapest
+    tests come first; a float64 dtype that is not numpy's own instance only
+    takes the checked path."""
     D = plan.matrix
-    if (type(values) is np.ndarray and values.dtype == _FLOAT64 and values.ndim == 1
+    if (type(values) is np.ndarray and values.ndim == 1 and values.dtype is _FLOAT64
             and len(values) == len(D) and values.flags.c_contiguous):
         return D.dot(values)
     return D @ _grid_values(values, plan.grid)

@@ -152,7 +152,7 @@ class TestAcceptance:
         w = hyperbolic_unit_metric_weight(B, m, hb, c, 0.45, 2.55)
         cfg = rq.SimConfig(mass=m, hbar=hb, c=c, weight=w, grid=grid, t_final=1.0)
         st = sample_state(hyperbolic_gamma_one_ensemble(B, c), grid, 0.7)
-        _, gamma = rq.compute_geometry(st.t, st.x, 0.7, cfg.plan, c)
+        _, gamma = rq.compute_geometry(st.t, st.x, 0.7, cfg)
         gamma_err = float(np.max(np.abs(gamma - 1.0)))
 
         Q_num, _ = rq.compute_Q(gamma, cfg)
@@ -163,9 +163,9 @@ class TestAcceptance:
 
         # fan family: gamma uniform in C
         grid2 = rq.make_grid(-1, 1, 201)
-        plan2 = rq.build_plan(grid2, 4)
+        cfg2 = rq.SimConfig(c=2.0, weight=rq.uniform_weight(), grid=grid2, t_final=1.0)
         st2 = sample_state(hyperbolic_gamma_T_ensemble(0.5, 2.0), grid2, 1.0)
-        _, gamma2 = rq.compute_geometry(st2.t, st2.x, 1.0, plan2, 2.0)
+        _, gamma2 = rq.compute_geometry(st2.t, st2.x, 1.0, cfg2)
         spread = float((np.max(gamma2) - np.min(gamma2)) / np.mean(gamma2))
 
         ok = gamma_err <= 1e-6 and q_rel <= 1e-4 and spread <= 1e-8

@@ -316,6 +316,41 @@ class TestAnalyticVerify:
         assert "snap_T1.tsv" in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("flag", ["--tol-invariant", "--tol-residual"])
+    def test_verify_refuses_a_tolerance_the_config_would_refuse(self, tmp_path, capsys,
+                                                                 flag, value):
+        # checked before the series is read: one error line, no report
+        out = tmp_path / "inertial"
+        assert main(["analytic", "--kind", "inertial", "--beta0", "0.6", "--c", "2",
+                     "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
+                     "--times", "0,0.5,1.0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--snapshots", str(out), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be positive and finite, got {float(value)}\n"
+        assert not (out / "report.tsv").exists()
+
+    @pytest.mark.parametrize("times, bad", [("-1,-0.5", "-1"), ("0,1,-2", "-2"),
+                                            ("0,nan", "nan")])
+    def test_analytic_refuses_a_time_before_the_initial_slice(self, tmp_path, capsys,
+                                                              times, bad):
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
+                     "--grid-max", "2", "--grid-n", "25", f"--times={times}",
+                     "--out", str(out)]) == 1
+        assert f"--times entry {bad} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analytic_records_its_last_time_as_the_horizon(self, tmp_path):
+        # a series of the initial slice alone ends at T = 0, not at an invented T = 1
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
+                     "--grid-max", "2", "--grid-n", "25", "--times", "0",
+                     "--out", str(out)]) == 0
+        assert "config.time.final\t0" in (out / "manifest.tsv").read_text().splitlines()
+
 
 # fault -> (analytic --times, manifest edit, the command run on the edited
 # output, the error it must print); with no edit, analytic itself refuses

@@ -24,7 +24,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def _initial_geometry(cfg):
     # ((t_C, x_C), gamma) of the rest slice
     st = rq.rest_initial_state(cfg)
-    return rq.compute_geometry(st.t, st.x, 0.0, cfg.plan, cfg.c)
+    return rq.compute_geometry(st.t, st.x, 0.0, cfg)
 
 
 class TestComputeQ:
@@ -80,13 +80,13 @@ class TestComputeQ:
         f1a, f1b = rq.compute_force(*geom, QC1, cfg)
         f2a, f2b = rq.compute_force(*geom, QC2, cfg)
         assert np.array_equal(f1a, f2a) and np.array_equal(f1b, f2b)
-        assert np.array_equal(rq.tau_factor(Q1, 1.0, 3.0), rq.tau_factor(Q2, 1.0, 3.0))
+        assert np.array_equal(rq.tau_factor(Q1, cfg), rq.tau_factor(Q2, cfg))  # m = 1, c = 3
 
     def test_stretch_scaling(self):
         # x = 2C halves the density scale twice over: Q picks up a factor 1/4
         g = rq.make_grid(-2, 2, 25)
         cfg = rq.SimConfig(c=1, weight=rq.gaussian_weight(0.5), grid=g, t_final=1)
-        _, gamma = rq.compute_geometry(np.zeros(25), 2.0 * g.nodes, 0.0, cfg.plan, cfg.c)
+        _, gamma = rq.compute_geometry(np.zeros(25), 2.0 * g.nodes, 0.0, cfg)
         Q, _ = rq.compute_Q(gamma, cfg)
         C = g.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5) / 4.0, atol=1e-12)
@@ -119,7 +119,7 @@ class TestComputeForce:
         plan = cfg.plan
         ens = hyperbolic_gamma_one_ensemble(B, c)
         st = sample_state(ens, g, T=0.0)
-        geom = rq.compute_geometry(st.t, st.x, 0.0, plan, c)
+        geom = rq.compute_geometry(st.t, st.x, 0.0, cfg)
         Q = hyperbolic_gamma_one_Q(B, g.nodes, m, c)
         Q_C_exact = -m * c ** 2 / g.nodes
         f0, f1 = rq.compute_force(*geom, Q_C_exact, cfg)
@@ -128,7 +128,7 @@ class TestComputeForce:
         # at later slices the inertial components rotate but stay orthogonal
         # to the four-velocity; the label-derivative comes from the stencils
         st = sample_state(ens, g, T=0.8)
-        geom = rq.compute_geometry(st.t, st.x, 0.8, plan, c)
+        geom = rq.compute_geometry(st.t, st.x, 0.8, cfg)
         Q_C = rq.d_dC(Q, plan)
         f0, f1 = rq.compute_force(*geom, Q_C, cfg)
         interior = plan.interior
@@ -146,20 +146,23 @@ class TestComputeForce:
 
 class TestTauFactor:
     def test_zero_potential(self):
-        np.testing.assert_array_equal(rq.tau_factor(np.zeros(5), 1.0, 3.0), np.ones(5))
+        cfg = baseline_config()  # m = 1, c = 3
+        np.testing.assert_array_equal(rq.tau_factor(np.zeros(5), cfg), np.ones(5))
 
     def test_exponential_contraction(self):
         # Q = -(hbar^2/2m) kappa^2 < 0 contracts: dtau/dT > 1
         kappa, m, hbar, c = 0.3, 1.0, 1.0, 1.0
+        cfg = rq.SimConfig(mass=m, hbar=hbar, c=c, weight=rq.exponential_weight(kappa),
+                           grid=rq.make_grid(-2, 2, 25), t_final=1)
         Q = np.full(9, -(hbar ** 2 / (2 * m)) * kappa ** 2)
-        tau = rq.tau_factor(Q, m, c)
+        tau = rq.tau_factor(Q, cfg)
         np.testing.assert_allclose(
             tau, exponential_ensemble(kappa, m, hbar, c).evaluate(1.0, 0.0)[0], rtol=1e-15
         )
         assert np.all(tau > 1.0)
 
     def test_gaussian_center_dilation(self):
-        assert rq.tau_factor(np.array([0.25]), 1.0, 3.0)[0] == pytest.approx(
+        assert rq.tau_factor(np.array([0.25]), baseline_config())[0] == pytest.approx(
             np.exp(-1.0 / 36.0), rel=1e-12
         )
 
@@ -224,6 +227,22 @@ class TestRk4Step:
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert np.log2(e1 / e2) == pytest.approx(4.0, abs=0.5)
 
+    def test_steps_are_textbook_rk4_bitwise(self):
+        # 50 steps of the headline config against the classical RK4 formula
+        # over eom_rhs, written with Python-float weights
+        cfg = rq.parse_config((CONFIGS / "gaussian_c3.txt").read_text())
+        dt = cfg.dt
+        y = ref = rq.rest_initial_state(cfg).y
+        for k in range(50):
+            T = k * dt
+            y = rq.rk4_step(y, T, cfg)
+            k1 = rq.eom_rhs(ref, T, cfg)
+            k2 = rq.eom_rhs(ref + 0.5 * dt * k1, T + 0.5 * dt, cfg)
+            k3 = rq.eom_rhs(ref + 0.5 * dt * k2, T + 0.5 * dt, cfg)
+            k4 = rq.eom_rhs(ref + dt * k3, T + dt, cfg)
+            ref = ref + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.count_nonzero(ref[3]) and np.array_equal(y, ref)
+
 
 class TestStageGuard:
     """Intermediate RK stages are held to the EnsembleState invariants."""
@@ -264,9 +283,9 @@ class TestStageGuard:
         # compute_force chained field by field, bitwise
         cfg = baseline_config()
         t, x, u0, u1 = y = rq.rest_initial_state(cfg).y
-        tx_C, gamma = rq.compute_geometry(t, x, 0.0, cfg.plan, cfg.c)
+        tx_C, gamma = rq.compute_geometry(t, x, 0.0, cfg)
         Q, Q_C = rq.compute_Q(gamma, cfg)
-        tau = rq.tau_factor(Q, cfg.mass, cfg.c)
+        tau = rq.tau_factor(Q, cfg)
         f0, f1 = rq.compute_force(tx_C, gamma, Q_C, cfg)
         want = np.array([tau * u0 / cfg.c, tau * u1,
                          tau * f0 / cfg.mass, tau * f1 / cfg.mass])

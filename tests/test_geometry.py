@@ -11,12 +11,16 @@ from relqtraj.analytic import (
 from relqtraj.geometry import GeometryError
 
 
+def _config(g, c):
+    # compute_geometry reads the plan (order 4) and c^2 from a config
+    return rq.SimConfig(c=c, weight=rq.uniform_weight(), grid=g, t_final=1)
+
+
 class TestComputeGeometry:
     def test_initial_wavepacket_slice(self):
         # t = 0, x = C gives t_C = 0, x_C = 1, gamma = 1 at every node
         g = rq.make_grid(-5, 5, 25)
-        plan = rq.build_plan(g, 4)
-        (t_C, x_C), gamma = rq.compute_geometry(np.zeros(25), g.nodes, 0.0, plan, c=3.0)
+        (t_C, x_C), gamma = rq.compute_geometry(np.zeros(25), g.nodes, 0.0, _config(g, 3.0))
         np.testing.assert_allclose(t_C, 0.0, atol=1e-14)
         np.testing.assert_allclose(x_C, 1.0, atol=1e-13)
         np.testing.assert_allclose(gamma, 1.0, atol=1e-12)
@@ -24,19 +28,19 @@ class TestComputeGeometry:
     def test_hyperbolic_unit_metric_slice(self):
         # x_C = cosh(cBT), c t_C = sinh(cBT): gamma = 1 identically
         g = rq.make_grid(0.5, 3.0, 25)
-        plan = rq.build_plan(g, 4)
         ens = hyperbolic_gamma_one_ensemble(B=1.0, c=3.0)
         st = sample_state(ens, g, T=0.7)
-        _, gamma = rq.compute_geometry(st.t, st.x, 0.7, plan, c=3.0)
+        _, gamma = rq.compute_geometry(st.t, st.x, 0.7, _config(g, 3.0))
         np.testing.assert_allclose(gamma, 1.0, atol=1e-10)
 
     def test_hyperbolic_fan_slice(self):
         # gamma = c^2 A^2 T^2, uniform in C
         g = rq.make_grid(-1, 1, 25)
-        plan = rq.build_plan(g, 4)
+        cfg = _config(g, 2.0)
+        plan = cfg.plan
         ens = hyperbolic_gamma_T_ensemble(A=1.0, c=2.0)
         st = sample_state(ens, g, T=1.0)
-        _, gamma = rq.compute_geometry(st.t, st.x, 1.0, plan, c=2.0)
+        _, gamma = rq.compute_geometry(st.t, st.x, 1.0, cfg)
         # edge rows carry the largest truncation constants at 25 nodes
         np.testing.assert_allclose(gamma, 4.0, rtol=1e-4)
         assert np.max(np.abs(gamma[plan.interior] - gamma[12])) < 1e-9
@@ -44,10 +48,9 @@ class TestComputeGeometry:
     def test_inertial_slice_is_stencil_exact(self):
         # derivatives of linear fields are exact: gamma = 1, g01 = 0
         g = rq.make_grid(-2, 2, 25)
-        plan = rq.build_plan(g, 4)
         ens = inertial_ensemble(beta0=0.6, c=1.0)
         st = sample_state(ens, g, T=1.3)
-        tx_C, gamma = rq.compute_geometry(st.t, st.x, 1.3, plan, c=1.0)
+        tx_C, gamma = rq.compute_geometry(st.t, st.x, 1.3, _config(g, 1.0))
         geom = rq.attach_g01(tx_C, gamma, (st.u0, st.u1), 1.0)  # tau_T = 1, c = 1
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-13)
         np.testing.assert_allclose(geom.g01_residual, 0.0, atol=1e-13)
@@ -55,9 +58,8 @@ class TestComputeGeometry:
     def test_degenerate_slice_raises(self):
         # superluminal label spread: x_C^2 < c^2 t_C^2
         g = rq.make_grid(0, 1, 11)
-        plan = rq.build_plan(g, 4)
         with pytest.raises(GeometryError, match="node"):
-            rq.compute_geometry(2.0 * g.nodes, g.nodes, 0.0, plan, c=1.0)
+            rq.compute_geometry(2.0 * g.nodes, g.nodes, 0.0, _config(g, 1.0))
 
     def test_overflowing_slice_names_the_first_bad_node(self):
         # x_C^2 overflows to inf from node 18 on; the smallest gamma, 1 at
@@ -67,5 +69,5 @@ class TestComputeGeometry:
         x[20:] *= 1e160
         with np.errstate(over="ignore"), pytest.raises(
                 GeometryError, match=r"^non-finite spatial metric gamma = inf at node 18 "):
-            rq.compute_geometry(np.zeros(25), x, 0.0, rq.build_plan(g, 4), c=3.0)
+            rq.compute_geometry(np.zeros(25), x, 0.0, _config(g, 3.0))
 

@@ -13,20 +13,20 @@ def grid25():
     return rq.make_grid(-5, 5, 25)
 
 
-@pytest.fixture
-def plan25(grid25):
-    return rq.build_plan(grid25, 4)
+def _config(grid, weight, hbar=1.0, mass=1.0):
+    # nonrel_Q reads the plan, half the weight's log-derivative, hbar and m
+    return rq.SimConfig(c=1, weight=weight, grid=grid, t_final=1, hbar=hbar, mass=mass)
 
 
 class TestNonRelQ:
-    def test_identity_positions_gaussian(self, grid25, plan25):
+    def test_identity_positions_gaussian(self, grid25):
         C = grid25.nodes
-        Q, _ = rq.nonrel_Q(C, 0.5 * rq.gaussian_weight(0.5).dlog_f(C), plan25, 1.0, 1.0)
+        Q, _ = rq.nonrel_Q(C, _config(grid25, rq.gaussian_weight(0.5)))
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5), atol=1e-12)
 
-    def test_uniform_weight_zero(self, grid25, plan25):
+    def test_uniform_weight_zero(self, grid25):
         C = grid25.nodes
-        Q, _ = rq.nonrel_Q(C, 0.5 * rq.uniform_weight().dlog_f(C), plan25, 1.0, 1.0)
+        Q, _ = rq.nonrel_Q(C, _config(grid25, rq.uniform_weight()))
         np.testing.assert_allclose(Q, 0.0, atol=1e-13)
 
     def test_uniform_stretch_against_symbolic_oracle(self):
@@ -45,18 +45,17 @@ class TestNonRelQ:
         Q_sym = sympy.simplify(Q_sym)
 
         g = rq.make_grid(-2, 2, 25)
-        plan = rq.build_plan(g, 4)
-        half_dlogf = 0.5 * rq.gaussian_weight(a_val).dlog_f(g.nodes)
-        Q_num, _ = rq.nonrel_Q(2.0 * g.nodes, half_dlogf, plan, hbar, m)
+        cfg = _config(g, rq.gaussian_weight(a_val), hbar, m)
+        Q_num, _ = rq.nonrel_Q(2.0 * g.nodes, cfg)
         for idx in (2, 7, 12, 17, 22):
             expect = float(Q_sym.subs(C, sympy.Float(g.nodes[idx], 30)))
             assert Q_num[idx] == pytest.approx(expect, abs=1e-12)
 
-    def test_non_monotone_rejected(self, grid25, plan25):
+    def test_non_monotone_rejected(self, grid25):
         x = grid25.nodes.copy()
         x[3] = x[5]
         with pytest.raises(ValueError):
-            rq.nonrel_Q(x, 0.5 * rq.gaussian_weight(0.5).dlog_f(grid25.nodes), plan25, 1.0, 1.0)
+            rq.nonrel_Q(x, _config(grid25, rq.gaussian_weight(0.5)))
 
 
 def _rhs(cfg, x, v):
@@ -77,6 +76,26 @@ class TestNonRelRhs:
         dx, dv = _rhs(cfg, grid25.nodes, np.full(25, 0.3))
         np.testing.assert_allclose(dv, 0.0, atol=1e-13)
         np.testing.assert_allclose(dx, 0.3, rtol=1e-15)
+
+    def test_nonrel_rhs_is_the_1d_row_expressions_bitwise(self):
+        # reference: the log-form Q with Python floats and one matmul per
+        # derivative, on a state 50 steps in where v and the force are nonzero
+        cfg = baseline_config(t_final=0.05)
+        y = rq.nonrel_integrate(cfg, cadence=0.05)[-1].y
+        x, v = y
+        m, hbar = cfg.mass, cfg.hbar
+
+        def D(u):
+            return cfg.plan.matrix @ u
+
+        x_C = D(x)
+        gamma = x_C ** 2
+        Lp = 0.5 * cfg.weight.dlog_f(cfg.grid.nodes) - 0.25 * D(np.log(gamma))
+        g = gamma ** -0.5
+        Q = -(hbar ** 2 / (2.0 * m)) * (g * D(g) * Lp + (Lp ** 2 + D(Lp)) / gamma)
+        assert np.count_nonzero(v) and np.count_nonzero(x_C - 1.0)
+        want = np.array([v, -(D(Q)) / x_C / m])
+        assert np.array_equal(rq.nonrel_rhs(y, cfg), want)
 
 
 class TestNonRelState:

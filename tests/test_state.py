@@ -151,6 +151,23 @@ class TestSimConfig:
             rq.SimConfig(mass=1, hbar=1, c=1, weight=w, grid=g, t_final=1, dt=1e-3,
                          stencil_order=3)
 
+    def test_stage_scalars_are_read_only_0d_arrays_of_their_formulas(self):
+        # each is the Python-float formula's value, cached, and cannot be written
+        c, m, hbar, dt = 3.0, 2.0, 0.7, 1e-3
+        cfg = rq.SimConfig(c=c, mass=m, hbar=hbar, dt=dt, weight=rq.gaussian_weight(0.5),
+                           grid=rq.make_grid(-5, 5, 25), t_final=1)
+        want = {"c_sq": c ** 2, "neg_mc_sq": -(m * c ** 2),
+                "neg_hbar_sq_over_2m": -(hbar ** 2 / (2.0 * m)), "m": m}
+        got = {name: getattr(cfg, name) for name in want}
+        got.update(zip(("dt/2", "dt", "dt/6"), cfg.rk_weights))
+        want.update({"dt/2": 0.5 * dt, "dt": dt, "dt/6": dt / 6.0})
+        for name, value in got.items():
+            assert (value.shape, value.dtype, float(value)) == ((), np.float64, want[name]), name
+            with pytest.raises(ValueError, match="read-only"):
+                value[()] = 1.0
+        assert all(getattr(cfg, name) is got[name] for name in ("c_sq", "neg_mc_sq", "m"))
+        assert cfg.rk_weights is cfg.rk_weights
+
 
 def _ensemble(rows):
     """A valid 9-node ensemble: (t, x, u0, u1) for 4 rows, (x, v) for 2."""

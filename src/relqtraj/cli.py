@@ -30,11 +30,7 @@ from .analytic import (
     inertial_ensemble,
     sample_state,
 )
-from .diagnostics import (
-    RESIDUAL_CADENCE_MAX,
-    RESIDUAL_MIN_SNAPSHOTS,
-    evaluate_invariants,
-)
+from .diagnostics import RESIDUAL_CADENCE_MAX, evaluate_invariants, residual_admitted
 from .dynamics import IntegrationError, SnapshotSeries, integrate, make_snapshot
 from .geometry import GeometryError
 from .nonrel import nonrel_integrate
@@ -47,7 +43,7 @@ from .snapshot_io import (
     write_snapshots,
     write_table,
 )
-from .state import SimConfig, StateValidationError, check_positive, make_grid
+from .state import MIN_POINTS, SimConfig, StateValidationError, check_positive, make_grid
 from .stencils import STENCIL_ORDERS
 
 EXIT_OK = 0
@@ -96,7 +92,7 @@ def _cmd_simulate(args) -> int:
     )
     for r in report.records:
         print(f"  {r.name}: max {r.max_abs_violation:.3e} "
-              f"(tol {r.tolerance:.1e}) {'pass' if r.passed else 'FAIL'}")
+              f"(tol {r.tolerance:.1e}) {r.verdict}")
     return EXIT_OK if report.all_pass else EXIT_RUNTIME
 
 
@@ -150,10 +146,10 @@ def _cmd_verify(args) -> int:
     for r in report.records:
         print(f"{r.name}: max {r.max_abs_violation:.3e} at T={r.T_at_max:g} "
               f"C={r.C_at_max:g} (tol {r.tolerance:.1e}) "
-              f"{'pass' if r.passed else 'FAIL'}")
-    if not any(r.name.startswith("pde_residual") for r in report.records):
+              f"{r.verdict}")
+    if not residual_admitted(series):
         print(f"note: evolution-equation residuals skipped; they need at least "
-              f"{RESIDUAL_MIN_SNAPSHOTS} uniformly spaced snapshots no more than "
+              f"{MIN_POINTS} uniformly spaced snapshots no more than "
               f"{RESIDUAL_CADENCE_MAX:g} apart in T (rerun simulate with --cadence "
               f"{RESIDUAL_CADENCE_MAX:g} or finer)")
     print(f"verify: report written to {out}")
@@ -206,7 +202,7 @@ def _cmd_figures(args) -> int:
 
     def write(fname, header, *columns):
         paths.append(os.path.join(args.out, fname))
-        write_table(paths[-1], header, columns)
+        write_table(paths[-1], [header, *zip(*columns, strict=True)])
 
     def by_label(cells):  # the same cells label by label, N blocks of K slices
         return (cell for j in range(N) for cell in cells[j::N])

@@ -13,8 +13,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dynamics import SnapshotSeries
-from .state import WeightFunction, make_grid, norm_violation
+from .dynamics import STEP_MULTIPLE_RTOL, SnapshotSeries
+from .state import MIN_POINTS, WeightFunction, make_grid, norm_violation
 from .stencils import build_plan, d_dC, interpolate
 
 ORTHOGONALITY_EPS = 1e-30      # guards the force-scale denominator
@@ -25,7 +25,6 @@ REFERENCE_ZERO_REL_TOL = 1e-3  # |Q| at the reference labels, relative to max |Q
 RESIDUAL_CADENCE_MAX = 0.05    # coarser recordings swamp the residual with
                                # time-differencing error (a correct c = 3 run
                                # reads 1.3e-4 at 0.1, 8.3e-6 at 0.05)
-RESIDUAL_MIN_SNAPSHOTS = 9     # two nested 5-point time stencils
 
 
 @dataclass(frozen=True)
@@ -36,6 +35,8 @@ class InvariantRecord:
     C_at_max: float
     tolerance: float
     passed: bool
+
+    verdict = property(lambda self: "pass" if self.passed else "FAIL")
 
 
 @dataclass
@@ -77,15 +78,10 @@ def evaluate_invariants(
     Kinematic checks: four-velocity normalization (relative to c^2), force
     orthogonality (scaled by c times the largest force component), the
     time-space metric residual (absolute) and strict subluminality.  The two
-    evolution-equation residuals need a fine uniform recording: they are
-    added when there are at least RESIDUAL_MIN_SNAPSHOTS uniform snapshots no
-    more than RESIDUAL_CADENCE_MAX apart.  For gaussian weights the quantum
-    potential is additionally checked to vanish at the reference labels
-    +-sqrt(1/a) that lie on the grid (no record when neither does).
-    That check is exact only as c -> infinity, where the slice metric is
-    uniform in C; at finite c the label dependence of tau_T shifts the zeros
-    by O(1/c^2), independently of the resolution, so a correct strongly
-    relativistic run fails it.
+    evolution-equation residuals are added when the recording admits them
+    (residual_admitted).  The quantum potential is checked to vanish at the
+    reference labels when reference_zero_ratio gives a ratio (gaussian
+    weights with a reference label on the grid).
 
     Every record is the worst point of one (snapshot, point) block, found by
     _worst; a NaN anywhere in a block fails its record.
@@ -101,40 +97,52 @@ def evaluate_invariants(
                                        "quantum.f1", "geometry.g01_residual")
     fmax = np.maximum(np.abs(f0).max(axis=1), np.abs(f1).max(axis=1))[:, None]
     orth = np.abs(-u0 * f0 + u1 * f1) / (cfg.c * fmax + ORTHOGONALITY_EPS)
-    norm = np.abs(norm_violation(np.array((u0, u1)), cfg.c_sq)) / cfg.c ** 2
+    norm = np.abs(norm_violation(np.array((u0, u1)), cfg.c_sq)) / cfg.c_sq
     checks = [
         ("four_velocity_norm", _worst(norm, Ts, nodes), tol, le),
         ("force_orthogonality", _worst(orth, Ts, nodes), tol, le),
         ("simultaneity_g01", _worst(np.abs(g01), Ts, nodes), tol, le),
         ("subluminality", _worst(np.abs(u1) / u0 - 1.0, Ts, nodes), 0.0, lt),
     ]
-    if (
-        len(series) >= RESIDUAL_MIN_SNAPSHOTS
-        and _uniform_cadence(series)
-        and Ts[1] - Ts[0] <= RESIDUAL_CADENCE_MAX * (1 + 1e-9)
-    ):
+    if residual_admitted(series):
         res_t, res_x, sn, nd = pde_residual(series)
         checks += [(name, _worst(np.abs(res[sn, nd]), Ts[sn], nodes[nd]), rtol, le)
                    for name, res in (("pde_residual_t", res_t), ("pde_residual_x", res_x))]
-    ref = cfg.weight.kind == "gaussian" and reference_zero_ratio(series, cfg.weight.params[0])
+    ref = reference_zero_ratio(series)
     if ref:
         checks.append(("reference_trajectory_zeros", ref, REFERENCE_ZERO_REL_TOL, le))
     return InvariantReport([InvariantRecord(name, *worst, t, passes(worst[0], t))
                             for name, worst, t, passes in checks])
 
 
-def _uniform_cadence(series: SnapshotSeries) -> bool:
-    ts = np.asarray(series.times)
-    d = np.diff(ts)
-    return len(d) > 0 and float(np.max(np.abs(d - d[0]))) <= 1e-9 * max(abs(d[0]), 1.0)
+def _uniform_cadence(times) -> bool:
+    d = np.diff(times)
+    return len(d) > 0 and float(np.max(np.abs(d - d[0]))) <= (
+        STEP_MULTIPLE_RTOL * max(abs(d[0]), 1.0))
 
 
-def reference_zero_ratio(series: SnapshotSeries, a: float):
-    """Largest |Q| at the reference labels +-sqrt(1/a), relative to the
-    per-snapshot max |Q|; returns (ratio, T, C) at the worst point.  Slices
-    with Q = 0 everywhere are skipped; None when nothing is left to check
-    (neither label on the grid, or no slice with Q != 0)."""
+def residual_admitted(series: SnapshotSeries) -> bool:
+    """The recording rule of the evolution-equation residuals: at least
+    MIN_POINTS snapshots (two nested 5-point time stencils), uniformly
+    spaced, at most RESIDUAL_CADENCE_MAX apart in T."""
+    ts = series.times
+    return (len(ts) >= MIN_POINTS and _uniform_cadence(ts)
+            and ts[1] - ts[0] <= RESIDUAL_CADENCE_MAX * (1 + STEP_MULTIPLE_RTOL))
+
+
+def reference_zero_ratio(series: SnapshotSeries):
+    """Largest |Q| at the reference labels +-sqrt(1/a) of a gaussian weight
+    exp(-a C^2), relative to the per-snapshot max |Q|; returns (ratio, T, C)
+    at the worst point.  Slices with Q = 0 everywhere are skipped; None when
+    nothing is left to check (a weight of another kind, neither label on the
+    grid, or no slice with Q != 0).  The zeros sit at +-sqrt(1/a) only as
+    c -> infinity, where the slice metric is uniform in C; at finite c the
+    label dependence of tau_T shifts them by O(1/c^2), independently of the
+    resolution, so a correct strongly relativistic run fails the check."""
     cfg = series.config
+    if cfg.weight.kind != "gaussian":
+        return None
+    (a,) = cfg.weight.params
     c_ref = 1.0 / np.sqrt(a)
     labels = [cq for cq in (c_ref, -c_ref) if cfg.grid.c_min <= cq <= cfg.grid.c_max]
     (Q,) = series.stack("quantum.Q")
@@ -156,24 +164,22 @@ def pde_residual(series: SnapshotSeries):
     the time and space differencing are fully centered.
     """
     cfg = series.config
-    K = len(series)
-    if K < RESIDUAL_MIN_SNAPSHOTS:
-        raise ValueError(
-            f"need at least {RESIDUAL_MIN_SNAPSHOTS} uniformly spaced snapshots, got {K}"
-        )
-    if not _uniform_cadence(series):
+    ts = series.times
+    K = len(ts)
+    if K < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} uniformly spaced snapshots, got {K}")
+    if not _uniform_cadence(ts):
         raise ValueError("snapshots must be recorded at uniform cadence")
 
-    ts = series.times
     tgrid = make_grid(ts[0], ts[-1], K)
     tplan = build_plan(tgrid, 4)
     t, x, Q, t_C, x_C, gamma, Q_C = series.stack(
         "state.t", "state.x", "quantum.Q", "geometry.t_C", "geometry.x_C",
         "geometry.gamma", "quantum.Q_C")
 
-    eQ = np.exp(Q / (cfg.mass * cfg.c ** 2))
+    eQ = np.exp(Q / (cfg.m * cfg.c_sq))
     res_t, res_x = (eQ * d_dC(eQ * d_dC(y, tplan), tplan)
-                    + (y_C / gamma) * Q_C / cfg.mass
+                    + (y_C / gamma) * Q_C / cfg.m
                     for y, y_C in ((t, t_C), (x, x_C)))
 
     interior_snaps = slice(4, K - 4)          # two nested central time stencils

@@ -161,7 +161,7 @@ def make_snapshot(state: EnsembleState, config: SimConfig,
     Q_C, tau_T and the force.  Q is computed from the config's weight unless
     it is given (a stored or closed-form potential)."""
     tx_C, gamma, Q, Q_C, tau, f, d = _slice(state.y, state.tau_ensemble, config, Q)
-    return Snapshot(state, attach_g01(tx_C, gamma, d[:2], config.c),
+    return Snapshot(state, attach_g01(tx_C, gamma, d[:2], config),
                     QuantumFields(Q, Q_C, *f, tau))
 
 

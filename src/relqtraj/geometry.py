@@ -60,10 +60,10 @@ def compute_geometry(t, x, T: float, config: SimConfig):
     return tx_C, gamma
 
 
-def attach_g01(tx_C, gamma, d, c: float) -> GeometryFields:
+def attach_g01(tx_C, gamma, d, config: SimConfig) -> GeometryFields:
     """The geometry record of a slice: compute_geometry's (t_C, x_C) rows,
     gamma, and the time-space metric residual eta_ab x^a_T x^b_C = -c^2 t_T
-    t_C + x_T x_C, with d = (t_T, x_T) = tau_T (u0 / c, u1) the first two
-    rate rows of the slice's RK stage (dynamics._slice)."""
+    t_C + x_T x_C with c^2 = config.c_sq, d = (t_T, x_T) = tau_T (u0 / c, u1)
+    the first two rate rows of the slice's RK stage (dynamics._slice)."""
     t_C, x_C = tx_C
-    return GeometryFields(t_C, x_C, gamma, -c ** 2 * d[0] * t_C + d[1] * x_C)
+    return GeometryFields(t_C, x_C, gamma, -config.c_sq * d[0] * t_C + d[1] * x_C)

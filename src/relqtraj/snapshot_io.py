@@ -145,14 +145,14 @@ def config_to_text(cfg: SimConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_table(fname: str, header, columns) -> None:
-    """Tab-separated table: the header row, then row i holds cell i of every
-    column.  The columns are equal-length sequences of cell strings, as
-    format_cells gives them; the rows are streamed to the file."""
+def write_table(fname: str, rows) -> None:
+    """Tab-separated lines, one per row of cell strings, streamed to the
+    file: the one function that opens an output file.  A header-plus-columns
+    table is [header, *zip(*columns)], its columns the equal-length cell
+    sequences format_cells gives."""
     try:
         with open(fname, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\t".join(header) + "\n")
-            fh.writelines("\t".join(row) + "\n" for row in zip(*columns, strict=True))
+            fh.writelines("\t".join(row) + "\n" for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write table {fname}: {exc}") from exc
 
@@ -195,30 +195,22 @@ def write_snapshots(
         # t, x, u0, u1, gamma, Q, tau_T, beta, rho_star, n cells each
         cells = format_cells((*s.state.y, s.geometry.gamma, s.quantum.Q, s.quantum.tau_T,
                               *derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)))
-        fname = os.path.join(path, name)
-        write_table(fname, SNAPSHOT_COLUMNS,
-                    ([T] * n, C, *(cells[k:k + n] for k in range(0, len(cells), n))))
-        written.append(fname)
+        columns = ([T] * n, C, *(cells[k:k + n] for k in range(0, len(cells), n)))
+        written.append(os.path.join(path, name))
+        write_table(written[-1], [SNAPSHOT_COLUMNS, *zip(*columns, strict=True)])
 
-    manifest = os.path.join(path, "manifest.tsv")
-    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
-        for line in config_to_text(cfg).splitlines():
-            key, _, val = line.partition(" = ")
-            fh.write(f"config.{key}\t{val}\n")
-        fh.write(f"run.code_version\t{code_version}\n")
-        fh.write(f"run.start_time\t{start_time}\n")
-        fh.write(f"run.end_time\t{end_time}\n")
-        if cadence is not None:
-            fh.write(f"run.cadence\t{_fmt(cadence)}\n")
-        for i, (name, T) in enumerate(zip(names, T_cells)):
-            fh.write(f"snapshot.{i}\t{name}\t{T}\n")
-        if report is not None:
-            for r in report.records:
-                fh.write(
-                    f"invariant.{r.name}\t{_fmt(r.max_abs_violation)}\t"
-                    f"{'pass' if r.passed else 'FAIL'}\n"
-                )
-    written.append(manifest)
+    rows = [(f"config.{key}", val) for key, _, val in
+            (line.partition(" = ") for line in config_to_text(cfg).splitlines())]
+    rows += [("run.code_version", code_version), ("run.start_time", start_time),
+             ("run.end_time", end_time)]
+    if cadence is not None:
+        rows.append(("run.cadence", _fmt(cadence)))
+    rows += [(f"snapshot.{i}", name, T) for i, (name, T) in enumerate(zip(names, T_cells))]
+    if report is not None:
+        rows += [(f"invariant.{r.name}", _fmt(r.max_abs_violation), r.verdict)
+                 for r in report.records]
+    written.append(os.path.join(path, "manifest.tsv"))
+    write_table(written[-1], rows)
     return written
 
 
@@ -291,11 +283,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
 
 def write_report(report: InvariantReport, path: str) -> None:
     """Verification report: one row per invariant."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name\tmax_violation\tT_at_max\tC_at_max\ttolerance\tpass\n")
-        for r in report.records:
-            fh.write(
-                f"{r.name}\t{_fmt(r.max_abs_violation)}\t{_fmt(r.T_at_max)}\t"
-                f"{_fmt(r.C_at_max)}\t{_fmt(r.tolerance)}\t"
-                f"{'pass' if r.passed else 'FAIL'}\n"
-            )
+    rows = [(r.name, _fmt(r.max_abs_violation), _fmt(r.T_at_max), _fmt(r.C_at_max),
+             _fmt(r.tolerance), r.verdict) for r in report.records]
+    write_table(path, [("name", "max_violation", "T_at_max", "C_at_max", "tolerance", "pass"),
+                       *rows])

@@ -191,7 +191,7 @@ class TestSampledInvariants:
         st = sample_state(ens, g, T)
         np.testing.assert_allclose(-st.u0 ** 2 + st.u1 ** 2, -c ** 2, rtol=1e-13)
         tx_C, gamma = rq.compute_geometry(st.t, st.x, T, cfg)
-        geom = rq.attach_g01(tx_C, gamma, (st.u0 / c, st.u1), c)  # tau_T = 1
+        geom = rq.attach_g01(tx_C, gamma, (st.u0 / c, st.u1), cfg)  # tau_T = 1
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-12)
         # g01 = tau_T (u1 x_C - c u0 t_C) vanishes on both families, whatever tau_T
         np.testing.assert_allclose(geom.g01_residual, 0.0, atol=1e-12)

@@ -158,7 +158,7 @@ class TestInvariantReport:
         # there is nothing to check, so there is no record (not a pass)
         cfg = replace(baseline_config(t_final=0.1), weight=rq.gaussian_weight(0.01))
         series = rq.integrate(cfg, cadence=0.05)
-        assert reference_zero_ratio(series, 0.01) is None
+        assert reference_zero_ratio(series) is None
         names = [r.name for r in rq.evaluate_invariants(series).records]
         assert names == ["four_velocity_norm", "force_orthogonality",
                          "simultaneity_g01", "subluminality"]
@@ -170,5 +170,5 @@ class TestInvariantReport:
     def test_reference_zero_ratio_initially_exact(self):
         cfg = baseline_config(t_final=0.0)
         series = rq.integrate(cfg)
-        ratio, _, _ = reference_zero_ratio(series, 0.5)
+        ratio, _, _ = reference_zero_ratio(series)
         assert ratio <= 1e-12

@@ -50,8 +50,9 @@ class TestComputeGeometry:
         g = rq.make_grid(-2, 2, 25)
         ens = inertial_ensemble(beta0=0.6, c=1.0)
         st = sample_state(ens, g, T=1.3)
-        tx_C, gamma = rq.compute_geometry(st.t, st.x, 1.3, _config(g, 1.0))
-        geom = rq.attach_g01(tx_C, gamma, (st.u0, st.u1), 1.0)  # tau_T = 1, c = 1
+        cfg = _config(g, 1.0)
+        tx_C, gamma = rq.compute_geometry(st.t, st.x, 1.3, cfg)
+        geom = rq.attach_g01(tx_C, gamma, (st.u0, st.u1), cfg)  # tau_T = 1, c = 1
         np.testing.assert_allclose(geom.gamma, 1.0, atol=1e-13)
         np.testing.assert_allclose(geom.g01_residual, 0.0, atol=1e-13)
 

@@ -14,6 +14,7 @@ Exit codes: 0 success / all checks pass, 1 validation or usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -96,16 +97,22 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_RUNTIME
 
 
-# --kind -> the closed-form family it samples, built from the parsed arguments
+# --kind -> (its parameter flag, the flag's default, the closed-form family
+# it samples, built from the parameter p and the parsed arguments a)
 _KINDS = {
-    "inertial": lambda a: inertial_ensemble(a.beta0, a.c),
-    "exponential": lambda a: exponential_ensemble(a.kappa, a.mass, a.hbar, a.c),
-    "hyperbolic-gamma-one": lambda a: hyperbolic_gamma_one_ensemble(a.B, a.c),
-    "hyperbolic-gamma-t": lambda a: hyperbolic_gamma_T_ensemble(a.A, a.c),
+    "inertial": ("beta0", 0.0, lambda p, a: inertial_ensemble(p, a.c)),
+    "exponential": ("kappa", 0.5, lambda p, a: exponential_ensemble(p, a.mass, a.hbar, a.c)),
+    "hyperbolic-gamma-one": ("B", 1.0, lambda p, a: hyperbolic_gamma_one_ensemble(p, a.c)),
+    "hyperbolic-gamma-t": ("A", 1.0, lambda p, a: hyperbolic_gamma_T_ensemble(p, a.c)),
 }
 
 
 def _cmd_analytic(args) -> int:
+    flag, default, family = _KINDS[args.kind]
+    for other, _, _ in _KINDS.values():
+        if other != flag and getattr(args, other) is not None:
+            raise ValueError(f"--{other} does not apply to --kind {args.kind}")
+    param = default if getattr(args, flag) is None else getattr(args, flag)
     grid = make_grid(args.grid_min, args.grid_max, args.grid_n)
     times = [float(s) for s in args.times.split(",")]
     # a series starts at its initial slice, T = 0, and ends at its last entry
@@ -113,17 +120,19 @@ def _cmd_analytic(args) -> int:
         if not (T >= 0 and math.isfinite(T)):
             raise ValueError(f"--times entry {T:g} is not a nonnegative finite ensemble time")
     check_positive(mass=args.mass, hbar=args.hbar, c=args.c)  # before a family divides by them
-    ens = _KINDS[args.kind](args)
+    ens = family(param, args)
     # a closed-form Q is given only for the family whose density has none
     Q = None if ens.Q is None else ens.Q(grid.nodes, args.mass)
     cfg = SimConfig(
         mass=args.mass, hbar=args.hbar, c=args.c, weight=ens.weight, grid=grid,
         t_final=max(times), stencil_order=args.stencil_order,
     )
-    snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
+    # a non-finite field is reported by the guard it reaches, not by numpy warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
     series = SnapshotSeries(config=cfg, snapshots=snapshots)
-    write_snapshots(series, args.out, code_version=__version__,
-                    start_time=_now(), end_time=_now())
+    write_snapshots(series, args.out, code_version=__version__, start_time=_now(),
+                    end_time=_now(), kind=args.kind, **{flag: param})
     print(f"analytic: {len(snapshots)} {args.kind} snapshots to {args.out}")
     return EXIT_OK
 
@@ -200,9 +209,9 @@ def _cmd_figures(args) -> int:
     C = format_cells(nodes) * K
     paths = []
 
-    def write(fname, header, *columns):
+    def write(fname, header, *columns):  # rows streamed, not held as a list
         paths.append(os.path.join(args.out, fname))
-        write_table(paths[-1], [header, *zip(*columns, strict=True)])
+        write_table(paths[-1], itertools.chain([header], zip(*columns, strict=True)))
 
     def by_label(cells):  # the same cells label by label, N blocks of K slices
         return (cell for j in range(N) for cell in cells[j::N])
@@ -236,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analytic", help="sample a closed-form ensemble")
     p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--beta0", type=float, default=0.0, help="boost for inertial")
-    p.add_argument("--kappa", type=float, default=0.5, help="decay rate for exponential")
-    p.add_argument("--B", type=float, default=1.0, help="hyperbolic-gamma-one parameter")
-    p.add_argument("--A", type=float, default=1.0, help="hyperbolic-gamma-t parameter")
+    for kind, (flag, default, _) in _KINDS.items():
+        p.add_argument(f"--{flag}", type=float,
+                       help=f"the {kind} parameter, only for that kind (default {default:g})")
     p.add_argument("--mass", type=float, default=SimConfig.mass)
     p.add_argument("--hbar", type=float, default=SimConfig.hbar)
     p.add_argument("--c", type=float, default=1.0)
@@ -286,7 +294,7 @@ def main(argv=None) -> int:
     except (ConfigError, StateValidationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegrationError, GeometryError, OSError) as exc:
+    except (IntegrationError, GeometryError, FloatingPointError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -23,11 +23,12 @@ solver, the snapshot reader and the closed-form sampler all go through it.
 
 On N = 25 a stage's cost is the count and kind of its numpy calls, not
 arithmetic, so the chain is written to make few and cheap ones while every
-output stays bit for bit what the plain 1-D expressions give.  Three rules
-keep it so.  First, rows are stacked only for exactly-rounded elementwise
-operations whose regrouping is exact: x / 1.0 == x, (-1) x == -x, -a / b ==
-a / -b, max(a / k) == max(a) / k for k > 0, and the squares of stacked rows
-are one product y * y.  Second, log, exp and gamma^(-1/2) stay on 1-D
+output stays bit for bit what the plain 1-D expressions give.  Three
+bit-identity rules keep it so, on both solvers' stages.  First, rows are
+stacked only for exactly-rounded elementwise operations whose regrouping
+is exact: x / 1.0 == x, (-1) x == -x, -a / b == a / -b, max(a / k) ==
+max(a) / k for k > 0, and the squares of stacked rows are one product
+y * y.  Second, log, exp and gamma^(-1/2) stay on 1-D
 arrays, and every derivative is one gemv per vector (d_dC on a 1-D row): a
 stacked gemm sums in another order and differs by up to 5e-15.  Third, no
 array operation takes a Python scalar: under numpy 2's scalar promotion

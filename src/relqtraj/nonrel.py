@@ -8,9 +8,8 @@ coordinate time is the evolution parameter, and the equations are
 
     dx/dt = v        dv/dt = f_Q / m,   f_Q = -(1 / x_C) dQ/dC .
 
-The RK stages step the raw (2, N) array (x, v) that a NonRelState wraps;
-like the relativistic stage, every operand of their array operations is an
-array (the config's 0-d constants, state.ZERO), never a Python float.
+The RK stages step the raw (2, N) array (x, v) that a NonRelState wraps
+and keep the bit-identity rules of the dynamics module docstring.
 """
 
 from __future__ import annotations

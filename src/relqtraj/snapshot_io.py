@@ -147,9 +147,9 @@ def config_to_text(cfg: SimConfig) -> str:
 
 def write_table(fname: str, rows) -> None:
     """Tab-separated lines, one per row of cell strings, streamed to the
-    file: the one function that opens an output file.  A header-plus-columns
-    table is [header, *zip(*columns)], its columns the equal-length cell
-    sequences format_cells gives."""
+    file from any iterable: the one function that opens an output file.  A
+    header-plus-columns table is the header followed by zip(*columns), its
+    columns the equal-length cell sequences format_cells gives."""
     try:
         with open(fname, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines("\t".join(row) + "\n" for row in rows)
@@ -168,12 +168,14 @@ def write_snapshots(
     start_time: str = "",
     end_time: str = "",
     report: Optional[InvariantReport] = None,
-    cadence: Optional[float] = None,
+    **run,
 ) -> List[str]:
     """One TSV table per snapshot plus manifest.tsv; returns written paths.
-    Snapshot times that do not strictly increase, or two snapshots whose T
-    give one file name (10 significant digits), are a ValueError, raised
-    before any file is written."""
+    Each keyword in run (simulate's cadence, analytic's kind and parameter)
+    becomes a run.<key> line of the manifest, after run.end_time; a float
+    value is one 17-digit cell.  Snapshot times that do not strictly
+    increase, or two snapshots whose T give one file name (10 significant
+    digits), are a ValueError, raised before any file is written."""
     cfg, times = series.config, series.times
     for T0, T1 in zip(times, times[1:]):
         if not T1 > T0:
@@ -203,8 +205,8 @@ def write_snapshots(
             (line.partition(" = ") for line in config_to_text(cfg).splitlines())]
     rows += [("run.code_version", code_version), ("run.start_time", start_time),
              ("run.end_time", end_time)]
-    if cadence is not None:
-        rows.append(("run.cadence", _fmt(cadence)))
+    rows += [(f"run.{key}", val if isinstance(val, str) else _fmt(val))
+             for key, val in run.items()]
     rows += [(f"snapshot.{i}", name, T) for i, (name, T) in enumerate(zip(names, T_cells))]
     if report is not None:
         rows += [(f"invariant.{r.name}", _fmt(r.max_abs_violation), r.verdict)

@@ -9,10 +9,8 @@ constant of f.
 EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
 check_state is the one statement of a state's shape and invariants, for
 every state and RK stage; SimConfig holds every config default and caches
-the constants of an RK stage.  Those are numpy arrays, never Python floats:
-under numpy 2's scalar promotion (NEP 50) a Python-float operand costs a
-small-array operation more dispatch time than a 0-d float64 array, for the
-same IEEE operation and the same bits.
+the constants of an RK stage as numpy arrays, never Python floats, by the
+third bit-identity rule of the dynamics module docstring.
 """
 
 from __future__ import annotations

@@ -228,3 +228,10 @@ class TestFamilyData:
         np.testing.assert_array_equal(ens.weight.dlog_f(C), np.zeros(9))
         with pytest.raises(ValueError, match="B\\*C > 0"):
             ens.Q(np.array([0.0, 1.0]), m)
+
+
+@pytest.mark.parametrize("family, name", [
+    (hyperbolic_gamma_one_ensemble, "B"), (hyperbolic_gamma_T_ensemble, "A")])
+def test_hyperbolic_family_refuses_a_zero_parameter(family, name):
+    with pytest.raises(ValueError, match=f"{name} must be nonzero"):
+        family(0.0, 1.0)

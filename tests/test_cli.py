@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relqtraj as rq
 from relqtraj import cli
 from relqtraj.cli import main
 
@@ -145,6 +146,61 @@ class TestAnalyticVerify:
         assert main(["verify", "--snapshots", str(out)]) == 0
         assert ("need at least 9 uniformly spaced snapshots no more than 0.05 apart"
                 in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("cadence, noted", [("0.1", True), ("0.05", False)])
+    def test_verify_notes_skipped_residuals_by_cadence(self, tmp_path, capsys, cadence, noted):
+        # configs/gaussian_c3.txt to T = 1: 11 snapshots at cadence 0.1, enough
+        # for the time stencils but too coarse; 21 at cadence 0.05
+        text = (CONFIGS / "gaussian_c3.txt").read_text()
+        assert "time.final = 10" in text
+        cfg = _write(tmp_path, "g.cfg", text.replace("time.final = 10", "time.final = 1"))
+        out = tmp_path / "out"
+        main(["simulate", "--config", cfg, "--out", str(out), "--cadence", cadence])
+        capsys.readouterr()
+        main(["verify", "--snapshots", str(out)])
+        printed = capsys.readouterr().out
+        assert ("note: evolution-equation residuals skipped" in printed) == noted
+        assert ("pde_residual_x: " in printed) == (not noted)
+
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("inertial", ["--kappa", "3", "--B", "7"], "--kappa does not apply to --kind inertial"),
+        ("exponential", ["--beta0", "0.6"], "--beta0 does not apply to --kind exponential"),
+        ("hyperbolic-gamma-t", ["--A", "0.5", "--B", "1"],
+         "--B does not apply to --kind hyperbolic-gamma-t"),
+    ])
+    def test_analytic_refuses_a_parameter_of_another_kind(self, tmp_path, capsys, kind, flags,
+                                                          message):
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", kind, *flags, "--c", "2", "--grid-min", "-2",
+                     "--grid-max", "2", "--grid-n", "25", "--times", "0.5,1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flags, recorded", [
+        ("inertial", [], ["run.kind\tinertial", "run.beta0\t0"]),  # the default
+        ("hyperbolic-gamma-t", ["--A", "0.5"], ["run.kind\thyperbolic-gamma-t", "run.A\t0.5"]),
+    ])
+    def test_analytic_records_its_kind_and_parameter(self, tmp_path, kind, flags, recorded):
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", kind, *flags, "--c", "2", "--grid-min", "-1",
+                     "--grid-max", "1", "--grid-n", "25", "--times", "0.5,1",
+                     "--out", str(out)]) == 0
+        manifest = (out / "manifest.tsv").read_text().splitlines()
+        assert [ln for ln in manifest if ln.startswith(("run.kind", "run.beta0", "run.A"))] \
+            == recorded
+        assert rq.read_snapshots(str(out)).times == [0.5, 1.0]  # run lines are not read
+
+    def test_analytic_reports_a_non_finite_Q_as_a_runtime_failure(self, tmp_path, capsys):
+        # c = 1e-158 leaves the slice metric (c A T)^2 subnormal, and log_form_Q
+        # refuses the non-finite potential it gives
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", "hyperbolic-gamma-t", "--A", "0.5", "--c", "1e-158",
+                     "--grid-min", "-1", "--grid-max", "1", "--grid-n", "25", "--times", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "runtime failure: non-finite quantum potential"]
+        assert not out.exists()
 
     def test_exponential_analytic_round_trip(self, tmp_path):
         out = tmp_path / "exp"

@@ -172,3 +172,12 @@ class TestInvariantReport:
         series = rq.integrate(cfg)
         ratio, _, _ = reference_zero_ratio(series)
         assert ratio <= 1e-12
+
+
+@pytest.mark.parametrize("check, message", [
+    (rq.evaluate_invariants, "empty snapshot series"),
+    (rq.pde_residual, "need at least 9 uniformly spaced snapshots, got 0"),
+])
+def test_an_empty_series_is_refused(check, message):
+    with pytest.raises(ValueError, match=message):
+        check(SnapshotSeries(baseline_config(t_final=0.0), []))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relqtraj as rq
-from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS, format_cells
+from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS, format_cells, write_table
 
 from conftest import baseline_config
 
@@ -271,3 +271,16 @@ class TestReport:
         names = [ln.split("\t")[0] for ln in lines[1:]]
         assert "four_velocity_norm" in names
         assert "simultaneity_g01" in names
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # a weight kind the weight table does not hold, named with its line
+    (lambda tmp: rq.parse_config(BASELINE_TEXT.replace("= gaussian", "= cauchy")),
+     ConfigError, "line 6: unknown weight.kind 'cauchy'"),
+    # every output file goes through write_table, and so does its error
+    (lambda tmp: write_table(str(tmp / "missing" / "t.tsv"), [("a", "b")]),
+     OSError, "cannot write table .*t.tsv"),
+])
+def test_refusals_name_their_cause(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

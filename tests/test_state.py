@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,16 @@ def test_guard_rejects_a_row_count_no_state_has(rows):
     y[2, 4] = np.nan
     with pytest.raises(StateValidationError, match=r"shape \(3, 9\)"):
         check_state(y, rows)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: rq.exponential_weight(math.inf), "kappa must be finite"),
+    (lambda: rq.exponential_weight(math.nan), "kappa must be finite"),
+    (lambda: rq.SimConfig(c=1, weight=rq.uniform_weight(), grid=rq.make_grid(-1, 1, 9),
+                          t_final=-1.0), "t_final must be nonnegative and finite, got -1.0"),
+    (lambda: rq.SimConfig(c=1, weight=rq.uniform_weight(), grid=rq.make_grid(-1, 1, 9),
+                          t_final=math.inf), "t_final must be nonnegative and finite, got inf"),
+])
+def test_refuses_an_out_of_range_parameter(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

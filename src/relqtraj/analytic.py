@@ -12,7 +12,7 @@ labels and, where the density has no closed form, its closed-form Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,8 +77,7 @@ def hyperbolic_gamma_one_ensemble(B: float, c: float) -> AnalyticEnsemble:
         return _stack4(t, x, c * np.cosh(c * B * T), c * np.sinh(c * B * T))
 
     # no closed-form density: ln f is NaN, and so is rho_star
-    weight = replace(uniform_weight(), log_f=lambda C: np.full(np.shape(C), np.nan))
-    return AnalyticEnsemble(evaluate, weight,
+    return AnalyticEnsemble(evaluate, WeightFunction("uniform", ((0, math.nan),)),
                             lambda C, mass: hyperbolic_gamma_one_Q(B, C, mass, c))
 
 

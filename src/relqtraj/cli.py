@@ -127,9 +127,7 @@ def _cmd_analytic(args) -> int:
         mass=args.mass, hbar=args.hbar, c=args.c, weight=ens.weight, grid=grid,
         t_final=max(times), stencil_order=args.stencil_order,
     )
-    # a non-finite field is reported by the guard it reaches, not by numpy warnings
-    with np.errstate(invalid="ignore", over="ignore"):
-        snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
+    snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
     series = SnapshotSeries(config=cfg, snapshots=snapshots)
     write_snapshots(series, args.out, code_version=__version__, start_time=_now(),
                     end_time=_now(), kind=args.kind, **{flag: param})
@@ -142,14 +140,9 @@ def _cmd_verify(args) -> int:
     check_positive(**{flag: tol for flag, tol in (("--tol-invariant", args.tol_invariant),
                                                   ("--tol-residual", args.tol_residual))
                       if tol is not None})
-    # a non-finite or overflowing stored cell gives NaN records, not numpy warnings
-    with np.errstate(invalid="ignore", over="ignore"):
-        series = read_snapshots(args.snapshots)
-        report = evaluate_invariants(
-            series,
-            invariant_tol=args.tol_invariant,
-            residual_tol=args.tol_residual,
-        )
+    series = read_snapshots(args.snapshots)
+    report = evaluate_invariants(series, invariant_tol=args.tol_invariant,
+                                 residual_tol=args.tol_residual)
     out = args.report or f"{args.snapshots.rstrip('/')}/report.tsv"
     write_report(report, out)
     for r in report.records:
@@ -194,8 +187,7 @@ def _cmd_compare_limits(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    with np.errstate(invalid="ignore", over="ignore"):  # as in verify
-        series = read_snapshots(args.snapshots)
+    series = read_snapshots(args.snapshots)
     times, nodes = series.times, series.config.grid.nodes
     # (K, N) per field: one row per snapshot, one column per label
     t, x, gamma, Q = series.stack("state.t", "state.x", "geometry.gamma", "quantum.Q")
@@ -290,7 +282,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # a usage error is a validation error; --help is not
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # a non-finite value is reported by a guard or a NaN record, not by numpy warnings
+        with np.errstate(invalid="ignore", over="ignore"):
+            return args.func(args)
     except (ConfigError, StateValidationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

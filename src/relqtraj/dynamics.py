@@ -261,9 +261,19 @@ def integrate(
     `cadence` units of T plus the final state.
 
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
-    On failure raises IntegrationError with the partial series attached.
+    A failure, a record with a non-finite field included, raises
+    IntegrationError with the finite records before it attached.
     """
     state = rest_initial_state(config) if initial_state is None else initial_state
     return run_fixed_steps(config, cadence, state.y, lambda y, T: rk4_step(y, T, config),
-                           lambda T, y: make_snapshot(EnsembleState(T, y), config),
+                           lambda T, y: _finite(make_snapshot(EnsembleState(T, y), config)),
                            SnapshotSeries(config=config, snapshots=[]))
+
+
+def _finite(s: Snapshot) -> Snapshot:
+    """The solver's record s; FloatingPointError names the first of its tau_T,
+    f0, f1 and g01 that is not finite (make_snapshot lets verify see a NaN)."""
+    for name in ("quantum.tau_T", "quantum.f0", "quantum.f1", "geometry.g01_residual"):
+        if not np.isfinite(attrgetter(name)(s)).all():
+            raise FloatingPointError(f"non-finite {name.partition('.')[2]}")
+    return s

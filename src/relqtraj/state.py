@@ -1,10 +1,11 @@
 """Core data model: label grids, trajectory weights, ensemble states, run config.
 
-The weight function f(C) is carried in closed form through ln f and
-d ln f / dC.  The quantum potential depends on f only through logarithmic
-derivatives of f^(1/2), so the log form sidesteps underflow in the far
-tails and makes the dynamics exactly independent of any normalization
-constant of f.
+The weight function f(C) is the value (kind, terms, params): terms are the
+(power, coefficient) pairs of the polynomial ln f, and d ln f / dC is their
+term-wise derivative.  The quantum potential depends on f only through
+logarithmic derivatives of f^(1/2), so the log form sidesteps underflow in
+the far tails and makes the dynamics exactly independent of any
+normalization constant of f.
 
 EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
 check_state is the one statement of a state's shape and invariants, for
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -74,50 +74,46 @@ def make_grid(c_min: float, c_max: float, n_points: int) -> SpatialGrid:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Per-trajectory probability weight f(C), held as ln f and its C-derivative.
-
-    ``kind`` is one of "gaussian", "exponential", "uniform" for the built-in
-    families; diagnostic code may construct instances with other callables.
-    """
+    """Per-trajectory probability weight f(C): kind is "gaussian",
+    "exponential" or "uniform", params its parameters and terms the sparse
+    (power, coefficient) pairs of ln f, the one field of ln f and d ln f / dC."""
 
     kind: str
-    log_f: Callable[[np.ndarray], np.ndarray]
-    dlog_f: Callable[[np.ndarray], np.ndarray]
+    terms: tuple = ()
     params: tuple = ()
+
+    def log_f(self, C) -> np.ndarray:
+        return _polynomial(self.terms, C)
+
+    def dlog_f(self, C) -> np.ndarray:
+        return _polynomial(tuple((k - 1, k * a) for k, a in self.terms if k), C)
+
+
+def _polynomial(terms, C) -> np.ndarray:
+    """The sum of a * C ** k over the (k, a) terms in order, zeros for none.
+    The first term is not added to a zero, so its signed zeros stay."""
+    C = np.asarray(C, dtype=float)
+    parts = [a * C ** k for k, a in terms]
+    return sum(parts[1:], parts[0]) if parts else np.zeros_like(C)
 
 
 def gaussian_weight(a: float) -> WeightFunction:
     """f(C) = exp(-a C^2), unnormalized."""
     if not (a > 0 and math.isfinite(a)):
         raise ValueError("gaussian width parameter must be positive and finite")
-    return WeightFunction(
-        kind="gaussian",
-        log_f=lambda C: -a * np.asarray(C, dtype=float) ** 2,
-        dlog_f=lambda C: -2.0 * a * np.asarray(C, dtype=float),
-        params=(a,),
-    )
+    return WeightFunction("gaussian", ((2, -a),), (a,))
 
 
 def exponential_weight(kappa: float) -> WeightFunction:
     """f(C) = exp(-2 kappa C)."""
     if not math.isfinite(kappa):
         raise ValueError("kappa must be finite")
-    return WeightFunction(
-        kind="exponential",
-        log_f=lambda C: -2.0 * kappa * np.asarray(C, dtype=float),
-        dlog_f=lambda C: np.full_like(np.asarray(C, dtype=float), -2.0 * kappa),
-        params=(kappa,),
-    )
+    return WeightFunction("exponential", ((1, -2.0 * kappa),), (kappa,))
 
 
 def uniform_weight() -> WeightFunction:
     """f(C) = 1."""
-    return WeightFunction(
-        kind="uniform",
-        log_f=lambda C: np.zeros_like(np.asarray(C, dtype=float)),
-        dlog_f=lambda C: np.zeros_like(np.asarray(C, dtype=float)),
-        params=(),
-    )
+    return WeightFunction("uniform")
 
 
 class StateValidationError(ValueError):

@@ -5,13 +5,14 @@ trajectory density implicit.  With gamma = 1 the density obeys the linear
 ODE u'' = (2 m^2 c^2 / hbar^2) ln(B C) u for u = f^(1/2); integrating it
 with a high-accuracy adaptive solver (entirely independent of the package's
 stencil machinery) yields a weight whose quantum potential must reproduce
-the closed form.
+the closed form.  It is no polynomial in C, so it is not a WeightFunction
+value but an object with the same attributes: kind, params, log_f, dlog_f.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-
-from relqtraj import WeightFunction
 
 
 def hyperbolic_unit_metric_weight(B, mass, hbar, c, c_lo, c_hi):
@@ -48,4 +49,4 @@ def hyperbolic_unit_metric_weight(B, mass, hbar, c, c_lo, c_hi):
         u, up = u_up(C)
         return 2.0 * up / u
 
-    return WeightFunction(kind="hyperbolic-ode", log_f=log_f, dlog_f=dlog_f, params=(B,))
+    return SimpleNamespace(kind="hyperbolic-ode", params=(B,), log_f=log_f, dlog_f=dlog_f)

@@ -448,6 +448,25 @@ def test_snapshot_order_is_checked(tmp_path, capsys, fault):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare-limits"])
+def test_a_non_finite_first_record_is_one_runtime_failure(tmp_path, capsys, command):
+    # c = 1e-150 overflows tau_T = exp(-Q / m c^2) on the initial slice: the
+    # run stops at its first record, without a numpy warning, and keeps nothing
+    text = (CONFIGS / "gaussian_c3.txt").read_text()
+    assert "\nc = 3\n" in text and "time.final = 10" in text
+    cfg = _write(tmp_path, "tiny_c.cfg", text.replace("\nc = 3\n", "\nc = 1e-150\n")
+                 .replace("time.final = 10", "time.final = 0.01"))
+    out = tmp_path / "out"
+    flags = {"simulate": ["--out", str(out)], "compare-limits": ["--nonrel"]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "runtime failure: run failed at T = 0: non-finite tau_T\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestCompareLimits:
     def test_nonrel_comparison_runs(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c100.cfg", """

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,17 +63,15 @@ class TestComputeQ:
         np.testing.assert_allclose(Q_C, 0.0, atol=5e-12)
 
     def test_normalization_bitwise_invariance(self):
-        # multiplying f by a constant shifts ln f but not d ln f / dC,
-        # so Q, forces and tau are bitwise unchanged
+        # multiplying f by a constant shifts ln f by a constant term but not
+        # d ln f / dC, which is derived from the terms: so Q, forces and tau
+        # are bitwise unchanged
         cfg = baseline_config()
         geom = _initial_geometry(cfg)
         a = 0.5
-        scaled = WeightFunction(
-            kind="gaussian",
-            log_f=lambda C: -a * np.asarray(C) ** 2 + np.log(37.0),
-            dlog_f=cfg.weight.dlog_f,
-            params=(a,),
-        )
+        scaled = WeightFunction("gaussian", ((2, -a), (0, math.log(37.0))), (a,))
+        C = cfg.grid.nodes
+        assert scaled.log_f(C).tobytes() == (-a * C ** 2 + np.log(37.0)).tobytes()
         Q1, QC1 = rq.compute_Q(geom[1], cfg)
         Q2, QC2 = rq.compute_Q(geom[1], replace(cfg, weight=scaled))
         assert np.array_equal(Q1, Q2)

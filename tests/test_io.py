@@ -11,6 +11,8 @@ from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS, format_cells, wr
 
 from conftest import baseline_config
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 BASELINE_TEXT = """
 # wavepacket benchmark
 mass = 1
@@ -99,7 +101,7 @@ class TestParseConfig:
 
     def test_shipped_config_echo_is_pinned(self):
         # the manifest echo of configs/gaussian_c3.txt, byte for byte
-        path = Path(__file__).resolve().parents[1] / "configs" / "gaussian_c3.txt"
+        path = CONFIGS / "gaussian_c3.txt"
         assert rq.config_to_text(rq.parse_config(path.read_text())) == (
             "mass = 1\nhbar = 1\nc = 3\nweight.kind = gaussian\nweight.a = 0.5\n"
             "grid.min = -5\ngrid.max = 5\ngrid.n = 25\ntime.final = 10\n"
@@ -115,11 +117,14 @@ class TestParseConfig:
     def test_round_trip_through_text(self):
         cfg = rq.parse_config(BASELINE_TEXT)
         again = rq.parse_config(rq.config_to_text(cfg))
-        assert again.c == cfg.c
-        assert again.dt == cfg.dt
-        assert again.grid.n_points == cfg.grid.n_points
-        assert again.weight.kind == cfg.weight.kind
-        assert again.invariant_tol == cfg.invariant_tol
+        assert again == cfg
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.txt")), ids=lambda p: p.name)
+    def test_shipped_configs_are_values(self, path):
+        # two parses of one text, or of a config's echo, are the same value
+        cfg = rq.parse_config(path.read_text())
+        for again in (rq.parse_config(path.read_text()), rq.parse_config(rq.config_to_text(cfg))):
+            assert again == cfg and hash(again) == hash(cfg)
 
 
 def _positive(lo, hi):
@@ -161,7 +166,8 @@ def _config_bits(cfg):
 def test_config_text_round_trip(cfg):
     text = rq.config_to_text(cfg)
     again = rq.parse_config(text)
-    assert _config_bits(again) == _config_bits(cfg)
+    assert again == cfg and hash(again) == hash(cfg)
+    assert _config_bits(again) == _config_bits(cfg)  # it also tells signed zeros apart
     assert rq.config_to_text(again) == text
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relqtraj as rq
+from relqtraj.analytic import hyperbolic_gamma_one_ensemble
 from relqtraj.state import StateValidationError, check_state
 
 
@@ -80,6 +81,37 @@ class TestWeightFunction:
     def test_bad_gaussian_width(self):
         with pytest.raises(ValueError):
             rq.gaussian_weight(-1.0)
+
+    def test_a_weight_is_a_value(self):
+        # no callable fields: the same parameters give equal, equally hashed weights
+        assert rq.gaussian_weight(0.5) == rq.gaussian_weight(0.5)
+        assert hash(rq.exponential_weight(-0.3)) == hash(rq.exponential_weight(-0.3))
+        assert rq.gaussian_weight(0.5) != rq.gaussian_weight(0.25)
+        assert not any(callable(v) for v in vars(rq.uniform_weight()).values())
+
+
+# The closed forms of each weight kind, one numpy expression per function:
+# the bytewise reference of the term evaluator, signed zeros included.
+_CLOSED_FORMS = [
+    *(pytest.param(rq.gaussian_weight(a), lambda C, a=a: -a * C ** 2,
+                   lambda C, a=a: -2.0 * a * C, id=f"gaussian-{a!r}")
+      for a in (5e-324, 1e-3, 0.5, 3.0, 1e300)),
+    *(pytest.param(rq.exponential_weight(k), lambda C, k=k: -2.0 * k * C,
+                   lambda C, k=k: np.full_like(C, -2.0 * k), id=f"exponential-{k!r}")
+      for k in (0.0, -0.0, 0.3, -0.3, 1e-300, -7.0)),
+    pytest.param(rq.uniform_weight(), np.zeros_like, np.zeros_like, id="uniform"),
+    pytest.param(hyperbolic_gamma_one_ensemble(1.0, 1.0).weight,
+                 lambda C: np.full(np.shape(C), np.nan), np.zeros_like, id="no-density"),
+]
+_EDGE_NODES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-3, -0.5, 2.0, -7.25, 1e300, -1e300])
+
+
+@pytest.mark.parametrize("w, log_f, dlog_f", _CLOSED_FORMS)
+def test_weight_terms_are_bitwise_the_closed_forms(w, log_f, dlog_f):
+    with np.errstate(over="ignore"):  # C^2 and a C overflow at 1e300
+        for C in (_EDGE_NODES, rq.make_grid(-5, 5, 25).nodes):
+            assert w.log_f(C).tobytes() == log_f(C).tobytes()
+            assert w.dlog_f(C).tobytes() == dlog_f(C).tobytes()
 
 
 class TestEnsembleState:

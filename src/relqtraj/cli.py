@@ -33,7 +33,6 @@ from .analytic import (
 )
 from .diagnostics import RESIDUAL_CADENCE_MAX, evaluate_invariants, residual_admitted
 from .dynamics import IntegrationError, SnapshotSeries, integrate, make_snapshot
-from .geometry import GeometryError
 from .nonrel import nonrel_integrate
 from .snapshot_io import (
     ConfigError,
@@ -44,7 +43,7 @@ from .snapshot_io import (
     write_snapshots,
     write_table,
 )
-from .state import MIN_POINTS, SimConfig, StateValidationError, check_positive, make_grid
+from .state import MIN_POINTS, SimConfig, check_positive, make_grid
 from .stencils import STENCIL_ORDERS
 
 EXIT_OK = 0
@@ -78,15 +77,8 @@ def _cmd_simulate(args) -> int:
         raise
     wall = time.perf_counter() - t0
     report = evaluate_invariants(series)
-    write_snapshots(
-        series,
-        args.out,
-        code_version=__version__,
-        start_time=start,
-        end_time=_now(),
-        report=report,
-        cadence=args.cadence,
-    )
+    write_snapshots(series, args.out, report=report, code_version=__version__,
+                    start_time=start, end_time=_now(), cadence=args.cadence)
     print(
         f"simulate: {len(series)} snapshots to {args.out} "
         f"({wall:.2f} s, final T = {series.times[-1]:g})"
@@ -285,10 +277,10 @@ def main(argv=None) -> int:
         # a non-finite value is reported by a guard or a NaN record, not by numpy warnings
         with np.errstate(invalid="ignore", over="ignore"):
             return args.func(args)
-    except (ConfigError, StateValidationError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegrationError, GeometryError, FloatingPointError, OSError) as exc:
+    except (IntegrationError, FloatingPointError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

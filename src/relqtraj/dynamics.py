@@ -55,12 +55,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import GeometryFields, GeometryError, attach_g01, compute_geometry
+from .geometry import GeometryFields, attach_g01, compute_geometry
 from .qpotential import log_form_Q
 from .state import (
     EnsembleState,
     SimConfig,
     StateValidationError,
+    check_positive,
     check_state,
     norm_violation,
 )
@@ -219,11 +220,13 @@ def step_counts(config: SimConfig, cadence: float) -> tuple:
     at t_final and records every cadence exactly as asked; anything else
     is rejected with ValueError rather than rounded to a different run.
     """
-    if not (cadence > 0 and math.isfinite(cadence)):
-        raise ValueError(f"cadence must be positive and finite, got {cadence}")
+    check_positive(cadence=cadence)
     counts = []
     for name, span in (("t_final", config.t_final), ("cadence", cadence)):
-        k = round(span / config.dt)
+        steps = span / config.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"{name} / dt = {span:g} / {config.dt:g} is not finite")
+        k = round(steps)
         if not math.isclose(k * config.dt, span, rel_tol=STEP_MULTIPLE_RTOL):
             raise ValueError(
                 f"{name} = {span:g} is not a whole multiple of dt = {config.dt:g}"
@@ -247,7 +250,7 @@ def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, out):
             y = step(y, T)
         except IntegrationError as exc:
             raise IntegrationError(str(exc), out) from exc
-        except (GeometryError, StateValidationError, FloatingPointError) as exc:
+        except (StateValidationError, FloatingPointError) as exc:
             raise IntegrationError(f"run failed at T = {T:.6g}: {exc}", out) from exc
     return out
 

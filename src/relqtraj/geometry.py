@@ -2,9 +2,10 @@
 
 On each constant-T slice the induced spatial metric reduces to the scalar
 gamma = x_C^2 - c^2 t_C^2, which must stay positive for the slice to remain
-spacelike.  The time-space block g01 = eta_ab x^a_T x^b_C vanishes for an
-orthogonal trajectory/slice foliation; it is monitored as a residual, never
-projected away, so drift stays visible as a correctness signal.
+spacelike; like every state rule, a broken one raises StateValidationError.
+The time-space block g01 = eta_ab x^a_T x^b_C vanishes for an orthogonal
+trajectory/slice foliation; it is monitored as a residual, never projected
+away, so drift stays visible as a correctness signal.
 
 compute_geometry is the first layer of every RK stage (dynamics.eom_rhs);
 Q, tau_T and the force follow from its (t_C, x_C) rows and gamma.  The g01
@@ -20,12 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import SimConfig
+from .state import SimConfig, StateValidationError
 from .stencils import d_dC
-
-
-class GeometryError(RuntimeError):
-    """Degenerate slice geometry (gamma <= 0): trajectories are colliding."""
 
 
 @dataclass(frozen=True)
@@ -43,9 +40,9 @@ def compute_geometry(t, x, T: float, config: SimConfig):
     with c^2 = config.c_sq, without the g01 residual (see attach_g01).
 
     Each derivative is its own gemv (d_dC on a 1-D row); both squares are
-    the one exactly-rounded product tx_C * tx_C.  Raises GeometryError,
-    naming the first node and its value, unless gamma is positive and
-    finite; its fast pass is one minimum and one maximum reduction.
+    the one exactly-rounded product tx_C * tx_C.  Raises StateValidationError,
+    naming the first node and its value, unless gamma is positive and finite;
+    its fast pass is one minimum and one maximum reduction.
     """
     tx_C = np.array((d_dC(t, config.plan), d_dC(x, config.plan)))
     sq = tx_C * tx_C
@@ -53,7 +50,7 @@ def compute_geometry(t, x, T: float, config: SimConfig):
     if not (np.minimum.reduce(gamma) > 0 and np.maximum.reduce(gamma) < math.inf):
         k = int(np.argmin((gamma > 0) & np.isfinite(gamma)))
         kind = "non-positive" if gamma[k] <= 0 else "non-finite"
-        raise GeometryError(
+        raise StateValidationError(
             f"{kind} spatial metric gamma = {gamma[k]:.6g} at node {k} "
             f"(T = {T:.6g}): slice is no longer spacelike"
         )

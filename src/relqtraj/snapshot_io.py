@@ -164,18 +164,16 @@ def _snapshot_filename(T: float) -> str:
 def write_snapshots(
     series: SnapshotSeries,
     path: str,
-    code_version: str = "",
-    start_time: str = "",
-    end_time: str = "",
     report: Optional[InvariantReport] = None,
     **run,
 ) -> List[str]:
     """One TSV table per snapshot plus manifest.tsv; returns written paths.
-    Each keyword in run (simulate's cadence, analytic's kind and parameter)
-    becomes a run.<key> line of the manifest, after run.end_time; a float
-    value is one 17-digit cell.  Snapshot times that do not strictly
-    increase, or two snapshots whose T give one file name (10 significant
-    digits), are a ValueError, raised before any file is written."""
+    Each keyword in run (the CLI's code_version, start_time and end_time,
+    then simulate's cadence or analytic's kind and parameter) becomes a
+    run.<key> line of the manifest, in call order; a float value is one
+    17-digit cell.  Snapshot times that do not strictly increase, or two
+    snapshots whose T give one file name (10 significant digits), are a
+    ValueError, raised before any file is written."""
     cfg, times = series.config, series.times
     for T0, T1 in zip(times, times[1:]):
         if not T1 > T0:
@@ -203,8 +201,6 @@ def write_snapshots(
 
     rows = [(f"config.{key}", val) for key, _, val in
             (line.partition(" = ") for line in config_to_text(cfg).splitlines())]
-    rows += [("run.code_version", code_version), ("run.start_time", start_time),
-             ("run.end_time", end_time)]
     rows += [(f"run.{key}", val if isinstance(val, str) else _fmt(val))
              for key, val in run.items()]
     rows += [(f"snapshot.{i}", name, T) for i, (name, T) in enumerate(zip(names, T_cells))]

@@ -9,9 +9,11 @@ normalization constant of f.
 
 EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
 check_state is the one statement of a state's shape and invariants, for
-every state and RK stage; SimConfig holds every config default and caches
-the constants of an RK stage as numpy arrays, never Python floats, by the
-third bit-identity rule of the dynamics module docstring.
+every state and RK stage, but for the spacelike slice (gamma > 0), which
+geometry.compute_geometry states; both raise StateValidationError.
+SimConfig holds every config default and caches the constants of an RK
+stage as numpy arrays, never Python floats, by the third bit-identity
+rule of the dynamics module docstring.
 """
 
 from __future__ import annotations
@@ -61,9 +63,7 @@ class SpatialGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        nodes = np.linspace(self.c_min, self.c_max, self.n_points)
-        nodes.setflags(write=False)
-        return nodes
+        return _read_only(np.linspace(self.c_min, self.c_max, self.n_points))
 
 
 def make_grid(c_min: float, c_max: float, n_points: int) -> SpatialGrid:
@@ -82,6 +82,10 @@ class WeightFunction:
     terms: tuple = ()
     params: tuple = ()
 
+    def __post_init__(self):  # a constant term never reaches d ln f / dC
+        if not all(math.isfinite(k * a) for k, a in self.terms if k):
+            raise ValueError(f"{self.kind} weight has a non-finite d ln f / dC coefficient")
+
     def log_f(self, C) -> np.ndarray:
         return _polynomial(self.terms, C)
 
@@ -99,8 +103,7 @@ def _polynomial(terms, C) -> np.ndarray:
 
 def gaussian_weight(a: float) -> WeightFunction:
     """f(C) = exp(-a C^2), unnormalized."""
-    if not (a > 0 and math.isfinite(a)):
-        raise ValueError("gaussian width parameter must be positive and finite")
+    check_positive(a=a)
     return WeightFunction("gaussian", ((2, -a),), (a,))
 
 

@@ -83,12 +83,7 @@ def build_plan(grid: SpatialGrid, order: int) -> StencilPlan:
     width = order + 1
     D = np.zeros((n, n))
     for i in range(n):
-        if i < half:
-            lo = 0
-        elif i >= n - half:
-            lo = n - width
-        else:
-            lo = i - half
+        lo = min(max(i - half, 0), n - width)
         D[i, lo:lo + width] = fornberg_weights(nodes[lo:lo + width], nodes[i], 1)
     return StencilPlan(grid, order, D)
 

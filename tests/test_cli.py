@@ -274,12 +274,20 @@ class TestAnalyticVerify:
         assert main(["verify", "--snapshots", str(out)]) == 1
         assert "snap_T0.5.tsv: no data rows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column, value", [("C", "999"), ("T", "7")])
-    def test_verify_rejects_a_tampered_column(self, tmp_path, capsys, column, value):
+    @pytest.mark.parametrize("column, value, message", [
+        ("C", "999", "snap_T0.5.tsv: column C is not"),
+        ("T", "7", "snap_T0.5.tsv: column T is not"),
+        # t = T + 0.5 at node 4 of x = C, t = T: the one-sided row of node 0
+        # reads c t_C = 2 (-1/4) 6 (0.5) = -1.5, so the stored slice is timelike
+        ("t", "1", "non-positive spatial metric gamma = -1.25 at node 0 (T = 0.5): "
+                   "slice is no longer spacelike"),
+    ], ids=["C-999", "T-7", "t-1"])
+    def test_verify_rejects_a_tampered_column(self, tmp_path, capsys, column, value, message):
         out = tmp_path / "inertial"
         assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
                      "--grid-max", "2", "--grid-n", "25", "--times", "0,0.5,1",
                      "--out", str(out)]) == 0
+        capsys.readouterr()
         table = out / "snap_T0.5.tsv"
         lines = table.read_text().splitlines()
         k = lines[0].split("\t").index(column)
@@ -288,7 +296,8 @@ class TestAnalyticVerify:
         lines[5] = "\t".join(row)
         table.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--snapshots", str(out)]) == 1
-        assert f"snap_T0.5.tsv: column {column} is not" in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
 
     @pytest.mark.parametrize("table", ["snap_T0.tsv", "snap_T2.tsv"])
     def test_verify_fails_a_nan_wherever_it_sits(self, tmp_path, table):
@@ -463,6 +472,56 @@ def test_a_non_finite_first_record_is_one_runtime_failure(tmp_path, capsys, comm
         assert main([command, "--config", cfg, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err == "runtime failure: run failed at T = 0: non-finite tau_T\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_timelike_slice_in_a_run_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    # the rest slice with t = 0.2 at its last node, where t_C = 1 and gamma =
+    # 1 - 9 t_C^2 = -8: the run fails at its first record and keeps nothing
+    def timelike_run(cfg, cadence):
+        y = rq.rest_initial_state(cfg).y.copy()
+        y[0, 24] = 0.2
+        return rq.integrate(cfg, rq.EnsembleState(0.0, y), cadence)
+
+    monkeypatch.setattr(cli, "integrate", timelike_run)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "gaussian_c3.txt"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime failure: run failed at T = 0: non-positive spatial metric gamma = -8 "
+        "at node 24 (T = 0): slice is no longer spacelike"]
+    assert not out.exists()
+
+
+# runs no float can count or no weight can differentiate: each was a traceback
+# (OverflowError in step_counts) or a runtime failure at T = 0
+UNRUNNABLE = {
+    "dt-simulate": ("gaussian_c3.txt", "time.dt = 1e-3", "time.dt = 1e-320", ["simulate"],
+                    "t_final / dt = 10 / 9.99989e-321 is not finite"),
+    "dt-compare-limits": ("gaussian_c3.txt", "time.dt = 1e-3", "time.dt = 1e-320",
+                          ["compare-limits", "--nonrel"],
+                          "t_final / dt = 10 / 9.99989e-321 is not finite"),
+    "cadence": ("gaussian_c3.txt", "", "", ["simulate", "--cadence", "1e306"],
+                "cadence / dt = 1e+306 / 0.001 is not finite"),
+    "weight-a": ("gaussian_c3.txt", "weight.a = 0.5", "weight.a = 1e308", ["simulate"],
+                 "gaussian weight has a non-finite d ln f / dC coefficient"),
+    "weight-kappa": ("exponential.txt", "weight.kappa = 0.25", "weight.kappa = 1e308",
+                     ["simulate"], "exponential weight has a non-finite d ln f / dC coefficient"),
+}
+
+
+@pytest.mark.parametrize("case", UNRUNNABLE)
+def test_an_unrunnable_config_is_one_validation_error(tmp_path, capsys, case):
+    name, old, new, command, message = UNRUNNABLE[case]
+    text = (CONFIGS / name).read_text()
+    assert old in text
+    cfg = _write(tmp_path, "unrunnable.cfg", text.replace(old, new))
+    out = tmp_path / "out"
+    flags = ["--out", str(out)] if command[0] == "simulate" else []
+    assert main([command[0], "--config", cfg, *command[1:], *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
     assert not out.exists()
 

@@ -159,9 +159,11 @@ class TestInvariantReport:
         cfg = replace(baseline_config(t_final=0.1), weight=rq.gaussian_weight(0.01))
         series = rq.integrate(cfg, cadence=0.05)
         assert reference_zero_ratio(series) is None
-        names = [r.name for r in rq.evaluate_invariants(series).records]
-        assert names == ["four_velocity_norm", "force_orthogonality",
-                         "simultaneity_g01", "subluminality"]
+        rep = rq.evaluate_invariants(series)
+        assert [r.name for r in rep.records] == ["four_velocity_norm", "force_orthogonality",
+                                                 "simultaneity_g01", "subluminality"]
+        with pytest.raises(KeyError, match="reference_trajectory_zeros"):
+            rep["reference_trajectory_zeros"]
         # the same run at a = 0.5 (labels +-sqrt(2)) keeps it
         series = rq.integrate(baseline_config(t_final=0.1), cadence=0.05)
         assert "reference_trajectory_zeros" in [

@@ -14,7 +14,6 @@ from relqtraj.analytic import (
     sample_state,
 )
 from relqtraj.dynamics import IntegrationError, step_counts
-from relqtraj.geometry import GeometryError
 from relqtraj.state import StateValidationError, WeightFunction
 
 from conftest import baseline_config
@@ -350,10 +349,10 @@ _GUARD_FAULTS = [
      r"^u0 must be positive \(forward-in-time propagation\)$"),
     ("order", 4, _swap_past, StateValidationError, _ORDER_LOST),
     # t_C at the last node only: gamma = 1 - 9 (25 * 0.2 / 5)^2
-    ("gamma<=0", 4, _set((0, 24, 0.2)), GeometryError,
+    ("gamma<=0", 4, _set((0, 24, 0.2)), StateValidationError,
      r"^non-positive spatial metric gamma = -8 at node 24" + _SPACELIKE),
     # t_C and x_C overflow together on the last three nodes: inf - inf
-    ("gamma-nan", 4, _set((0, 24, 1e308), (1, 24, 1.5e308)), GeometryError,
+    ("gamma-nan", 4, _set((0, 24, 1e308), (1, 24, 1.5e308)), StateValidationError,
      r"spatial metric gamma = nan at node 22" + _SPACELIKE),
     # gamma ~ 1e-320 is positive and finite, but Q ~ 1/gamma overflows
     ("Q", 4, _scale_x(1e-160), FloatingPointError, r"^non-finite quantum potential$"),

@@ -8,7 +8,7 @@ from relqtraj.analytic import (
     inertial_ensemble,
     sample_state,
 )
-from relqtraj.geometry import GeometryError
+from relqtraj.state import StateValidationError
 
 
 def _config(g, c):
@@ -59,7 +59,7 @@ class TestComputeGeometry:
     def test_degenerate_slice_raises(self):
         # superluminal label spread: x_C^2 < c^2 t_C^2
         g = rq.make_grid(0, 1, 11)
-        with pytest.raises(GeometryError, match="node"):
+        with pytest.raises(StateValidationError, match="node"):
             rq.compute_geometry(2.0 * g.nodes, g.nodes, 0.0, _config(g, 1.0))
 
     def test_overflowing_slice_names_the_first_bad_node(self):
@@ -69,6 +69,7 @@ class TestComputeGeometry:
         x = g.nodes.copy()
         x[20:] *= 1e160
         with np.errstate(over="ignore"), pytest.raises(
-                GeometryError, match=r"^non-finite spatial metric gamma = inf at node 18 "):
+                StateValidationError,
+                match=r"^non-finite spatial metric gamma = inf at node 18 "):
             rq.compute_geometry(np.zeros(25), x, 0.0, _config(g, 3.0))
 

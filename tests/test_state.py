@@ -239,6 +239,11 @@ def test_guard_rejects_a_row_count_no_state_has(rows):
 @pytest.mark.parametrize("make, message", [
     (lambda: rq.exponential_weight(math.inf), "kappa must be finite"),
     (lambda: rq.exponential_weight(math.nan), "kappa must be finite"),
+    # d ln f / dC = -2 kappa and -2 a C overflow their coefficients
+    (lambda: rq.exponential_weight(1e308),
+     "^exponential weight has a non-finite d ln f / dC coefficient$"),
+    (lambda: rq.gaussian_weight(1e308),
+     "^gaussian weight has a non-finite d ln f / dC coefficient$"),
     (lambda: rq.SimConfig(c=1, weight=rq.uniform_weight(), grid=rq.make_grid(-1, 1, 9),
                           t_final=-1.0), "t_final must be nonnegative and finite, got -1.0"),
     (lambda: rq.SimConfig(c=1, weight=rq.uniform_weight(), grid=rq.make_grid(-1, 1, 9),

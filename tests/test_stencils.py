@@ -43,6 +43,9 @@ class TestStencilPlan:
         np.testing.assert_allclose(
             w, [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12], atol=1e-14
         )
+        # five nodes fix no fifth derivative
+        with pytest.raises(ValueError, match="need more nodes than derivative order"):
+            fornberg_weights(xs, 0.0, 5)
 
 
 class TestDerivative:

@@ -54,7 +54,7 @@ def exponential_ensemble(kappa: float, mass: float, hbar: float, c: float) -> An
     rate overflows a float is a ValueError."""
     try:
         rate = math.exp(0.5 * (hbar * kappa / (mass * c)) ** 2)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # m c may underflow to 0
         raise ValueError(f"kappa = {kappa:g}: the contraction rate "
                          f"exp[(1/2)(hbar kappa / m c)^2] overflows") from None
     return AnalyticEnsemble(lambda T, C: _stack4(rate * T, C, c, 0.0), exponential_weight(kappa))

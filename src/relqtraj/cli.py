@@ -7,8 +7,8 @@ Subcommands:
   compare-limits  relativistic vs non-relativistic (or second config) runs
   figures         emit plot-data polylines from a snapshot directory
 
-Exit codes: 0 success / all checks pass, 1 validation or usage error,
-2 runtime or invariant failure.
+Exit codes: 0 success / all checks pass, 1 validation or usage error (a
+ValueError), 2 runtime failure (IntegrationError, ArithmeticError, OSError).
 """
 
 from __future__ import annotations
@@ -62,23 +62,18 @@ def _load_config(path: str) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    start = _now()
+    run = {"code_version": __version__, "start_time": _now()}
     t0 = time.perf_counter()
     try:
         series = integrate(cfg, cadence=args.cadence)
     except IntegrationError as exc:
-        # persist whatever completed before the abort
-        if exc.series is not None and len(exc.series) > 0:
-            write_snapshots(exc.series, args.out, code_version=__version__,
-                            start_time=start, end_time=_now(),
-                            cadence=args.cadence)
-            print(f"simulate: aborted, {len(exc.series)} partial snapshots "
-                  f"kept in {args.out}")
+        if exc.series:  # persist whatever completed before the abort
+            write_snapshots(exc.series, args.out, **run, end_time=_now(), cadence=args.cadence)
+            print(f"simulate: aborted, {len(exc.series)} partial snapshots kept in {args.out}")
         raise
     wall = time.perf_counter() - t0
     report = evaluate_invariants(series)
-    write_snapshots(series, args.out, report=report, code_version=__version__,
-                    start_time=start, end_time=_now(), cadence=args.cadence)
+    write_snapshots(series, args.out, report=report, **run, end_time=_now(), cadence=args.cadence)
     print(
         f"simulate: {len(series)} snapshots to {args.out} "
         f"({wall:.2f} s, final T = {series.times[-1]:g})"
@@ -113,12 +108,13 @@ def _cmd_analytic(args) -> int:
             raise ValueError(f"--times entry {T:g} is not a nonnegative finite ensemble time")
     check_positive(mass=args.mass, hbar=args.hbar, c=args.c)  # before a family divides by them
     ens = family(param, args)
-    # a closed-form Q is given only for the family whose density has none
-    Q = None if ens.Q is None else ens.Q(grid.nodes, args.mass)
+    # the config refuses a c or hbar that squares past a float before Q squares c
     cfg = SimConfig(
         mass=args.mass, hbar=args.hbar, c=args.c, weight=ens.weight, grid=grid,
         t_final=max(times), stencil_order=args.stencil_order,
     )
+    # a closed-form Q is given only for the family whose density has none
+    Q = None if ens.Q is None else ens.Q(grid.nodes, args.mass)
     snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
     series = SnapshotSeries(config=cfg, snapshots=snapshots)
     write_snapshots(series, args.out, code_version=__version__, start_time=_now(),
@@ -275,12 +271,12 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         # a non-finite value is reported by a guard or a NaN record, not by numpy warnings
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(all="ignore"):
             return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegrationError, FloatingPointError, OSError) as exc:
+    except (IntegrationError, ArithmeticError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

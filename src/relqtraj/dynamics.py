@@ -41,9 +41,9 @@ np.minimum.reduce or np.maximum.reduce.
 
 run_fixed_steps is the one stepping loop: integrate and the non-relativistic
 solver give it their own step and record functions, and it owns the step
-counts, the record cadence and the failure handling of both.  A step's
-output is checked by the next stage guard or record, so a bad step is
-reported at the T it reached.
+counts, the record cadence and the failure handling of both: a broken rule
+(StateValidationError) or failed arithmetic (ArithmeticError) in a step or
+record becomes there, and only there, an IntegrationError at the T reached.
 """
 
 from __future__ import annotations
@@ -114,9 +114,10 @@ class SnapshotSeries:
 
 
 class IntegrationError(RuntimeError):
-    """Evolution aborted; carries the records completed so far in `series`."""
+    """A run failed at the T its message names (made by run_fixed_steps only);
+    `series` carries the records completed before it."""
 
-    def __init__(self, message: str, series=None):
+    def __init__(self, message: str, series):
         super().__init__(message)
         self.series = series
 
@@ -191,13 +192,14 @@ def _rk4(rhs, y, config: SimConfig):
 
 def rk4_step(y: np.ndarray, T: float, config: SimConfig) -> np.ndarray:
     """One classical four-stage Runge-Kutta step of size config.dt from the (4, N)
-    array y at ensemble time T; a stage that breaks an invariant raises StateValidationError."""
+    array y at ensemble time T; a stage that breaks an invariant, or a norm drift
+    over ABORT_FACTOR x invariant_tol (the mass shell), raises StateValidationError."""
     y = _rk4(lambda y, h: eom_rhs(y, T + h, config), y, config)
     # max(|v| / c^2) == max(|v|) / c^2 exactly, so one division by c^2
     drift = np.maximum.reduce(np.abs(norm_violation(y[2:], config.c_sq)))
     worst = float(drift) / config.c ** 2
     if worst > ABORT_FACTOR * config.invariant_tol:
-        raise IntegrationError(
+        raise StateValidationError(
             f"four-velocity norm drift {worst:.3e} exceeds "
             f"{ABORT_FACTOR:g} x invariant_tol = {ABORT_FACTOR * config.invariant_tol:.1e} "
             f"after step to T = {T + config.dt:.6g}"
@@ -248,9 +250,7 @@ def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, out):
             if k == n_steps:
                 break
             y = step(y, T)
-        except IntegrationError as exc:
-            raise IntegrationError(str(exc), out) from exc
-        except (StateValidationError, FloatingPointError) as exc:
+        except (StateValidationError, ArithmeticError) as exc:
             raise IntegrationError(f"run failed at T = {T:.6g}: {exc}", out) from exc
     return out
 

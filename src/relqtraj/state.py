@@ -47,15 +47,15 @@ ZERO = scalar_array(0.0)  # the bound of the stage guards' sign tests
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform grid of trajectory labels C, compared and hashed as the value
-    (c_min, c_max, n_points); nodes is np.linspace of it, read-only."""
+    (c_min, c_max, n_points) of finite span; nodes is np.linspace of it, read-only."""
 
     c_min: float
     c_max: float
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.c_min) and math.isfinite(self.c_max)):
-            raise ValueError("grid bounds must be finite")
+        if not math.isfinite(self.c_max - self.c_min):
+            raise ValueError(f"grid span {self.c_max:g} - {self.c_min:g} is not finite")
         if self.n_points < MIN_POINTS:
             raise ValueError(f"n_points must be >= {MIN_POINTS}, got {self.n_points}")
         if self.c_max <= self.c_min:
@@ -109,8 +109,6 @@ def gaussian_weight(a: float) -> WeightFunction:
 
 def exponential_weight(kappa: float) -> WeightFunction:
     """f(C) = exp(-2 kappa C)."""
-    if not math.isfinite(kappa):
-        raise ValueError("kappa must be finite")
     return WeightFunction("exponential", ((1, -2.0 * kappa),), (kappa,))
 
 
@@ -197,7 +195,7 @@ class SimConfig:
     on the grid nodes (half_dlogf, for log_form_Q), the constant rows of
     the RK stage (force_sign, rhs_divisor) and its read-only 0-d constants
     (c_sq, neg_mc_sq, neg_hbar_sq_over_2m, m, rk_weights) are derived once,
-    on first use; they are not config keys."""
+    the squares at construction and the rest on first use; not config keys."""
 
     c: float
     weight: WeightFunction
@@ -217,6 +215,11 @@ class SimConfig:
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.stencil_order not in STENCIL_ORDERS:
             raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
+        try:  # Python's ** raises past about 1.34e154
+            self.c_sq, self.neg_mc_sq, self.neg_hbar_sq_over_2m
+        except OverflowError:
+            raise ValueError(f"c = {self.c:g} or hbar = {self.hbar:g} squares past a float") \
+                from None
 
     @cached_property
     def plan(self) -> StencilPlan:

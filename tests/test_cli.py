@@ -98,7 +98,8 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert re.fullmatch(r"runtime failure: four-velocity norm drift \S+ exceeds .* "
+        assert re.fullmatch(r"runtime failure: run failed at T = 0: "
+                            r"four-velocity norm drift \S+ exceeds .* "
                             r"after step to T = 0\.001\n", captured.err)
         assert captured.out == f"simulate: aborted, 1 partial snapshots kept in {out}\n"
         assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv", "snap_T0.tsv"]
@@ -238,16 +239,42 @@ class TestAnalyticVerify:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("kappa", ["40", "1e200"])
-    def test_analytic_refuses_an_overflowing_exponential_rate(self, tmp_path, capsys, kappa):
+    # the last case's m c underflows to 0 and leaves hbar kappa / m c no value
+    @pytest.mark.parametrize("kappa, mass, c", [("40", "1", "1"), ("1e200", "1", "1"),
+                                                ("0.5", "1e-200", "1e-200")],
+                             ids=["40", "1e200", "m-c-underflow"])
+    def test_analytic_refuses_an_overflowing_exponential_rate(self, tmp_path, capsys, kappa,
+                                                              mass, c):
         out = tmp_path / "out"
-        assert main(["analytic", "--kind", "exponential", "--kappa", kappa, "--c", "1",
-                     "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
+        assert main(["analytic", "--kind", "exponential", "--kappa", kappa, "--mass", mass,
+                     "--c", c, "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: kappa = ") and "overflows" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flags", [
+        # the config squares c before the closed-form Q = -m c^2 ln(B C) does
+        ("hyperbolic-gamma-one", ["--grid-min", "0.5", "--grid-max", "2.5"]),
+        ("hyperbolic-gamma-t", ["--A", "2", "--grid-min", "-1", "--grid-max", "1"]),
+    ])
+    def test_analytic_refuses_a_c_that_squares_past_a_float(self, tmp_path, capsys, kind,
+                                                            flags):
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", kind, *flags, "--c", "1e200", "--grid-n", "25",
+                     "--times", "0.5,1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: c = 1e+200 or hbar = 1 squares past a float"]
+        assert not out.exists()
+
+    def test_analytic_at_a_vanishing_m_c_squared_warns_nothing(self, tmp_path, capsys):
+        # c = 1e-200 makes m c^2 = 0: tau_T = exp(Q / -0.0) is recorded as it is
+        out = tmp_path / "out"
+        assert main(["analytic", "--kind", "inertial", "--c", "1e-200", "--grid-min", "-2",
+                     "--grid-max", "2", "--grid-n", "25", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "snap_T10.tsv").exists()
 
     @pytest.mark.parametrize("constant", ["--mass", "--c"])
     @pytest.mark.parametrize("kind, lo, hi", [
@@ -457,13 +484,17 @@ def test_snapshot_order_is_checked(tmp_path, capsys, fault):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["simulate", "compare-limits"])
-def test_a_non_finite_first_record_is_one_runtime_failure(tmp_path, capsys, command):
-    # c = 1e-150 overflows tau_T = exp(-Q / m c^2) on the initial slice: the
-    # run stops at its first record, without a numpy warning, and keeps nothing
+@pytest.mark.parametrize("command, c", [("simulate", "1e-150"), ("compare-limits", "1e-150"),
+                                        ("simulate", "1e-200"), ("compare-limits", "1e-200")],
+                         ids=["simulate", "compare-limits", "simulate-1e-200",
+                              "compare-limits-1e-200"])
+def test_a_non_finite_first_record_is_one_runtime_failure(tmp_path, capsys, command, c):
+    # c = 1e-150 overflows tau_T = exp(-Q / m c^2) on the initial slice, and
+    # c = 1e-200 leaves m c^2 = 0 to divide it: the run stops at its first
+    # record, without a numpy warning, and keeps nothing
     text = (CONFIGS / "gaussian_c3.txt").read_text()
     assert "\nc = 3\n" in text and "time.final = 10" in text
-    cfg = _write(tmp_path, "tiny_c.cfg", text.replace("\nc = 3\n", "\nc = 1e-150\n")
+    cfg = _write(tmp_path, "tiny_c.cfg", text.replace("\nc = 3\n", f"\nc = {c}\n")
                  .replace("time.final = 10", "time.final = 0.01"))
     out = tmp_path / "out"
     flags = {"simulate": ["--out", str(out)], "compare-limits": ["--nonrel"]}[command]
@@ -494,8 +525,9 @@ def test_a_timelike_slice_in_a_run_is_a_runtime_failure(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-# runs no float can count or no weight can differentiate: each was a traceback
-# (OverflowError in step_counts) or a runtime failure at T = 0
+# runs no float can count, no weight can differentiate, or whose constants or
+# grid span no float holds: each was a traceback (OverflowError in step_counts
+# or a squared c or hbar), a runtime failure at T = 0 or an error naming x
 UNRUNNABLE = {
     "dt-simulate": ("gaussian_c3.txt", "time.dt = 1e-3", "time.dt = 1e-320", ["simulate"],
                     "t_final / dt = 10 / 9.99989e-321 is not finite"),
@@ -508,6 +540,16 @@ UNRUNNABLE = {
                  "gaussian weight has a non-finite d ln f / dC coefficient"),
     "weight-kappa": ("exponential.txt", "weight.kappa = 0.25", "weight.kappa = 1e308",
                      ["simulate"], "exponential weight has a non-finite d ln f / dC coefficient"),
+    "c-simulate": ("gaussian_c3.txt", "\nc = 3\n", "\nc = 1e200\n", ["simulate"],
+                   "c = 1e+200 or hbar = 1 squares past a float"),
+    "c-compare-limits": ("gaussian_c3.txt", "\nc = 3\n", "\nc = 1e200\n",
+                         ["compare-limits", "--nonrel"],
+                         "c = 1e+200 or hbar = 1 squares past a float"),
+    "hbar": ("gaussian_c3.txt", "hbar = 1\n", "hbar = 1e200\n", ["simulate"],
+             "c = 3 or hbar = 1e+200 squares past a float"),
+    "grid": ("gaussian_c3.txt", "grid.min = -5\ngrid.max = 5\n",
+             "grid.min = -1e308\ngrid.max = 1e308\n", ["simulate"],
+             "grid span 1e+308 - -1e+308 is not finite"),
 }
 
 
@@ -700,3 +742,37 @@ def test_verify_survives_a_corrupted_output(pristine_output, data):
         for name, text in files.items():
             Path(d, name).write_text(text)
         assert main(["verify", "--snapshots", d]) in (0, 1, 2)
+
+
+_MAGNITUDE = st.floats(-300, 300).map(lambda e: 10.0 ** e)  # log-uniform in [1e-300, 1e300]
+
+
+@st.composite
+def extreme_command(draw, out):
+    """A parseable simulate (one step) or analytic (two times) argument list
+    with c, mass, hbar, the weight parameter and the grid bounds drawn from
+    _MAGNITUDE, the grid's lower bound of either sign."""
+    c, mass, hbar, param, lo, width = (draw(_MAGNITUDE) for _ in range(6))
+    lo *= draw(st.sampled_from([-1.0, 1.0]))
+    if draw(st.booleans()):
+        kind, key = draw(st.sampled_from([("gaussian", "a"), ("exponential", "kappa")]))
+        cfg = "\n".join([f"c = {c!r}", f"mass = {mass!r}", f"hbar = {hbar!r}",
+                         f"weight.kind = {kind}", f"weight.{key} = {param!r}",
+                         f"grid.min = {lo!r}", f"grid.max = {lo + width!r}", "grid.n = 9",
+                         "time.final = 1e-3", "time.dt = 1e-3"])
+        return ["simulate", "--config", _write(out, "extreme.cfg", cfg), "--cadence", "1e-3"]
+    kind, flag = draw(st.sampled_from([(kind, flag) for kind, (flag, _, _) in cli._KINDS.items()]))
+    param = draw(st.floats(-0.99, 0.99)) if kind == "inertial" else param
+    return ["analytic", "--kind", kind, f"--{flag}", repr(param), "--mass", repr(mass),
+            "--hbar", repr(hbar), "--c", repr(c), "--grid-min", repr(lo),
+            "--grid-max", repr(lo + width), "--grid-n", "9", "--times", "0.5,1"]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_no_extreme_input_ends_in_a_traceback_or_a_warning(data):
+    # an escaping exception fails the test, and so, by filterwarnings = error,
+    # does any numpy warning
+    with tempfile.TemporaryDirectory() as d:
+        argv = data.draw(extreme_command(Path(d)))
+        assert main([*argv, "--out", str(Path(d, "out"))]) in (0, 1, 2)

@@ -31,6 +31,9 @@ class TestMakeGrid:
     def test_nonfinite_bounds_rejected(self):
         with pytest.raises(ValueError):
             rq.make_grid(-np.inf, 5, 25)
+        # finite bounds whose span, and so linspace's nodes, overflow
+        with pytest.raises(ValueError, match=r"^grid span 1e\+308 - -1e\+308 is not finite$"):
+            rq.make_grid(-1e308, 1e308, 25)
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -237,8 +240,11 @@ def test_guard_rejects_a_row_count_no_state_has(rows):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: rq.exponential_weight(math.inf), "kappa must be finite"),
-    (lambda: rq.exponential_weight(math.nan), "kappa must be finite"),
+    # the weight value refuses a non-finite kappa through its coefficient
+    (lambda: rq.exponential_weight(math.inf),
+     "exponential weight has a non-finite d ln f / dC coefficient"),
+    (lambda: rq.exponential_weight(math.nan),
+     "exponential weight has a non-finite d ln f / dC coefficient"),
     # d ln f / dC = -2 kappa and -2 a C overflow their coefficients
     (lambda: rq.exponential_weight(1e308),
      "^exponential weight has a non-finite d ln f / dC coefficient$"),

@@ -32,7 +32,7 @@ from .analytic import (
     sample_state,
 )
 from .diagnostics import RESIDUAL_CADENCE_MAX, evaluate_invariants, residual_admitted
-from .dynamics import IntegrationError, SnapshotSeries, integrate, make_snapshot
+from .dynamics import IntegrationError, SnapshotSeries, finite_record, integrate, make_snapshot
 from .nonrel import nonrel_integrate
 from .snapshot_io import (
     ConfigError,
@@ -115,7 +115,7 @@ def _cmd_analytic(args) -> int:
     )
     # a closed-form Q is given only for the family whose density has none
     Q = None if ens.Q is None else ens.Q(grid.nodes, args.mass)
-    snapshots = [make_snapshot(sample_state(ens, grid, T), cfg, Q) for T in times]
+    snapshots = [finite_record(make_snapshot(sample_state(ens, grid, T), cfg, Q)) for T in times]
     series = SnapshotSeries(config=cfg, snapshots=snapshots)
     write_snapshots(series, args.out, code_version=__version__, start_time=_now(),
                     end_time=_now(), kind=args.kind, **{flag: param})

@@ -155,9 +155,10 @@ def reference_zero_ratio(series: SnapshotSeries):
 
 
 def pde_residual(series: SnapshotSeries):
-    """Residuals of the two second-order evolution equations, evaluated from
-    stored snapshots with the same spatial stencils the solver used and
-    nested fourth-order central differences in ensemble time.
+    """Residuals d_T(d_T y / tau_T) / tau_T - f / m of the two second-order
+    evolution equations, y = t with the force row f0 / c and y = x with f1,
+    evaluated from each stored snapshot's t, x, tau_T and force with nested
+    fourth-order central differences in ensemble time.
 
     Returns (residual_t, residual_x, interior_snapshots, interior_nodes):
     arrays of shape (n_snapshots, n_points) and the slices over which both
@@ -171,16 +172,11 @@ def pde_residual(series: SnapshotSeries):
     if not _uniform_cadence(ts):
         raise ValueError("snapshots must be recorded at uniform cadence")
 
-    tgrid = make_grid(ts[0], ts[-1], K)
-    tplan = build_plan(tgrid, 4)
-    t, x, Q, t_C, x_C, gamma, Q_C = series.stack(
-        "state.t", "state.x", "quantum.Q", "geometry.t_C", "geometry.x_C",
-        "geometry.gamma", "quantum.Q_C")
-
-    eQ = np.exp(Q / (cfg.m * cfg.c_sq))
-    res_t, res_x = (eQ * d_dC(eQ * d_dC(y, tplan), tplan)
-                    + (y_C / gamma) * Q_C / cfg.m
-                    for y, y_C in ((t, t_C), (x, x_C)))
+    tplan = build_plan(make_grid(ts[0], ts[-1], K), 4)
+    t, x, tau, f0, f1 = series.stack("state.t", "state.x", "quantum.tau_T",
+                                     "quantum.f0", "quantum.f1")
+    res_t, res_x = (d_dC(d_dC(y, tplan) / tau, tplan) / tau - f / cfg.m
+                    for y, f in ((t, f0 / cfg.c), (x, f1)))
 
     interior_snaps = slice(4, K - 4)          # two nested central time stencils
     return res_t, res_x, interior_snaps, cfg.plan.interior

@@ -74,7 +74,6 @@ STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
 @dataclass(frozen=True)
 class QuantumFields:
     Q: np.ndarray
-    Q_C: np.ndarray
     f0: np.ndarray
     f1: np.ndarray
     tau_T: np.ndarray
@@ -147,25 +146,27 @@ def tau_factor(Q: np.ndarray, config: SimConfig) -> np.ndarray:
 
 
 def _slice(y, T, config: SimConfig, Q=None):
-    """Every field of the slice y = (t, x, u0, u1) at ensemble time T:
-    (tx_C, gamma, Q, Q_C, tau_T, f, d), layer by layer; tx_C and f are (2, N)
-    and the rate rows d = (u0, u1, f0, f1) tau_T / rhs_divisor (c, 1, m, m)
-    are (4, N), three operations bitwise the 1-D rows (x / 1.0 == x)."""
+    """The fields of the slice y = (t, x, u0, u1) at ensemble time T that a
+    stage or a record uses: (tx_C, gamma, Q, tau_T, f, d), layer by layer;
+    tx_C and f are (2, N) and the rate rows d = (u0, u1, f0, f1) tau_T /
+    rhs_divisor (c, 1, m, m) are (4, N), three operations bitwise the 1-D
+    rows (x / 1.0 == x).  Q_C enters only the force."""
     tx_C, gamma = compute_geometry(y[0], y[1], T, config)
     Q, Q_C = compute_Q(gamma, config, Q)
     tau = tau_factor(Q, config)
     f = compute_force(tx_C, gamma, Q_C, config)
-    return tx_C, gamma, Q, Q_C, tau, f, np.concatenate((y[2:], f)) * tau / config.rhs_divisor
+    return tx_C, gamma, Q, tau, f, np.concatenate((y[2:], f)) * tau / config.rhs_divisor
 
 
 def make_snapshot(state: EnsembleState, config: SimConfig,
                   Q: Optional[np.ndarray] = None) -> Snapshot:
-    """Every field of a recorded slice: geometry with the g01 residual, Q,
-    Q_C, tau_T and the force.  Q is computed from the config's weight unless
-    it is given (a stored or closed-form potential)."""
-    tx_C, gamma, Q, Q_C, tau, f, d = _slice(state.y, state.tau_ensemble, config, Q)
+    """The record of a slice: its state, gamma with the g01 residual, Q, the
+    force and tau_T, the fields that the writer and the invariant checks
+    read.  Q is computed from the config's weight unless it is given (a
+    stored or closed-form potential)."""
+    tx_C, gamma, Q, tau, f, d = _slice(state.y, state.tau_ensemble, config, Q)
     return Snapshot(state, attach_g01(tx_C, gamma, d[:2], config),
-                    QuantumFields(Q, Q_C, *f, tau))
+                    QuantumFields(Q, *f, tau))
 
 
 def eom_rhs(y, T, config: SimConfig) -> np.ndarray:
@@ -269,13 +270,14 @@ def integrate(
     """
     state = rest_initial_state(config) if initial_state is None else initial_state
     return run_fixed_steps(config, cadence, state.y, lambda y, T: rk4_step(y, T, config),
-                           lambda T, y: _finite(make_snapshot(EnsembleState(T, y), config)),
+                           lambda T, y: finite_record(make_snapshot(EnsembleState(T, y), config)),
                            SnapshotSeries(config=config, snapshots=[]))
 
 
-def _finite(s: Snapshot) -> Snapshot:
-    """The solver's record s; FloatingPointError names the first of its tau_T,
-    f0, f1 and g01 that is not finite (make_snapshot lets verify see a NaN)."""
+def finite_record(s: Snapshot) -> Snapshot:
+    """A record s that integrate or analytic keeps; FloatingPointError names the
+    first of its tau_T, f0, f1 and g01 that is not finite (make_snapshot lets
+    verify see a NaN)."""
     for name in ("quantum.tau_T", "quantum.f0", "quantum.f1", "geometry.g01_residual"):
         if not np.isfinite(attrgetter(name)(s)).all():
             raise FloatingPointError(f"non-finite {name.partition('.')[2]}")

@@ -10,7 +10,7 @@ away, so drift stays visible as a correctness signal.
 compute_geometry is the first layer of every RK stage (dynamics.eom_rhs);
 Q, tau_T and the force follow from its (t_C, x_C) rows and gamma.  The g01
 residual is never needed to advance the ensemble, so attach_g01 builds the
-whole record with it only for recorded snapshots and slices read back for
+record, gamma and g01, only for recorded snapshots and slices read back for
 verification, from the rates (t_T, x_T) the stage has already formed.
 """
 
@@ -27,8 +27,7 @@ from .stencils import d_dC
 
 @dataclass(frozen=True)
 class GeometryFields:
-    t_C: np.ndarray
-    x_C: np.ndarray
+    """A record's geometry: gamma and the g01 residual, from attach_g01."""
     gamma: np.ndarray
     g01_residual: np.ndarray
 
@@ -58,9 +57,9 @@ def compute_geometry(t, x, T: float, config: SimConfig):
 
 
 def attach_g01(tx_C, gamma, d, config: SimConfig) -> GeometryFields:
-    """The geometry record of a slice: compute_geometry's (t_C, x_C) rows,
-    gamma, and the time-space metric residual eta_ab x^a_T x^b_C = -c^2 t_T
-    t_C + x_T x_C with c^2 = config.c_sq, d = (t_T, x_T) = tau_T (u0 / c, u1)
-    the first two rate rows of the slice's RK stage (dynamics._slice)."""
-    t_C, x_C = tx_C
-    return GeometryFields(t_C, x_C, gamma, -config.c_sq * d[0] * t_C + d[1] * x_C)
+    """The geometry record of a slice: gamma and the time-space metric
+    residual eta_ab x^a_T x^b_C = -c^2 t_T t_C + x_T x_C, built from
+    compute_geometry's (t_C, x_C) rows with c^2 = config.c_sq and d = (t_T,
+    x_T) = tau_T (u0 / c, u1) the first two rate rows of the slice's RK stage
+    (dynamics._slice).  The rows themselves are not kept: nothing reads them."""
+    return GeometryFields(gamma, -config.c_sq * d[0] * tx_C[0] + d[1] * tx_C[1])

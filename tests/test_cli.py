@@ -269,12 +269,18 @@ class TestAnalyticVerify:
         assert not out.exists()
 
     def test_analytic_at_a_vanishing_m_c_squared_warns_nothing(self, tmp_path, capsys):
-        # c = 1e-200 makes m c^2 = 0: tau_T = exp(Q / -0.0) is recorded as it is
+        # c = 1e-200 makes m c^2 = 0: tau_T = exp(Q / -0.0) is not finite, and
+        # analytic refuses the record as integrate does, without a numpy warning
         out = tmp_path / "out"
-        assert main(["analytic", "--kind", "inertial", "--c", "1e-200", "--grid-min", "-2",
-                     "--grid-max", "2", "--grid-n", "25", "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        assert (out / "snap_T10.tsv").exists()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analytic", "--kind", "inertial", "--c", "1e-200", "--grid-min", "-2",
+                         "--grid-max", "2", "--grid-n", "25", "--times", "0,1",
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "runtime failure: non-finite tau_T\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("constant", ["--mass", "--c"])
     @pytest.mark.parametrize("kind, lo, hi", [

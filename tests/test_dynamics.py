@@ -491,6 +491,33 @@ class TestIntegrate:
             assert np.all(s.geometry.gamma > 0)
 
 
+def _boost(y, beta, c):
+    """(t, x, u0, u1) rows seen from a frame moving at beta c along x:
+    (ct, x) -> g (ct - beta x, x - beta ct), and the same for (u0, u1)."""
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    ct, x, u0, u1 = c * y[0], y[1], y[2], y[3]
+    return np.array([g * (ct - beta * x) / c, g * (x - beta * ct),
+                     g * (u0 - beta * u1), g * (u1 - beta * u0)])
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9])
+def test_a_boosted_run_boosts_back_to_the_rest_run(beta, baseline_series):
+    # T and the labels do not depend on the frame, so the run from the boosted
+    # rest slice is the rest run seen by a moving observer.  The gap to T = 1
+    # is roundoff, 2.0e-12 (beta = 0.3) and 5.9e-12 (beta = 0.9); scaling the
+    # c^2 t_C^2 of gamma in compute_geometry by 1 + 1e-6 opens it to 5.6e-7
+    # and 1.4e-5.  The rest run is the baseline fixture's first unit of T.
+    cfg = replace(rq.parse_config((CONFIGS / "gaussian_c3.txt").read_text()), t_final=1.0)
+    assert replace(cfg, t_final=10.0) == baseline_series.config
+    rest = {s.tau_ensemble: s.state.y for s in baseline_series}
+    start = rq.EnsembleState(0.0, _boost(rq.rest_initial_state(cfg).y, beta, cfg.c))
+    boosted = rq.integrate(cfg, initial_state=start, cadence=0.1)
+    assert len(boosted) == 11
+    gap = max(np.abs(_boost(s.state.y, -beta, cfg.c) - rest[s.tau_ensemble]).max()
+              for s in boosted)
+    assert gap <= 1e-10
+
+
 class TestReferenceTrajectories:
     def test_zero_crossings_track_reference_labels(self, baseline_integer_snapshots):
         # the inner allowed/forbidden boundary stays within a quarter cell

@@ -7,6 +7,11 @@ Nested second derivatives are always formed by applying the first-derivative
 operator twice, never by a dedicated second-derivative stencil.  A plan
 carries its grid, so d_dC(values, plan) needs nothing else; a run's plan is
 SimConfig.plan, built once per config.
+
+Every weight comes from fornberg_weights: derivative order 1 for the plan
+rows, all filled by one call on the stack of row windows, and order 0 for
+interpolate.  Building the matrix calls no BLAS routine, so it is bitwise
+the same under every BLAS kernel; only d_dC's products depend on one.
 """
 
 from __future__ import annotations
@@ -23,34 +28,34 @@ STENCIL_ORDERS = (2, 4)  # the accuracy orders of the first-derivative stencils
 _FLOAT64 = np.dtype(np.float64)
 
 
-def fornberg_weights(xs: np.ndarray, x0: float, deriv: int) -> np.ndarray:
+def fornberg_weights(xs: np.ndarray, x0: float | np.ndarray, deriv: int) -> np.ndarray:
     """Finite-difference weights for the deriv-th derivative at x0 from nodes xs.
 
-    Standard Fornberg recursion; exact for polynomials up to degree
-    len(xs) - 1.
+    Fornberg's recursion (Math. Comp. 51, 699, 1988); exact for polynomials up
+    to degree n - 1 on n nodes, and deriv = 0 gives interpolation weights.  xs
+    may be a stack (..., n) of node windows with one point x0 (...) each: every
+    window runs the operations of a single (n,) window in the same order, so
+    its weights are bitwise its own one-window result.
     """
-    n = len(xs)
+    xs = np.asarray(xs, dtype=float)
+    n = xs.shape[-1]
     if deriv >= n:
         raise ValueError("need more nodes than derivative order")
-    w = np.zeros((deriv + 1, n))
-    w[0, 0] = 1.0
+    dx = xs - np.asarray(x0, dtype=float)[..., None]
+    w = np.zeros((deriv + 1,) + xs.shape)
+    w[0, ..., 0] = 1.0
     c1 = 1.0
-    c4 = xs[0] - x0
     for i in range(1, n):
-        mn = min(i, deriv)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = ((xs[i] - x0) * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = (xs[i] - x0) * w[0, j] / c3
+        c3 = xs[..., i, None] - xs[..., :i]
+        c2 = c3[..., 0]
+        for j in range(1, i):  # left to right, as one window multiplies
+            c2 = c2 * c3[..., j]
+        for k in range(min(i, deriv), 0, -1):
+            w[k, ..., i] = c1 * (k * w[k - 1, ..., i - 1] - dx[..., i - 1] * w[k, ..., i - 1]) / c2
+        w[0, ..., i] = -c1 * dx[..., i - 1] * w[0, ..., i - 1] / c2
+        for k in range(min(i, deriv), 0, -1):
+            w[k, ..., :i] = (dx[..., i, None] * w[k, ..., :i] - k * w[k - 1, ..., :i]) / c3
+        w[0, ..., :i] = dx[..., i, None] * w[0, ..., :i] / c3
         c1 = c2
     return w[deriv]
 
@@ -77,14 +82,11 @@ class StencilPlan:
 def build_plan(grid: SpatialGrid, order: int) -> StencilPlan:
     if order not in STENCIL_ORDERS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
-    nodes = grid.nodes
     n = grid.n_points
-    half = order // 2
-    width = order + 1
+    rows = np.arange(n)[:, None]
+    cols = np.clip(rows - order // 2, 0, n - order - 1) + np.arange(order + 1)
     D = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(i - half, 0), n - width)
-        D[i, lo:lo + width] = fornberg_weights(nodes[lo:lo + width], nodes[i], 1)
+    D[rows, cols] = fornberg_weights(grid.nodes[cols], grid.nodes, 1)
     return StencilPlan(grid, order, D)
 
 
@@ -116,11 +118,13 @@ def d_dC(values: np.ndarray, plan: StencilPlan) -> np.ndarray:
 
 
 def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):
-    """Cubic 4-point Lagrange interpolation of nodal values at c_query.
+    """Cubic 4-point Lagrange interpolation of nodal values at c_query, with
+    the weights fornberg_weights gives at derivative order 0.
 
     Exact for polynomials up to degree 3; the query must lie inside the grid.
     Interpolates along the first axis: a float for 1-D values, one value per
-    column for a stacked (n, k) array.
+    column for a stacked (n, k) array, each column bitwise its 1-D call (the
+    four terms are summed one by one, in node order).
     """
     values = _grid_values(values, grid)
     nodes = grid.nodes
@@ -128,13 +132,7 @@ def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):
         raise ValueError(f"query {c_query} outside grid [{nodes[0]}, {nodes[-1]}]")
     k = int(np.searchsorted(nodes, c_query)) - 1
     j = min(max(k - 1, 0), grid.n_points - 4)
-    xs = nodes[j:j + 4]
-    ys = values[j:j + 4]
-    out = 0.0
-    for i in range(4):
-        li = 1.0
-        for jj in range(4):
-            if jj != i:
-                li *= (c_query - xs[jj]) / (xs[i] - xs[jj])
-        out += ys[i] * li
+    w = fornberg_weights(nodes[j:j + 4], c_query, 0)
+    y = values[j:j + 4]
+    out = y[0] * w[0] + y[1] * w[1] + y[2] * w[2] + y[3] * w[3]
     return float(out) if out.ndim == 0 else out

@@ -518,6 +518,29 @@ def test_a_boosted_run_boosts_back_to_the_rest_run(beta, baseline_series):
     assert gap <= 1e-10
 
 
+
+def test_the_time_field_tends_to_its_first_order_closed_form():
+    # As c -> oo on the free gaussian, c^2 (t - T) -> dt(T, C) =
+    # (C^2 k / 2)(k T - atan k T) - (hbar / 2m)(1 - a C^2) atan k T, k = a hbar / m
+    # (t_T = 1 + (v^2 / 2 - Q / m) / c^2 at first order).  The gap at T = 1 is
+    # the next term: 2.133e-3 / 5.333e-4 / 1.333e-4 at c = 40 / 80 / 160,
+    # against max |dt| = 2.893.  Doubling the exponent of tau_factor stops the
+    # fall (ratios 1.003 and 1.001).
+    cfg = baseline_config(t_final=1.0)
+    (a,) = cfg.weight.params
+    k = a * cfg.hbar / cfg.mass
+    C = cfg.grid.nodes
+    dt = (C ** 2 * k / 2 * (k - math.atan(k))
+          - cfg.hbar / (2 * cfg.mass) * (1 - a * C ** 2) * math.atan(k))
+    gaps = []
+    for c in (40.0, 80.0, 160.0):
+        final = rq.integrate(replace(cfg, c=c), cadence=1.0).snapshots[-1]
+        assert final.tau_ensemble == 1.0
+        gaps.append(np.abs(c ** 2 * (final.state.t - 1.0) - dt).max())
+    assert gaps[0] / gaps[1] == pytest.approx(4, rel=0.1), gaps
+    assert gaps[1] / gaps[2] == pytest.approx(4, rel=0.1), gaps
+    assert gaps[0] < 1e-3 * np.abs(dt).max(), gaps
+
 class TestReferenceTrajectories:
     def test_zero_crossings_track_reference_labels(self, baseline_integer_snapshots):
         # the inner allowed/forbidden boundary stays within a quarter cell

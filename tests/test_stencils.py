@@ -16,6 +16,52 @@ def order(request):
     return request.param
 
 
+def _scalar_fornberg(xs, x0, deriv):
+    """Fornberg's recursion on one window, node by node: the reference that
+    every window of a stacked fornberg_weights call must match bit for bit."""
+    n = len(xs)
+    w = np.zeros((deriv + 1, n))
+    w[0, 0] = 1.0
+    c1 = 1.0
+    c4 = xs[0] - x0
+    for i in range(1, n):
+        mn = min(i, deriv)
+        c2 = 1.0
+        c5 = c4
+        c4 = xs[i] - x0
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
+                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+            for k in range(mn, 0, -1):
+                w[k, j] = ((xs[i] - x0) * w[k, j] - k * w[k - 1, j]) / c3
+            w[0, j] = (xs[i] - x0) * w[0, j] / c3
+        c1 = c2
+    return w[deriv]
+
+
+def _scalar_plan_matrix(grid, order):
+    """The derivative matrix filled one row at a time from _scalar_fornberg."""
+    nodes, n, width = grid.nodes, grid.n_points, order + 1
+    D = np.zeros((n, n))
+    for i in range(n):
+        lo = min(max(i - order // 2, 0), n - width)
+        D[i, lo:lo + width] = _scalar_fornberg(nodes[lo:lo + width], nodes[i], 1)
+    return D
+
+
+def _lagrange(values, grid, c_query):
+    """Cubic Lagrange interpolation on the same 4-node window as interpolate."""
+    nodes = grid.nodes
+    j = min(max(int(np.searchsorted(nodes, c_query)) - 2, 0), grid.n_points - 4)
+    xs = nodes[j:j + 4]
+    return sum(values[j + i] * np.prod([(c_query - xs[k]) / (xs[i] - xs[k])
+                                        for k in range(4) if k != i]) for i in range(4))
+
+
 class TestStencilPlan:
     def test_rows_sum_to_zero(self, order):
         g = rq.make_grid(-1, 1, 21)
@@ -46,6 +92,24 @@ class TestStencilPlan:
         # five nodes fix no fifth derivative
         with pytest.raises(ValueError, match="need more nodes than derivative order"):
             fornberg_weights(xs, 0.0, 5)
+
+    @pytest.mark.parametrize("span", [(-5, 5, 25), (-5, 5, 33), (-2.5, 2.5, 11), (0, 1, 101),
+                                      (0.1, 7.3, 401), (-1e3, 2e3, 57)])
+    def test_matrix_is_the_scalar_recursion_bitwise(self, order, span):
+        # the plan is built without a BLAS call, so this holds under every kernel
+        grid = rq.make_grid(*span)
+        assert np.array_equal(rq.build_plan(grid, order).matrix, _scalar_plan_matrix(grid, order))
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2, 3])
+    def test_every_stacked_window_is_its_own_call_bitwise(self, deriv):
+        rng = np.random.default_rng(deriv)
+        xs = np.sort(rng.uniform(-3, 3, (3, 2, 5)), axis=-1)
+        x0 = rng.uniform(-3, 3, (3, 2))
+        got = fornberg_weights(xs, x0, deriv)
+        assert got.shape == (3, 2, 5)
+        for idx in np.ndindex(3, 2):
+            assert got[idx].tobytes() == _scalar_fornberg(xs[idx], x0[idx], deriv).tobytes()
+            assert got[idx].tobytes() == fornberg_weights(xs[idx], x0[idx], deriv).tobytes()
 
 
 class TestDerivative:
@@ -121,6 +185,13 @@ class TestInterpolate:
         for cq in (-1.999, -1.3, 0.0, 0.77, 1.999):
             expect = 2.0 - cq + 0.5 * cq ** 2 + 0.25 * cq ** 3
             assert rq.interpolate(poly, g, cq) == pytest.approx(expect, abs=1e-12)
+
+    def test_lagrange_weights_to_roundoff(self):
+        g = rq.make_grid(-5, 5, 25)
+        vals = np.random.default_rng(3).standard_normal(25)
+        for cq in np.linspace(-5, 5, 41):
+            assert rq.interpolate(vals, g, cq) == pytest.approx(_lagrange(vals, g, cq),
+                                                               rel=1e-14, abs=1e-14)
 
     def test_exponential_accuracy(self):
         g = rq.make_grid(0, 1, 11)

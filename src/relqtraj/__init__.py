@@ -18,7 +18,7 @@ from .state import (
     exponential_weight,
     uniform_weight,
 )
-from .stencils import StencilPlan, build_plan, d_dC, interpolate
+from .stencils import build_plan, d_dC, interpolate
 from .geometry import GeometryFields, compute_geometry, attach_g01
 from .dynamics import (
     QuantumFields,

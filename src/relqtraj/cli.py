@@ -74,13 +74,21 @@ def _cmd_simulate(args) -> int:
     wall = time.perf_counter() - t0
     report = evaluate_invariants(series)
     write_snapshots(series, args.out, report=report, **run, end_time=_now(), cadence=args.cadence)
-    print(
-        f"simulate: {len(series)} snapshots to {args.out} "
-        f"({wall:.2f} s, final T = {series.times[-1]:g})"
-    )
+    print(f"simulate: {len(series)} snapshots and report.tsv to {args.out} "
+          f"({wall:.2f} s, final T = {series.times[-1]:g})")
+    return _print_report(report, series)
+
+
+def _print_report(report, series) -> int:
+    """Print the records and any skipped-residual note; return the exit code."""
     for r in report.records:
-        print(f"  {r.name}: max {r.max_abs_violation:.3e} "
-              f"(tol {r.tolerance:.1e}) {r.verdict}")
+        print(f"{r.name}: max {r.max_abs_violation:.3e} at T={r.T_at_max:g} "
+              f"C={r.C_at_max:g} (tol {r.tolerance:.1e}) {r.verdict}")
+    if not residual_admitted(series):
+        print(f"note: evolution-equation residuals skipped; they need at least "
+              f"{MIN_POINTS} uniformly spaced snapshots no more than "
+              f"{RESIDUAL_CADENCE_MAX:g} apart in T (rerun simulate with --cadence "
+              f"{RESIDUAL_CADENCE_MAX:g} or finer)")
     return EXIT_OK if report.all_pass else EXIT_RUNTIME
 
 
@@ -133,17 +141,8 @@ def _cmd_verify(args) -> int:
                                  residual_tol=args.tol_residual)
     out = args.report or f"{args.snapshots.rstrip('/')}/report.tsv"
     write_report(report, out)
-    for r in report.records:
-        print(f"{r.name}: max {r.max_abs_violation:.3e} at T={r.T_at_max:g} "
-              f"C={r.C_at_max:g} (tol {r.tolerance:.1e}) "
-              f"{r.verdict}")
-    if not residual_admitted(series):
-        print(f"note: evolution-equation residuals skipped; they need at least "
-              f"{MIN_POINTS} uniformly spaced snapshots no more than "
-              f"{RESIDUAL_CADENCE_MAX:g} apart in T (rerun simulate with --cadence "
-              f"{RESIDUAL_CADENCE_MAX:g} or finer)")
     print(f"verify: report written to {out}")
-    return EXIT_OK if report.all_pass else EXIT_RUNTIME
+    return _print_report(report, series)
 
 
 def _cmd_compare_limits(args) -> int:

@@ -14,8 +14,8 @@ from typing import List, Optional
 import numpy as np
 
 from .dynamics import STEP_MULTIPLE_RTOL, SnapshotSeries
-from .state import MIN_POINTS, WeightFunction, make_grid, norm_violation
-from .stencils import build_plan, d_dC, interpolate
+from .state import MIN_POINTS, make_grid, norm_violation
+from .stencils import build_plan, d_dC, interior, interpolate
 
 ORTHOGONALITY_EPS = 1e-30      # guards the force-scale denominator
 REFERENCE_ZERO_REL_TOL = 1e-3  # |Q| at the reference labels, relative to max |Q|;
@@ -54,11 +54,10 @@ class InvariantReport:
         raise KeyError(name)
 
 
-def derived_fields(state, geom, w: WeightFunction, grid):
+def derived_fields(state, geom, config):
     """(beta, rho_star): speed in units of c and invariant density
-    f / sqrt(gamma), per node."""
-    f = np.exp(w.log_f(grid.nodes))
-    return np.abs(state.u1) / state.u0, f / np.sqrt(geom.gamma)
+    f / sqrt(gamma), per node, f the config's weight_f."""
+    return np.abs(state.u1) / state.u0, config.weight_f / np.sqrt(geom.gamma)
 
 
 def _worst(block: np.ndarray, Ts, Cs):
@@ -179,4 +178,4 @@ def pde_residual(series: SnapshotSeries):
                     for y, f in ((t, f0 / cfg.c), (x, f1)))
 
     interior_snaps = slice(4, K - 4)          # two nested central time stencils
-    return res_t, res_x, interior_snaps, cfg.plan.interior
+    return res_t, res_x, interior_snaps, interior(cfg.stencil_order, cfg.grid.n_points)

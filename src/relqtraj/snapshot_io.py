@@ -167,13 +167,14 @@ def write_snapshots(
     report: Optional[InvariantReport] = None,
     **run,
 ) -> List[str]:
-    """One TSV table per snapshot plus manifest.tsv; returns written paths.
-    Each keyword in run (the CLI's code_version, start_time and end_time,
-    then simulate's cadence or analytic's kind and parameter) becomes a
-    run.<key> line of the manifest, in call order; a float value is one
-    17-digit cell.  Snapshot times that do not strictly increase, or two
-    snapshots whose T give one file name (10 significant digits), are a
-    ValueError, raised before any file is written."""
+    """One TSV table per snapshot, manifest.tsv and, given a report,
+    write_report's report.tsv; returns the written paths.  Each keyword in
+    run (the CLI's code_version, start_time and end_time, then simulate's
+    cadence or analytic's kind and parameter) becomes a run.<key> line of
+    the manifest, in call order; a float value is one 17-digit cell.
+    Snapshot times that do not strictly increase, or two snapshots whose T
+    give one file name (10 significant digits), are a ValueError, raised
+    before any file is written."""
     cfg, times = series.config, series.times
     for T0, T1 in zip(times, times[1:]):
         if not T1 > T0:
@@ -194,7 +195,7 @@ def write_snapshots(
     for name, T, s in zip(names, T_cells, series):
         # t, x, u0, u1, gamma, Q, tau_T, beta, rho_star, n cells each
         cells = format_cells((*s.state.y, s.geometry.gamma, s.quantum.Q, s.quantum.tau_T,
-                              *derived_fields(s.state, s.geometry, cfg.weight, cfg.grid)))
+                              *derived_fields(s.state, s.geometry, cfg)))
         columns = ([T] * n, C, *(cells[k:k + n] for k in range(0, len(cells), n)))
         written.append(os.path.join(path, name))
         write_table(written[-1], [SNAPSHOT_COLUMNS, *zip(*columns, strict=True)])
@@ -204,11 +205,11 @@ def write_snapshots(
     rows += [(f"run.{key}", val if isinstance(val, str) else _fmt(val))
              for key, val in run.items()]
     rows += [(f"snapshot.{i}", name, T) for i, (name, T) in enumerate(zip(names, T_cells))]
-    if report is not None:
-        rows += [(f"invariant.{r.name}", _fmt(r.max_abs_violation), r.verdict)
-                 for r in report.records]
     written.append(os.path.join(path, "manifest.tsv"))
     write_table(written[-1], rows)
+    if report is not None:
+        written.append(os.path.join(path, "report.tsv"))
+        write_report(report, written[-1])
     return written
 
 

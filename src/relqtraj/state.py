@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .stencils import STENCIL_ORDERS, StencilPlan, build_plan
+from .stencils import STENCIL_ORDERS, build_plan
 
 MIN_POINTS = 9          # widest stencil pair (two nested 5-point windows)
 _FIELDS = {4: ("t", "x", "u0", "u1"), 2: ("x", "v")}  # state rows by row count
@@ -191,11 +191,12 @@ def check_positive(**values: float) -> None:
 @dataclass(frozen=True)
 class SimConfig:
     """Physical constants, grid, integrator step and tolerances for one run.
-    The run's derivative operator (plan), half the weight's log-derivative
-    on the grid nodes (half_dlogf, for log_form_Q), the constant rows of
-    the RK stage (force_sign, rhs_divisor) and its read-only 0-d constants
-    (c_sq, neg_mc_sq, neg_hbar_sq_over_2m, m, rk_weights) are derived once,
-    the squares at construction and the rest on first use; not config keys."""
+    The run's derivative matrix (plan), the weight on the grid nodes
+    (weight_f, for rho_star) and half its log-derivative there (half_dlogf,
+    for log_form_Q), the constant rows of the RK stage (force_sign,
+    rhs_divisor) and its read-only 0-d constants (c_sq, neg_mc_sq,
+    neg_hbar_sq_over_2m, m, rk_weights) are derived once, the squares at
+    construction and the rest on first use; not config keys."""
 
     c: float
     weight: WeightFunction
@@ -222,8 +223,13 @@ class SimConfig:
                 from None
 
     @cached_property
-    def plan(self) -> StencilPlan:
+    def plan(self) -> np.ndarray:
         return build_plan(self.grid, self.stencil_order)
+
+    @cached_property
+    def weight_f(self) -> np.ndarray:
+        """f = exp(ln f) on the grid nodes, the numerator of rho_star."""
+        return _read_only(np.exp(self.weight.log_f(self.grid.nodes)))
 
     @cached_property
     def half_dlogf(self) -> np.ndarray:

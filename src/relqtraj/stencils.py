@@ -4,9 +4,9 @@ First derivatives use centered stencils of the configured order in the
 interior and matching-order one-sided stencils at the edges (no boundary
 condition is imposed; edge rows simply use the widest available window).
 Nested second derivatives are always formed by applying the first-derivative
-operator twice, never by a dedicated second-derivative stencil.  A plan
-carries its grid, so d_dC(values, plan) needs nothing else; a run's plan is
-SimConfig.plan, built once per config.
+operator twice, never by a dedicated second-derivative stencil.  A plan is
+the read-only (n, n) derivative matrix D itself, so d_dC(values, D) is one
+product; a run's plan is SimConfig.plan, built once per config.
 
 Every weight comes from fornberg_weights: derivative order 1 for the plan
 rows, all filled by one call on the stack of row windows, and order 0 for
@@ -16,7 +16,6 @@ the same under every BLAS kernel; only d_dC's products depend on one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,26 +59,13 @@ def fornberg_weights(xs: np.ndarray, x0: float | np.ndarray, deriv: int) -> np.n
     return w[deriv]
 
 
-@dataclass(frozen=True)
-class StencilPlan:
-    """First-derivative plan for a uniform grid and its dense operator matrix:
-    centered rows in the interior, one-sided rows at the edges."""
-
-    grid: SpatialGrid
-    order: int
-    matrix: np.ndarray                  # (n, n) dense derivative operator
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def interior(self) -> slice:
-        """Node range covered by the centered stencil."""
-        half = self.order // 2
-        return slice(half, self.grid.n_points - half)
+def interior(order: int, n: int) -> slice:
+    """Node range of n nodes covered by the centered stencil of this order."""
+    return slice(order // 2, n - order // 2)
 
 
-def build_plan(grid: SpatialGrid, order: int) -> StencilPlan:
+def build_plan(grid: SpatialGrid, order: int) -> np.ndarray:
+    """The read-only (n, n) first-derivative matrix, one-sided rows at the edges."""
     if order not in STENCIL_ORDERS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     n = grid.n_points
@@ -87,34 +73,32 @@ def build_plan(grid: SpatialGrid, order: int) -> StencilPlan:
     cols = np.clip(rows - order // 2, 0, n - order - 1) + np.arange(order + 1)
     D = np.zeros((n, n))
     D[rows, cols] = fornberg_weights(grid.nodes[cols], grid.nodes, 1)
-    return StencilPlan(grid, order, D)
+    D.setflags(write=False)
+    return D
 
 
-def _grid_values(values, grid: SpatialGrid) -> np.ndarray:
+def _grid_values(values, n: int) -> np.ndarray:
     """values as a float (n,) or (n, k) array, n the number of grid nodes."""
     values = np.asarray(values, dtype=float)
-    if values.shape[:1] != (grid.n_points,) or values.ndim > 2:
-        raise ValueError(
-            f"values shape {values.shape} does not match grid ({grid.n_points}[, k])"
-        )
+    if values.shape[:1] != (n,) or values.ndim > 2:
+        raise ValueError(f"values shape {values.shape} does not match grid ({n}[, k])")
     return values
 
 
-def d_dC(values: np.ndarray, plan: StencilPlan) -> np.ndarray:
+def d_dC(values: np.ndarray, D: np.ndarray) -> np.ndarray:
     """First derivative of nodal values with respect to the label C along the
-    first axis; a stacked (n, k) array is one BLAS matrix product, whose
-    columns can differ from 1-D calls in the last bits.
+    first axis, by the plan D; a stacked (n, k) array is one BLAS matrix
+    product, whose columns can differ from 1-D calls in the last bits.
 
     A contiguous float64 (n,) array, the RK stages' only input, skips the
     _grid_values check and runs as ndarray.dot: the same single gemv as the
     matmul, bit for bit, at about half the call overhead.  The cheapest
     tests come first; a float64 dtype that is not numpy's own instance only
     takes the checked path."""
-    D = plan.matrix
     if (type(values) is np.ndarray and values.ndim == 1 and values.dtype is _FLOAT64
             and len(values) == len(D) and values.flags.c_contiguous):
         return D.dot(values)
-    return D @ _grid_values(values, plan.grid)
+    return D @ _grid_values(values, len(D))
 
 
 def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):
@@ -126,7 +110,7 @@ def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):
     column for a stacked (n, k) array, each column bitwise its 1-D call (the
     four terms are summed one by one, in node order).
     """
-    values = _grid_values(values, grid)
+    values = _grid_values(values, grid.n_points)
     nodes = grid.nodes
     if not (nodes[0] <= c_query <= nodes[-1]):
         raise ValueError(f"query {c_query} outside grid [{nodes[0]}, {nodes[-1]}]")

@@ -22,6 +22,7 @@ from relqtraj.analytic import (
     inertial_ensemble,
     sample_state,
 )
+from relqtraj.stencils import interior as interior_nodes
 
 from conftest import baseline_config
 from _hyperbolic_oracle import hyperbolic_unit_metric_weight
@@ -157,7 +158,7 @@ class TestAcceptance:
 
         Q_num, _ = rq.compute_Q(gamma, cfg)
         Q_exact = hyperbolic_gamma_one_Q(B, grid.nodes, m, c)
-        interior = cfg.plan.interior
+        interior = interior_nodes(cfg.stencil_order, grid.n_points)
         q_err = float(np.max(np.abs((Q_num - Q_exact)[interior])))
         q_rel = q_err / float(np.max(np.abs(Q_exact)))
 

@@ -107,6 +107,31 @@ class TestSimulate:
         assert [ln for ln in manifest if ln.startswith("invariant.")] == []
         assert main(["verify", "--snapshots", str(out)]) == 0
 
+    @pytest.mark.parametrize("name, cut, cadence, noted", [
+        ("gaussian_c3.txt", ("time.final = 10", "time.final = 1"), "0.025", False),
+        ("exponential.txt", None, "1", True),
+    ])
+    def test_verify_rewrites_the_report_simulate_wrote(self, tmp_path, capsys,
+                                                       name, cut, cadence, noted):
+        text = (CONFIGS / name).read_text()
+        if cut:
+            assert cut[0] in text
+            text = text.replace(*cut)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", _write(tmp_path, name, text),
+                     "--out", str(out), "--cadence", cadence])
+        simulated = capsys.readouterr().out.splitlines()
+        written = (out / "report.tsv").read_bytes()
+        assert main(["verify", "--snapshots", str(out)]) == code
+        verified = capsys.readouterr().out.splitlines()
+        assert (out / "report.tsv").read_bytes() == written
+        assert verified[0] == f"verify: report written to {out}/report.tsv"
+        assert simulated[1:] == verified[1:]
+        assert any(line.startswith("note: evolution-equation residuals skipped")
+                   for line in verified) == noted
+        manifest = (out / "manifest.tsv").read_text().splitlines()
+        assert [ln for ln in manifest if ln.startswith("invariant.")] == []
+
     def test_unknown_key_is_validation_error(self, tmp_path):
         cfg = _write(tmp_path, "bad.cfg", GAUSS_CFG + "\nwhat = 1\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

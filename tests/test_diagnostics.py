@@ -53,7 +53,7 @@ class TestDerivedFields:
         cfg = baseline_config()
         snap = rq.make_snapshot(rq.rest_initial_state(cfg), cfg)
         st, geom = snap.state, snap.geometry
-        beta, rho_star = rq.derived_fields(st, geom, cfg.weight, cfg.grid)
+        beta, rho_star = rq.derived_fields(st, geom, cfg)
         np.testing.assert_array_equal(beta, np.zeros(25))
         # unit metric: invariant density reduces to the weight itself
         f = np.exp(cfg.weight.log_f(cfg.grid.nodes))
@@ -63,7 +63,7 @@ class TestDerivedFields:
     def test_edge_speeds_grow_relativistic(self, baseline_series):
         cfg = baseline_series.config
         last = baseline_series.snapshots[-1]
-        beta, _ = rq.derived_fields(last.state, last.geometry, cfg.weight, cfg.grid)
+        beta, _ = rq.derived_fields(last.state, last.geometry, cfg)
         assert beta.max() > 0.5
         assert np.all(beta < 1.0)
 

@@ -3,7 +3,7 @@ import pytest
 
 import relqtraj as rq
 from relqtraj.nonrel import NonRelState
-from relqtraj.state import StateValidationError
+from relqtraj.state import StateValidationError, WeightFunction
 
 from conftest import baseline_config
 
@@ -86,7 +86,7 @@ class TestNonRelRhs:
         m, hbar = cfg.mass, cfg.hbar
 
         def D(u):
-            return cfg.plan.matrix @ u
+            return cfg.plan @ u
 
         x_C = D(x)
         gamma = x_C ** 2
@@ -171,12 +171,11 @@ class TestNonRelIntegrate:
         assert np.log2(e1 / e2) == pytest.approx(4.0, abs=0.5)
 
 
-def test_the_gaussian_ensemble_energy_is_conserved():
-    # <H> = sum f h [m v^2 / 2 + (hbar^2 / 8m) r^2 / x_C^2], r = d_C ln f -
-    # d_C ln x_C: in the continuum the Q term integrates by parts to this
-    # Fisher term, so E is conserved.  The relative drift reads 4.3e-15 to T = 4
-    # and 8.9e-15 to T = 10; dividing the force by x_C^2 instead of x_C reads 0.18.
-    cfg = baseline_config(t_final=4.0)
+def _energies(cfg, cadence):
+    """<H> = sum f h [m v^2 / 2 + (hbar^2 / 8m) r^2 / x_C^2], r = d_C ln f -
+    d_C ln x_C, of each record of the non-relativistic run of cfg: in the
+    continuum the Q term integrates by parts to this Fisher term, so E is
+    conserved."""
     C = cfg.grid.nodes
     fh = np.exp(cfg.weight.log_f(C)) * (C[1] - C[0])
 
@@ -186,6 +185,32 @@ def test_the_gaussian_ensemble_energy_is_conserved():
         kinetic = 0.5 * cfg.mass * state.v ** 2
         return np.sum(fh * (kinetic + cfg.hbar ** 2 / (8 * cfg.mass) * r ** 2 / x_C ** 2))
 
-    E = np.array([energy(s) for s in rq.nonrel_integrate(cfg, cadence=0.5)])
+    return np.array([energy(s) for s in rq.nonrel_integrate(cfg, cadence=cadence)])
+
+
+def test_the_gaussian_ensemble_energy_is_conserved():
+    # The relative drift reads 4.3e-15 to T = 4 and 8.9e-15 to T = 10;
+    # dividing the force by x_C^2 instead of x_C reads 0.18.
+    E = _energies(baseline_config(t_final=4.0), cadence=0.5)
     assert len(E) == 9
     assert np.abs(E - E[0]).max() <= 1e-13 * E[0]
+
+
+def test_the_quartic_ensemble_energy_converges_at_T_1():
+    # ln f = -C^2 / 2 - 0.05 C^4 on [-3.5, 3.5], order 4: the relative drift
+    # at T = 1 reads -6.053e-4 / -9.481e-5 / -2.169e-5 at N = 17 / 25 / 33
+    # (observed orders 4.57 and 5.13; the same digits at dt = 1e-3 and under
+    # the Prescott kernel).  Dividing the force by x_C^2 instead of x_C reads
+    # -6.0e-2 at every N.  The series stops at N = 33: N = 41 reads +4.9e-5,
+    # the edge rows' grid-scale instability, not truncation.
+    weight = WeightFunction("quartic", ((2, -0.5), (4, -0.05)))
+    ns = np.array([17, 25, 33])
+    drift = []
+    for n in ns:
+        cfg = rq.SimConfig(c=1.0, weight=weight, grid=rq.make_grid(-3.5, 3.5, n),
+                           t_final=1.0, dt=1e-2)
+        E = _energies(cfg, cadence=1.0)
+        drift.append((E[-1] - E[0]) / E[0])
+    assert [float(f"{d:.1e}") for d in drift] == [-6.1e-4, -9.5e-5, -2.2e-5]  # two digits
+    orders = np.log(np.divide(drift[:-1], drift[1:])) / np.log(ns[1:] / ns[:-1])
+    assert orders.min() >= 4.0

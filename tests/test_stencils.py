@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import relqtraj as rq
-from relqtraj.stencils import fornberg_weights
+from relqtraj.stencils import fornberg_weights, interior
 
 from conftest import baseline_config
 
@@ -62,11 +62,11 @@ def _lagrange(values, grid, c_query):
                                         for k in range(4) if k != i]) for i in range(4))
 
 
-class TestStencilPlan:
+class TestBuildPlan:
     def test_rows_sum_to_zero(self, order):
         g = rq.make_grid(-1, 1, 21)
         plan = rq.build_plan(g, order)
-        np.testing.assert_allclose(plan.matrix.sum(axis=1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=1), 0.0, atol=1e-12)
 
     def test_polynomial_exactness_all_nodes(self, order):
         # width-(order+1) rows differentiate degree <= order exactly,
@@ -77,6 +77,13 @@ class TestStencilPlan:
             d = rq.d_dC(g.nodes ** k, plan)
             expect = np.zeros(21) if k == 0 else k * g.nodes ** (k - 1)
             np.testing.assert_allclose(d, expect, atol=5e-12)
+
+    def test_interior_holds_the_centered_rows(self, order):
+        plan = rq.build_plan(rq.make_grid(-1, 1, 21), order)
+        ends = [np.flatnonzero(row)[[0, -1]] - i for i, row in enumerate(plan)]
+        centered = [i for i, e in enumerate(ends) if e.tolist() == [-(order // 2), order // 2]]
+        assert range(21)[interior(order, 21)] == range(centered[0], centered[-1] + 1)
+        assert len(centered) == 21 - order
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
@@ -98,7 +105,9 @@ class TestStencilPlan:
     def test_matrix_is_the_scalar_recursion_bitwise(self, order, span):
         # the plan is built without a BLAS call, so this holds under every kernel
         grid = rq.make_grid(*span)
-        assert np.array_equal(rq.build_plan(grid, order).matrix, _scalar_plan_matrix(grid, order))
+        plan = rq.build_plan(grid, order)
+        assert plan.dtype == np.float64 and not plan.flags.writeable
+        assert np.array_equal(plan, _scalar_plan_matrix(grid, order))
 
     @pytest.mark.parametrize("deriv", [0, 1, 2, 3])
     def test_every_stacked_window_is_its_own_call_bitwise(self, deriv):
@@ -160,11 +169,11 @@ class TestDerivative:
     @pytest.mark.parametrize("n", [9, 25, 101, 401])
     def test_every_1d_input_is_the_matrix_product_bitwise(self, order, n):
         # a contiguous float64 row takes d_dC's fast path; views, lists and
-        # integer arrays take the checked one; all equal plan.matrix @ values
+        # integer arrays take the checked one; all equal plan @ values
         plan = rq.build_plan(rq.make_grid(-5, 5, n), order)
         stack = np.random.default_rng(n).standard_normal((n, 3)) * [1.0, 1e-3, 1e6]
         for v in (stack[:, 0].copy(), stack[:, 1], stack.T[2], np.arange(n)):
-            want = plan.matrix @ np.asarray(v, dtype=float)
+            want = plan @ np.asarray(v, dtype=float)
             assert rq.d_dC(v, plan).tobytes() == want.tobytes()
             assert rq.d_dC(v.tolist(), plan).tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="does not match grid"):
@@ -265,14 +274,16 @@ class TestOnePlanPerConfig:
     def test_the_plan_and_dlogf_are_cached_per_config(self):
         cfg = baseline_config()
         assert cfg.plan is cfg.plan and cfg.half_dlogf is cfg.half_dlogf
-        assert (cfg.plan.grid, cfg.plan.order) == (cfg.grid, 4)
+        assert np.array_equal(cfg.plan, rq.build_plan(cfg.grid, 4))
         second = replace(cfg, stencil_order=2)
         assert second.plan is not cfg.plan
-        assert second.plan.order == 2 and cfg.plan.order == 4
-        assert np.array_equal(second.plan.matrix, rq.build_plan(cfg.grid, 2).matrix)
+        assert np.array_equal(second.plan, rq.build_plan(cfg.grid, 2))
         np.testing.assert_array_equal(cfg.half_dlogf, 0.5 * cfg.weight.dlog_f(cfg.grid.nodes))
-        with pytest.raises(ValueError, match="read-only"):
-            cfg.half_dlogf[0] = 1.0
+        assert cfg.weight_f is cfg.weight_f
+        assert cfg.weight_f.tobytes() == np.exp(cfg.weight.log_f(cfg.grid.nodes)).tobytes()
+        for cached in (cfg.plan, cfg.half_dlogf, cfg.weight_f):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
 
     def test_the_stage_constants_are_derived_once_per_config(self):
         cfg = rq.SimConfig(c=3.0, mass=2.0, weight=rq.gaussian_weight(0.5),

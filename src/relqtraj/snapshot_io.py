@@ -1,16 +1,16 @@
 """Config parsing and snapshot/report serialization.
 
 Config files are flat "key = value" text, every key stated once in _KEYS and
-_WEIGHTS.  Snapshot series are written as one tab-separated table per slice
-(17 significant digits, enough to round-trip float64 exactly) plus a manifest
-that echoes every input needed to reproduce the run bitwise.
+_WEIGHTS.  A snapshot series is written as one tab-separated table, N rows per
+slice (17 significant digits, enough to round-trip float64 exactly), plus a
+manifest that echoes every input needed to reproduce the run bitwise.
 """
 
 from __future__ import annotations
 
 import os
 from operator import attrgetter
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -157,54 +157,47 @@ def write_table(fname: str, rows) -> None:
         raise OSError(f"cannot write table {fname}: {exc}") from exc
 
 
-def _snapshot_filename(T: float) -> str:
-    return f"snap_T{format(float(T), '.10g')}.tsv"
-
-
 def write_snapshots(
     series: SnapshotSeries,
     path: str,
     report: Optional[InvariantReport] = None,
     **run,
 ) -> List[str]:
-    """One TSV table per snapshot, manifest.tsv and, given a report,
-    write_report's report.tsv; returns the written paths.  Each keyword in
-    run (the CLI's code_version, start_time and end_time, then simulate's
-    cadence or analytic's kind and parameter) becomes a run.<key> line of
-    the manifest, in call order; a float value is one 17-digit cell.
-    Snapshot times that do not strictly increase, or two snapshots whose T
-    give one file name (10 significant digits), are a ValueError, raised
+    """The series as one TSV table, snapshots.tsv: N rows per snapshot, in T
+    order, under one SNAPSHOT_COLUMNS header.  Then manifest.tsv and, given
+    a report, write_report's report.tsv; returns the written paths.  The
+    table is streamed a snapshot at a time.  Each keyword in run (the CLI's
+    code_version, start_time and end_time, then simulate's cadence or
+    analytic's kind and parameter) becomes a run.<key> line of the manifest,
+    in call order; a float value is one 17-digit cell.  An empty series, or
+    snapshot times that do not strictly increase, are a ValueError, raised
     before any file is written."""
     cfg, times = series.config, series.times
+    if not times:
+        raise ValueError("a snapshot series to write needs at least one snapshot")
     for T0, T1 in zip(times, times[1:]):
         if not T1 > T0:
             raise ValueError(f"snapshot times must strictly increase: T = {_fmt(T0)} "
                              f"is followed by T = {_fmt(T1)}")
-    names = {}  # file name -> T, one entry per snapshot
-    for s in series:
-        name = _snapshot_filename(s.tau_ensemble)
-        if name in names:
-            raise ValueError(f"snapshots at T = {_fmt(names[name])} and T = "
-                             f"{_fmt(s.tau_ensemble)} would share the file {name}")
-        names[name] = s.tau_ensemble
     os.makedirs(path, exist_ok=True)
     n = cfg.grid.n_points
     C = format_cells(cfg.grid.nodes)
-    T_cells = format_cells(times)  # the tables' T and the manifest's
-    written = []
-    for name, T, s in zip(names, T_cells, series):
-        # t, x, u0, u1, gamma, Q, tau_T, beta, rho_star, n cells each
-        cells = format_cells((*s.state.y, s.geometry.gamma, s.quantum.Q, s.quantum.tau_T,
-                              *derived_fields(s.state, s.geometry, cfg)))
-        columns = ([T] * n, C, *(cells[k:k + n] for k in range(0, len(cells), n)))
-        written.append(os.path.join(path, name))
-        write_table(written[-1], [SNAPSHOT_COLUMNS, *zip(*columns, strict=True)])
 
+    def table():  # one snapshot's cells at a time
+        yield SNAPSHOT_COLUMNS
+        for T, s in zip(format_cells(times), series):
+            # t, x, u0, u1, gamma, Q, tau_T, beta, rho_star, n cells each
+            cells = format_cells((*s.state.y, s.geometry.gamma, s.quantum.Q, s.quantum.tau_T,
+                                  *derived_fields(s.state, s.geometry, cfg)))
+            yield from zip([T] * n, C, *(cells[k:k + n] for k in range(0, len(cells), n)),
+                           strict=True)
+
+    written = [os.path.join(path, "snapshots.tsv")]
+    write_table(written[-1], table())
     rows = [(f"config.{key}", val) for key, _, val in
             (line.partition(" = ") for line in config_to_text(cfg).splitlines())]
     rows += [(f"run.{key}", val if isinstance(val, str) else _fmt(val))
              for key, val in run.items()]
-    rows += [(f"snapshot.{i}", name, T) for i, (name, T) in enumerate(zip(names, T_cells))]
     written.append(os.path.join(path, "manifest.tsv"))
     write_table(written[-1], rows)
     if report is not None:
@@ -214,69 +207,70 @@ def write_snapshots(
 
 
 def read_snapshots(path: str) -> SnapshotSeries:
-    """Rebuild a SnapshotSeries from a snapshot directory.
+    """Rebuild a SnapshotSeries from a snapshot directory: the config from
+    its manifest.tsv, the snapshots from its snapshots.tsv.
 
     Stored t, x, u0, u1, Q round-trip bitwise; geometry derivatives, forces
     and the g01 residual are recomputed from them with the same stencils the
-    run used, so verification never trusts integrator internals.  A table
-    whose header, C or T column differs from SNAPSHOT_COLUMNS, the manifest's
-    grid nodes or its manifest T is rejected with ValueError, as is a table
-    with no data rows, a manifest line with the wrong number of fields, a bad
-    snapshot index or T, or a snapshot name that is not a plain file name
-    inside path; so is a manifest that lists no snapshot, repeats an index
-    or whose T do not strictly increase in index order (gaps are legal).
+    run used, so verification never trusts integrator internals.  A missing
+    manifest.tsv or snapshots.tsv is a FileNotFoundError.  A manifest config
+    line without exactly one value is a ValueError, and so is a table whose
+    header is not SNAPSHOT_COLUMNS, that has no data rows, a row that does
+    not hold one value per column, a row count that is not a whole number of
+    N-row slices, a T column that is not constant within a slice or does not
+    strictly increase from slice to slice, or a C column that is not the
+    manifest grid's nodes.
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"no manifest.tsv in {path}")
     config_lines = []
-    snap_files: List[Tuple[int, str, float]] = []
     with open(manifest, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             key, *values = raw.rstrip("\n").split("\t")
-            try:
-                if key.startswith("config."):
-                    (value,) = values
-                    config_lines.append(f"{key[len('config.'):]} = {value}")
-                elif key.startswith("snapshot."):
-                    name, T = values
-                    if name in ("", os.curdir, os.pardir) or os.path.basename(name) != name:
-                        raise ValueError(f"not a file name in {path}: {name!r}")
-                    snap_files.append((int(key[len("snapshot."):]), name, float(T)))
-            except ValueError as exc:  # wrong field count, bad index, name or T
-                raise ValueError(
-                    f"{manifest}: line {lineno}: malformed entry {raw.rstrip()!r}") from exc
+            if key.startswith("config."):
+                if len(values) != 1:
+                    raise ValueError(f"{manifest}: line {lineno}: malformed entry {raw.rstrip()!r}")
+                config_lines.append(f"{key[len('config.'):]} = {values[0]}")
     cfg = parse_config("\n".join(config_lines))
-    snap_files.sort()
-    if not snap_files:
-        raise ValueError(f"{manifest}: lists no snapshot")
-    for (i, _, T0), (j, _, T1) in zip(snap_files, snap_files[1:]):
-        if i == j:
-            raise ValueError(f"{manifest}: snapshot index {i} is listed twice")
+    fname = os.path.join(path, "snapshots.tsv")
+    if not os.path.exists(fname):
+        raise FileNotFoundError(f"no snapshots.tsv in {path}")
+    n, width = cfg.grid.n_points, len(SNAPSHOT_COLUMNS)
+    with open(fname, "r", encoding="utf-8") as fh:
+        if tuple(fh.readline().rstrip("\n").split("\t")) != SNAPSHOT_COLUMNS:
+            raise ValueError(f"{fname}: header row is not {' '.join(SNAPSHOT_COLUMNS)}")
+        start = fh.tell()
+        if not any(row.strip() for row in iter(fh.readline, "")):  # loadtxt warns on no data
+            raise ValueError(f"{fname}: no data rows")
+        fh.seek(start)
+        try:
+            table = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2)
+        except ValueError as exc:  # a row of another length than the first, or a bad cell
+            raise ValueError(f"{fname}: {exc}") from exc
+    rows, cols = table.shape
+    if cols != width:
+        raise ValueError(f"{fname}: rows hold {cols} values, not {width}")
+    if rows % n:
+        raise ValueError(f"{fname}: {rows} data rows are not a whole number of "
+                         f"{n}-row slices")
+    # (K, 11, N): each slice's state rows t, x, u0, u1 and its Q row are contiguous
+    slices = np.ascontiguousarray(table.reshape(-1, n, width).transpose(0, 2, 1))
+    Ts = slices[:, 0]
+    mixed = np.flatnonzero((Ts != Ts[:, :1]).any(axis=1))
+    if mixed.size:
+        k = mixed[0]
+        raise ValueError(f"{fname}: column T is not constant in slice {k} "
+                         f"(data rows {k * n + 1} to {(k + 1) * n})")
+    times = Ts[:, 0].tolist()
+    for k, (T0, T1) in enumerate(zip(times, times[1:]), start=1):
         if not T1 > T0:
-            raise ValueError(f"{manifest}: snapshot.{j} has T = {_fmt(T1)}, "
-                             f"not after snapshot.{i}'s T = {_fmt(T0)}")
-    snapshots = []
-    for _, name, T in snap_files:
-        fname = os.path.join(path, name)
-        with open(fname, "r", encoding="utf-8") as fh:
-            if tuple(fh.readline().rstrip("\n").split("\t")) != SNAPSHOT_COLUMNS:
-                raise ValueError(f"{fname}: header row is not {' '.join(SNAPSHOT_COLUMNS)}")
-            rows = fh.readlines()
-            if not any(row.strip() for row in rows):
-                raise ValueError(f"{fname}: no data rows")
-            try:
-                # rows in SNAPSHOT_COLUMNS order, one contiguous array like the solver's
-                cols = np.ascontiguousarray(
-                    np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2).T)
-                Ts, C, _, _, _, _, _, Q, _, _, _ = cols
-            except ValueError as exc:  # a row or every row of the wrong length
-                raise ValueError(f"{fname}: {exc}") from exc
-        if not np.array_equal(C, cfg.grid.nodes):
-            raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
-        if not (Ts == T).all():
-            raise ValueError(f"{fname}: column T is not the manifest's T = {_fmt(T)}")
-        snapshots.append(make_snapshot(EnsembleState(T, cols[2:6]), cfg, Q=Q))  # t, x, u0, u1
+            raise ValueError(f"{fname}: slice {k} has T = {_fmt(T1)}, "
+                             f"not after T = {_fmt(T0)}")
+    if not (slices[:, 1] == cfg.grid.nodes).all():
+        raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
+    snapshots = [make_snapshot(EnsembleState(T, s[2:6]), cfg, Q=s[7])  # t, x, u0, u1
+                 for T, s in zip(times, slices)]
     return SnapshotSeries(config=cfg, snapshots=snapshots)
 
 

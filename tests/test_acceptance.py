@@ -260,7 +260,7 @@ class TestAcceptance:
                             "(want 4.0 +- 0.3)")
 
     def test_10_determinism(self, tmp_path):
-        """Identical config implies bitwise identical snapshot files."""
+        """Identical config implies a bitwise identical snapshot table."""
         cfg_text = (
             "c = 3\nweight.kind = gaussian\nweight.a = 0.5\n"
             "grid.min = -5\ngrid.max = 5\ngrid.n = 25\n"
@@ -278,9 +278,7 @@ class TestAcceptance:
             ).returncode
             assert code in (0, 2), "simulate must complete"
             outs.append(out)
-        files1 = sorted(outs[0].glob("snap_*.tsv"))
-        ok = len(files1) == 11
-        for p1 in files1:
-            p2 = outs[1] / p1.name
-            ok = ok and p2.exists() and p1.read_bytes() == p2.read_bytes()
-        assert _line(10, ok, f"{len(files1)} snapshot files byte-identical across reruns")
+        table1, table2 = ((out / "snapshots.tsv").read_bytes() for out in outs)
+        slices = table1.count(b"\n") // 25  # the header and 25 rows per slice
+        ok = slices == 11 and table1 == table2
+        assert _line(10, ok, f"snapshots.tsv of {slices} slices byte-identical across reruns")

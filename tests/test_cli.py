@@ -51,15 +51,32 @@ def _exponential_output(out):
     return out
 
 
+def _slice_rows(lines, T):
+    """The indices in lines, snapshots.tsv read as lines, of the slice at T."""
+    return [k for k, line in enumerate(lines) if k and float(line.split("\t")[0]) == T]
+
+
+def _set_cell(out, T, node, column, value):
+    """Put value in the cell of column at label index node of the slice at T
+    in out/snapshots.tsv."""
+    table = out / "snapshots.tsv"
+    lines = table.read_text().splitlines()
+    k = _slice_rows(lines, T)[node]
+    row = lines[k].split("\t")
+    row[lines[0].split("\t").index(column)] = value
+    lines[k] = "\t".join(row)
+    table.write_text("\n".join(lines) + "\n")
+
+
 class TestSimulate:
     def test_run_and_outputs(self, tmp_path, capsys):
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG)
         out = tmp_path / "out"
         code = main(["simulate", "--config", cfg, "--out", str(out)])
         # snapshots exist regardless of whether every invariant met tolerance
-        snaps = sorted(out.glob("snap_*.tsv"))
-        assert len(snaps) == 3  # T = 0, 1, 2
-        assert (out / "manifest.tsv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv", "report.tsv",
+                                                          "snapshots.tsv"]
+        assert rq.read_snapshots(str(out)).times == [0.0, 1.0, 2.0]
         assert code in (0, 2)
         assert "simulate:" in capsys.readouterr().out
 
@@ -102,7 +119,7 @@ class TestSimulate:
                             r"four-velocity norm drift \S+ exceeds .* "
                             r"after step to T = 0\.001\n", captured.err)
         assert captured.out == f"simulate: aborted, 1 partial snapshots kept in {out}\n"
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv", "snap_T0.tsv"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv", "snapshots.tsv"]
         manifest = (out / "manifest.tsv").read_text().splitlines()
         assert [ln for ln in manifest if ln.startswith("invariant.")] == []
         assert main(["verify", "--snapshots", str(out)]) == 0
@@ -233,10 +250,11 @@ class TestAnalyticVerify:
         assert main(["analytic", "--kind", "exponential", "--kappa", "0.3",
                      "--c", "1", "--grid-min", "-2", "--grid-max", "2",
                      "--grid-n", "25", "--times", "0,1,2", "--out", str(out)]) == 0
-        txt = sorted(out.glob("snap_*.tsv"))[-1].read_text().splitlines()
+        txt = (out / "snapshots.tsv").read_text().splitlines()
         cols = txt[0].split("\t")
-        x = [float(r.split("\t")[cols.index("x")]) for r in txt[1:]]
-        C = [float(r.split("\t")[cols.index("C")]) for r in txt[1:]]
+        rows = [txt[k].split("\t") for k in _slice_rows(txt, 2.0)]
+        x = [float(r[cols.index("x")]) for r in rows]
+        C = [float(r[cols.index("C")]) for r in rows]
         assert x == C  # trajectories at rest
 
     def test_hyperbolic_kinds(self, tmp_path):
@@ -327,14 +345,14 @@ class TestAnalyticVerify:
         assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
                      "--grid-max", "2", "--grid-n", "25", "--times", "0,0.5",
                      "--out", str(out)]) == 0
-        table = out / "snap_T0.5.tsv"
+        table = out / "snapshots.tsv"
         table.write_text(table.read_text().splitlines()[0] + "\n")
         assert main(["verify", "--snapshots", str(out)]) == 1
-        assert "snap_T0.5.tsv: no data rows" in capsys.readouterr().err
+        assert "snapshots.tsv: no data rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column, value, message", [
-        ("C", "999", "snap_T0.5.tsv: column C is not"),
-        ("T", "7", "snap_T0.5.tsv: column T is not"),
+        ("C", "999", "snapshots.tsv: column C is not"),
+        ("T", "7", "snapshots.tsv: column T is not constant in slice 1 (data rows 26 to 50)"),
         # t = T + 0.5 at node 4 of x = C, t = T: the one-sided row of node 0
         # reads c t_C = 2 (-1/4) 6 (0.5) = -1.5, so the stored slice is timelike
         ("t", "1", "non-positive spatial metric gamma = -1.25 at node 0 (T = 0.5): "
@@ -346,60 +364,49 @@ class TestAnalyticVerify:
                      "--grid-max", "2", "--grid-n", "25", "--times", "0,0.5,1",
                      "--out", str(out)]) == 0
         capsys.readouterr()
-        table = out / "snap_T0.5.tsv"
-        lines = table.read_text().splitlines()
-        k = lines[0].split("\t").index(column)
-        row = lines[5].split("\t")
-        row[k] = value
-        lines[5] = "\t".join(row)
-        table.write_text("\n".join(lines) + "\n")
+        _set_cell(out, 0.5, 4, column, value)
         assert main(["verify", "--snapshots", str(out)]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and message in line
 
-    @pytest.mark.parametrize("table", ["snap_T0.tsv", "snap_T2.tsv"])
-    def test_verify_fails_a_nan_wherever_it_sits(self, tmp_path, table):
+    @pytest.mark.parametrize("T", [0.0, 2.0])
+    def test_verify_fails_a_nan_wherever_it_sits(self, tmp_path, T):
         out = _exponential_output(tmp_path / "exp")
-        path = out / table
-        lines = path.read_text().splitlines()
-        row = lines[5].split("\t")
-        row[lines[0].split("\t").index("Q")] = "nan"
-        lines[5] = "\t".join(row)
-        path.write_text("\n".join(lines) + "\n")
+        _set_cell(out, T, 4, "Q", "nan")
         assert main(["verify", "--snapshots", str(out)]) == 2
         report = (out / "report.tsv").read_text().splitlines()
         rows = {ln.split("\t")[0]: ln.split("\t") for ln in report[1:]}
-        T = float(table[len("snap_T"):-len(".tsv")])
         for name in ("force_orthogonality", "simultaneity_g01"):
             assert rows[name][1] == "nan"
             assert float(rows[name][2]) == T
             assert rows[name][-1] == "FAIL"
 
-    @pytest.mark.parametrize("rows", ["one", "every"])
-    def test_verify_names_a_table_with_short_rows(self, tmp_path, capsys, rows):
+    @pytest.mark.parametrize("rows, message", [
+        ("one", "snapshots.tsv: "),    # a row of the slice at T = 1
+        ("slice", "snapshots.tsv: "),  # every row of that slice
+        ("every", "snapshots.tsv: rows hold 10 values, not 11"),
+    ])
+    def test_verify_names_a_table_with_short_rows(self, tmp_path, capsys, rows, message):
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG.replace("time.final = 2", "time.final = 1"))
         out = tmp_path / "out"
         main(["simulate", "--config", cfg, "--out", str(out)])
-        table = out / "snap_T1.tsv"
+        capsys.readouterr()
+        table = out / "snapshots.tsv"
         lines = table.read_text().splitlines()
-        for k in ([3] if rows == "one" else range(1, len(lines))):
+        short = {"one": _slice_rows(lines, 1.0)[2:3], "slice": _slice_rows(lines, 1.0),
+                 "every": range(1, len(lines))}[rows]
+        for k in short:
             lines[k] = lines[k].rsplit("\t", 1)[0]
         table.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--snapshots", str(out)]) == 1
-        assert "snap_T1.tsv" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_verify_missing_directory(self, tmp_path):
         assert main(["verify", "--snapshots", str(tmp_path / "none")]) == 1
 
     @pytest.mark.parametrize("key, bad", [
-        ("snapshot.1\t", "snapshot.1\tsnap_T1.tsv"),
         ("config.grid.n\t", "config.grid.n"),
-        ("snapshot.1\t", "snapshot.one\tsnap_T1.tsv\t1"),
-        # a snapshot name must be a plain file name inside the directory
-        *(("snapshot.1\t", f"snapshot.1\t{name}\t1")
-          for name in ("", ".", "..", "../snap_T1.tsv", "sub/snap_T1.tsv")),
-    ], ids=["snapshot-without-T", "config-without-value", "snapshot-index-not-int",
-            "name-empty", "name-dot", "name-dotdot", "name-in-parent", "name-in-subdir"])
+    ], ids=["config-without-value"])
     def test_verify_names_a_malformed_manifest_line(self, tmp_path, capsys, key, bad):
         out = _exponential_output(tmp_path / "exp")
         manifest = out / "manifest.tsv"
@@ -413,12 +420,7 @@ class TestAnalyticVerify:
 
     def test_verify_and_figures_warn_nothing_for_an_inf_cell(self, tmp_path):
         out = _exponential_output(tmp_path / "exp")
-        path = out / "snap_T1.tsv"
-        lines = path.read_text().splitlines()
-        row = lines[5].split("\t")
-        row[lines[0].split("\t").index("Q")] = "inf"
-        lines[5] = "\t".join(row)
-        path.write_text("\n".join(lines) + "\n")
+        _set_cell(out, 1.0, 4, "Q", "inf")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["verify", "--snapshots", str(out)]) == 2
@@ -428,16 +430,13 @@ class TestAnalyticVerify:
         assert rows["force_orthogonality"][1] == "nan"
         assert rows["force_orthogonality"][-1] == "FAIL"
 
-    def test_analytic_refuses_times_that_share_a_file_name(self, tmp_path, capsys):
-        # file names keep 10 significant digits of T
+    def test_times_that_share_10_significant_digits_round_trip(self, tmp_path, capsys):
+        # a series is one table, so no file name rounds T
         out = tmp_path / "out"
-        assert main(["analytic", "--kind", "inertial", "--beta0", "0.6", "--c", "2",
-                     "--grid-min", "-2", "--grid-max", "2", "--grid-n", "25",
-                     "--times", "0,1.00000000001,1.00000000002", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "T = 1.00000000001" in err and "T = 1.00000000002" in err
-        assert "snap_T1.tsv" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert main(["analytic", "--kind", "inertial", "--grid-min", "-2", "--grid-max", "2",
+                     "--grid-n", "17", "--times", "1,1.0000000001", "--out", str(out)]) == 0
+        assert rq.read_snapshots(str(out)).times == [1.0, 1.0000000001]
+        assert main(["verify", "--snapshots", str(out)]) == 0
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan"])
     @pytest.mark.parametrize("flag", ["--tol-invariant", "--tol-residual"])
@@ -475,20 +474,18 @@ class TestAnalyticVerify:
         assert "config.time.final\t0" in (out / "manifest.tsv").read_text().splitlines()
 
 
-# fault -> (analytic --times, manifest edit, the command run on the edited
-# output, the error it must print); with no edit, analytic itself refuses
+# fault -> (analytic --times, edit of the snapshots.tsv lines, the command run
+# on the edited output, the error it must print); with no edit, analytic itself
+# refuses.  Line 0 is the header, and the slice at T = k is lines 1 + 25 k to 25 + 25 k.
 SNAPSHOT_ORDER_FAULTS = {
-    # a repeated index read one table twice, and the residual rows dropped out
-    "repeated-index": ("0,1,2,3",
-                       lambda ls: ls + [ln for ln in ls if ln.startswith("snapshot.1\t")],
-                       "verify", "manifest.tsv: snapshot index 1 is listed twice"),
-    "T-out-of-index-order": ("0,1,2,3", lambda ls: [ln.replace("snapshot.1\t", "snapshot.9\t")
-                                                    for ln in ls],
-                             "verify", "manifest.tsv: snapshot.9 has T = 1, not after "
-                                       "snapshot.3's T = 3"),
-    # figures wrote header-only files from a manifest with no snapshot
-    "no-snapshot": ("0,1,2,3", lambda ls: [ln for ln in ls if not ln.startswith("snapshot.")],
-                    "figures", "manifest.tsv: lists no snapshot"),
+    # the slice at T = 1 repeated after the last
+    "repeated-slice": ("0,1,2,3", lambda ls: ls + ls[26:51],
+                       "verify", "snapshots.tsv: slice 4 has T = 1, not after T = 3"),
+    # the slices at T = 1 and T = 3 swapped
+    "T-out-of-order": ("0,1,2,3", lambda ls: ls[:26] + ls[76:] + ls[51:76] + ls[26:51],
+                       "verify", "snapshots.tsv: slice 2 has T = 2, not after T = 3"),
+    # figures wrote header-only files from a series with no snapshot
+    "no-snapshot": ("0,1,2,3", lambda ls: ls[:1], "figures", "snapshots.tsv: no data rows"),
     # a descending series was written, and verify rejected it as a bad grid
     "descending-times": ("3,2,1,0", None, None, "T = 3 is followed by T = 2"),
     # an unsorted series was written, its trajectories running backwards in T
@@ -507,12 +504,40 @@ def test_snapshot_order_is_checked(tmp_path, capsys, fault):
         assert not out.exists()  # refused before anything is written
     else:
         assert code == 0
-        manifest = out / "manifest.tsv"
-        manifest.write_text("".join(edit(manifest.read_text().splitlines(keepends=True))))
+        table = out / "snapshots.tsv"
+        table.write_text("".join(edit(table.read_text().splitlines(keepends=True))))
         code = main([command, "--snapshots", str(out)]
                     + (["--out", str(tmp_path / "figs")] if command == "figures" else []))
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: [ls[0].replace("rho_star", "rho")] + ls[1:],
+     "snapshots.tsv: header row is not T C t x u0 u1 gamma Q tau_T beta rho_star"),
+    (lambda ls: ls[:30] + ls[31:],
+     "snapshots.tsv: 99 data rows are not a whole number of 25-row slices"),
+], ids=["header", "dropped-row"])
+def test_verify_rejects_a_table_that_is_not_a_series(tmp_path, capsys, edit, message):
+    out = _exponential_output(tmp_path / "exp")
+    capsys.readouterr()
+    table = out / "snapshots.tsv"
+    table.write_text("".join(edit(table.read_text().splitlines(keepends=True))))
+    assert main(["verify", "--snapshots", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(message)
+
+
+def test_verify_refuses_a_directory_without_the_table(tmp_path, capsys):
+    # a directory of one table per slice, the layout before snapshots.tsv, is not read
+    out = _exponential_output(tmp_path / "exp")
+    capsys.readouterr()
+    table = out / "snapshots.tsv"
+    lines = table.read_text().splitlines(keepends=True)
+    (out / "snap_T0.tsv").write_text("".join(lines[:26]))
+    table.unlink()
+    assert main(["verify", "--snapshots", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: no snapshots.tsv in {out}\n"
 
 
 @pytest.mark.parametrize("command, c", [("simulate", "1e-150"), ("compare-limits", "1e-150"),

@@ -542,6 +542,29 @@ def test_the_time_field_tends_to_its_first_order_closed_form():
     assert gaps[1] / gaps[2] == pytest.approx(4, rel=0.1), gaps
     assert gaps[0] < 1e-3 * np.abs(dt).max(), gaps
 
+
+def test_the_trajectory_field_tends_to_the_nonrelativistic_one_as_one_over_c_squared():
+    # r(c) = c^2 max |x_rel - x_nr| at T = 1 (label by label, the relativistic
+    # slice against the non-relativistic record at t = 1) reads 2.715196 /
+    # 2.709051 / 2.707510 / 2.707124 at c = 20 / 40 / 80 / 160: its successive
+    # differences fall 4x per doubling (3.987, 3.997), so the next term is
+    # O(1/c^4).  Flipping the sign of force_sign's f1 row gives ratios 0.250;
+    # flipping its f0 row keeps them near 4 but moves the limit to 2.670, which
+    # only the pin of r(160) catches.
+    cfg = baseline_config(t_final=1.0)
+    nonrel = rq.nonrel_integrate(cfg, cadence=1.0)[-1]
+    assert nonrel.t == 1.0
+    r = []
+    for c in (20.0, 40.0, 80.0, 160.0):
+        final = rq.integrate(replace(cfg, c=c), cadence=1.0).snapshots[-1]
+        assert final.tau_ensemble == 1.0
+        r.append(c ** 2 * np.abs(final.state.x - nonrel.x).max())
+    steps = np.diff(r)
+    assert steps[0] / steps[1] == pytest.approx(4, rel=0.1), r
+    assert steps[1] / steps[2] == pytest.approx(4, rel=0.1), r
+    assert round(r[-1], 3) == 2.707, r
+
+
 class TestReferenceTrajectories:
     def test_zero_crossings_track_reference_labels(self, baseline_integer_snapshots):
         # the inner allowed/forbidden boundary stays within a quarter cell

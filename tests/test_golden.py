@@ -14,6 +14,9 @@ REPORT was re-recorded once more when interpolate took its weights from
 fornberg_weights: reference_trajectory_zeros went from
 0.0026396598250093589 to 0.0026396598250093555 (1.3e-15 relative, the same
 T and C), every other record kept its bits.
+The snapshot and analytic pins were re-recorded once when a series became
+one table, snapshots.tsv: its data rows are, byte for byte, the rows of the
+per-slice tables it replaced, concatenated in T order under their header.
 Any change to those paths that moves a single bit of output fails here.
 manifest.tsv is left out because it carries the code version and timestamps.
 """
@@ -30,41 +33,11 @@ from relqtraj.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# configs/gaussian_c3.txt at cadence 1: the 11 integer-T slices.
-GAUSSIAN_C3 = {
-    "snap_T0.tsv":
-        "df879079b67c4f5a7fa7544200dd7cfd6bcf5d1762b76e1996514d0c7f2f1110",
-    "snap_T1.tsv":
-        "ff8107d6c9addce3e5b143165d5fbd27a2947e84d867ff6e5e8b06078d64e88f",
-    "snap_T2.tsv":
-        "3a340bb30afd454cc080e56295aeeda84bbfb7bd9027e8ed57a4b8f5b6109fea",
-    "snap_T3.tsv":
-        "c175f6ae1b78e29abf4e576404fe16969e6978529d6417da5bb0327e32ade3d2",
-    "snap_T4.tsv":
-        "9f30aa17e761b3c53804ec3210fa3096225a4d8349971d2d635b81b73f10a997",
-    "snap_T5.tsv":
-        "b6f41a7cb7f7ff9dbdb35b6ecb48db04147d4e23120bfe6b3955a2a86e5533df",
-    "snap_T6.tsv":
-        "cb3a303e8a2a607d2713030cc3ed118208de5913b65b9ed67586be8ab8eb4fa2",
-    "snap_T7.tsv":
-        "d522870e45da936cce269c16fb983013493052b8efe1f29953822de464d02829",
-    "snap_T8.tsv":
-        "3e85b72e36e64483b1b68d20b3f6e5adc9ca5efc72dce5cff18347936e8521c3",
-    "snap_T9.tsv":
-        "43db9aae3b5a90debc063f68cce660cd5b0a2e6bfbbd64680e59b0940d26e420",
-    "snap_T10.tsv":
-        "917208e8184e69a9a946ca2abcfefb8e0e950328ea91746232d0bf413068a287",
-}
+# configs/gaussian_c3.txt at cadence 1: snapshots.tsv of the 11 integer-T slices.
+GAUSSIAN_C3 = "0649e26c1cce143b6c8a949d214ece17fba34816b4cdaf609603f4854dd5491b"
 
 # configs/exponential.txt at cadence 1.
-EXPONENTIAL = {
-    "snap_T0.tsv":
-        "6a7f17f186a2668425f0bd5cb9d4c03db52665eabfe3c0ea60d89a114e80b0a5",
-    "snap_T1.tsv":
-        "89b53b3eb91f3d721b4a66bf2665d2dd0ca6306301cfaf178a21e75c5df08ed2",
-    "snap_T2.tsv":
-        "c012818f52f7aaeea2d5ca5542376f7ae6054f480246552bb1db01ea644d7473",
-}
+EXPONENTIAL = "b682735c58e7e7eabddfbcc7d8fa61d78f911ed28c33e4d0072aa8a27337774b"
 
 
 # nonrel_integrate of each shipped config at cadence 1: SHA-256 over (t, x, v)
@@ -93,36 +66,10 @@ ANALYTIC_ARGS = {
                            "--times", "0.5,1"],
 }
 ANALYTIC = {
-    "inertial": {
-        "snap_T0.5.tsv":
-            "8a42e8019f8bbe3dc75d1ce390d881e433511e90be3d867c72978ea16709f27c",
-        "snap_T0.tsv":
-            "91fa951f414de1912bf5a694a1b243080036b71ea719417740b042fd15fb7b4d",
-        "snap_T1.tsv":
-            "16deb6cd8a1eb6e1ffa42b59d8136834c6940ec1a4841571696d30136fdfd99f",
-    },
-    "exponential": {
-        "snap_T0.tsv":
-            "6d0fbdac261f6b29ca81276a2722bebaa6786c70c3d288a0702b6003636ab094",
-        "snap_T1.tsv":
-            "6cc092b3b9f8437f5a65bfb14a8d56274be99610bb80494466080a74c23e8ab2",
-        "snap_T2.tsv":
-            "7a8108ceabde47a571e1aea5073887fe99c62591864fc242e5fcabffcabbd4b0",
-    },
-    "hyperbolic-gamma-one": {
-        "snap_T0.4.tsv":
-            "029798b849083a2f05de3247c31d95bf154d6e244a4247ae62cb4c3c9604537b",
-        "snap_T0.8.tsv":
-            "52a9c4d1890859f0ab7909167c95b25cc70304d298d6c6538dcf5c3279deb94b",
-        "snap_T0.tsv":
-            "b635d34283558912dea63ff55792754bc1bb45dc82581b8cdcd888cdc2a71eb9",
-    },
-    "hyperbolic-gamma-t": {
-        "snap_T0.5.tsv":
-            "8ec37aa6feda8b6a22d002c826391cc0dbe30f72a0f2a172ecf94a0623b06fca",
-        "snap_T1.tsv":
-            "c56e949040b38b63c468a90b3971455edf7620a565c15a1f6088ceb18cd7c659",
-    },
+    "inertial": "7fc71aa9ff7d085997af0cb43ff8fcc0c77ba6feaaabff012842de5da004259e",
+    "exponential": "74ac1d580313a4bee4bcfee9d8a726c1a3537c31c548b72dc45af96da4d2bbe2",
+    "hyperbolic-gamma-one": "b55f813d4dad685360cbf79e7a87fb88db23b697931eb2b38c9767a2d7144398",
+    "hyperbolic-gamma-t": "874930f1d347ce7fb75fc3249c820809b7c6b72c972ecc8f2c59b6c904c68c24",
 }
 
 # configs/gaussian_c3.txt to T = 1 at cadence 0.025 (41 slices): the
@@ -160,9 +107,9 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _snapshot_hashes(series, out):
+def _snapshot_hash(series, out):
     rq.write_snapshots(series, str(out))
-    return _table_hashes(out, "snap_T*.tsv")
+    return _sha(out / "snapshots.tsv")
 
 
 def _table_hashes(out, pattern):
@@ -175,13 +122,13 @@ def test_gaussian_c3_integer_slices(baseline_run, baseline_integer_snapshots, tm
     cfg = rq.parse_config((CONFIGS / "gaussian_c3.txt").read_text())
     assert rq.config_to_text(cfg) == rq.config_to_text(baseline_run[0].config)
     series = rq.SnapshotSeries(config=cfg, snapshots=baseline_integer_snapshots)
-    assert _snapshot_hashes(series, tmp_path) == GAUSSIAN_C3
+    assert _snapshot_hash(series, tmp_path) == GAUSSIAN_C3
 
 
 def test_exponential(tmp_path):
     cfg = rq.parse_config((CONFIGS / "exponential.txt").read_text())
     series = rq.integrate(cfg, cadence=1.0)
-    assert _snapshot_hashes(series, tmp_path) == EXPONENTIAL
+    assert _snapshot_hash(series, tmp_path) == EXPONENTIAL
 
 
 def _nonrel_hash(records):
@@ -220,7 +167,7 @@ def test_analytic(kind, tmp_path):
     out = tmp_path / kind
     assert main(["analytic", "--kind", kind, "--grid-n", "25", "--out", str(out)]
                 + ANALYTIC_ARGS[kind]) == 0
-    assert _table_hashes(out, "snap_T*.tsv") == ANALYTIC[kind]
+    assert _sha(out / "snapshots.tsv") == ANALYTIC[kind]
 
 
 @pytest.fixture(scope="module")

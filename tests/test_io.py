@@ -212,16 +212,6 @@ class TestSnapshotRoundTrip:
             assert np.array_equal(a.state.u1, b.state.u1)
             assert np.array_equal(a.quantum.Q, b.quantum.Q)
 
-    def test_gaps_in_the_snapshot_indices_are_legal(self, short_series, tmp_path):
-        out = tmp_path / "snaps"
-        rq.write_snapshots(short_series, str(out))
-        manifest = out / "manifest.tsv"
-        text = manifest.read_text()
-        for k in range(1, len(short_series)):  # index k becomes 10 k
-            text = text.replace(f"snapshot.{k}\t", f"snapshot.{10 * k}\t")
-        manifest.write_text(text)
-        assert rq.read_snapshots(str(out)).times == short_series.times
-
     def test_manifest_reconstructs_config(self, short_series, tmp_path):
         out = tmp_path / "snaps"
         rq.write_snapshots(short_series, str(out))
@@ -238,15 +228,17 @@ class TestSnapshotRoundTrip:
         series2 = rq.integrate(cfg, cadence=0.5)
         out2 = tmp_path / "b"
         rq.write_snapshots(series2, str(out2))
-        for p1 in sorted(out1.glob("snap_*.tsv")):
-            p2 = out2 / p1.name
-            assert p2.read_bytes() == p1.read_bytes()
+        assert (out2 / "snapshots.tsv").read_bytes() == (out1 / "snapshots.tsv").read_bytes()
 
     def test_header_and_precision(self, short_series, tmp_path):
         out = tmp_path / "snaps"
         rq.write_snapshots(short_series, str(out))
-        first = (out / "snap_T0.tsv").read_text().splitlines()
+        first = (out / "snapshots.tsv").read_text().splitlines()
         assert first[0].split("\t") == list(SNAPSHOT_COLUMNS)
+        # N rows per snapshot under one header, the slices in T order
+        n = short_series.config.grid.n_points
+        assert len(first) == 1 + n * len(short_series)
+        assert [float(row.split("\t")[0]) for row in first[1::n]] == short_series.times
         # 17 significant digits round-trip doubles exactly
         val = first[1].split("\t")[3]
         assert float(val) == short_series.snapshots[0].state.x[0]
@@ -255,14 +247,23 @@ class TestSnapshotRoundTrip:
         # the reader takes the columns by position, so it checks their names
         out = tmp_path / "snaps"
         rq.write_snapshots(short_series, str(out))
-        table = out / "snap_T1.tsv"
+        table = out / "snapshots.tsv"
         table.write_text(table.read_text().replace("rho_star", "rho", 1))
-        with pytest.raises(ValueError, match="snap_T1.tsv: header row is not"):
+        with pytest.raises(ValueError, match="snapshots.tsv: header row is not"):
             rq.read_snapshots(str(out))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             rq.read_snapshots(str(tmp_path / "nope"))
+
+    def test_an_empty_series_is_refused_before_anything_is_written(self, short_series,
+                                                                   tmp_path):
+        # it once wrote a directory of only manifest.tsv, which the reader refused
+        out = tmp_path / "snaps"
+        empty = rq.SnapshotSeries(config=short_series.config, snapshots=[])
+        with pytest.raises(ValueError, match="needs at least one snapshot"):
+            rq.write_snapshots(empty, str(out))
+        assert not out.exists()
 
 
 class TestReport:

@@ -206,6 +206,24 @@ def write_snapshots(
     return written
 
 
+def _bad_row(fh, width: int) -> Optional[str]:
+    """What is wrong with the first row of fh, read from its position, that
+    is not width numbers: its count of values or a cell; None if none is.
+    Rows are counted as data rows, the first after the header being 1."""
+    for k, row in enumerate(iter(fh.readline, ""), start=1):
+        if not row.strip():
+            continue
+        cells = row.rstrip("\n").split("\t")
+        if len(cells) != width:
+            return f"data row {k} holds {len(cells)} values, not {width}"
+        for column, cell in zip(SNAPSHOT_COLUMNS, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return f"data row {k} holds {cell!r} in column {column}, not a number"
+    return None
+
+
 def read_snapshots(path: str) -> SnapshotSeries:
     """Rebuild a SnapshotSeries from a snapshot directory: the config from
     its manifest.tsv, the snapshots from its snapshots.tsv.
@@ -216,7 +234,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
     manifest.tsv or snapshots.tsv is a FileNotFoundError.  A manifest config
     line without exactly one value is a ValueError, and so is a table whose
     header is not SNAPSHOT_COLUMNS, that has no data rows, a row that does
-    not hold one value per column, a row count that is not a whole number of
+    not hold one number per column (named by its data row), a row count that is not a whole number of
     N-row slices, a T column that is not constant within a slice or does not
     strictly increase from slice to slice, or a C column that is not the
     manifest grid's nodes.
@@ -247,7 +265,8 @@ def read_snapshots(path: str) -> SnapshotSeries:
         try:
             table = np.loadtxt(fh, delimiter="\t", comments=None, ndmin=2)
         except ValueError as exc:  # a row of another length than the first, or a bad cell
-            raise ValueError(f"{fname}: {exc}") from exc
+            fh.seek(start)
+            raise ValueError(f"{fname}: {_bad_row(fh, width) or exc}") from exc
     rows, cols = table.shape
     if cols != width:
         raise ValueError(f"{fname}: rows hold {cols} values, not {width}")

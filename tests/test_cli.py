@@ -381,11 +381,12 @@ class TestAnalyticVerify:
             assert float(rows[name][2]) == T
             assert rows[name][-1] == "FAIL"
 
+    # the slice at T = 1 is data rows 26 to 50
     @pytest.mark.parametrize("rows, message", [
-        ("one", "snapshots.tsv: "),    # a row of the slice at T = 1
-        ("slice", "snapshots.tsv: "),  # every row of that slice
+        ("one", "snapshots.tsv: data row 28 holds 10 values, not 11"),  # the third of it
+        ("slice", "snapshots.tsv: data row 26 holds 10 values, not 11"),
         ("every", "snapshots.tsv: rows hold 10 values, not 11"),
-    ])
+    ], ids=["one", "slice", "every"])
     def test_verify_names_a_table_with_short_rows(self, tmp_path, capsys, rows, message):
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG.replace("time.final = 2", "time.final = 1"))
         out = tmp_path / "out"
@@ -399,14 +400,26 @@ class TestAnalyticVerify:
             lines[k] = lines[k].rsplit("\t", 1)[0]
         table.write_text("\n".join(lines) + "\n")
         assert main(["verify", "--snapshots", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.endswith(message)
+
+    def test_verify_names_a_cell_that_is_not_a_number(self, tmp_path, capsys):
+        out = _exponential_output(tmp_path / "exp")
+        capsys.readouterr()
+        _set_cell(out, 1.0, 4, "Q", "0.5.1")  # data row 30
+        assert main(["verify", "--snapshots", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.endswith(
+            "snapshots.tsv: data row 30 holds '0.5.1' in column Q, not a number")
 
     def test_verify_missing_directory(self, tmp_path):
         assert main(["verify", "--snapshots", str(tmp_path / "none")]) == 1
 
     @pytest.mark.parametrize("key, bad", [
         ("config.grid.n\t", "config.grid.n"),
-    ], ids=["config-without-value"])
+        ("config.grid.n\t", "config.grid.n\t25\t25"),
+        ("config.grid.n\t", "config.grid.n 25"),
+    ], ids=["config-without-value", "config-with-two-values", "config-without-tab"])
     def test_verify_names_a_malformed_manifest_line(self, tmp_path, capsys, key, bad):
         out = _exponential_output(tmp_path / "exp")
         manifest = out / "manifest.tsv"

@@ -19,10 +19,9 @@ from .state import (
     uniform_weight,
 )
 from .stencils import build_plan, d_dC, interpolate
-from .geometry import GeometryFields, compute_geometry, attach_g01
+from .geometry import compute_geometry, attach_g01
 from .dynamics import (
-    QuantumFields,
-    Snapshot,
+    Record,
     SnapshotSeries,
     IntegrationError,
     compute_Q,
@@ -30,7 +29,7 @@ from .dynamics import (
     tau_factor,
     eom_rhs,
     rk4_step,
-    make_snapshot,
+    record_series,
     rest_initial_state,
     integrate,
 )

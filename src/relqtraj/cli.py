@@ -32,7 +32,7 @@ from .analytic import (
     sample_state,
 )
 from .diagnostics import RESIDUAL_CADENCE_MAX, evaluate_invariants, residual_admitted
-from .dynamics import IntegrationError, SnapshotSeries, finite_record, integrate, make_snapshot
+from .dynamics import IntegrationError, finite_record, integrate, record_series
 from .nonrel import nonrel_integrate
 from .snapshot_io import (
     ConfigError,
@@ -122,12 +122,13 @@ def _cmd_analytic(args) -> int:
         t_final=max(times), stencil_order=args.stencil_order,
     )
     # a closed-form Q is given only for the family whose density has none
-    Q = None if ens.Q is None else ens.Q(grid.nodes, args.mass)
-    snapshots = [finite_record(make_snapshot(sample_state(ens, grid, T), cfg, Q)) for T in times]
-    series = SnapshotSeries(config=cfg, snapshots=snapshots)
+    Q = None if ens.Q is None else np.tile(ens.Q(grid.nodes, args.mass), (len(times), 1))
+    series = record_series(cfg, np.array(times),
+                           np.array([sample_state(ens, grid, T).y for T in times]), Q)
+    finite_record(series.tau_T, series.f, series.g01)
     write_snapshots(series, args.out, code_version=__version__, start_time=_now(),
                     end_time=_now(), kind=args.kind, **{flag: param})
-    print(f"analytic: {len(snapshots)} {args.kind} snapshots to {args.out}")
+    print(f"analytic: {len(series)} {args.kind} snapshots to {args.out}")
     return EXIT_OK
 
 
@@ -154,20 +155,21 @@ def _cmd_compare_limits(args) -> int:
     series = integrate(cfg, cadence=args.cadence)
     if cfg2 is not None:
         other = integrate(cfg2, cadence=args.cadence)
-        xs_other = {s.tau_ensemble: s.state.x for s in other}
+        times, xs_other = other.times, other.y[:, 1]
         label = "second config"
     else:  # --nonrel; argparse requires exactly one of the two
         nr = nonrel_integrate(cfg, cadence=args.cadence)
-        xs_other = {s.t: s.x for s in nr}
+        times, xs_other = np.array([s.t for s in nr]), np.array([s.x for s in nr])
         label = "non-relativistic reference"
-    shared = [s for s in series if s.tau_ensemble in xs_other]
-    if all(s.tau_ensemble == 0.0 for s in shared):
+    shared = np.isin(series.times, times)  # both record at k * dt, in T order
+    T = series.times[shared]
+    if not T.any():
         raise ConfigError("compare-limits: the runs share no snapshot time after T = 0 "
                           "(snapshot times are k * dt), so there is nothing to compare")
-    xs = np.array([s.state.x for s in shared])
-    max_dx = max(float(np.max(np.abs(s.state.x - xs_other[s.tau_ensemble]))) for s in shared)
-    max_dt = max(float(np.max(np.abs(s.state.t - s.tau_ensemble))) for s in shared)
-    print(f"compare-limits vs {label}: {len(shared)} of {len(series)} slices compared")
+    t, xs = series.y[shared, 0], series.y[shared, 1]
+    max_dx = float(np.max(np.abs(xs - xs_other[np.searchsorted(times, T)])))
+    max_dt = float(np.max(np.abs(t - T[:, None])))
+    print(f"compare-limits vs {label}: {len(T)} of {len(series)} slices compared")
     print(f"  max |x difference|      = {max_dx:.6e}  (x range {xs.max() - xs.min():.6g})")
     print(f"  max |t - T| (first run) = {max_dt:.6e}")
     return EXIT_OK
@@ -175,17 +177,13 @@ def _cmd_compare_limits(args) -> int:
 
 def _cmd_figures(args) -> int:
     series = read_snapshots(args.snapshots)
-    times, nodes = series.times, series.config.grid.nodes
-    # (K, N) per field: one row per snapshot, one column per label
-    t, x, gamma, Q = series.stack("state.t", "state.x", "geometry.gamma", "quantum.Q")
-    del series  # the tables need only these: free the snapshots before the cells are made
     os.makedirs(args.out, exist_ok=True)
-    K, N = len(times), len(nodes)
+    K, _, N = series.y.shape
     # Each value is formatted once, and a field's cells are kept only while
     # its tables are written.  Every column runs slice by slice, K blocks of
-    # N labels; T and C repeat their cells to fill it.
-    T = [cell for cell in format_cells(times) for _ in range(N)]
-    C = format_cells(nodes) * K
+    # N labels, from the (K, N) fields; T and C repeat their cells to fill it.
+    T = [cell for cell in format_cells(series.times) for _ in range(N)]
+    C = format_cells(series.config.grid.nodes) * K
     paths = []
 
     def write(fname, header, *columns):  # rows streamed, not held as a list
@@ -195,13 +193,13 @@ def _cmd_figures(args) -> int:
     def by_label(cells):  # the same cells label by label, N blocks of K slices
         return (cell for j in range(N) for cell in cells[j::N])
 
-    t, x = format_cells(t), format_cells(x)
+    t, x = format_cells(series.y[:, 0]), format_cells(series.y[:, 1])
     # trajectories run label by label, the other tables slice by slice
     write("fig_trajectories.tsv", ("C", "T", "t", "x"), *map(by_label, (C, T, t, x)))
     write("fig_simultaneity.tsv", ("T", "C", "t", "x"), T, C, t, x)
     del t, x
-    write("fig_gamma.tsv", ("T", "C", "gamma"), T, C, format_cells(gamma))
-    write("fig_q.tsv", ("T", "C", "Q"), T, C, format_cells(Q))
+    write("fig_gamma.tsv", ("T", "C", "gamma"), T, C, format_cells(series.gamma))
+    write("fig_q.tsv", ("T", "C", "Q"), T, C, format_cells(series.Q))
     print("figures: " + ", ".join(paths))
     return EXIT_OK
 

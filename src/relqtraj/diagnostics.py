@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import STEP_MULTIPLE_RTOL, SnapshotSeries
 from .state import MIN_POINTS, make_grid, norm_violation
-from .stencils import build_plan, d_dC, interior, interpolate
+from .stencils import build_plan, interior, interpolate
 
 ORTHOGONALITY_EPS = 1e-30      # guards the force-scale denominator
 REFERENCE_ZERO_REL_TOL = 1e-3  # |Q| at the reference labels, relative to max |Q|;
@@ -54,10 +54,11 @@ class InvariantReport:
         raise KeyError(name)
 
 
-def derived_fields(state, geom, config):
-    """(beta, rho_star): speed in units of c and invariant density
-    f / sqrt(gamma), per node, f the config's weight_f."""
-    return np.abs(state.u1) / state.u0, config.weight_f / np.sqrt(geom.gamma)
+def derived_fields(series: SnapshotSeries):
+    """(beta, rho_star) of a series, each (K, N): speed in units of c and
+    invariant density f / sqrt(gamma), f the config's weight_f."""
+    y, f = series.y, series.config.weight_f
+    return np.abs(y[:, 3]) / y[:, 2], f / np.sqrt(series.gamma)
 
 
 def _worst(block: np.ndarray, Ts, Cs):
@@ -90,17 +91,16 @@ def evaluate_invariants(
     cfg = series.config
     tol = cfg.invariant_tol if invariant_tol is None else invariant_tol
     rtol = cfg.residual_tol if residual_tol is None else residual_tol
-    Ts, nodes = np.asarray(series.times), cfg.grid.nodes
+    Ts, nodes = series.times, cfg.grid.nodes
 
-    u0, u1, f0, f1, g01 = series.stack("state.u0", "state.u1", "quantum.f0",
-                                       "quantum.f1", "geometry.g01_residual")
+    u0, u1, f0, f1 = series.y[:, 2], series.y[:, 3], series.f[:, 0], series.f[:, 1]
     fmax = np.maximum(np.abs(f0).max(axis=1), np.abs(f1).max(axis=1))[:, None]
     orth = np.abs(-u0 * f0 + u1 * f1) / (cfg.c * fmax + ORTHOGONALITY_EPS)
     norm = np.abs(norm_violation(np.array((u0, u1)), cfg.c_sq)) / cfg.c_sq
     checks = [
         ("four_velocity_norm", _worst(norm, Ts, nodes), tol, le),
         ("force_orthogonality", _worst(orth, Ts, nodes), tol, le),
-        ("simultaneity_g01", _worst(np.abs(g01), Ts, nodes), tol, le),
+        ("simultaneity_g01", _worst(np.abs(series.g01), Ts, nodes), tol, le),
         ("subluminality", _worst(np.abs(u1) / u0 - 1.0, Ts, nodes), 0.0, lt),
     ]
     if residual_admitted(series):
@@ -144,20 +144,20 @@ def reference_zero_ratio(series: SnapshotSeries):
     (a,) = cfg.weight.params
     c_ref = 1.0 / np.sqrt(a)
     labels = [cq for cq in (c_ref, -c_ref) if cfg.grid.c_min <= cq <= cfg.grid.c_max]
-    (Q,) = series.stack("quantum.Q")
+    Q = series.Q
     qmax = np.abs(Q).max(axis=1)
     rows = qmax != 0.0
     if not (labels and rows.any()):
         return None
-    at_labels = np.array([interpolate(Q[rows].T, cfg.grid, cq) for cq in labels]).T
-    return _worst(np.abs(at_labels) / qmax[rows, None], np.asarray(series.times)[rows], labels)
+    at_labels = np.array([interpolate(Q[rows], cfg.grid, cq) for cq in labels]).T
+    return _worst(np.abs(at_labels) / qmax[rows, None], series.times[rows], labels)
 
 
 def pde_residual(series: SnapshotSeries):
     """Residuals d_T(d_T y / tau_T) / tau_T - f / m of the two second-order
     evolution equations, y = t with the force row f0 / c and y = x with f1,
     evaluated from each stored snapshot's t, x, tau_T and force with nested
-    fourth-order central differences in ensemble time.
+    fourth-order central differences in ensemble time, one gemm each.
 
     Returns (residual_t, residual_x, interior_snapshots, interior_nodes):
     arrays of shape (n_snapshots, n_points) and the slices over which both
@@ -172,10 +172,10 @@ def pde_residual(series: SnapshotSeries):
         raise ValueError("snapshots must be recorded at uniform cadence")
 
     tplan = build_plan(make_grid(ts[0], ts[-1], K), 4)
-    t, x, tau, f0, f1 = series.stack("state.t", "state.x", "quantum.tau_T",
-                                     "quantum.f0", "quantum.f1")
-    res_t, res_x = (d_dC(d_dC(y, tplan) / tau, tplan) / tau - f / cfg.m
-                    for y, f in ((t, f0 / cfg.c), (x, f1)))
+    tau = series.tau_T
+    res_t, res_x = (tplan @ (tplan @ y / tau) / tau - f / cfg.m
+                    for y, f in ((series.y[:, 0], series.f[:, 0] / cfg.c),
+                                 (series.y[:, 1], series.f[:, 1])))
 
     interior_snaps = slice(4, K - 4)          # two nested central time stencils
     return res_t, res_x, interior_snaps, interior(cfg.stencil_order, cfg.grid.n_points)

@@ -17,19 +17,17 @@ EnsembleState wraps.  rk4_step runs eom_rhs 4 times per step; eom_rhs checks
 the stage (check_state), then _slice runs one function per layer:
 compute_geometry ((t_C, x_C) as one (2, N) array, gamma), compute_Q (Q, Q_C),
 tau_factor, compute_force ((f0, f1) as one (2, N) array) and the rate rows.
-make_snapshot runs the same chain (optionally on a stored Q) and builds the
-g01 residual from the first two rate rows, for recorded snapshots only; the
-solver, the snapshot reader and the closed-form sampler all go through it.
+It is the one chain for any leading shape: a stage or a record is one (4, N)
+slice, and a series read back or sampled (record_series) one (K, 4, N) stack.
 
 On N = 25 a stage's cost is the count and kind of its numpy calls, not
 arithmetic, so the chain is written to make few and cheap ones while every
 output stays bit for bit what the plain 1-D expressions give.  Three
-bit-identity rules keep it so, on both solvers' stages.  First, rows are
-stacked only for exactly-rounded elementwise operations whose regrouping
-is exact: x / 1.0 == x, (-1) x == -x, -a / b == a / -b, max(a / k) ==
-max(a) / k for k > 0, and the squares of stacked rows are one product
-y * y.  Second, log, exp and gamma^(-1/2) stay on 1-D
-arrays, and every derivative is one gemv per vector (d_dC on a 1-D row): a
+bit-identity rules keep it so, on both solvers' stages and on a stack.
+First, rows are stacked only for exactly-rounded elementwise operations
+whose regrouping is exact: x / 1.0 == x, (-1) x == -x, -a / b == a / -b,
+max(a / k) == max(a) / k for k > 0, and the squares of stacked rows are one
+product y * y.  Second, every derivative is one gemv per row (d_dC): a
 stacked gemm sums in another order and differs by up to 5e-15.  Third, no
 array operation takes a Python scalar: under numpy 2's scalar promotion
 (NEP 50) a Python-float operand costs about 0.2-0.4 us more per call than a
@@ -49,15 +47,17 @@ record becomes there, and only there, an IntegrationError at the T reached.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
-from .geometry import GeometryFields, attach_g01, compute_geometry
+from .geometry import attach_g01, compute_geometry
 from .qpotential import log_form_Q
 from .state import (
+    ROW,
+    U_ROWS,
     EnsembleState,
     SimConfig,
     StateValidationError,
@@ -71,45 +71,41 @@ ABORT_FACTOR = 10.0  # rk4_step aborts when norm drift exceeds this times invari
 STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
 
 
-@dataclass(frozen=True)
-class QuantumFields:
-    Q: np.ndarray
-    f0: np.ndarray
-    f1: np.ndarray
-    tau_T: np.ndarray
+class Record(namedtuple("Record", "tau_ensemble t x u0 u1 Q")):
+    """One slice of a series, a read-only view of its arrays: T, and the
+    rows s.state.t, x, u0, u1 and s.quantum.Q (state and quantum are s)."""
+
+    __slots__ = ()
+    state = quantum = property(lambda self: self)
 
 
 @dataclass(frozen=True)
-class Snapshot:
-    state: EnsembleState
-    geometry: GeometryFields
-    quantum: QuantumFields
-
-    tau_ensemble = property(lambda self: self.state.tau_ensemble)
-
-
-@dataclass
 class SnapshotSeries:
-    config: SimConfig
-    snapshots: list
+    """K recorded slices of one run as read-only arrays in T order: times (K,),
+    the states y (K, 4, N) and the fields of one _slice pass over them, gamma,
+    Q, tau_T and g01 (K, N) and the force f = (f0, f1) (K, 2, N).  Iterating
+    it, or its snapshots list, gives one Record per slice."""
 
-    def __iter__(self):
-        return iter(self.snapshots)
+    config: SimConfig
+    times: np.ndarray
+    y: np.ndarray
+    gamma: np.ndarray
+    Q: np.ndarray
+    tau_T: np.ndarray
+    f: np.ndarray
+    g01: np.ndarray
+
+    def __post_init__(self):  # value data, like an EnsembleState's y
+        for a in (self.times, self.y, self.gamma, self.Q, self.tau_T, self.f, self.g01):
+            a.setflags(write=False)
 
     def __len__(self):
-        return len(self.snapshots)
+        return len(self.times)
 
-    def append(self, snapshot):
-        self.snapshots.append(snapshot)
+    def __iter__(self):
+        return map(Record, self.times.tolist(), *self.y.transpose(1, 0, 2), self.Q)
 
-    @property
-    def times(self):
-        return [s.tau_ensemble for s in self.snapshots]
-
-    def stack(self, *fields):
-        """The named per-node fields ("state.u0", "quantum.Q", ...) of every
-        snapshot as (K, N) arrays, one row per snapshot."""
-        return [np.array([get(s) for s in self.snapshots]) for get in map(attrgetter, fields)]
+    snapshots = property(lambda self: list(self))
 
 
 class IntegrationError(RuntimeError):
@@ -131,11 +127,11 @@ def compute_Q(gamma: np.ndarray, config: SimConfig, Q: Optional[np.ndarray] = No
 
 
 def compute_force(tx_C, gamma, Q_C, config: SimConfig) -> np.ndarray:
-    """Inertial components of the quantum force as the rows (f0, f1) of one
-    (2, N) array, f0 for the ct slot: (-c t_C, -x_C) / gamma * Q_C, from
+    """Inertial components of the quantum force as the rows (..., 2, N) =
+    (f0, f1), f0 for the ct slot: (-c t_C, -x_C) / gamma * Q_C, from
     compute_geometry's (t_C, x_C) rows and the config's force_sign rows
     (-c, -1).  Since (-1) x == -x, each row is bitwise its 1-D expression."""
-    return tx_C * config.force_sign / gamma * Q_C
+    return tx_C * config.force_sign / gamma[ROW] * Q_C[ROW]
 
 
 def tau_factor(Q: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -146,27 +142,25 @@ def tau_factor(Q: np.ndarray, config: SimConfig) -> np.ndarray:
 
 
 def _slice(y, T, config: SimConfig, Q=None):
-    """The fields of the slice y = (t, x, u0, u1) at ensemble time T that a
-    stage or a record uses: (tx_C, gamma, Q, tau_T, f, d), layer by layer;
-    tx_C and f are (2, N) and the rate rows d = (u0, u1, f0, f1) tau_T /
-    rhs_divisor (c, 1, m, m) are (4, N), three operations bitwise the 1-D
-    rows (x / 1.0 == x).  Q_C enters only the force."""
-    tx_C, gamma = compute_geometry(y[0], y[1], T, config)
+    """The fields (tx_C, gamma, Q, tau_T, f, d) of the slice y = (t, x, u0, u1)
+    at ensemble time T, or of a stack y (K, 4, N) at times T (K,), layer by
+    layer; tx_C and f are (..., 2, N) and the rate rows d = (u0, u1, f0, f1)
+    tau_T / rhs_divisor (c, 1, m, m) are (..., 4, N), three operations bitwise
+    the 1-D rows (x / 1.0 == x).  Q_C enters only the force."""
+    tx_C, gamma = compute_geometry(y, T, config)
     Q, Q_C = compute_Q(gamma, config, Q)
     tau = tau_factor(Q, config)
     f = compute_force(tx_C, gamma, Q_C, config)
-    return tx_C, gamma, Q, tau, f, np.concatenate((y[2:], f)) * tau / config.rhs_divisor
+    d = np.concatenate((y[U_ROWS], f), axis=-2) * tau[ROW] / config.rhs_divisor
+    return tx_C, gamma, Q, tau, f, d
 
 
-def make_snapshot(state: EnsembleState, config: SimConfig,
-                  Q: Optional[np.ndarray] = None) -> Snapshot:
-    """The record of a slice: its state, gamma with the g01 residual, Q, the
-    force and tau_T, the fields that the writer and the invariant checks
-    read.  Q is computed from the config's weight unless it is given (a
-    stored or closed-form potential)."""
-    tx_C, gamma, Q, tau, f, d = _slice(state.y, state.tau_ensemble, config, Q)
-    return Snapshot(state, attach_g01(tx_C, gamma, d[:2], config),
-                    QuantumFields(Q, *f, tau))
+def record_series(config: SimConfig, times, y, Q=None) -> SnapshotSeries:
+    """The series of the valid states (check_state) y (K, 4, N) at times (K,),
+    from one _slice pass over the stack, with Q from the config's weight
+    unless it is given (K, N): a stored or closed-form potential."""
+    tx_C, gamma, Q, tau, f, d = _slice(y, times, config, Q)
+    return SnapshotSeries(config, times, y, gamma, Q, tau, f, attach_g01(tx_C, d, config))
 
 
 def eom_rhs(y, T, config: SimConfig) -> np.ndarray:
@@ -238,11 +232,13 @@ def step_counts(config: SimConfig, cadence: float) -> tuple:
     return tuple(counts)
 
 
-def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, out):
-    """Advance y = step(y, T) from T = 0 to t_final, appending record(T, y) to
-    out every `cadence` and at the end, with T = k * dt after k steps.  A failed
-    step or record raises IntegrationError naming T, with out attached."""
+def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, collect):
+    """Advance y = step(y, T) from T = 0 to t_final, keeping record(T, y) every
+    `cadence` and at the end, with T = k * dt after k steps; returns
+    collect(the list of records).  A failed step or record raises
+    IntegrationError naming T, with collect(the records before it) attached."""
     n_steps, stride = step_counts(config, cadence)
+    out = []
     for k in range(n_steps + 1):
         T = k * config.dt
         try:
@@ -252,8 +248,8 @@ def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, out):
                 break
             y = step(y, T)
         except (StateValidationError, ArithmeticError) as exc:
-            raise IntegrationError(f"run failed at T = {T:.6g}: {exc}", out) from exc
-    return out
+            raise IntegrationError(f"run failed at T = {T:.6g}: {exc}", collect(out)) from exc
+    return collect(out)
 
 
 def integrate(
@@ -262,23 +258,36 @@ def integrate(
     cadence: float = 1.0,
 ) -> SnapshotSeries:
     """Fixed-step RK4 from T = 0 to t_final, recording snapshots every
-    `cadence` units of T plus the final state.
-
-    t_final and cadence must be whole multiples of dt (ValueError otherwise).
-    A failure, a record with a non-finite field included, raises
-    IntegrationError with the finite records before it attached.
+    `cadence` units of T plus the final state, each by one _slice pass on
+    its (4, N) slice.  t_final and cadence must be whole multiples of dt
+    (ValueError otherwise).  A failure, a record that finite_record refuses
+    included, raises IntegrationError with the series of the records before it.
     """
     state = rest_initial_state(config) if initial_state is None else initial_state
+    n = config.grid.n_points
+    shapes = ((), (4, n), (n,), (n,), (n,), (2, n), (n,))  # a record's T, y and fields
+
+    def record(T, y):
+        tx_C, gamma, Q, tau, f, d = _slice(y, T, config)
+        g01 = attach_g01(tx_C, d, config)
+        finite_record(tau, f, g01)
+        return T, y, gamma, Q, tau, f, g01
+
+    def collect(records):  # each column as one (K, ...) array, K = 0 included
+        columns = zip(*records) if records else [()] * len(shapes)
+        return SnapshotSeries(config, *(np.reshape(c, (len(records), *s)) for c, s in
+                                        zip(columns, shapes)))
+
     return run_fixed_steps(config, cadence, state.y, lambda y, T: rk4_step(y, T, config),
-                           lambda T, y: finite_record(make_snapshot(EnsembleState(T, y), config)),
-                           SnapshotSeries(config=config, snapshots=[]))
+                           record, collect)
 
 
-def finite_record(s: Snapshot) -> Snapshot:
-    """A record s that integrate or analytic keeps; FloatingPointError names the
-    first of its tau_T, f0, f1 and g01 that is not finite (make_snapshot lets
-    verify see a NaN)."""
-    for name in ("quantum.tau_T", "quantum.f0", "quantum.f1", "geometry.g01_residual"):
-        if not np.isfinite(attrgetter(name)(s)).all():
-            raise FloatingPointError(f"non-finite {name.partition('.')[2]}")
-    return s
+def finite_record(tau_T, f, g01) -> None:
+    """Raise FloatingPointError naming the first of tau_T, f0, f1 and g01 that
+    is not finite in the first record of a slice or a stack that has one, by
+    one mask: integrate and analytic keep only finite records (a read keeps
+    them all, so verify sees a NaN)."""
+    bad = ~np.isfinite(np.concatenate((tau_T[ROW], f, g01[ROW]), axis=-2))
+    if bad.any():
+        row = np.argmax(bad.any(axis=-1)) % 4  # of the first record with a bad row
+        raise FloatingPointError(f"non-finite {('tau_T', 'f0', 'f1', 'g01')[row]}")

@@ -74,5 +74,5 @@ def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
     def step(y, _t):
         return _rk4(rhs, y, config)
 
-    y = np.stack([config.grid.nodes, np.zeros(config.grid.n_points)])
-    return run_fixed_steps(config, cadence, y, step, NonRelState, [])
+    y = np.array([config.grid.nodes, np.zeros(config.grid.n_points)])
+    return run_fixed_steps(config, cadence, y, step, NonRelState, list)

@@ -8,6 +8,7 @@ manifest that echoes every input needed to reproduce the run bitwise.
 
 from __future__ import annotations
 
+import itertools
 import os
 from operator import attrgetter
 from typing import List, Optional
@@ -15,10 +16,10 @@ from typing import List, Optional
 import numpy as np
 
 from .diagnostics import InvariantReport, derived_fields
-from .dynamics import SnapshotSeries, make_snapshot
+from .dynamics import SnapshotSeries, record_series
 from .state import (
-    EnsembleState,
     SimConfig,
+    check_state,
     exponential_weight,
     gaussian_weight,
     make_grid,
@@ -44,7 +45,9 @@ def format_cells(values) -> List[str]:
     """The 17-digit cells of a float array of any shape, read flat, from one
     string-formatting operation."""
     flat = np.asarray(values, dtype=float).ravel().tolist()
-    return ((_CELL + "\n") * len(flat) % tuple(flat)).splitlines()
+    text = (_CELL + "\n") * len(flat) % tuple(flat)
+    del flat  # the floats go before the cells are split out: a whole table's peak
+    return text.splitlines()
 
 
 def _integer(s: str) -> int:
@@ -165,35 +168,30 @@ def write_snapshots(
 ) -> List[str]:
     """The series as one TSV table, snapshots.tsv: N rows per snapshot, in T
     order, under one SNAPSHOT_COLUMNS header.  Then manifest.tsv and, given
-    a report, write_report's report.tsv; returns the written paths.  The
-    table is streamed a snapshot at a time.  Each keyword in run (the CLI's
+    a report, write_report's report.tsv; returns the written paths.  One
+    format_cells call makes the nine field columns; T and C are formatted
+    once each.  Each keyword in run (the CLI's
     code_version, start_time and end_time, then simulate's cadence or
     analytic's kind and parameter) becomes a run.<key> line of the manifest,
     in call order; a float value is one 17-digit cell.  An empty series, or
     snapshot times that do not strictly increase, are a ValueError, raised
     before any file is written."""
-    cfg, times = series.config, series.times
-    if not times:
+    cfg, times, (K, _, n) = series.config, series.times, series.y.shape
+    if not K:
         raise ValueError("a snapshot series to write needs at least one snapshot")
-    for T0, T1 in zip(times, times[1:]):
-        if not T1 > T0:
-            raise ValueError(f"snapshot times must strictly increase: T = {_fmt(T0)} "
-                             f"is followed by T = {_fmt(T1)}")
+    late = np.flatnonzero(~(times[1:] > times[:-1]))
+    if late.size:
+        raise ValueError(f"snapshot times must strictly increase: T = {_fmt(times[late[0]])} "
+                         f"is followed by T = {_fmt(times[late[0] + 1])}")
     os.makedirs(path, exist_ok=True)
-    n = cfg.grid.n_points
-    C = format_cells(cfg.grid.nodes)
-
-    def table():  # one snapshot's cells at a time
-        yield SNAPSHOT_COLUMNS
-        for T, s in zip(format_cells(times), series):
-            # t, x, u0, u1, gamma, Q, tau_T, beta, rho_star, n cells each
-            cells = format_cells((*s.state.y, s.geometry.gamma, s.quantum.Q, s.quantum.tau_T,
-                                  *derived_fields(s.state, s.geometry, cfg)))
-            yield from zip([T] * n, C, *(cells[k:k + n] for k in range(0, len(cells), n)),
-                           strict=True)
-
+    # (9, K, N): t, x, u0, u1, gamma, Q, tau_T, beta, rho_star; their cells row by row
+    fields = np.array((*series.y.transpose(1, 0, 2), series.gamma, series.Q, series.tau_T,
+                       *derived_fields(series)))
+    cells = format_cells(fields.transpose(1, 2, 0))
+    T = [cell for cell in format_cells(times) for _ in range(n)]
+    rows = zip(T, format_cells(cfg.grid.nodes) * K, *(cells[k::9] for k in range(9)), strict=True)
     written = [os.path.join(path, "snapshots.tsv")]
-    write_table(written[-1], table())
+    write_table(written[-1], itertools.chain([SNAPSHOT_COLUMNS], rows))
     rows = [(f"config.{key}", val) for key, _, val in
             (line.partition(" = ") for line in config_to_text(cfg).splitlines())]
     rows += [(f"run.{key}", val if isinstance(val, str) else _fmt(val))
@@ -230,14 +228,15 @@ def read_snapshots(path: str) -> SnapshotSeries:
 
     Stored t, x, u0, u1, Q round-trip bitwise; geometry derivatives, forces
     and the g01 residual are recomputed from them with the same stencils the
-    run used, so verification never trusts integrator internals.  A missing
-    manifest.tsv or snapshots.tsv is a FileNotFoundError.  A manifest config
-    line without exactly one value is a ValueError, and so is a table whose
-    header is not SNAPSHOT_COLUMNS, that has no data rows, a row that does
-    not hold one number per column (named by its data row), a row count that is not a whole number of
-    N-row slices, a T column that is not constant within a slice or does not
-    strictly increase from slice to slice, or a C column that is not the
-    manifest grid's nodes.
+    run used, in one record_series pass over the (K, 4, N) stack, so
+    verification never trusts integrator internals.  A missing manifest.tsv
+    or snapshots.tsv is a FileNotFoundError.  A manifest config line without
+    exactly one value is a ValueError, and so is a table whose header is not
+    SNAPSHOT_COLUMNS, that has no data rows, a row that does not hold one
+    number per column (named by its data row), a row count that is not a
+    whole number of N-row slices, a T column that is not constant within a
+    slice or does not strictly increase from slice to slice, a C column that
+    is not the manifest grid's nodes, or a slice that fails check_state.
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -281,16 +280,17 @@ def read_snapshots(path: str) -> SnapshotSeries:
         k = mixed[0]
         raise ValueError(f"{fname}: column T is not constant in slice {k} "
                          f"(data rows {k * n + 1} to {(k + 1) * n})")
-    times = Ts[:, 0].tolist()
-    for k, (T0, T1) in enumerate(zip(times, times[1:]), start=1):
-        if not T1 > T0:
-            raise ValueError(f"{fname}: slice {k} has T = {_fmt(T1)}, "
-                             f"not after T = {_fmt(T0)}")
+    late = np.flatnonzero(~(Ts[1:, 0] > Ts[:-1, 0]))
+    if late.size:
+        k = late[0] + 1
+        raise ValueError(f"{fname}: slice {k} has T = {_fmt(Ts[k, 0])}, "
+                         f"not after T = {_fmt(Ts[k - 1, 0])}")
     if not (slices[:, 1] == cfg.grid.nodes).all():
         raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
-    snapshots = [make_snapshot(EnsembleState(T, s[2:6]), cfg, Q=s[7])  # t, x, u0, u1
-                 for T, s in zip(times, slices)]
-    return SnapshotSeries(config=cfg, snapshots=snapshots)
+    y = slices[:, 2:6]  # t, x, u0, u1
+    for state in y:
+        check_state(state, 4)
+    return record_series(cfg, Ts[:, 0], y, Q=slices[:, 7])
 
 
 def write_report(report: InvariantReport, path: str) -> None:

@@ -42,6 +42,10 @@ def scalar_array(value: float) -> np.ndarray:
 
 
 ZERO = scalar_array(0.0)  # the bound of the stage guards' sign tests
+# Index tuples of the rows (..., rows, N) of a slice or a stack, built once (a
+# literal a[..., None, :] builds its slice on every call, about 0.1 us more).
+ROW, T_ROW, X_ROW = (..., None, slice(None)), (..., 0, slice(None)), (..., 1, slice(None))
+TX_ROWS, U_ROWS = (..., slice(2), slice(None)), (..., slice(2, None), slice(None))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ Every weight comes from fornberg_weights: derivative order 1 for the plan
 rows, all filled by one call on the stack of row windows, and order 0 for
 interpolate.  Building the matrix calls no BLAS routine, so it is bitwise
 the same under every BLAS kernel; only d_dC's products depend on one.
+Both act along the last axis: each row of a stack is bitwise its 1-D call.
 """
 
 from __future__ import annotations
@@ -78,27 +79,25 @@ def build_plan(grid: SpatialGrid, order: int) -> np.ndarray:
 
 
 def _grid_values(values, n: int) -> np.ndarray:
-    """values as a float (n,) or (n, k) array, n the number of grid nodes."""
+    """values as a float array (..., n), n the number of grid nodes."""
     values = np.asarray(values, dtype=float)
-    if values.shape[:1] != (n,) or values.ndim > 2:
-        raise ValueError(f"values shape {values.shape} does not match grid ({n}[, k])")
+    if values.shape[-1:] != (n,):
+        raise ValueError(f"values shape {values.shape} does not match grid (..., {n})")
     return values
 
 
 def d_dC(values: np.ndarray, D: np.ndarray) -> np.ndarray:
     """First derivative of nodal values with respect to the label C along the
-    first axis, by the plan D; a stacked (n, k) array is one BLAS matrix
-    product, whose columns can differ from 1-D calls in the last bits.
+    last axis, by the plan D: np.matvec, one gemv per row of a stack (..., n).
 
-    A contiguous float64 (n,) array, the RK stages' only input, skips the
-    _grid_values check and runs as ndarray.dot: the same single gemv as the
-    matmul, bit for bit, at about half the call overhead.  The cheapest
-    tests come first; a float64 dtype that is not numpy's own instance only
-    takes the checked path."""
+    A contiguous float64 (n,) array skips the _grid_values check and runs as
+    ndarray.dot: the same single gemv, bit for bit, at about half the call
+    overhead.  The cheapest tests come first; a float64 dtype that is not
+    numpy's own instance only takes the checked path."""
     if (type(values) is np.ndarray and values.ndim == 1 and values.dtype is _FLOAT64
             and len(values) == len(D) and values.flags.c_contiguous):
         return D.dot(values)
-    return D @ _grid_values(values, len(D))
+    return np.matvec(D, _grid_values(values, len(D)))
 
 
 def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):
@@ -106,9 +105,9 @@ def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):
     the weights fornberg_weights gives at derivative order 0.
 
     Exact for polynomials up to degree 3; the query must lie inside the grid.
-    Interpolates along the first axis: a float for 1-D values, one value per
-    column for a stacked (n, k) array, each column bitwise its 1-D call (the
-    four terms are summed one by one, in node order).
+    Interpolates along the last axis: a float for 1-D values, one value per
+    row for a stack (..., n), each bitwise its 1-D call (the four terms are
+    summed one by one, in node order).
     """
     values = _grid_values(values, grid.n_points)
     nodes = grid.nodes
@@ -117,6 +116,6 @@ def interpolate(values: np.ndarray, grid: SpatialGrid, c_query: float):
     k = int(np.searchsorted(nodes, c_query)) - 1
     j = min(max(k - 1, 0), grid.n_points - 4)
     w = fornberg_weights(nodes[j:j + 4], c_query, 0)
-    y = values[j:j + 4]
-    out = y[0] * w[0] + y[1] * w[1] + y[2] * w[2] + y[3] * w[3]
+    y = values[..., j:j + 4]
+    out = y[..., 0] * w[0] + y[..., 1] * w[1] + y[..., 2] * w[2] + y[..., 3] * w[3]
     return float(out) if out.ndim == 0 else out

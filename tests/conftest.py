@@ -1,3 +1,6 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 import relqtraj as rq
@@ -40,11 +43,18 @@ def baseline_series(baseline_run):
     return baseline_run[0]
 
 
+def select(series, rows):
+    """The series of the slices rows (an index array, a mask or a slice) of
+    series: every array of it indexed along its first axis."""
+    return rq.SnapshotSeries(series.config,
+                             *(getattr(series, f.name)[rows] for f in fields(series)[1:]))
+
+
 @pytest.fixture(scope="session")
 def baseline_integer_snapshots(baseline_series):
-    """The eleven integer-T slices of the baseline run."""
-    out = [s for s in baseline_series
-           if abs(s.tau_ensemble - round(s.tau_ensemble)) < 1e-9]
+    """The series of the eleven integer-T slices of the baseline run."""
+    times = baseline_series.times
+    out = select(baseline_series, np.abs(times - np.round(times)) < 1e-9)
     assert len(out) == 11
     return out
 

@@ -84,7 +84,8 @@ class TestAcceptance:
 
     def test_03_gamma_bowing_sign_flip(self, baseline_integer_snapshots):
         """Slice metric bows upward at T=1 and downward at T=10."""
-        by_T = {round(s.tau_ensemble): s.geometry.gamma for s in baseline_integer_snapshots}
+        series = baseline_integer_snapshots
+        by_T = dict(zip(np.round(series.times).tolist(), series.gamma))
         early = by_T[1][13] - 2 * by_T[1][12] + by_T[1][11]
         late = by_T[10][13] - 2 * by_T[10][12] + by_T[10][11]
         ok = early > 0 and late < 0
@@ -114,7 +115,7 @@ class TestAcceptance:
         dx = max(float(np.max(np.abs(s.state.x - cfg.grid.nodes))) for s in series)
         dt_err = max(float(np.max(np.abs(s.state.t - rate * s.tau_ensemble)))
                      for s in series)
-        tau_err = max(float(np.max(np.abs(s.quantum.tau_T / rate - 1.0))) for s in series)
+        tau_err = float(np.max(np.abs(series.tau_T / rate - 1.0)))
         ok = dx <= 1e-10 and dt_err <= 1e-10 and tau_err <= 1e-9
         assert _line(5, ok,
                      f"|x-C| {dx:.2e} (1e-10), |t - rate*T| {dt_err:.2e} (1e-10), "
@@ -138,9 +139,7 @@ class TestAcceptance:
                       float(np.max(np.abs(s.state.x - xe))),
                       float(np.max(np.abs(s.state.u0 - u0e))),
                       float(np.max(np.abs(s.state.u1 - u1e))))
-        qf = max(max(float(np.max(np.abs(s.quantum.Q))),
-                     float(np.max(np.abs(s.quantum.f0))),
-                     float(np.max(np.abs(s.quantum.f1)))) for s in series)
+        qf = max(float(np.max(np.abs(series.Q))), float(np.max(np.abs(series.f))))
         ok = err <= 1e-10 and qf <= 1e-12
         assert _line(6, ok, f"max field err {err:.2e} (1e-10), max|Q|,|f| {qf:.2e} (1e-12)")
 
@@ -153,7 +152,7 @@ class TestAcceptance:
         w = hyperbolic_unit_metric_weight(B, m, hb, c, 0.45, 2.55)
         cfg = rq.SimConfig(mass=m, hbar=hb, c=c, weight=w, grid=grid, t_final=1.0)
         st = sample_state(hyperbolic_gamma_one_ensemble(B, c), grid, 0.7)
-        _, gamma = rq.compute_geometry(st.t, st.x, 0.7, cfg)
+        _, gamma = rq.compute_geometry(st.y, 0.7, cfg)
         gamma_err = float(np.max(np.abs(gamma - 1.0)))
 
         Q_num, _ = rq.compute_Q(gamma, cfg)
@@ -166,7 +165,7 @@ class TestAcceptance:
         grid2 = rq.make_grid(-1, 1, 201)
         cfg2 = rq.SimConfig(c=2.0, weight=rq.uniform_weight(), grid=grid2, t_final=1.0)
         st2 = sample_state(hyperbolic_gamma_T_ensemble(0.5, 2.0), grid2, 1.0)
-        _, gamma2 = rq.compute_geometry(st2.t, st2.x, 1.0, cfg2)
+        _, gamma2 = rq.compute_geometry(st2.y, 1.0, cfg2)
         spread = float((np.max(gamma2) - np.min(gamma2)) / np.mean(gamma2))
 
         ok = gamma_err <= 1e-6 and q_rel <= 1e-4 and spread <= 1e-8

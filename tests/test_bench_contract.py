@@ -8,7 +8,10 @@ top-level ``rq.<name>`` API.  A rename or deletion of any of them breaks
 A pacer is also a rate: wall_s charges each stage's loop at per_op pacer
 calls per period (an RK step or a snapshot), so a change in how often the
 package calls it would silently mis-charge the loop; the cadence test counts
-the calls over a short run of each stage.  The traced table is also a
+the calls over a short run of each stage.  A snapshot stage whose series is
+one set of arrays makes no per-snapshot loop: its pacer fires at most once,
+and bench/run.py's loop_times then charges the whole stage at its fastest
+occurrence, as it charges the rest of every stage.  The traced table is also a
 per-layer account of the RK stage: each stage layer must fire once per stage
 under its own name, so the layer test counts those calls too.  bench/ is only
 read here.
@@ -89,6 +92,7 @@ def test_pacers_fire_per_op_times_per_period(tmp_path):
         rq.integrate(c, cadence=cadence)
         rq.nonrel_integrate(c, cadence=cadence)
 
+    per_snapshot = {"write", "read", "figures"}  # the stages that once looped per snapshot
     stages = {  # stage -> (periods, the stage's calls)
         "simulate": (n_steps, simulate),
         "row": (n_steps, row),
@@ -108,7 +112,8 @@ def test_pacers_fire_per_op_times_per_period(tmp_path):
                 calls = len(tracer.arrays()[0])
                 counted.append((wl.name, stage, f"{mod}.{name}", calls, per_op * periods))
     assert counted
-    assert [c for c in counted if c[3] != c[4]] == []
+    # a snapshot stage's pacer fires once per snapshot or, with no loop left, at most once
+    assert [c for c in counted if c[3] != c[4] and not (c[1] in per_snapshot and c[3] <= 1)] == []
 
 
 def test_each_stage_layer_is_traced_once_per_stage():
@@ -125,6 +130,7 @@ def test_each_stage_layer_is_traced_once_per_stage():
     per_stage = ("geometry.compute_geometry", "dynamics.compute_Q",
                  "dynamics.compute_force", "dynamics.tau_factor")
     assert {name: calls[name] for name in per_stage} == dict.fromkeys(per_stage, rhs + records)
-    assert spans.calls_under(tracer, "stencils.d_dC", "dynamics.eom_rhs") == 6 * rhs
+    # (t_C, x_C) are one d_dC call on two rows, then three in log_form_Q and Q_C
+    assert spans.calls_under(tracer, "stencils.d_dC", "dynamics.eom_rhs") == 5 * rhs
     assert calls["nonrel.nonrel_rhs"] == 4 * steps
     assert calls["nonrel.nonrel_Q"] == calls["nonrel.nonrel_rhs"]

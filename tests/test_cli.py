@@ -76,7 +76,7 @@ class TestSimulate:
         # snapshots exist regardless of whether every invariant met tolerance
         assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv", "report.tsv",
                                                           "snapshots.tsv"]
-        assert rq.read_snapshots(str(out)).times == [0.0, 1.0, 2.0]
+        assert rq.read_snapshots(str(out)).times.tolist() == [0.0, 1.0, 2.0]
         assert code in (0, 2)
         assert "simulate:" in capsys.readouterr().out
 
@@ -232,7 +232,7 @@ class TestAnalyticVerify:
         manifest = (out / "manifest.tsv").read_text().splitlines()
         assert [ln for ln in manifest if ln.startswith(("run.kind", "run.beta0", "run.A"))] \
             == recorded
-        assert rq.read_snapshots(str(out)).times == [0.5, 1.0]  # run lines are not read
+        assert rq.read_snapshots(str(out)).times.tolist() == [0.5, 1.0]  # run lines are not read
 
     def test_analytic_reports_a_non_finite_Q_as_a_runtime_failure(self, tmp_path, capsys):
         # c = 1e-158 leaves the slice metric (c A T)^2 subnormal, and log_form_Q
@@ -448,7 +448,7 @@ class TestAnalyticVerify:
         out = tmp_path / "out"
         assert main(["analytic", "--kind", "inertial", "--grid-min", "-2", "--grid-max", "2",
                      "--grid-n", "17", "--times", "1,1.0000000001", "--out", str(out)]) == 0
-        assert rq.read_snapshots(str(out)).times == [1.0, 1.0000000001]
+        assert rq.read_snapshots(str(out)).times.tolist() == [1.0, 1.0000000001]
         assert main(["verify", "--snapshots", str(out)]) == 0
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan"])

@@ -10,16 +10,15 @@ from relqtraj.analytic import (
     sample_state,
 )
 from relqtraj.diagnostics import reference_zero_ratio
-from relqtraj.dynamics import SnapshotSeries
 
-from conftest import baseline_config
+from conftest import baseline_config, select
 
 
 def analytic_series(ens, cfg, times):
-    """Assemble a SnapshotSeries by sampling a closed form and running the
-    standard field pipeline on each slice."""
-    snaps = [rq.make_snapshot(sample_state(ens, cfg.grid, T), cfg) for T in times]
-    return SnapshotSeries(config=cfg, snapshots=snaps)
+    """Assemble a SnapshotSeries by sampling a closed form at each time and
+    running the standard field pipeline once over the stack."""
+    y = np.array([sample_state(ens, cfg.grid, T).y for T in times])
+    return rq.record_series(cfg, np.asarray(times, dtype=float), y)
 
 
 def _inertial_series(n_slices):
@@ -51,9 +50,8 @@ def exponential_series():
 class TestDerivedFields:
     def test_rest_state(self):
         cfg = baseline_config()
-        snap = rq.make_snapshot(rq.rest_initial_state(cfg), cfg)
-        st, geom = snap.state, snap.geometry
-        beta, rho_star = rq.derived_fields(st, geom, cfg)
+        rest = rq.record_series(cfg, np.zeros(1), rq.rest_initial_state(cfg).y[None])
+        (beta,), (rho_star,) = rq.derived_fields(rest)
         np.testing.assert_array_equal(beta, np.zeros(25))
         # unit metric: invariant density reduces to the weight itself
         f = np.exp(cfg.weight.log_f(cfg.grid.nodes))
@@ -61,9 +59,7 @@ class TestDerivedFields:
         assert np.all(rho_star > 0)
 
     def test_edge_speeds_grow_relativistic(self, baseline_series):
-        cfg = baseline_series.config
-        last = baseline_series.snapshots[-1]
-        beta, _ = rq.derived_fields(last.state, last.geometry, cfg)
+        beta = rq.derived_fields(baseline_series)[0][-1]
         assert beta.max() > 0.5
         assert np.all(beta < 1.0)
 
@@ -80,15 +76,12 @@ class TestPdeResidual:
         assert np.max(np.abs(res_x[sn, nd])) <= 1e-10
 
     def test_needs_enough_snapshots(self, inertial_series):
-        short = SnapshotSeries(inertial_series.config, inertial_series.snapshots[:5])
+        short = select(inertial_series, slice(5))
         with pytest.raises(ValueError, match="9"):
             rq.pde_residual(short)
 
     def test_needs_uniform_cadence(self, inertial_series):
-        ragged = SnapshotSeries(
-            inertial_series.config,
-            inertial_series.snapshots[:6] + inertial_series.snapshots[7:],
-        )
+        ragged = select(inertial_series, np.r_[0:6, 7:len(inertial_series)])
         with pytest.raises(ValueError, match="cadence"):
             rq.pde_residual(ragged)
 
@@ -145,7 +138,7 @@ class TestInvariantReport:
         # differences measure their own error (pde_residual_x ~1.3e-4 against
         # the 1e-5 tolerance), at 0.05 the solver's (~8e-6)
         fine = rq.integrate(baseline_config(t_final=1.0), cadence=0.05)
-        coarse = SnapshotSeries(fine.config, fine.snapshots[::2])
+        coarse = select(fine, slice(None, None, 2))
         assert coarse.times[1] == pytest.approx(0.1)
         names = [r.name for r in rq.evaluate_invariants(coarse).records]
         assert not any(n.startswith("pde_residual") for n in names)
@@ -182,4 +175,4 @@ class TestInvariantReport:
 ])
 def test_an_empty_series_is_refused(check, message):
     with pytest.raises(ValueError, match=message):
-        check(SnapshotSeries(baseline_config(t_final=0.0), []))
+        check(select(rq.integrate(baseline_config(t_final=0.0)), slice(0)))

@@ -13,7 +13,7 @@ from relqtraj.analytic import (
     hyperbolic_gamma_one_Q,
     sample_state,
 )
-from relqtraj.dynamics import IntegrationError, step_counts
+from relqtraj.dynamics import IntegrationError, _slice, step_counts
 from relqtraj.state import StateValidationError, WeightFunction
 from relqtraj.stencils import interior as interior_nodes
 
@@ -25,7 +25,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def _initial_geometry(cfg):
     # ((t_C, x_C), gamma) of the rest slice
     st = rq.rest_initial_state(cfg)
-    return rq.compute_geometry(st.t, st.x, 0.0, cfg)
+    return rq.compute_geometry(st.y, 0.0, cfg)
 
 
 class TestComputeQ:
@@ -85,7 +85,7 @@ class TestComputeQ:
         # x = 2C halves the density scale twice over: Q picks up a factor 1/4
         g = rq.make_grid(-2, 2, 25)
         cfg = rq.SimConfig(c=1, weight=rq.gaussian_weight(0.5), grid=g, t_final=1)
-        _, gamma = rq.compute_geometry(np.zeros(25), 2.0 * g.nodes, 0.0, cfg)
+        _, gamma = rq.compute_geometry(np.array((np.zeros(25), 2.0 * g.nodes)), 0.0, cfg)
         Q, _ = rq.compute_Q(gamma, cfg)
         C = g.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5) / 4.0, atol=1e-12)
@@ -118,7 +118,7 @@ class TestComputeForce:
         plan = cfg.plan
         ens = hyperbolic_gamma_one_ensemble(B, c)
         st = sample_state(ens, g, T=0.0)
-        geom = rq.compute_geometry(st.t, st.x, 0.0, cfg)
+        geom = rq.compute_geometry(st.y, 0.0, cfg)
         Q = hyperbolic_gamma_one_Q(B, g.nodes, m, c)
         Q_C_exact = -m * c ** 2 / g.nodes
         f0, f1 = rq.compute_force(*geom, Q_C_exact, cfg)
@@ -127,7 +127,7 @@ class TestComputeForce:
         # at later slices the inertial components rotate but stay orthogonal
         # to the four-velocity; the label-derivative comes from the stencils
         st = sample_state(ens, g, T=0.8)
-        geom = rq.compute_geometry(st.t, st.x, 0.8, cfg)
+        geom = rq.compute_geometry(st.y, 0.8, cfg)
         Q_C = rq.d_dC(Q, plan)
         f0, f1 = rq.compute_force(*geom, Q_C, cfg)
         interior = interior_nodes(cfg.stencil_order, g.n_points)
@@ -268,7 +268,7 @@ class TestStageGuard:
                            match=r"^run failed at T = 0: .*nodes 12 and 13") as exc_info:
             rq.integrate(cfg, initial_state=rq.EnsembleState(0.0, y), cadence=0.1)
         assert isinstance(exc_info.value.__cause__, StateValidationError)
-        assert exc_info.value.series.times == [0.0]
+        assert exc_info.value.series.times.tolist() == [0.0]
 
     def test_non_finite_stage_aborts_step(self):
         # k1 is finite (u0 = u1 = 1e300), but half a step of 1e9 overflows t and x
@@ -282,7 +282,7 @@ class TestStageGuard:
         # compute_force chained field by field, bitwise
         cfg = baseline_config()
         t, x, u0, u1 = y = rq.rest_initial_state(cfg).y
-        tx_C, gamma = rq.compute_geometry(t, x, 0.0, cfg)
+        tx_C, gamma = rq.compute_geometry(y, 0.0, cfg)
         Q, Q_C = rq.compute_Q(gamma, cfg)
         tau = rq.tau_factor(Q, cfg)
         f0, f1 = rq.compute_force(tx_C, gamma, Q_C, cfg)
@@ -457,8 +457,8 @@ class TestIntegrate:
             rq.integrate(cfg, initial_state=rq.EnsembleState(0.7, s.y))
 
     def test_one_state_per_record(self, monkeypatch):
-        # the RK steps run on the raw (4, N) array: the rest state and each of
-        # the 4 records build an EnsembleState, the 30 steps none
+        # the RK steps and the 4 records run on the raw (4, N) array: only
+        # the rest state builds an EnsembleState
         text = (CONFIGS / "gaussian_c3.txt").read_text()
         cfg = rq.parse_config(text.replace("time.final = 10", "time.final = 0.03"))
         builds = []
@@ -471,7 +471,7 @@ class TestIntegrate:
         monkeypatch.setattr(rq.EnsembleState, "__init__", counting)
         series = rq.integrate(cfg, cadence=0.01)
         assert series.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
-        assert len(builds) == 5
+        assert len(builds) == 1
 
     def test_truncation_envelope_of_coarse_run(self, baseline_series):
         # the kinematic invariants of the 25-node c=3 run drift with the
@@ -488,8 +488,23 @@ class TestIntegrate:
             assert np.all(np.abs(s.state.u1) < s.state.u0)
 
     def test_gamma_stays_positive(self, baseline_series):
-        for s in baseline_series:
-            assert np.all(s.geometry.gamma > 0)
+        assert np.all(baseline_series.gamma > 0)
+
+
+def test_the_stacked_slice_is_its_per_slice_calls_bitwise(baseline_series):
+    # one _slice pass over the (K, 4, N) stack of the baseline run's 401
+    # records against K calls on its (4, N) slices, every field bitwise, with
+    # Q computed and with Q given; record_series's one pass gives the fields
+    # (gamma, Q, tau_T, f, g01) that integrate kept record by record
+    cfg, times, y = baseline_series.config, baseline_series.times, baseline_series.y
+    for Q in (None, baseline_series.Q):
+        stacked = _slice(y, times, cfg, Q)
+        for k in range(len(times)):
+            one = _slice(y[k], times[k], cfg, None if Q is None else Q[k])
+            assert [a[k].tobytes() for a in stacked] == [a.tobytes() for a in one]
+    fields, again = ("gamma", "Q", "tau_T", "f", "g01"), rq.record_series(cfg, times, y)
+    assert [getattr(again, k).tobytes() for k in fields] == \
+        [getattr(baseline_series, k).tobytes() for k in fields]
 
 
 def _boost(y, beta, c):
@@ -510,12 +525,12 @@ def test_a_boosted_run_boosts_back_to_the_rest_run(beta, baseline_series):
     # and 1.4e-5.  The rest run is the baseline fixture's first unit of T.
     cfg = replace(rq.parse_config((CONFIGS / "gaussian_c3.txt").read_text()), t_final=1.0)
     assert replace(cfg, t_final=10.0) == baseline_series.config
-    rest = {s.tau_ensemble: s.state.y for s in baseline_series}
+    rest = dict(zip(baseline_series.times.tolist(), baseline_series.y))
     start = rq.EnsembleState(0.0, _boost(rq.rest_initial_state(cfg).y, beta, cfg.c))
     boosted = rq.integrate(cfg, initial_state=start, cadence=0.1)
     assert len(boosted) == 11
-    gap = max(np.abs(_boost(s.state.y, -beta, cfg.c) - rest[s.tau_ensemble]).max()
-              for s in boosted)
+    gap = max(np.abs(_boost(y, -beta, cfg.c) - rest[T]).max()
+              for T, y in zip(boosted.times.tolist(), boosted.y))
     assert gap <= 1e-10
 
 
@@ -592,8 +607,8 @@ class TestReferenceTrajectories:
 
     def test_gamma_bowing_direction_flips(self, baseline_integer_snapshots):
         # slice metric curves upward early, downward late
-        by_T = {round(s.tau_ensemble): s for s in baseline_integer_snapshots}
-        g1 = by_T[1].geometry.gamma
-        g10 = by_T[10].geometry.gamma
+        series = baseline_integer_snapshots
+        by_T = dict(zip(np.round(series.times).tolist(), series.gamma))
+        g1, g10 = by_T[1], by_T[10]
         assert g1[13] - 2 * g1[12] + g1[11] > 0
         assert g10[13] - 2 * g10[12] + g10[11] < 0

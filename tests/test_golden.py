@@ -22,7 +22,7 @@ manifest.tsv is left out because it carries the code version and timestamps.
 """
 
 import hashlib
-from operator import attrgetter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +94,14 @@ FIGURES = {
 FULL_REPORT = "6988e6d46835a235cc697939cdbc04cd214f97bddeb4c9da8b2068ab68f4a16f"
 
 # configs/gaussian_c3.txt cut to T = 0.05 at cadence 0.01 (6 records): SHA-256
-# over the 10 per-node fields of every record, in order, as float64 bytes.  No
-# file holds g01 or the force, so this is their only pin; the series read back
-# from its files must give the same value.
-IN_MEMORY_FIELDS = ("state.t", "state.x", "state.u0", "state.u1",
-                    "geometry.gamma", "geometry.g01_residual",
-                    "quantum.Q", "quantum.f0", "quantum.f1", "quantum.tau_T")
+# over the 10 per-node fields of every record, in order, as float64 bytes: t,
+# x, u0, u1, gamma, g01, Q, f0, f1, tau_T.  No file holds g01 or the force, so
+# this is their only pin; the series read back from its files must give the
+# same value.
+IN_MEMORY_FIELDS = (lambda s: s.y[:, 0], lambda s: s.y[:, 1], lambda s: s.y[:, 2],
+                    lambda s: s.y[:, 3], lambda s: s.gamma, lambda s: s.g01,
+                    lambda s: s.Q, lambda s: s.f[:, 0], lambda s: s.f[:, 1],
+                    lambda s: s.tau_T)
 IN_MEMORY = "59d81de1050b6b98b9b4e9c36899829ce913cef3a9e0642783b8d77204faddb7"
 
 
@@ -121,7 +123,7 @@ def test_gaussian_c3_integer_slices(baseline_run, baseline_integer_snapshots, tm
     # cadence does not change the state at integer T.
     cfg = rq.parse_config((CONFIGS / "gaussian_c3.txt").read_text())
     assert rq.config_to_text(cfg) == rq.config_to_text(baseline_run[0].config)
-    series = rq.SnapshotSeries(config=cfg, snapshots=baseline_integer_snapshots)
+    series = replace(baseline_integer_snapshots, config=cfg)
     assert _snapshot_hash(series, tmp_path) == GAUSSIAN_C3
 
 
@@ -205,9 +207,10 @@ def test_full_run_report(baseline_series, tmp_path):
 
 def _fields_hash(series):
     h = hashlib.sha256()
-    for s in series:
-        for get in map(attrgetter, IN_MEMORY_FIELDS):
-            h.update(np.asarray(get(s), dtype=np.float64).tobytes())
+    fields = [get(series) for get in IN_MEMORY_FIELDS]  # (K, N) each
+    for k in range(len(series)):
+        for field in fields:
+            h.update(np.asarray(field[k], dtype=np.float64).tobytes())
     return h.hexdigest()
 
 

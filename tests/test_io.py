@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import relqtraj as rq
 from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS, format_cells, write_table
 
-from conftest import baseline_config
+from conftest import baseline_config, select
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -238,7 +238,7 @@ class TestSnapshotRoundTrip:
         # N rows per snapshot under one header, the slices in T order
         n = short_series.config.grid.n_points
         assert len(first) == 1 + n * len(short_series)
-        assert [float(row.split("\t")[0]) for row in first[1::n]] == short_series.times
+        assert [float(row.split("\t")[0]) for row in first[1::n]] == short_series.times.tolist()
         # 17 significant digits round-trip doubles exactly
         val = first[1].split("\t")[3]
         assert float(val) == short_series.snapshots[0].state.x[0]
@@ -260,7 +260,7 @@ class TestSnapshotRoundTrip:
                                                                    tmp_path):
         # it once wrote a directory of only manifest.tsv, which the reader refused
         out = tmp_path / "snaps"
-        empty = rq.SnapshotSeries(config=short_series.config, snapshots=[])
+        empty = select(short_series, slice(0))
         with pytest.raises(ValueError, match="needs at least one snapshot"):
             rq.write_snapshots(empty, str(out))
         assert not out.exists()

@@ -93,7 +93,7 @@ def _run(field, n, t_final, dt):
     def step(y, T):
         return _rk4(lambda y, h: rhs(y, T + h, cfg) + _rows(source, T + h, C), y, cfg)
 
-    records = run_fixed_steps(cfg, t_final, _rows(y_star, 0.0, C), step, lambda T, y: y, [])
+    records = run_fixed_steps(cfg, t_final, _rows(y_star, 0.0, C), step, lambda T, y: y, list)
     return records[-1], _rows(y_star, t_final, C)
 
 

@@ -214,40 +214,39 @@ class TestInterpolate:
 
 
 class TestStackedValues:
-    """The first axis is the grid axis; each column of a stacked (n, k) array
-    is one field, treated as a 1-D call would treat it."""
+    """The last axis is the grid axis; each row of a stack (..., n) is one
+    field, treated bitwise as a 1-D call would treat it."""
 
-    def test_interpolate_is_the_per_column_call_bitwise(self):
+    def test_interpolate_is_the_per_row_call_bitwise(self):
         g = rq.make_grid(-2, 2, 25)
-        stack = np.random.default_rng(7).standard_normal((25, 6))
+        stack = np.random.default_rng(7).standard_normal((6, 25))
         for cq in (-2.0, -1.3, 0.1, 1.99, 2.0):
             got = rq.interpolate(stack, g, cq)
             assert got.shape == (6,)
-            assert got.tolist() == [rq.interpolate(stack[:, j], g, cq) for j in range(6)]
+            assert got.tolist() == [rq.interpolate(row, g, cq) for row in stack]
 
-    def test_d_dC_is_the_per_column_call(self, order):
-        # one matrix product for the whole stack: BLAS runs it as a gemm, whose
-        # summation order differs from the gemv of a 1-D call in the last bits
-        g = rq.make_grid(-2, 2, 25)
-        plan = rq.build_plan(g, order)
-        stack = np.random.default_rng(7).standard_normal((25, 6))
-        got = rq.d_dC(stack, plan)
-        assert got.shape == (25, 6)
-        for j in range(6):
-            np.testing.assert_allclose(got[:, j], rq.d_dC(stack[:, j], plan),
-                                       rtol=0, atol=1e-13)
+    @pytest.mark.parametrize("n", [25, 101])
+    def test_d_dC_is_the_per_row_call_bitwise(self, order, n):
+        # one gemv per row of the stack, each the 1-D call's, for a (K, n)
+        # stack, a strided view of one and a (K, 2, n) stack
+        plan = rq.build_plan(rq.make_grid(-2, 2, n), order)
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((7, 3, n)) * np.array([1.0, 1e-3, 1e6])[:, None]
+        for values in (stack[:, 0].copy(), stack[:, 2], stack[:, :2]):
+            got = rq.d_dC(values, plan)
+            assert got.shape == values.shape
+            rows = values.reshape(-1, n)
+            assert [r.tobytes() for r in got.reshape(-1, n)] == \
+                [rq.d_dC(r.copy(), plan).tobytes() for r in rows]
 
-    def test_first_axis_must_be_the_grid(self):
+    def test_last_axis_must_be_the_grid(self):
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, 4)
-        with pytest.raises(ValueError, match="does not match grid"):
-            rq.d_dC(np.zeros((6, 25)), plan)
-        with pytest.raises(ValueError, match="does not match grid"):
-            rq.interpolate(np.zeros((6, 25)), g, 0.0)
-        # a (n, n, k) array would be read by the matrix product as n stacked
-        # (n, k) matrices, differentiated along the wrong axis
-        with pytest.raises(ValueError, match="does not match grid"):
-            rq.d_dC(np.zeros((25, 25, 2)), plan)
+        for values in (np.zeros((25, 6)), np.zeros((2, 25, 6)), np.zeros(24), np.float64(1.0)):
+            with pytest.raises(ValueError, match="does not match grid"):
+                rq.d_dC(values, plan)
+            with pytest.raises(ValueError, match="does not match grid"):
+                rq.interpolate(values, g, 0.0)
 
 
 def _bench_tracer():
@@ -265,7 +264,7 @@ class TestOnePlanPerConfig:
         with _bench_tracer()(targets=(("stencils", "build_plan"),)) as tracer:
             series = rq.integrate(cfg, cadence=0.05)
             report = rq.evaluate_invariants(series)
-            y = series.snapshots[-1].state.y
+            y = series.y[-1]
             for k in range(3):
                 y = rq.rk4_step(y, cfg.t_final + k * cfg.dt, cfg)
         assert "pde_residual_x" in [r.name for r in report.records]

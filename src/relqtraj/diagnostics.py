@@ -163,8 +163,7 @@ def pde_residual(series: SnapshotSeries):
     arrays of shape (n_snapshots, n_points) and the slices over which both
     the time and space differencing are fully centered.
     """
-    cfg = series.config
-    ts = series.times
+    cfg, ts = series.config, series.times
     K = len(ts)
     if K < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} uniformly spaced snapshots, got {K}")

@@ -257,17 +257,18 @@ def integrate(
     initial_state: Optional[EnsembleState] = None,
     cadence: float = 1.0,
 ) -> SnapshotSeries:
-    """Fixed-step RK4 from T = 0 to t_final, recording snapshots every
-    `cadence` units of T plus the final state, each by one _slice pass on
-    its (4, N) slice.  t_final and cadence must be whole multiples of dt
-    (ValueError otherwise).  A failure, a record that finite_record refuses
-    included, raises IntegrationError with the series of the records before it.
-    """
+    """Fixed-step RK4 from T = 0 to t_final, recording every `cadence` units
+    of T and the final state: each record is checked (check_state), then one
+    _slice pass on its (4, N) slice.  t_final and cadence must be whole
+    multiples of dt (ValueError otherwise).  A failure, a record refused by
+    check_state or finite_record included, raises IntegrationError with the
+    series of the records before it."""
     state = rest_initial_state(config) if initial_state is None else initial_state
     n = config.grid.n_points
     shapes = ((), (4, n), (n,), (n,), (n,), (2, n), (n,))  # a record's T, y and fields
 
-    def record(T, y):
+    def record(T, y):  # a step's output; its stages checked only their inputs
+        check_state(y, 4)
         tx_C, gamma, Q, tau, f, d = _slice(y, T, config)
         g01 = attach_g01(tx_C, d, config)
         finite_record(tau, f, g01)

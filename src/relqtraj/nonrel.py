@@ -68,11 +68,8 @@ def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
     On failure raises IntegrationError with the partial list attached.
     """
-    def rhs(y, _h):
-        return nonrel_rhs(y, config)
-
     def step(y, _t):
-        return _rk4(rhs, y, config)
+        return _rk4(lambda y, _h: nonrel_rhs(y, config), y, config)
 
     y = np.array([config.grid.nodes, np.zeros(config.grid.n_points)])
     return run_fixed_steps(config, cadence, y, step, NonRelState, list)

@@ -35,6 +35,7 @@ class ConfigError(ValueError):
 
 # A float cell: 17 significant digits, enough to round-trip float64 exactly.
 _CELL = "%.17g"
+_BLOCK_ROWS = 256  # write_snapshots formats its table in blocks of whole slices, about this long
 
 
 def _fmt(v: float) -> str:
@@ -45,9 +46,7 @@ def format_cells(values) -> List[str]:
     """The 17-digit cells of a float array of any shape, read flat, from one
     string-formatting operation."""
     flat = np.asarray(values, dtype=float).ravel().tolist()
-    text = (_CELL + "\n") * len(flat) % tuple(flat)
-    del flat  # the floats go before the cells are split out: a whole table's peak
-    return text.splitlines()
+    return ((_CELL + "\n") * len(flat) % tuple(flat)).splitlines()
 
 
 def _integer(s: str) -> int:
@@ -168,14 +167,14 @@ def write_snapshots(
 ) -> List[str]:
     """The series as one TSV table, snapshots.tsv: N rows per snapshot, in T
     order, under one SNAPSHOT_COLUMNS header.  Then manifest.tsv and, given
-    a report, write_report's report.tsv; returns the written paths.  One
-    format_cells call makes the nine field columns; T and C are formatted
-    once each.  Each keyword in run (the CLI's
-    code_version, start_time and end_time, then simulate's cadence or
-    analytic's kind and parameter) becomes a run.<key> line of the manifest,
-    in call order; a float value is one 17-digit cell.  An empty series, or
-    snapshot times that do not strictly increase, are a ValueError, raised
-    before any file is written."""
+    a report, write_report's report.tsv; returns the written paths.  The
+    cells are formatted in blocks of whole slices, about _BLOCK_ROWS rows
+    each, so the cells held stay bounded at any K.  Each keyword in run
+    (the CLI's code_version, start_time and end_time, then simulate's
+    cadence or analytic's kind and parameter) becomes a run.<key> line of
+    the manifest, in call order; a float value is one 17-digit cell.  An
+    empty series, or snapshot times that do not strictly increase, are a
+    ValueError, raised before any file is written."""
     cfg, times, (K, _, n) = series.config, series.times, series.y.shape
     if not K:
         raise ValueError("a snapshot series to write needs at least one snapshot")
@@ -184,14 +183,18 @@ def write_snapshots(
         raise ValueError(f"snapshot times must strictly increase: T = {_fmt(times[late[0]])} "
                          f"is followed by T = {_fmt(times[late[0] + 1])}")
     os.makedirs(path, exist_ok=True)
-    # (9, K, N): t, x, u0, u1, gamma, Q, tau_T, beta, rho_star; their cells row by row
-    fields = np.array((*series.y.transpose(1, 0, 2), series.gamma, series.Q, series.tau_T,
-                       *derived_fields(series)))
-    cells = format_cells(fields.transpose(1, 2, 0))
-    T = [cell for cell in format_cells(times) for _ in range(n)]
-    rows = zip(T, format_cells(cfg.grid.nodes) * K, *(cells[k::9] for k in range(9)), strict=True)
+    fields = (*series.y.transpose(1, 0, 2), series.gamma, series.Q, series.tau_T,
+              *derived_fields(series))  # (K, N) each, in SNAPSHOT_COLUMNS order from t
+    C, step = format_cells(cfg.grid.nodes), max(1, _BLOCK_ROWS // n)
+
+    def table_rows():  # `step` slices at a time, one format_cells call each
+        for k in range(0, K, step):
+            cells = format_cells(np.array([a[k:k + step] for a in fields]).transpose(1, 2, 0))
+            T = [cell for cell in format_cells(times[k:k + step]) for _ in range(n)]
+            yield from zip(T, C * (len(T) // n), *(cells[j::9] for j in range(9)), strict=True)
+
     written = [os.path.join(path, "snapshots.tsv")]
-    write_table(written[-1], itertools.chain([SNAPSHOT_COLUMNS], rows))
+    write_table(written[-1], itertools.chain([SNAPSHOT_COLUMNS], table_rows()))
     rows = [(f"config.{key}", val) for key, _, val in
             (line.partition(" = ") for line in config_to_text(cfg).splitlines())]
     rows += [(f"run.{key}", val if isinstance(val, str) else _fmt(val))
@@ -236,7 +239,8 @@ def read_snapshots(path: str) -> SnapshotSeries:
     number per column (named by its data row), a row count that is not a
     whole number of N-row slices, a T column that is not constant within a
     slice or does not strictly increase from slice to slice, a C column that
-    is not the manifest grid's nodes, or a slice that fails check_state.
+    is not the manifest grid's nodes, or a slice that fails check_state
+    (every slice's state is checked before any slice's gamma is computed).
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -287,10 +291,9 @@ def read_snapshots(path: str) -> SnapshotSeries:
                          f"not after T = {_fmt(Ts[k - 1, 0])}")
     if not (slices[:, 1] == cfg.grid.nodes).all():
         raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
-    y = slices[:, 2:6]  # t, x, u0, u1
-    for state in y:
+    for state in slices[:, 2:6]:  # t, x, u0, u1
         check_state(state, 4)
-    return record_series(cfg, Ts[:, 0], y, Q=slices[:, 7])
+    return record_series(cfg, Ts[:, 0], slices[:, 2:6], Q=slices[:, 7])
 
 
 def write_report(report: InvariantReport, path: str) -> None:

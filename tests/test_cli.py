@@ -369,6 +369,21 @@ class TestAnalyticVerify:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and message in line
 
+    def test_verify_checks_every_slice_state_before_any_gamma(self, tmp_path, capsys):
+        # the slice at T = 0.5 is timelike (as in t-1 above) and the one at
+        # T = 1 loses its ordering: the state rules of every slice run first
+        out = tmp_path / "inertial"
+        assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
+                     "--grid-max", "2", "--grid-n", "25", "--times", "0,0.5,1",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        _set_cell(out, 0.5, 4, "t", "1")
+        _set_cell(out, 1.0, 4, "x", "999")
+        assert main(["verify", "--snapshots", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: trajectory ordering lost between nodes 4 and 5 (x = 999, -1.16667): "
+            "ensemble degeneration"]
+
     @pytest.mark.parametrize("T", [0.0, 2.0])
     def test_verify_fails_a_nan_wherever_it_sits(self, tmp_path, T):
         out = _exponential_output(tmp_path / "exp")

@@ -13,6 +13,7 @@ from relqtraj.analytic import (
     hyperbolic_gamma_one_Q,
     sample_state,
 )
+from relqtraj import dynamics
 from relqtraj.dynamics import IntegrationError, _slice, step_counts
 from relqtraj.state import StateValidationError, WeightFunction
 from relqtraj.stencils import interior as interior_nodes
@@ -458,20 +459,49 @@ class TestIntegrate:
 
     def test_one_state_per_record(self, monkeypatch):
         # the RK steps and the 4 records run on the raw (4, N) array: only
-        # the rest state builds an EnsembleState
+        # the rest state builds an EnsembleState, yet check_state still sees
+        # each of the 4 x 30 stages and each of the 4 records
         text = (CONFIGS / "gaussian_c3.txt").read_text()
         cfg = rq.parse_config(text.replace("time.final = 10", "time.final = 0.03"))
-        builds = []
-        init = rq.EnsembleState.__init__
+        builds, checks = [], []
+        init, check = rq.EnsembleState.__init__, dynamics.check_state
 
         def counting(self, *args, **kwargs):
             builds.append(None)
             init(self, *args, **kwargs)
 
+        def counting_check(y, rows):
+            checks.append(None)
+            check(y, rows)
+
         monkeypatch.setattr(rq.EnsembleState, "__init__", counting)
+        monkeypatch.setattr(dynamics, "check_state", counting_check)
         series = rq.integrate(cfg, cadence=0.01)
         assert series.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
         assert len(builds) == 1
+        assert len(checks) == 4 * 30 + 4
+
+    @pytest.mark.parametrize("broken, cadence, kept", [(0.02, 0.01, [0.0, 0.01]),
+                                                        (0.03, 0.02, [0.0, 0.02])])
+    def test_a_record_that_breaks_the_state_is_refused(self, monkeypatch, broken, cadence, kept):
+        # the step to a record time, or the last step, swaps two trajectories:
+        # the run fails at that T and keeps only the records before it
+        cfg = baseline_config(t_final=0.03)
+        step = dynamics.rk4_step
+
+        def crossing(y, T, config):
+            y = step(y, T, config)
+            if math.isclose(T + config.dt, broken):
+                y = y.copy()
+                y[1, [3, 4]] = y[1, [4, 3]]
+            return y
+
+        monkeypatch.setattr(dynamics, "rk4_step", crossing)
+        with pytest.raises(IntegrationError, match=rf"^run failed at T = {broken:g}: "
+                           "trajectory ordering lost between nodes 3 and 4") as exc_info:
+            rq.integrate(cfg, cadence=cadence)
+        assert isinstance(exc_info.value.__cause__, StateValidationError)
+        assert exc_info.value.series.times.tolist() == kept
 
     def test_truncation_envelope_of_coarse_run(self, baseline_series):
         # the kinematic invariants of the 25-node c=3 run drift with the

@@ -17,7 +17,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .state import EnsembleState, SpatialGrid, WeightFunction, exponential_weight, uniform_weight
+from .state import (
+    EnsembleState,
+    SpatialGrid,
+    WeightFunction,
+    exponential_weight,
+    no_density_weight,
+    uniform_weight,
+)
 
 
 def _stack4(t, x, u0, u1):
@@ -77,7 +84,7 @@ def hyperbolic_gamma_one_ensemble(B: float, c: float) -> AnalyticEnsemble:
         return _stack4(t, x, c * np.cosh(c * B * T), c * np.sinh(c * B * T))
 
     # no closed-form density: ln f is NaN, and so is rho_star
-    return AnalyticEnsemble(evaluate, WeightFunction("uniform", ((0, math.nan),)),
+    return AnalyticEnsemble(evaluate, no_density_weight(),
                             lambda C, mass: hyperbolic_gamma_one_Q(B, C, mass, c))
 
 

@@ -32,7 +32,7 @@ from .analytic import (
     sample_state,
 )
 from .diagnostics import RESIDUAL_CADENCE_MAX, evaluate_invariants, residual_admitted
-from .dynamics import IntegrationError, finite_record, integrate, record_series
+from .dynamics import IntegrationError, finite_record, integrate, record_series, step_counts
 from .nonrel import nonrel_integrate
 from .snapshot_io import (
     ConfigError,
@@ -62,18 +62,24 @@ def _load_config(path: str) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    run = {"code_version": __version__, "start_time": _now()}
+    n_steps, stride = step_counts(cfg, args.cadence)
+    start = {"code_version": __version__, "start_time": _now()}
+
+    def run(series):  # the manifest's run lines, after an abort as well
+        return dict(start, end_time=_now(), cadence=args.cadence, n_steps=n_steps,
+                    stride=stride, final_T=series.times[-1])
+
     t0 = time.perf_counter()
     try:
         series = integrate(cfg, cadence=args.cadence)
     except IntegrationError as exc:
         if exc.series:  # persist whatever completed before the abort
-            write_snapshots(exc.series, args.out, **run, end_time=_now(), cadence=args.cadence)
+            write_snapshots(exc.series, args.out, **run(exc.series))
             print(f"simulate: aborted, {len(exc.series)} partial snapshots kept in {args.out}")
         raise
     wall = time.perf_counter() - t0
     report = evaluate_invariants(series)
-    write_snapshots(series, args.out, report=report, **run, end_time=_now(), cadence=args.cadence)
+    write_snapshots(series, args.out, report=report, **run(series))
     print(f"simulate: {len(series)} snapshots and report.tsv to {args.out} "
           f"({wall:.2f} s, final T = {series.times[-1]:g})")
     return _print_report(report, series)

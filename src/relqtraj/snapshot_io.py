@@ -1,9 +1,9 @@
 """Config parsing and snapshot/report serialization.
 
 Config files are flat "key = value" text, every key stated once in _KEYS and
-_WEIGHTS.  A snapshot series is written as one tab-separated table, N rows per
-slice (17 significant digits, enough to round-trip float64 exactly), plus a
-manifest that echoes every input needed to reproduce the run bitwise.
+_WEIGHTS.  A snapshot series is written as one tab-separated table of the
+columns read_snapshots reads, N rows per slice (17 significant digits, exact
+for float64), plus a manifest echoing every input needed to rerun it bitwise.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .diagnostics import InvariantReport, derived_fields
+from .diagnostics import InvariantReport
 from .dynamics import SnapshotSeries, record_series
 from .state import (
     SimConfig,
@@ -23,10 +23,11 @@ from .state import (
     exponential_weight,
     gaussian_weight,
     make_grid,
+    no_density_weight,
     uniform_weight,
 )
 
-SNAPSHOT_COLUMNS = ("T", "C", "t", "x", "u0", "u1", "gamma", "Q", "tau_T", "beta", "rho_star")
+SNAPSHOT_COLUMNS = ("T", "C", "t", "x", "u0", "u1", "Q")
 
 
 class ConfigError(ValueError):
@@ -81,6 +82,7 @@ _WEIGHTS = {
     "gaussian": (gaussian_weight, "weight.a"),
     "exponential": (exponential_weight, "weight.kappa"),
     "uniform": (uniform_weight, None),
+    "none": (no_density_weight, None),  # no closed-form density (analytic's hyperbolic-gamma-one)
 }
 _REQUIRED = ("weight.kind", "c", "grid.min", "grid.max", "grid.n", "time.final")
 
@@ -166,10 +168,11 @@ def write_snapshots(
     **run,
 ) -> List[str]:
     """The series as one TSV table, snapshots.tsv: N rows per snapshot, in T
-    order, under one SNAPSHOT_COLUMNS header.  Then manifest.tsv and, given
-    a report, write_report's report.tsv; returns the written paths.  The
-    cells are formatted in blocks of whole slices, about _BLOCK_ROWS rows
-    each, so the cells held stay bounded at any K.  Each keyword in run
+    order, under one SNAPSHOT_COLUMNS header; the fields read_snapshots
+    recomputes (bitwise) are not written.  Then manifest.tsv and, given a
+    report, write_report's report.tsv; returns the written paths.  The cells
+    are formatted in blocks of whole slices, about _BLOCK_ROWS rows each, so
+    the cells held stay bounded at any K.  Each keyword in run
     (the CLI's code_version, start_time and end_time, then simulate's
     cadence or analytic's kind and parameter) becomes a run.<key> line of
     the manifest, in call order; a float value is one 17-digit cell.  An
@@ -183,15 +186,14 @@ def write_snapshots(
         raise ValueError(f"snapshot times must strictly increase: T = {_fmt(times[late[0]])} "
                          f"is followed by T = {_fmt(times[late[0] + 1])}")
     os.makedirs(path, exist_ok=True)
-    fields = (*series.y.transpose(1, 0, 2), series.gamma, series.Q, series.tau_T,
-              *derived_fields(series))  # (K, N) each, in SNAPSHOT_COLUMNS order from t
+    fields = (*series.y.transpose(1, 0, 2), series.Q)  # (K, N) each, SNAPSHOT_COLUMNS from t
     C, step = format_cells(cfg.grid.nodes), max(1, _BLOCK_ROWS // n)
 
     def table_rows():  # `step` slices at a time, one format_cells call each
         for k in range(0, K, step):
             cells = format_cells(np.array([a[k:k + step] for a in fields]).transpose(1, 2, 0))
             T = [cell for cell in format_cells(times[k:k + step]) for _ in range(n)]
-            yield from zip(T, C * (len(T) // n), *(cells[j::9] for j in range(9)), strict=True)
+            yield from zip(T, C * (len(T) // n), *(cells[j::5] for j in range(5)), strict=True)
 
     written = [os.path.join(path, "snapshots.tsv")]
     write_table(written[-1], itertools.chain([SNAPSHOT_COLUMNS], table_rows()))
@@ -229,18 +231,18 @@ def read_snapshots(path: str) -> SnapshotSeries:
     """Rebuild a SnapshotSeries from a snapshot directory: the config from
     its manifest.tsv, the snapshots from its snapshots.tsv.
 
-    Stored t, x, u0, u1, Q round-trip bitwise; geometry derivatives, forces
-    and the g01 residual are recomputed from them with the same stencils the
-    run used, in one record_series pass over the (K, 4, N) stack, so
-    verification never trusts integrator internals.  A missing manifest.tsv
-    or snapshots.tsv is a FileNotFoundError.  A manifest config line without
-    exactly one value is a ValueError, and so is a table whose header is not
-    SNAPSHOT_COLUMNS, that has no data rows, a row that does not hold one
-    number per column (named by its data row), a row count that is not a
-    whole number of N-row slices, a T column that is not constant within a
-    slice or does not strictly increase from slice to slice, a C column that
-    is not the manifest grid's nodes, or a slice that fails check_state
-    (every slice's state is checked before any slice's gamma is computed).
+    Stored t, x, u0, u1, Q round-trip bitwise; gamma, tau_T, the force and
+    g01 are recomputed from them, bitwise the written series' fields, with
+    the run's stencils in one record_series pass over the (K, 4, N) stack,
+    so verification never trusts integrator internals.  A missing
+    manifest.tsv or snapshots.tsv is a FileNotFoundError.  A manifest config
+    line without exactly one value is a ValueError, and so is a table whose
+    header is not SNAPSHOT_COLUMNS, that has no data rows, a row that does
+    not hold one number per column (named by its data row), a row count that
+    is not a whole number of N-row slices, a T column that is not constant
+    within a slice or does not strictly increase from slice to slice, a C
+    column that is not the manifest grid's nodes, or a slice that fails
+    check_state (every slice's state is checked before any slice's gamma).
     """
     manifest = os.path.join(path, "manifest.tsv")
     if not os.path.exists(manifest):
@@ -276,7 +278,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
     if rows % n:
         raise ValueError(f"{fname}: {rows} data rows are not a whole number of "
                          f"{n}-row slices")
-    # (K, 11, N): each slice's state rows t, x, u0, u1 and its Q row are contiguous
+    # (K, 7, N): each slice's state rows t, x, u0, u1 and its Q row are contiguous
     slices = np.ascontiguousarray(table.reshape(-1, n, width).transpose(0, 2, 1))
     Ts = slices[:, 0]
     mixed = np.flatnonzero((Ts != Ts[:, :1]).any(axis=1))
@@ -293,7 +295,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
         raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
     for state in slices[:, 2:6]:  # t, x, u0, u1
         check_state(state, 4)
-    return record_series(cfg, Ts[:, 0], slices[:, 2:6], Q=slices[:, 7])
+    return record_series(cfg, Ts[:, 0], slices[:, 2:6], Q=slices[:, 6])
 
 
 def write_report(report: InvariantReport, path: str) -> None:

@@ -79,8 +79,9 @@ def make_grid(c_min: float, c_max: float, n_points: int) -> SpatialGrid:
 @dataclass(frozen=True)
 class WeightFunction:
     """Per-trajectory probability weight f(C): kind is "gaussian",
-    "exponential" or "uniform", params its parameters and terms the sparse
-    (power, coefficient) pairs of ln f, the one field of ln f and d ln f / dC."""
+    "exponential", "uniform" or "none", params its parameters and terms the
+    sparse (power, coefficient) pairs of ln f, the one field of ln f and
+    d ln f / dC."""
 
     kind: str
     terms: tuple = ()
@@ -119,6 +120,13 @@ def exponential_weight(kappa: float) -> WeightFunction:
 def uniform_weight() -> WeightFunction:
     """f(C) = 1."""
     return WeightFunction("uniform")
+
+
+def no_density_weight() -> WeightFunction:
+    """No closed-form density: ln f = nan (so f and rho_star are NaN) and
+    d ln f / dC = 0.  Every call shares the one math.nan, so two such weights
+    compare equal and hash alike."""
+    return WeightFunction("none", ((0, math.nan),))
 
 
 class StateValidationError(ValueError):

@@ -124,6 +124,25 @@ class TestSimulate:
         assert [ln for ln in manifest if ln.startswith("invariant.")] == []
         assert main(["verify", "--snapshots", str(out)]) == 0
 
+    @pytest.mark.parametrize("tol, code, facts", [
+        ("1e-3", 2, ["run.cadence\t0.5", "run.n_steps\t2000", "run.stride\t500",
+                     "run.final_T\t2"]),
+        # the abort of the first step (see above) keeps T = 0 and the same counts
+        ("1e-15", 2, ["run.cadence\t0.5", "run.n_steps\t2000", "run.stride\t500",
+                      "run.final_T\t0"]),
+    ], ids=["complete", "aborted"])
+    def test_manifest_records_the_run_facts(self, tmp_path, tol, code, facts):
+        cfg = _write(tmp_path, "g.cfg", GAUSS_CFG.replace("tol.invariant = 1e-3",
+                                                          f"tol.invariant = {tol}"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--cadence", "0.5"]) == code
+        manifest = (out / "manifest.tsv").read_text().splitlines()
+        assert [ln.split("\t")[0] for ln in manifest if ln.startswith("run.")] == [
+            "run.code_version", "run.start_time", "run.end_time", "run.cadence",
+            "run.n_steps", "run.stride", "run.final_T"]
+        assert manifest[-4:] == facts
+        assert rq.read_snapshots(str(out)).times[-1] == float(facts[-1].split("\t")[1])
+
     @pytest.mark.parametrize("name, cut, cadence, noted", [
         ("gaussian_c3.txt", ("time.final = 10", "time.final = 1"), "0.025", False),
         ("exponential.txt", None, "1", True),
@@ -398,9 +417,9 @@ class TestAnalyticVerify:
 
     # the slice at T = 1 is data rows 26 to 50
     @pytest.mark.parametrize("rows, message", [
-        ("one", "snapshots.tsv: data row 28 holds 10 values, not 11"),  # the third of it
-        ("slice", "snapshots.tsv: data row 26 holds 10 values, not 11"),
-        ("every", "snapshots.tsv: rows hold 10 values, not 11"),
+        ("one", "snapshots.tsv: data row 28 holds 6 values, not 7"),  # the third of it
+        ("slice", "snapshots.tsv: data row 26 holds 6 values, not 7"),
+        ("every", "snapshots.tsv: rows hold 6 values, not 7"),
     ], ids=["one", "slice", "every"])
     def test_verify_names_a_table_with_short_rows(self, tmp_path, capsys, rows, message):
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG.replace("time.final = 2", "time.final = 1"))
@@ -541,8 +560,8 @@ def test_snapshot_order_is_checked(tmp_path, capsys, fault):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda ls: [ls[0].replace("rho_star", "rho")] + ls[1:],
-     "snapshots.tsv: header row is not T C t x u0 u1 gamma Q tau_T beta rho_star"),
+    (lambda ls: [ls[0].replace("u1", "v")] + ls[1:],
+     "snapshots.tsv: header row is not T C t x u0 u1 Q"),
     (lambda ls: ls[:30] + ls[31:],
      "snapshots.tsv: 99 data rows are not a whole number of 25-row slices"),
 ], ids=["header", "dropped-row"])

@@ -17,6 +17,9 @@ T and C), every other record kept its bits.
 The snapshot and analytic pins were re-recorded once when a series became
 one table, snapshots.tsv: its data rows are, byte for byte, the rows of the
 per-slice tables it replaced, concatenated in T order under their header.
+They were re-recorded once more when the table dropped the four columns
+read_snapshots recomputes (gamma, tau_T, beta, rho_star): each new table is,
+byte for byte, the old one with its columns 7, 9, 10 and 11 removed.
 Any change to those paths that moves a single bit of output fails here.
 manifest.tsv is left out because it carries the code version and timestamps.
 """
@@ -29,15 +32,17 @@ import numpy as np
 import pytest
 
 import relqtraj as rq
+from relqtraj import cli
 from relqtraj.cli import main
+from relqtraj.snapshot_io import format_cells
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # configs/gaussian_c3.txt at cadence 1: snapshots.tsv of the 11 integer-T slices.
-GAUSSIAN_C3 = "0649e26c1cce143b6c8a949d214ece17fba34816b4cdaf609603f4854dd5491b"
+GAUSSIAN_C3 = "622b18d628cdeb5ab9350ed74393285dcbcf76fed38cd3828c0ca004c6f883a2"
 
 # configs/exponential.txt at cadence 1.
-EXPONENTIAL = "b682735c58e7e7eabddfbcc7d8fa61d78f911ed28c33e4d0072aa8a27337774b"
+EXPONENTIAL = "928cc2590efdb0479b33046d5ddcef4cad39f7d75815221eebaeae186bd09ee2"
 
 
 # nonrel_integrate of each shipped config at cadence 1: SHA-256 over (t, x, v)
@@ -66,11 +71,16 @@ ANALYTIC_ARGS = {
                            "--times", "0.5,1"],
 }
 ANALYTIC = {
-    "inertial": "7fc71aa9ff7d085997af0cb43ff8fcc0c77ba6feaaabff012842de5da004259e",
-    "exponential": "74ac1d580313a4bee4bcfee9d8a726c1a3537c31c548b72dc45af96da4d2bbe2",
-    "hyperbolic-gamma-one": "b55f813d4dad685360cbf79e7a87fb88db23b697931eb2b38c9767a2d7144398",
-    "hyperbolic-gamma-t": "874930f1d347ce7fb75fc3249c820809b7c6b72c972ecc8f2c59b6c904c68c24",
+    "inertial": "0fe79505f10b299136e4cf250c2e31350401571a5a19b1cd9aff2e7a752778dc",
+    "exponential": "22095d815edd1cbcc2577ee3c2df04625966e29098d37d83ff6b8c35bb90c3f5",
+    "hyperbolic-gamma-one": "405450f49318edb20e20c51730b12725e7a3fc8105358538ff46a5d6e3f78120",
+    "hyperbolic-gamma-t": "30c1b7f9f91dfc58a766737b83bbc5d508dc164a0ef2d0cb45242230ad6e308f",
 }
+
+# ANALYTIC_ARGS["exponential"]'s snapshots.tsv in the layout before the
+# table dropped gamma, tau_T, beta and rho_star: its 11 columns
+# T C t x u0 u1 gamma Q tau_T beta rho_star, the ANALYTIC pin of that layout.
+ELEVEN_COLUMN_EXPONENTIAL = "74ac1d580313a4bee4bcfee9d8a726c1a3537c31c548b72dc45af96da4d2bbe2"
 
 # configs/gaussian_c3.txt to T = 1 at cadence 0.025 (41 slices): the
 # report.tsv that `verify` writes and the four `figures` files.
@@ -170,6 +180,68 @@ def test_analytic(kind, tmp_path):
     assert main(["analytic", "--kind", kind, "--grid-n", "25", "--out", str(out)]
                 + ANALYTIC_ARGS[kind]) == 0
     assert _sha(out / "snapshots.tsv") == ANALYTIC[kind]
+
+
+def _written_series(monkeypatch, argv):
+    """(the series `main(argv)` hands to write_snapshots, the directory it
+    is written to)."""
+    seen = []
+
+    def spy(series, path, **kwargs):
+        seen.append((series, path))
+        return rq.write_snapshots(series, path, **kwargs)
+
+    monkeypatch.setattr(cli, "write_snapshots", spy)
+    main(argv)
+    [(series, path)] = seen
+    return series, path
+
+
+# what a series read back recomputes from the stored columns
+RECOMPUTED = {"gamma": lambda s: s.gamma, "tau_T": lambda s: s.tau_T, "f": lambda s: s.f,
+              "g01": lambda s: s.g01, "beta": lambda s: rq.derived_fields(s)[0],
+              "rho_star": lambda s: rq.derived_fields(s)[1]}
+
+
+@pytest.mark.parametrize("kind", ["simulate", *sorted(ANALYTIC_ARGS)])
+def test_the_stored_columns_lose_nothing(kind, tmp_path, monkeypatch):
+    # every field the table does not store reads back bitwise, NaN for NaN:
+    # the no-density rho_star of hyperbolic-gamma-one is NaN in memory, and
+    # so only while the manifest keeps its weight
+    out = str(tmp_path / "out")
+    if kind == "simulate":
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text((CONFIGS / "gaussian_c3.txt").read_text()
+                       .replace("time.final = 10", "time.final = 1"))
+        argv = ["simulate", "--config", str(cfg), "--cadence", "0.1"]
+    else:
+        argv = ["analytic", "--kind", kind, "--grid-n", "25", *ANALYTIC_ARGS[kind]]
+    series, path = _written_series(monkeypatch, argv + ["--out", out])
+    assert path == out
+    back = rq.read_snapshots(out)
+    assert [name for name, get in RECOMPUTED.items()
+            if not np.array_equal(get(back), get(series), equal_nan=True)] == []
+    assert back.config == series.config
+
+
+def test_an_eleven_column_table_is_refused(tmp_path, capsys):
+    # the old layout, rebuilt from the new table and the fields read back,
+    # is the old pinned file byte for byte; verify refuses it by its header
+    out = tmp_path / "exp"
+    assert main(["analytic", "--kind", "exponential", "--grid-n", "25", "--out", str(out)]
+                + ANALYTIC_ARGS["exponential"]) == 0
+    capsys.readouterr()
+    series, table = rq.read_snapshots(str(out)), out / "snapshots.tsv"
+    extra = [format_cells(a) for a in (series.gamma, series.tau_T, *rq.derived_fields(series))]
+    rows = [line.split("\t") for line in table.read_text().splitlines()[1:]]
+    old = ["T C t x u0 u1 gamma Q tau_T beta rho_star".split()]
+    old += [(*row[:6], gamma, row[6], tau, beta, rho)
+            for row, gamma, tau, beta, rho in zip(rows, *extra, strict=True)]
+    table.write_text("".join("\t".join(row) + "\n" for row in old))
+    assert _sha(table) == ELEVEN_COLUMN_EXPONENTIAL
+    assert main(["verify", "--snapshots", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {table}: header row is not T C t x u0 u1 Q\n"
 
 
 @pytest.fixture(scope="module")

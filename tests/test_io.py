@@ -99,6 +99,19 @@ class TestParseConfig:
         cfg = rq.parse_config(base + "weight.kind = exponential\nweight.kappa = 0.3\n")
         assert cfg.weight.params == (0.3,)
 
+    def test_the_no_density_weight_round_trips(self):
+        # analytic --kind hyperbolic-gamma-one has no closed-form density; the
+        # manifest says so as weight.kind = none, and the config reads back equal
+        cfg = rq.SimConfig(c=1.0, weight=rq.hyperbolic_gamma_one_ensemble(1.0, 1.0).weight,
+                           grid=rq.make_grid(0.5, 2.5, 25), t_final=1.0)
+        text = rq.config_to_text(cfg)
+        assert "\nweight.kind = none\ngrid.min = 0.5\n" in text
+        again = rq.parse_config(text)
+        assert again == cfg and hash(again) == hash(cfg)
+        assert np.isnan(again.weight_f).all()
+        with pytest.raises(ConfigError, match="'weight.a' does not apply to weight.kind 'none'"):
+            rq.parse_config(text + "weight.a = 1\n")
+
     def test_shipped_config_echo_is_pinned(self):
         # the manifest echo of configs/gaussian_c3.txt, byte for byte
         path = CONFIGS / "gaussian_c3.txt"
@@ -248,7 +261,7 @@ class TestSnapshotRoundTrip:
         out = tmp_path / "snaps"
         rq.write_snapshots(short_series, str(out))
         table = out / "snapshots.tsv"
-        table.write_text(table.read_text().replace("rho_star", "rho", 1))
+        table.write_text(table.read_text().replace("u1", "v", 1))
         with pytest.raises(ValueError, match="snapshots.tsv: header row is not"):
             rq.read_snapshots(str(out))
 

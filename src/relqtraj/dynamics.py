@@ -236,7 +236,11 @@ def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, collect)
     """Advance y = step(y, T) from T = 0 to t_final, keeping record(T, y) every
     `cadence` and at the end, with T = k * dt after k steps; returns
     collect(the list of records).  A failed step or record raises
-    IntegrationError naming T, with collect(the records before it) attached."""
+    IntegrationError naming T, with collect(the records before it) attached.
+    A weight without a density (kind "none") is a ValueError: there is no Q
+    to evolve by."""
+    if config.weight.kind == "none":
+        raise ValueError("weight.kind none has no density, so no quantum potential to run by")
     n_steps, stride = step_counts(config, cadence)
     out = []
     for k in range(n_steps + 1):

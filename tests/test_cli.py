@@ -89,6 +89,18 @@ class TestSimulate:
         cfg = _write(tmp_path, "bad.cfg", "c = 3\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "compare-limits"])
+    def test_a_weight_without_density_does_not_run(self, tmp_path, capsys, command):
+        # weight.kind none parses, for the manifest of an analytic family, but
+        # gives no quantum potential: neither solver runs it as if it were uniform
+        cfg = _write(tmp_path, "n.cfg", GAUSS_CFG.replace("gaussian\nweight.a = 0.5", "none"))
+        out = tmp_path / "o"
+        tail = ["--out", str(out)] if command == "simulate" else ["--nonrel"]
+        assert main([command, "--config", cfg, *tail]) == 1
+        assert capsys.readouterr().err == ("error: weight.kind none has no density, so no "
+                                           "quantum potential to run by\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("final, cadence, message", [
         # each would once have run: recording every step, recording every
         # 0.002, and stopping at T = 0.01
@@ -124,24 +136,22 @@ class TestSimulate:
         assert [ln for ln in manifest if ln.startswith("invariant.")] == []
         assert main(["verify", "--snapshots", str(out)]) == 0
 
-    @pytest.mark.parametrize("tol, code, facts", [
-        ("1e-3", 2, ["run.cadence\t0.5", "run.n_steps\t2000", "run.stride\t500",
-                     "run.final_T\t2"]),
-        # the abort of the first step (see above) keeps T = 0 and the same counts
-        ("1e-15", 2, ["run.cadence\t0.5", "run.n_steps\t2000", "run.stride\t500",
-                      "run.final_T\t0"]),
-    ], ids=["complete", "aborted"])
-    def test_manifest_records_the_run_facts(self, tmp_path, tol, code, facts):
+    # tol.invariant = 1e-15 aborts the first step (see above) and keeps T = 0
+    @pytest.mark.parametrize("tol, final_T", [("1e-3", "2"), ("1e-15", "0")],
+                             ids=["complete", "aborted"])
+    def test_manifest_records_the_run_facts(self, tmp_path, tol, final_T):
         cfg = _write(tmp_path, "g.cfg", GAUSS_CFG.replace("tol.invariant = 1e-3",
                                                           f"tol.invariant = {tol}"))
         out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--cadence", "0.5"]) == code
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--cadence", "0.5"]) == 2
         manifest = (out / "manifest.tsv").read_text().splitlines()
-        assert [ln.split("\t")[0] for ln in manifest if ln.startswith("run.")] == [
-            "run.code_version", "run.start_time", "run.end_time", "run.cadence",
-            "run.n_steps", "run.stride", "run.final_T"]
-        assert manifest[-4:] == facts
-        assert rq.read_snapshots(str(out)).times[-1] == float(facts[-1].split("\t")[1])
+        run = [ln.split("\t") for ln in manifest if ln.startswith("run.")]
+        assert [key for key, _ in run] == ["run.code_version", "run.start_time", "run.end_time",
+                                           "run.cadence", "run.n_steps", "run.stride",
+                                           "run.final_T"]
+        assert run[3:] == [["run.cadence", "0.5"], ["run.n_steps", "2000"],
+                           ["run.stride", "500"], ["run.final_T", final_T]]
+        assert rq.read_snapshots(str(out)).times[-1] == float(final_T)
 
     @pytest.mark.parametrize("name, cut, cadence, noted", [
         ("gaussian_c3.txt", ("time.final = 10", "time.final = 1"), "0.025", False),

@@ -183,18 +183,17 @@ def test_analytic(kind, tmp_path):
 
 
 def _written_series(monkeypatch, argv):
-    """(the series `main(argv)` hands to write_snapshots, the directory it
-    is written to)."""
+    """The series `main(argv)` hands to write_snapshots."""
     seen = []
 
     def spy(series, path, **kwargs):
-        seen.append((series, path))
+        seen.append(series)
         return rq.write_snapshots(series, path, **kwargs)
 
     monkeypatch.setattr(cli, "write_snapshots", spy)
     main(argv)
-    [(series, path)] = seen
-    return series, path
+    [series] = seen
+    return series
 
 
 # what a series read back recomputes from the stored columns
@@ -216,8 +215,7 @@ def test_the_stored_columns_lose_nothing(kind, tmp_path, monkeypatch):
         argv = ["simulate", "--config", str(cfg), "--cadence", "0.1"]
     else:
         argv = ["analytic", "--kind", kind, "--grid-n", "25", *ANALYTIC_ARGS[kind]]
-    series, path = _written_series(monkeypatch, argv + ["--out", out])
-    assert path == out
+    series = _written_series(monkeypatch, argv + ["--out", out])
     back = rq.read_snapshots(out)
     assert [name for name, get in RECOMPUTED.items()
             if not np.array_equal(get(back), get(series), equal_nan=True)] == []

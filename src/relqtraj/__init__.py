@@ -52,6 +52,7 @@ from .diagnostics import (
 from .snapshot_io import (
     ConfigError,
     parse_config,
+    load_config,
     config_to_text,
     write_snapshots,
     read_snapshots,

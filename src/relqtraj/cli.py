@@ -37,7 +37,7 @@ from .nonrel import nonrel_integrate
 from .snapshot_io import (
     ConfigError,
     format_cells,
-    parse_config,
+    load_config,
     read_snapshots,
     write_report,
     write_snapshots,
@@ -55,13 +55,8 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _load_config(path: str) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     n_steps, stride = step_counts(cfg, args.cadence)
     start = {"code_version": __version__, "start_time": _now()}
 
@@ -153,11 +148,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare_limits(args) -> int:
-    cfg = _load_config(args.config)
-    cfg2 = _load_config(args.config2) if args.config2 else None
+    cfg = load_config(args.config)
+    cfg2 = load_config(args.config2) if args.config2 else None
     if cfg2 is not None and cfg2.grid != cfg.grid:
         raise ConfigError(f"compare-limits: the two configs label different grids "
                           f"({cfg.grid} and {cfg2.grid}); x is compared label by label")
+    for plan in filter(None, (cfg, cfg2)):  # both run plans, refused before either runs
+        step_counts(plan, args.cadence)
     series = integrate(cfg, cadence=args.cadence)
     if cfg2 is not None:
         other = integrate(cfg2, cadence=args.cadence)

@@ -211,12 +211,16 @@ def rest_initial_state(config: SimConfig) -> EnsembleState:
 
 def step_counts(config: SimConfig, cadence: float) -> tuple:
     """(n_steps, stride) of a fixed-step run: steps to t_final and steps
-    between snapshots.
+    between snapshots; the one statement of a runnable plan.
 
     t_final and cadence must both be whole multiples of dt, so the run ends
     at t_final and records every cadence exactly as asked; anything else
-    is rejected with ValueError rather than rounded to a different run.
+    is rejected with ValueError rather than rounded to a different run.  A
+    weight without a density (kind "none") is a ValueError too: there is no
+    Q to evolve by.
     """
+    if config.weight.kind == "none":
+        raise ValueError("weight.kind none has no density, so no quantum potential to run by")
     check_positive(cadence=cadence)
     counts = []
     for name, span in (("t_final", config.t_final), ("cadence", cadence)):
@@ -236,11 +240,7 @@ def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, collect)
     """Advance y = step(y, T) from T = 0 to t_final, keeping record(T, y) every
     `cadence` and at the end, with T = k * dt after k steps; returns
     collect(the list of records).  A failed step or record raises
-    IntegrationError naming T, with collect(the records before it) attached.
-    A weight without a density (kind "none") is a ValueError: there is no Q
-    to evolve by."""
-    if config.weight.kind == "none":
-        raise ValueError("weight.kind none has no density, so no quantum potential to run by")
+    IntegrationError naming T, with collect(the records before it) attached."""
     n_steps, stride = step_counts(config, cadence)
     out = []
     for k in range(n_steps + 1):

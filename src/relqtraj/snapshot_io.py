@@ -1,9 +1,10 @@
 """Config parsing and snapshot/report serialization.
 
 Config files are flat "key = value" text, every key stated once in _KEYS and
-_WEIGHTS.  A snapshot series is written as one tab-separated table of the
-columns read_snapshots reads, N rows per slice (17 significant digits, exact
-for float64), plus a manifest echoing every input needed to rerun it bitwise.
+_WEIGHTS, and load_config reads one from disk.  A series is written as one
+tab-separated table of the columns read_snapshots reads, N rows per slice (17
+significant digits, exact for float64), plus manifest.txt: the config file
+that reruns it bitwise, with the run's facts as comments.
 """
 
 from __future__ import annotations
@@ -135,6 +136,16 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def load_config(path: str) -> SimConfig:
+    """parse_config of the config file at path, the one reader of a config on
+    disk; a ConfigError is prefixed with the path, so its line N is the file's."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse_config(fh.read())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+
+
 def config_to_text(cfg: SimConfig) -> str:
     """Flat key-value echo of a SimConfig; parse_config inverts it exactly.
     Every key is written but the parameter keys of the other weight kinds."""
@@ -169,15 +180,15 @@ def write_snapshots(
 ) -> List[str]:
     """The series as one TSV table, snapshots.tsv: N rows per snapshot, in T
     order, under one SNAPSHOT_COLUMNS header; the fields read_snapshots
-    recomputes (bitwise) are not written.  Then manifest.tsv and, given a
+    recomputes (bitwise) are not written.  Then manifest.txt and, given a
     report, write_report's report.tsv; returns the written paths.  The cells
     are formatted in blocks of whole slices, about _BLOCK_ROWS rows each, so
-    the cells held stay bounded at any K.  Each keyword in run
-    (the CLI's code_version, start_time and end_time, then simulate's
-    cadence or analytic's kind and parameter) becomes a run.<key> line of
-    the manifest, in call order; a float value is one 17-digit cell.  An
-    empty series, or snapshot times that do not strictly increase, are a
-    ValueError, raised before any file is written."""
+    the cells held stay bounded at any K.  The manifest is config_to_text,
+    then each keyword in run (the CLI's code_version, start_time and
+    end_time, then simulate's cadence or analytic's kind and parameter) as a
+    "# run.<key> = <value>" comment, in call order; a float value is one
+    17-digit cell.  An empty series, or snapshot times that do not strictly
+    increase, are a ValueError, raised before any file is written."""
     cfg, times, (K, _, n) = series.config, series.times, series.y.shape
     if not K:
         raise ValueError("a snapshot series to write needs at least one snapshot")
@@ -197,12 +208,10 @@ def write_snapshots(
 
     written = [os.path.join(path, "snapshots.tsv")]
     write_table(written[-1], itertools.chain([SNAPSHOT_COLUMNS], table_rows()))
-    rows = [(f"config.{key}", val) for key, _, val in
-            (line.partition(" = ") for line in config_to_text(cfg).splitlines())]
-    rows += [(f"run.{key}", val if isinstance(val, str) else _fmt(val))
+    notes = [f"# run.{key} = {val if isinstance(val, str) else _fmt(val)}"
              for key, val in run.items()]
-    written.append(os.path.join(path, "manifest.tsv"))
-    write_table(written[-1], rows)
+    written.append(os.path.join(path, "manifest.txt"))
+    write_table(written[-1], ((line,) for line in config_to_text(cfg).splitlines() + notes))
     if report is not None:
         written.append(os.path.join(path, "report.tsv"))
         write_report(report, written[-1])
@@ -219,9 +228,9 @@ def _bad_row(fh, width: int) -> Optional[str]:
         cells = row.rstrip("\n").split("\t")
         if len(cells) != width:
             return f"data row {k} holds {len(cells)} values, not {width}"
-        for column, cell in zip(SNAPSHOT_COLUMNS, cells):
-            try:
-                float(cell)
+        for j, (column, cell) in enumerate(zip(SNAPSHOT_COLUMNS, cells)):
+            try:  # by np.loadtxt's own rules: float() also takes a cell such as 1_0
+                np.loadtxt([row], delimiter="\t", comments=None, usecols=j)
             except ValueError:
                 return f"data row {k} holds {cell!r} in column {column}, not a number"
     return None
@@ -229,36 +238,26 @@ def _bad_row(fh, width: int) -> Optional[str]:
 
 def read_snapshots(path: str) -> SnapshotSeries:
     """Rebuild a SnapshotSeries from a snapshot directory: the config from
-    its manifest.tsv, the snapshots from its snapshots.tsv.
+    its manifest.txt (by load_config), the snapshots from its snapshots.tsv.
 
     Stored t, x, u0, u1, Q round-trip bitwise; gamma, tau_T, the force and
     g01 are recomputed from them, bitwise the written series' fields, with
     the run's stencils in one record_series pass over the (K, 4, N) stack,
     so verification never trusts integrator internals.  A missing
-    manifest.tsv or snapshots.tsv is a FileNotFoundError.  A manifest config
-    line without exactly one value is a ValueError, and so is a table whose
-    header is not SNAPSHOT_COLUMNS, that has no data rows, a row that does
-    not hold one number per column (named by its data row), a row count that
+    manifest.txt or snapshots.tsv is a FileNotFoundError, a bad manifest
+    load_config's ConfigError, and a ValueError a table whose header is not
+    SNAPSHOT_COLUMNS, that has no data rows, a row that does not hold one
+    number per column (named by its data row), a row count that
     is not a whole number of N-row slices, a T column that is not constant
     within a slice or does not strictly increase from slice to slice, a C
     column that is not the manifest grid's nodes, or a slice that fails
     check_state (every slice's state is checked before any slice's gamma).
     """
-    manifest = os.path.join(path, "manifest.tsv")
-    if not os.path.exists(manifest):
-        raise FileNotFoundError(f"no manifest.tsv in {path}")
-    config_lines = []
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            key, *values = raw.rstrip("\n").split("\t")
-            if key.startswith("config."):
-                if len(values) != 1:
-                    raise ValueError(f"{manifest}: line {lineno}: malformed entry {raw.rstrip()!r}")
-                config_lines.append(f"{key[len('config.'):]} = {values[0]}")
-    cfg = parse_config("\n".join(config_lines))
+    for name in ("manifest.txt", "snapshots.tsv"):
+        if not os.path.exists(os.path.join(path, name)):
+            raise FileNotFoundError(f"no {name} in {path}")
+    cfg = load_config(os.path.join(path, "manifest.txt"))
     fname = os.path.join(path, "snapshots.tsv")
-    if not os.path.exists(fname):
-        raise FileNotFoundError(f"no snapshots.tsv in {path}")
     n, width = cfg.grid.n_points, len(SNAPSHOT_COLUMNS)
     with open(fname, "r", encoding="utf-8") as fh:
         if tuple(fh.readline().rstrip("\n").split("\t")) != SNAPSHOT_COLUMNS:

@@ -51,13 +51,17 @@ TX_ROWS, U_ROWS = (..., slice(2), slice(None)), (..., slice(2, None), slice(None
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform grid of trajectory labels C, compared and hashed as the value
-    (c_min, c_max, n_points) of finite span; nodes is np.linspace of it, read-only."""
+    (c_min, c_max, n_points) of finite span; nodes is np.linspace of it, read-only.
+    A non-integral n_points is refused, and an integral float is held as int."""
 
     c_min: float
     c_max: float
     n_points: int
 
     def __post_init__(self):
+        if not float(self.n_points).is_integer():
+            raise ValueError(f"n_points must be an integer, got {self.n_points}")
+        object.__setattr__(self, "n_points", int(self.n_points))
         if not math.isfinite(self.c_max - self.c_min):
             raise ValueError(f"grid span {self.c_max:g} - {self.c_min:g} is not finite")
         if self.n_points < MIN_POINTS:
@@ -71,9 +75,7 @@ class SpatialGrid:
 
 
 def make_grid(c_min: float, c_max: float, n_points: int) -> SpatialGrid:
-    if not float(n_points).is_integer():
-        raise ValueError(f"n_points must be an integer, got {n_points}")
-    return SpatialGrid(float(c_min), float(c_max), int(n_points))
+    return SpatialGrid(float(c_min), float(c_max), n_points)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ class TestSimulate:
         out = tmp_path / "out"
         code = main(["simulate", "--config", cfg, "--out", str(out)])
         # snapshots exist regardless of whether every invariant met tolerance
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv", "report.tsv",
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "report.tsv",
                                                           "snapshots.tsv"]
         assert rq.read_snapshots(str(out)).times.tolist() == [0.0, 1.0, 2.0]
         assert code in (0, 2)
@@ -131,8 +131,8 @@ class TestSimulate:
                             r"four-velocity norm drift \S+ exceeds .* "
                             r"after step to T = 0\.001\n", captured.err)
         assert captured.out == f"simulate: aborted, 1 partial snapshots kept in {out}\n"
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv", "snapshots.tsv"]
-        manifest = (out / "manifest.tsv").read_text().splitlines()
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "snapshots.tsv"]
+        manifest = (out / "manifest.txt").read_text().splitlines()
         assert [ln for ln in manifest if ln.startswith("invariant.")] == []
         assert main(["verify", "--snapshots", str(out)]) == 0
 
@@ -144,8 +144,11 @@ class TestSimulate:
                                                           f"tol.invariant = {tol}"))
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--cadence", "0.5"]) == 2
-        manifest = (out / "manifest.tsv").read_text().splitlines()
-        run = [ln.split("\t") for ln in manifest if ln.startswith("run.")]
+        # the manifest is the config file, then one "# run.<key> = <value>" note per fact
+        text = (out / "manifest.txt").read_text()
+        config = rq.config_to_text(rq.load_config(cfg))
+        assert text.startswith(config)
+        run = [ln.removeprefix("# ").split(" = ") for ln in text[len(config):].splitlines()]
         assert [key for key, _ in run] == ["run.code_version", "run.start_time", "run.end_time",
                                            "run.cadence", "run.n_steps", "run.stride",
                                            "run.final_T"]
@@ -175,7 +178,7 @@ class TestSimulate:
         assert simulated[1:] == verified[1:]
         assert any(line.startswith("note: evolution-equation residuals skipped")
                    for line in verified) == noted
-        manifest = (out / "manifest.tsv").read_text().splitlines()
+        manifest = (out / "manifest.txt").read_text().splitlines()
         assert [ln for ln in manifest if ln.startswith("invariant.")] == []
 
     def test_unknown_key_is_validation_error(self, tmp_path):
@@ -250,17 +253,18 @@ class TestAnalyticVerify:
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, flags, recorded", [
-        ("inertial", [], ["run.kind\tinertial", "run.beta0\t0"]),  # the default
-        ("hyperbolic-gamma-t", ["--A", "0.5"], ["run.kind\thyperbolic-gamma-t", "run.A\t0.5"]),
+        ("inertial", [], ["# run.kind = inertial", "# run.beta0 = 0"]),  # the default
+        ("hyperbolic-gamma-t", ["--A", "0.5"], ["# run.kind = hyperbolic-gamma-t",
+                                                "# run.A = 0.5"]),
     ])
     def test_analytic_records_its_kind_and_parameter(self, tmp_path, kind, flags, recorded):
         out = tmp_path / "out"
         assert main(["analytic", "--kind", kind, *flags, "--c", "2", "--grid-min", "-1",
                      "--grid-max", "1", "--grid-n", "25", "--times", "0.5,1",
                      "--out", str(out)]) == 0
-        manifest = (out / "manifest.tsv").read_text().splitlines()
-        assert [ln for ln in manifest if ln.startswith(("run.kind", "run.beta0", "run.A"))] \
-            == recorded
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert [ln for ln in manifest
+                if ln.startswith(("# run.kind", "# run.beta0", "# run.A"))] == recorded
         assert rq.read_snapshots(str(out)).times.tolist() == [0.5, 1.0]  # run lines are not read
 
     def test_analytic_reports_a_non_finite_Q_as_a_runtime_failure(self, tmp_path, capsys):
@@ -447,32 +451,39 @@ class TestAnalyticVerify:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and line.endswith(message)
 
-    def test_verify_names_a_cell_that_is_not_a_number(self, tmp_path, capsys):
+    # 1_0 is a number to Python's float() but not to np.loadtxt, the table's reader
+    @pytest.mark.parametrize("cell, column", [("0.5.1", "Q"), ("1_0", "x")])
+    def test_verify_names_a_cell_that_is_not_a_number(self, tmp_path, capsys, cell, column):
         out = _exponential_output(tmp_path / "exp")
         capsys.readouterr()
-        _set_cell(out, 1.0, 4, "Q", "0.5.1")  # data row 30
+        _set_cell(out, 1.0, 4, column, cell)  # data row 30
         assert main(["verify", "--snapshots", str(out)]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and line.endswith(
-            "snapshots.tsv: data row 30 holds '0.5.1' in column Q, not a number")
+            f"snapshots.tsv: data row 30 holds '{cell}' in column {column}, not a number")
 
     def test_verify_missing_directory(self, tmp_path):
         assert main(["verify", "--snapshots", str(tmp_path / "none")]) == 1
 
-    @pytest.mark.parametrize("key, bad", [
-        ("config.grid.n\t", "config.grid.n"),
-        ("config.grid.n\t", "config.grid.n\t25\t25"),
-        ("config.grid.n\t", "config.grid.n 25"),
-    ], ids=["config-without-value", "config-with-two-values", "config-without-tab"])
-    def test_verify_names_a_malformed_manifest_line(self, tmp_path, capsys, key, bad):
+    # the edit of the manifest's lines -> the number of the line it refuses (from
+    # 1) and the message; the manifest is 13 config lines and 5 "# run." notes
+    @pytest.mark.parametrize("edit, lineno, message", [
+        (lambda ls: ls + ["c = 3"], 19, "duplicate key 'c'"),
+        (lambda ls: [ln.replace("grid.n = 25", "grid.n\t25") for ln in ls], 8,
+         "expected 'key = value', got 'grid.n\\t25'"),  # a line of the old manifest.tsv
+        (lambda ls: [ln.replace("grid.n = 25", "grid.n = 25.5") for ln in ls], 8,
+         "bad value for 'grid.n': '25.5'"),
+    ], ids=["duplicate", "tsv-line", "bad-value"])
+    def test_verify_names_the_manifest_and_its_line(self, tmp_path, capsys, edit, lineno,
+                                                    message):
         out = _exponential_output(tmp_path / "exp")
-        manifest = out / "manifest.tsv"
+        capsys.readouterr()
+        manifest = out / "manifest.txt"
         lines = manifest.read_text().splitlines()
-        k = next(i for i, line in enumerate(lines) if line.startswith(key))
-        lines[k] = bad
-        manifest.write_text("\n".join(lines) + "\n")
+        assert len(lines) == 18 and lines[7] == "grid.n = 25"
+        manifest.write_text("\n".join(edit(lines)) + "\n")
         assert main(["verify", "--snapshots", str(out)]) == 1
-        assert f"manifest.tsv: line {k + 1}: malformed" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {manifest}: line {lineno}: {message}\n"
 
 
     def test_verify_and_figures_warn_nothing_for_an_inf_cell(self, tmp_path):
@@ -528,7 +539,7 @@ class TestAnalyticVerify:
         assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
                      "--grid-max", "2", "--grid-n", "25", "--times", "0",
                      "--out", str(out)]) == 0
-        assert "config.time.final\t0" in (out / "manifest.tsv").read_text().splitlines()
+        assert "time.final = 0" in (out / "manifest.txt").read_text().splitlines()
 
 
 # fault -> (analytic --times, edit of the snapshots.tsv lines, the command run
@@ -583,6 +594,18 @@ def test_verify_rejects_a_table_that_is_not_a_series(tmp_path, capsys, edit, mes
     assert main(["verify", "--snapshots", str(out)]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and line.endswith(message)
+
+
+def test_verify_refuses_a_directory_of_the_old_manifest(tmp_path, capsys):
+    # manifest.tsv, the config as TSV "config.<key>" rows, has no reader
+    out = _exponential_output(tmp_path / "exp")
+    capsys.readouterr()
+    manifest = out / "manifest.txt"
+    config = [ln.split(" = ") for ln in manifest.read_text().splitlines() if ln[0] != "#"]
+    (out / "manifest.tsv").write_text("".join(f"config.{key}\t{val}\n" for key, val in config))
+    manifest.unlink()
+    assert main(["verify", "--snapshots", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: no manifest.txt in {out}\n"
 
 
 def test_verify_refuses_a_directory_without_the_table(tmp_path, capsys):
@@ -640,7 +663,9 @@ def test_a_timelike_slice_in_a_run_is_a_runtime_failure(tmp_path, capsys, monkey
 
 # runs no float can count, no weight can differentiate, or whose constants or
 # grid span no float holds: each was a traceback (OverflowError in step_counts
-# or a squared c or hbar), a runtime failure at T = 0 or an error naming x
+# or a squared c or hbar), a runtime failure at T = 0 or an error naming x.
+# A rule of the config itself names the config file, {config}; a run plan's
+# step count, which also depends on --cadence, does not
 UNRUNNABLE = {
     "dt-simulate": ("gaussian_c3.txt", "time.dt = 1e-3", "time.dt = 1e-320", ["simulate"],
                     "t_final / dt = 10 / 9.99989e-321 is not finite"),
@@ -650,19 +675,20 @@ UNRUNNABLE = {
     "cadence": ("gaussian_c3.txt", "", "", ["simulate", "--cadence", "1e306"],
                 "cadence / dt = 1e+306 / 0.001 is not finite"),
     "weight-a": ("gaussian_c3.txt", "weight.a = 0.5", "weight.a = 1e308", ["simulate"],
-                 "gaussian weight has a non-finite d ln f / dC coefficient"),
+                 "{config}: gaussian weight has a non-finite d ln f / dC coefficient"),
     "weight-kappa": ("exponential.txt", "weight.kappa = 0.25", "weight.kappa = 1e308",
-                     ["simulate"], "exponential weight has a non-finite d ln f / dC coefficient"),
+                     ["simulate"],
+                     "{config}: exponential weight has a non-finite d ln f / dC coefficient"),
     "c-simulate": ("gaussian_c3.txt", "\nc = 3\n", "\nc = 1e200\n", ["simulate"],
-                   "c = 1e+200 or hbar = 1 squares past a float"),
+                   "{config}: c = 1e+200 or hbar = 1 squares past a float"),
     "c-compare-limits": ("gaussian_c3.txt", "\nc = 3\n", "\nc = 1e200\n",
                          ["compare-limits", "--nonrel"],
-                         "c = 1e+200 or hbar = 1 squares past a float"),
+                         "{config}: c = 1e+200 or hbar = 1 squares past a float"),
     "hbar": ("gaussian_c3.txt", "hbar = 1\n", "hbar = 1e200\n", ["simulate"],
-             "c = 3 or hbar = 1e+200 squares past a float"),
+             "{config}: c = 3 or hbar = 1e+200 squares past a float"),
     "grid": ("gaussian_c3.txt", "grid.min = -5\ngrid.max = 5\n",
              "grid.min = -1e308\ngrid.max = 1e308\n", ["simulate"],
-             "grid span 1e+308 - -1e+308 is not finite"),
+             "{config}: grid span 1e+308 - -1e+308 is not finite"),
 }
 
 
@@ -676,7 +702,7 @@ def test_an_unrunnable_config_is_one_validation_error(tmp_path, capsys, case):
     flags = ["--out", str(out)] if command[0] == "simulate" else []
     assert main([command[0], "--config", cfg, *command[1:], *flags]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.err.splitlines() == [f"error: {message.format(config=cfg)}"]
     assert captured.out == ""
     assert not out.exists()
 
@@ -747,6 +773,31 @@ tol.invariant = 1e-6
         captured = capsys.readouterr()
         assert "the two configs label different grids" in captured.err
         assert "max |x difference|" not in captured.out
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("weight.kind = gaussian\nweight.a = 0.5", "weight.kind = none",
+         "weight.kind none has no density, so no quantum potential to run by"),
+        ("time.final = 10", "time.final = 10.0005",
+         "t_final = 10.0005 is not a whole multiple of dt = 0.001"),
+    ], ids=["no-density", "off-the-step-grid"])
+    def test_refuses_a_second_run_plan_before_either_run(self, tmp_path, capsys, no_run,
+                                                         old, new, message):
+        text = (CONFIGS / "gaussian_c3.txt").read_text()
+        assert old in text
+        cfg2 = _write(tmp_path, "b.cfg", text.replace(old, new))
+        assert main(["compare-limits", "--config", str(CONFIGS / "gaussian_c3.txt"),
+                     "--config2", cfg2]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("first", [True, False], ids=["config", "config2"])
+    def test_a_bad_config_names_its_file_and_line(self, tmp_path, capsys, no_run, first):
+        good = str(CONFIGS / "gaussian_c3.txt")
+        text = Path(good).read_text()
+        assert text.splitlines()[9] == "c = 3"
+        bad = _write(tmp_path, "bad.txt", text.replace("\nc = 3\n", "\nc = three\n"))
+        config, config2 = (bad, good) if first else (good, bad)
+        assert main(["compare-limits", "--config", config, "--config2", config2]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 10: bad value for 'c': 'three'\n"
 
 
 class TestUsage:
@@ -825,11 +876,13 @@ def corrupted(draw, files):
     name = draw(st.sampled_from(sorted(files)))
     kind = draw(st.sampled_from(CORRUPTIONS))
     lines = files[name].splitlines()
-    # a table's header is its first row, a manifest line's is its key
+    # a table's cells are split at tabs and its header is its first row; a
+    # manifest line's cells are its key and value, and its header is its key
+    sep = " = " if name == "manifest.txt" else "\t"
     header = kind == "rename header"
-    k = 0 if header and name != "manifest.tsv" else draw(st.integers(0, len(lines) - 1))
-    cells = lines[k].split("\t")
-    j = 0 if header and name == "manifest.tsv" else draw(st.integers(0, len(cells) - 1))
+    k = 0 if header and name != "manifest.txt" else draw(st.integers(0, len(lines) - 1))
+    cells = lines[k].split(sep)
+    j = 0 if header and name == "manifest.txt" else draw(st.integers(0, len(cells) - 1))
     if kind == "drop line":
         del lines[k]
     else:
@@ -843,7 +896,7 @@ def corrupted(draw, files):
             cells[j] += "x"
         else:
             cells[j] = kind
-        lines[k] = "\t".join(cells)
+        lines[k] = sep.join(cells)
     return {**files, name: "\n".join(lines) + "\n"}
 
 

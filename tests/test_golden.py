@@ -21,7 +21,8 @@ They were re-recorded once more when the table dropped the four columns
 read_snapshots recomputes (gamma, tau_T, beta, rho_star): each new table is,
 byte for byte, the old one with its columns 7, 9, 10 and 11 removed.
 Any change to those paths that moves a single bit of output fails here.
-manifest.tsv is left out because it carries the code version and timestamps.
+manifest.txt is left out because its run notes carry the code version and
+timestamps.
 """
 
 import hashlib

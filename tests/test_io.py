@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relqtraj as rq
+from relqtraj.cli import main
 from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS, format_cells, write_table
 
 from conftest import baseline_config, select
@@ -214,7 +215,7 @@ class TestSnapshotRoundTrip:
     def test_bitwise_round_trip(self, short_series, tmp_path):
         out = tmp_path / "snaps"
         paths = rq.write_snapshots(short_series, str(out), code_version="x")
-        assert any(p.endswith("manifest.tsv") for p in paths)
+        assert any(p.endswith("manifest.txt") for p in paths)
         back = rq.read_snapshots(str(out))
         assert len(back) == len(short_series)
         for a, b in zip(short_series, back):
@@ -235,13 +236,15 @@ class TestSnapshotRoundTrip:
         assert cfg.grid.n_points == short_series.config.grid.n_points
 
     def test_rerun_from_manifest_is_bitwise(self, short_series, tmp_path):
-        out1 = tmp_path / "a"
+        # the manifest is a config file: simulate --config <out>/manifest.txt
+        # writes the same table byte for byte (exit 2: criterion 2 fails at c = 3)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
         rq.write_snapshots(short_series, str(out1))
-        cfg = rq.read_snapshots(str(out1)).config
-        series2 = rq.integrate(cfg, cadence=0.5)
-        out2 = tmp_path / "b"
-        rq.write_snapshots(series2, str(out2))
+        assert main(["simulate", "--config", str(out1 / "manifest.txt"), "--out", str(out2),
+                     "--cadence", "0.5"]) == 2
         assert (out2 / "snapshots.tsv").read_bytes() == (out1 / "snapshots.tsv").read_bytes()
+        # the rerun's manifest is the same config, then its run notes
+        assert (out2 / "manifest.txt").read_text().startswith((out1 / "manifest.txt").read_text())
 
     def test_header_and_precision(self, short_series, tmp_path):
         out = tmp_path / "snaps"

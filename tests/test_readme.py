@@ -66,7 +66,10 @@ def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
             assert prog == "relqtraj"
             codes.setdefault(name, []).append(main([name, *args]))
             assert capsys.readouterr().err == ""
-    # simulate and verify exit 2: the c = 3 run fails reference_trajectory_zeros,
-    # whose zeros move by O(1/c^2) at finite c
-    assert codes == {"simulate": [2, 2], "analytic": [0], "verify": [2, 2],
+    # simulate (the rerun from out/manifest.txt too) and verify exit 2: the c = 3
+    # run fails reference_trajectory_zeros, whose zeros move by O(1/c^2) at finite c
+    assert codes == {"simulate": [2, 2, 2], "analytic": [0], "verify": [2, 2],
                      "compare-limits": [0], "figures": [0]}
+    # the block's rerun from the manifest wrote the table it claims
+    assert (tmp_path / "rerun" / "snapshots.tsv").read_bytes() == \
+        (tmp_path / "out" / "snapshots.tsv").read_bytes()

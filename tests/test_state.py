@@ -28,6 +28,22 @@ class TestMakeGrid:
         for n in (11, 11.0, np.int64(11), np.float64(11)):
             assert rq.make_grid(-1, 1, n).n_points == 11
 
+    @pytest.mark.parametrize("n", [9.5, math.nan, math.inf])
+    def test_the_grid_refuses_a_non_integral_point_count(self, n):
+        # SpatialGrid states the rule itself: 9.5 once built a grid silently
+        with pytest.raises(ValueError, match=f"^n_points must be an integer, got {n}$"):
+            rq.SpatialGrid(-1.0, 1.0, n)
+
+    def test_the_grid_holds_an_integral_float_count_as_int(self):
+        # SpatialGrid(-1.0, 1.0, 25.0) once equalled make_grid(-1, 1, 25) but
+        # its nodes, and so integrate, raised TypeError
+        g = rq.SpatialGrid(-1.0, 1.0, 25.0)
+        assert type(g.n_points) is int
+        assert g == rq.make_grid(-1, 1, 25) and hash(g) == hash(rq.make_grid(-1, 1, 25))
+        assert g.nodes.tobytes() == np.linspace(-1.0, 1.0, 25).tobytes()
+        cfg = rq.SimConfig(c=1, weight=rq.uniform_weight(), grid=g, t_final=0.002)
+        assert rq.integrate(cfg, cadence=0.001).y.shape == (3, 4, 25)
+
     def test_nonfinite_bounds_rejected(self):
         with pytest.raises(ValueError):
             rq.make_grid(-np.inf, 5, 25)

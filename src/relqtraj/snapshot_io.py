@@ -138,11 +138,11 @@ def parse_config(text: str) -> SimConfig:
 
 def load_config(path: str) -> SimConfig:
     """parse_config of the config file at path, the one reader of a config on
-    disk; a ConfigError is prefixed with the path, so its line N is the file's."""
+    disk; a ConfigError or non-UTF-8 text is a ConfigError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse_config(fh.read())
-        except ConfigError as exc:
+        except (ConfigError, UnicodeDecodeError) as exc:  # a ConfigError's line N is the file's
             raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -307,3 +307,15 @@ class TestReport:
 def test_refusals_name_their_cause(tmp_path, call, error, message):
     with pytest.raises(error, match=message):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"c = 3\nc = 4\n", "line 2: duplicate key 'c'"),
+    (b"c = 3\xff\n", "'utf-8' codec can't decode byte 0xff in position 5"),
+], ids=["duplicate", "not-utf-8"])
+def test_a_config_file_error_names_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError) as info:
+        rq.load_config(str(path))
+    assert str(info.value).startswith(f"{path}: {message}")

@@ -8,13 +8,13 @@ Subcommands:
   figures         emit plot-data polylines from a snapshot directory
 
 Exit codes: 0 success / all checks pass, 1 validation or usage error (a
-ValueError), 2 runtime failure (IntegrationError, ArithmeticError, OSError).
+ValueError), 2 runtime failure (IntegrationError, ArithmeticError, OSError,
+MemoryError).
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -36,12 +36,11 @@ from .dynamics import IntegrationError, finite_record, integrate, record_series,
 from .nonrel import nonrel_integrate
 from .snapshot_io import (
     ConfigError,
-    format_cells,
     load_config,
     read_snapshots,
     write_report,
+    write_series,
     write_snapshots,
-    write_table,
 )
 from .state import MIN_POINTS, SimConfig, check_positive, make_grid
 from .stencils import STENCIL_ORDERS
@@ -181,28 +180,15 @@ def _cmd_compare_limits(args) -> int:
 def _cmd_figures(args) -> int:
     series = read_snapshots(args.snapshots)
     os.makedirs(args.out, exist_ok=True)
-    K, _, N = series.y.shape
-    # Each value is formatted once, and a field's cells are kept only while
-    # its tables are written.  Every column runs slice by slice, K blocks of
-    # N labels, from the (K, N) fields; T and C repeat their cells to fill it.
-    T = [cell for cell in format_cells(series.times) for _ in range(N)]
-    C = format_cells(series.config.grid.nodes) * K
+    T, C, t, x = series.times, series.config.grid.nodes, series.y[:, 0], series.y[:, 1]
     paths = []
-
-    def write(fname, header, *columns):  # rows streamed, not held as a list
-        paths.append(os.path.join(args.out, fname))
-        write_table(paths[-1], itertools.chain([header], zip(*columns, strict=True)))
-
-    def by_label(cells):  # the same cells label by label, N blocks of K slices
-        return (cell for j in range(N) for cell in cells[j::N])
-
-    t, x = format_cells(series.y[:, 0]), format_cells(series.y[:, 1])
     # trajectories run label by label, the other tables slice by slice
-    write("fig_trajectories.tsv", ("C", "T", "t", "x"), *map(by_label, (C, T, t, x)))
-    write("fig_simultaneity.tsv", ("T", "C", "t", "x"), T, C, t, x)
-    del t, x
-    write("fig_gamma.tsv", ("T", "C", "gamma"), T, C, format_cells(series.gamma))
-    write("fig_q.tsv", ("T", "C", "Q"), T, C, format_cells(series.Q))
+    for name, header, *table in (("fig_trajectories.tsv", ("C", "T", "t", "x"), C, T, t.T, x.T),
+                                 ("fig_simultaneity.tsv", ("T", "C", "t", "x"), T, C, t, x),
+                                 ("fig_gamma.tsv", ("T", "C", "gamma"), T, C, series.gamma),
+                                 ("fig_q.tsv", ("T", "C", "Q"), T, C, series.Q)):
+        paths.append(os.path.join(args.out, name))
+        write_series(paths[-1], header, *table)
     print("figures: " + ", ".join(paths))
     return EXIT_OK
 
@@ -276,8 +262,8 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (IntegrationError, ArithmeticError, OSError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
+    except (IntegrationError, ArithmeticError, OSError, MemoryError) as exc:
+        print(f"runtime failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

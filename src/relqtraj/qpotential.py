@@ -17,7 +17,7 @@ weights that are tiny at the grid edges never underflow.  Both second
 derivatives arise as two successive stencil applications.
 
 In an RK stage it is the second layer, after geometry.compute_geometry: called
-by dynamics.compute_Q (three of the stage's six d_dC calls) or nonrel.nonrel_Q.
+by dynamics.compute_Q (three of the stage's five d_dC calls) or nonrel.nonrel_Q.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ that reruns it bitwise, with the run's facts as comments.
 
 from __future__ import annotations
 
-import itertools
 import os
 from operator import attrgetter
 from typing import List, Optional
@@ -37,7 +36,6 @@ class ConfigError(ValueError):
 
 # A float cell: 17 significant digits, enough to round-trip float64 exactly.
 _CELL = "%.17g"
-_BLOCK_ROWS = 256  # write_snapshots formats its table in blocks of whole slices, about this long
 
 
 def _fmt(v: float) -> str:
@@ -160,16 +158,34 @@ def config_to_text(cfg: SimConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_table(fname: str, rows) -> None:
-    """Tab-separated lines, one per row of cell strings, streamed to the
-    file from any iterable: the one function that opens an output file.  A
-    header-plus-columns table is the header followed by zip(*columns), its
-    columns the equal-length cell sequences format_cells gives."""
+def write_table(fname: str, text) -> None:
+    """Write text, an iterable of strings, to the file in order: the one
+    function that opens an output file, so every output shares one newline
+    rule, one encoding and one error."""
     try:
         with open(fname, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines("\t".join(row) + "\n" for row in rows)
+            fh.writelines(text)
     except OSError as exc:
         raise OSError(f"cannot write table {fname}: {exc}") from exc
+
+
+def write_series(fname: str, header, outer, inner, *fields) -> None:
+    """A series table: the header, then one row per (outer[k], inner[j]) pair
+    of the (len(outer), len(inner)) fields, outer-major: the outer cell, the
+    inner cell, then each field's cell, all 17-digit cells.  The rows of one
+    outer value are one string-formatting operation, through a row template
+    built once per table that holds the inner cells; rows are streamed."""
+    template = "".join(f"%s\t{cell}" + f"\t{_CELL}" * len(fields) + "\n"
+                       for cell in format_cells(inner))
+    row = np.empty((len(inner), 1 + len(fields)), dtype=object)  # outer cell, Python floats
+
+    def text():
+        yield "\t".join(header) + "\n"
+        for cell, values in zip(format_cells(outer), np.stack(fields, axis=-1), strict=True):
+            row[:, 0], row[:, 1:] = cell, values
+            yield template % tuple(row.ravel().tolist())
+
+    write_table(fname, text())
 
 
 def write_snapshots(
@@ -181,37 +197,28 @@ def write_snapshots(
     """The series as one TSV table, snapshots.tsv: N rows per snapshot, in T
     order, under one SNAPSHOT_COLUMNS header; the fields read_snapshots
     recomputes (bitwise) are not written.  Then manifest.txt and, given a
-    report, write_report's report.tsv; returns the written paths.  The cells
-    are formatted in blocks of whole slices, about _BLOCK_ROWS rows each, so
-    the cells held stay bounded at any K.  The manifest is config_to_text,
-    then each keyword in run (the CLI's code_version, start_time and
-    end_time, then simulate's cadence or analytic's kind and parameter) as a
-    "# run.<key> = <value>" comment, in call order; a float value is one
-    17-digit cell.  An empty series, or snapshot times that do not strictly
-    increase, are a ValueError, raised before any file is written."""
-    cfg, times, (K, _, n) = series.config, series.times, series.y.shape
-    if not K:
+    report, write_report's report.tsv; returns the written paths.  The table
+    is one write_series call, T outer and C inner.  The manifest is
+    config_to_text, then each keyword in run (the CLI's code_version,
+    start_time and end_time, then simulate's cadence, n_steps, stride and
+    final_T or analytic's kind and parameter) as a "# run.<key> = <value>"
+    comment, in call order; a float value is one 17-digit cell.  An empty
+    series, or snapshot times that do not strictly increase, are a
+    ValueError, raised before any file is written."""
+    cfg, times = series.config, series.times
+    if not times.size:
         raise ValueError("a snapshot series to write needs at least one snapshot")
     late = np.flatnonzero(~(times[1:] > times[:-1]))
     if late.size:
         raise ValueError(f"snapshot times must strictly increase: T = {_fmt(times[late[0]])} "
                          f"is followed by T = {_fmt(times[late[0] + 1])}")
     os.makedirs(path, exist_ok=True)
-    fields = (*series.y.transpose(1, 0, 2), series.Q)  # (K, N) each, SNAPSHOT_COLUMNS from t
-    C, step = format_cells(cfg.grid.nodes), max(1, _BLOCK_ROWS // n)
-
-    def table_rows():  # `step` slices at a time, one format_cells call each
-        for k in range(0, K, step):
-            cells = format_cells(np.array([a[k:k + step] for a in fields]).transpose(1, 2, 0))
-            T = [cell for cell in format_cells(times[k:k + step]) for _ in range(n)]
-            yield from zip(T, C * (len(T) // n), *(cells[j::5] for j in range(5)), strict=True)
-
-    written = [os.path.join(path, "snapshots.tsv")]
-    write_table(written[-1], itertools.chain([SNAPSHOT_COLUMNS], table_rows()))
-    notes = [f"# run.{key} = {val if isinstance(val, str) else _fmt(val)}"
+    written = [os.path.join(path, "snapshots.tsv"), os.path.join(path, "manifest.txt")]
+    write_series(written[0], SNAPSHOT_COLUMNS, times, cfg.grid.nodes,
+                 *series.y.transpose(1, 0, 2), series.Q)
+    notes = [f"# run.{key} = {val if isinstance(val, str) else _fmt(val)}\n"
              for key, val in run.items()]
-    written.append(os.path.join(path, "manifest.txt"))
-    write_table(written[-1], ((line,) for line in config_to_text(cfg).splitlines() + notes))
+    write_table(written[1], [config_to_text(cfg), *notes])
     if report is not None:
         written.append(os.path.join(path, "report.tsv"))
         write_report(report, written[-1])
@@ -299,7 +306,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
 
 def write_report(report: InvariantReport, path: str) -> None:
     """Verification report: one row per invariant."""
-    rows = [(r.name, _fmt(r.max_abs_violation), _fmt(r.T_at_max), _fmt(r.C_at_max),
-             _fmt(r.tolerance), r.verdict) for r in report.records]
-    write_table(path, [("name", "max_violation", "T_at_max", "C_at_max", "tolerance", "pass"),
-                       *rows])
+    rows = [("name", "max_violation", "T_at_max", "C_at_max", "tolerance", "pass"),
+            *((r.name, _fmt(r.max_abs_violation), _fmt(r.T_at_max), _fmt(r.C_at_max),
+               _fmt(r.tolerance), r.verdict) for r in report.records)]
+    write_table(path, ["\t".join(row) + "\n" for row in rows])

@@ -661,6 +661,27 @@ def test_a_timelike_slice_in_a_run_is_a_runtime_failure(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error, line", [
+    # what numpy raises for a grid.n = 1000000 config's derivative matrix
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+                 "and data type float64"),
+     "runtime failure: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000) "
+     "and data type float64"),
+    (MemoryError(), "runtime failure: MemoryError"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_is_a_runtime_failure(tmp_path, capsys, monkeypatch, error, line):
+    # build_plan is patched to fail as it would, so the test allocates nothing
+    def no_memory(grid, order):
+        raise error
+
+    monkeypatch.setattr("relqtraj.state.build_plan", no_memory)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "gaussian_c3.txt"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
 # runs no float can count, no weight can differentiate, or whose constants or
 # grid span no float holds: each was a traceback (OverflowError in step_counts
 # or a squared c or hbar), a runtime failure at T = 0 or an error naming x.

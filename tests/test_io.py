@@ -1,4 +1,5 @@
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import relqtraj as rq
 from relqtraj.cli import main
-from relqtraj.snapshot_io import ConfigError, SNAPSHOT_COLUMNS, format_cells, write_table
+from relqtraj.snapshot_io import (ConfigError, SNAPSHOT_COLUMNS, format_cells, write_series,
+                                  write_table)
 
 from conftest import baseline_config, select
 
@@ -198,6 +200,13 @@ def test_format_cells_is_the_17_digit_cell_and_round_trips(values):
     assert cells == [format(v, ".17g") for v in values]
     # any shape is read flat
     assert format_cells(np.reshape(values, (1, -1, 1))) == cells
+    # write_series formats the outer and field cells by its row template, the
+    # same cells: here the values are both, one row each under one inner 0
+    with tempfile.TemporaryDirectory() as tmp:
+        fname = Path(tmp) / "t.tsv"
+        write_series(str(fname), ("k", "j", "v"), values, [0.0], np.reshape(values, (-1, 1)))
+        rows = [row.split("\t") for row in fname.read_text().splitlines()]
+    assert rows == [["k", "j", "v"], *([cell, "0", cell] for cell in cells)]
     back = [float(cell) for cell in cells]
     for v, b in zip(values, back):
         if math.isnan(v):

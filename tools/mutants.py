@@ -92,6 +92,11 @@ MUTANTS = (
             "tests/test_golden.py::test_verify_report")
            + tuple(f"{_LOST}[{kind}]" for kind in ("simulate", "exponential", "inertial",
                                                     "hyperbolic-gamma-one", "hyperbolic-gamma-t"))),
+    Mutant("figures writes the trajectories slice by slice", "src/relqtraj/cli.py",
+           "C, T, t.T, x.T)", "C, T, t, x)",
+           ("tests/test_golden.py::test_figures",
+            "tests/test_cli.py::TestFigures::"
+            "test_trajectories_are_the_simultaneity_cells_label_by_label")),
 )
 
 

@@ -32,13 +32,13 @@ _NEG_HALF = scalar_array(-0.5)   # the exponent of gamma^(-1/2)
 
 
 def log_form_Q(gamma: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Quantum potential on a slice of (numerically computed) spatial metric
-    gamma, from half the closed-form weight log-derivative, (ln f^(1/2))' =
-    (ln f)'/2 (config.half_dlogf), and the prefactor -(hbar^2 / 2m)
-    (config.neg_hbar_sq_over_2m); gamma > 0 is the caller's guard
-    (compute_geometry, or x_C > 0 in nonrel_Q).  Every operation runs on a
-    1-D array of the slice, and each derivative is its own d_dC gemv.
-    Raises FloatingPointError if Q is not finite (one count of a mask)."""
+    """Quantum potential of the spatial metric gamma, a slice (N,) or a stack
+    (K, N) of slices, from half the closed-form weight log-derivative,
+    (ln f^(1/2))' = (ln f)'/2 (config.half_dlogf), and the prefactor
+    -(hbar^2 / 2m) (config.neg_hbar_sq_over_2m); gamma > 0 is the caller's
+    guard (compute_geometry, or x_C > 0 in nonrel_Q).  Every operation is
+    elementwise or a d_dC gemv per row, so a stack row is bitwise its 1-D
+    call.  Raises FloatingPointError if Q is not finite (one count of a mask)."""
     plan = config.plan
     ln_gamma = np.log(gamma)
     Lp = config.half_dlogf - _QUARTER * d_dC(ln_gamma, plan)

@@ -19,6 +19,7 @@ from .diagnostics import InvariantReport
 from .dynamics import SnapshotSeries, record_series
 from .state import (
     SimConfig,
+    StateValidationError,
     check_state,
     exponential_weight,
     gaussian_weight,
@@ -258,7 +259,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
     is not a whole number of N-row slices, a T column that is not constant
     within a slice or does not strictly increase from slice to slice, a C
     column that is not the manifest grid's nodes, or a slice that fails
-    check_state (every slice's state is checked before any slice's gamma).
+    check_state (named by its rows; every state is checked before any gamma).
     """
     for name in ("manifest.txt", "snapshots.tsv"):
         if not os.path.exists(os.path.join(path, name)):
@@ -299,9 +300,14 @@ def read_snapshots(path: str) -> SnapshotSeries:
                          f"not after T = {_fmt(Ts[k - 1, 0])}")
     if not (slices[:, 1] == cfg.grid.nodes).all():
         raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
-    for state in slices[:, 2:6]:  # t, x, u0, u1
-        check_state(state, 4)
-    return record_series(cfg, Ts[:, 0], slices[:, 2:6], Q=slices[:, 6])
+    try:
+        for k, state in enumerate(slices[:, 2:6]):  # t, x, u0, u1
+            check_state(state, 4)
+        k = None  # every state passed; a metric error names the T of its slice
+        return record_series(cfg, Ts[:, 0], slices[:, 2:6], Q=slices[:, 6])
+    except StateValidationError as exc:
+        where = "" if k is None else f"slice {k} (data rows {k * n + 1} to {(k + 1) * n}): "
+        raise StateValidationError(f"{fname}: {where}{exc}") from exc
 
 
 def write_report(report: InvariantReport, path: str) -> None:

@@ -11,8 +11,8 @@ product; a run's plan is SimConfig.plan, built once per config.
 Every weight comes from fornberg_weights: derivative order 1 for the plan
 rows, all filled by one call on the stack of row windows, and order 0 for
 interpolate.  Building the matrix calls no BLAS routine, so it is bitwise
-the same under every BLAS kernel; only d_dC's products depend on one.
-Both act along the last axis: each row of a stack is bitwise its 1-D call.
+the same under every kernel; d_dC, the package's only BLAS call, alone
+depends on one.  Both act on the last axis, a stack row bitwise its 1-D call.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def _grid_values(values, n: int) -> np.ndarray:
 
 
 def d_dC(values: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """First derivative of nodal values with respect to the label C along the
-    last axis, by the plan D: np.matvec, one gemv per row of a stack (..., n).
+    """First derivative along the last axis, in the label C or (pde_residual)
+    in T, by the plan D: np.matvec, one gemv per row of a stack (..., n).
 
     A contiguous float64 (n,) array skips the _grid_values check and runs as
     ndarray.dot: the same single gemv, bit for bit, at about half the call

@@ -388,8 +388,8 @@ class TestAnalyticVerify:
         ("T", "7", "snapshots.tsv: column T is not constant in slice 1 (data rows 26 to 50)"),
         # t = T + 0.5 at node 4 of x = C, t = T: the one-sided row of node 0
         # reads c t_C = 2 (-1/4) 6 (0.5) = -1.5, so the stored slice is timelike
-        ("t", "1", "non-positive spatial metric gamma = -1.25 at node 0 (T = 0.5): "
-                   "slice is no longer spacelike"),
+        ("t", "1", "snapshots.tsv: non-positive spatial metric gamma = -1.25 at node 0 "
+                   "(T = 0.5): slice is no longer spacelike"),
     ], ids=["C-999", "T-7", "t-1"])
     def test_verify_rejects_a_tampered_column(self, tmp_path, capsys, column, value, message):
         out = tmp_path / "inertial"
@@ -414,8 +414,8 @@ class TestAnalyticVerify:
         _set_cell(out, 1.0, 4, "x", "999")
         assert main(["verify", "--snapshots", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: trajectory ordering lost between nodes 4 and 5 (x = 999, -1.16667): "
-            "ensemble degeneration"]
+            f"error: {out}/snapshots.tsv: slice 2 (data rows 51 to 75): trajectory ordering "
+            "lost between nodes 4 and 5 (x = 999, -1.16667): ensemble degeneration"]
 
     @pytest.mark.parametrize("T", [0.0, 2.0])
     def test_verify_fails_a_nan_wherever_it_sits(self, tmp_path, T):

@@ -14,6 +14,12 @@ REPORT was re-recorded once more when interpolate took its weights from
 fornberg_weights: reference_trajectory_zeros went from
 0.0026396598250093589 to 0.0026396598250093555 (1.3e-15 relative, the same
 T and C), every other record kept its bits.
+Both report pins were re-recorded once more when the residuals' time
+derivatives moved from a gemm onto d_dC, one gemv per row: at the same T and
+C in both reports, pde_residual_t went from 9.74043256121715e-08 to
+9.740432885263495e-08 (T = 0.2, C = -4.1667) and pde_residual_x from
+8.880075643702412e-07 to 8.880072785988347e-07 (T = 0.1, C = 4.1667), every
+other record kept its bits.
 The snapshot and analytic pins were re-recorded once when a series became
 one table, snapshots.tsv: its data rows are, byte for byte, the rows of the
 per-slice tables it replaced, concatenated in T order under their header.
@@ -85,7 +91,7 @@ ELEVEN_COLUMN_EXPONENTIAL = "74ac1d580313a4bee4bcfee9d8a726c1a3537c31c548b72dc45
 
 # configs/gaussian_c3.txt to T = 1 at cadence 0.025 (41 slices): the
 # report.tsv that `verify` writes and the four `figures` files.
-REPORT = "1c557c04e362f15410673588e79c05600048ed11253cf61fd93c650eac466ebe"
+REPORT = "520c1d3acd359750875ed7e61d9531c9fdd0fc132235b6f8631715f8e381dbe1"
 FIGURES = {
     "fig_gamma.tsv":
         "1e34001fd87191d694e0f8dc954a76471690a8ef5bce3caee8e84b2ef9c0d72f",
@@ -102,7 +108,7 @@ FIGURES = {
 # T = 10 at cadence 0.025, 401 slices): all seven rows of its report.tsv.  The
 # worst force-orthogonality (T = 8.825) and reference-zero (T = 6.575) points
 # lie past T = 1, so only this pin covers where the whole-run maximum is found.
-FULL_REPORT = "6988e6d46835a235cc697939cdbc04cd214f97bddeb4c9da8b2068ab68f4a16f"
+FULL_REPORT = "91ccacfa6c4f68ff4f7917b1d417b6e8b61086f439d5bd84735371e5515b73e7"
 
 # configs/gaussian_c3.txt cut to T = 0.05 at cadence 0.01 (6 records): SHA-256
 # over the 10 per-node fields of every record, in order, as float64 bytes: t,

@@ -310,7 +310,7 @@ class TestReport:
     (lambda tmp: rq.parse_config(BASELINE_TEXT.replace("= gaussian", "= cauchy")),
      ConfigError, "line 6: unknown weight.kind 'cauchy'"),
     # every output file goes through write_table, and so does its error
-    (lambda tmp: write_table(str(tmp / "missing" / "t.tsv"), [("a", "b")]),
+    (lambda tmp: write_table(str(tmp / "missing" / "t.tsv"), ["a\tb\n"]),
      OSError, "cannot write table .*t.tsv"),
 ])
 def test_refusals_name_their_cause(tmp_path, call, error, message):

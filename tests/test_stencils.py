@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
@@ -228,11 +229,12 @@ class TestStackedValues:
     @pytest.mark.parametrize("n", [25, 101])
     def test_d_dC_is_the_per_row_call_bitwise(self, order, n):
         # one gemv per row of the stack, each the 1-D call's, for a (K, n)
-        # stack, a strided view of one and a (K, 2, n) stack
+        # stack, a strided view of one, a (K, 2, n) stack and a Fortran-order
+        # one, strided along n as pde_residual's stack of time rows is
         plan = rq.build_plan(rq.make_grid(-2, 2, n), order)
         rng = np.random.default_rng(n)
         stack = rng.standard_normal((7, 3, n)) * np.array([1.0, 1e-3, 1e6])[:, None]
-        for values in (stack[:, 0].copy(), stack[:, 2], stack[:, :2]):
+        for values in (stack[:, 0].copy(), stack[:, 2], stack[:, :2], np.asfortranarray(stack)):
             got = rq.d_dC(values, plan)
             assert got.shape == values.shape
             rows = values.reshape(-1, n)
@@ -247,6 +249,32 @@ class TestStackedValues:
                 rq.d_dC(values, plan)
             with pytest.raises(ValueError, match="does not match grid"):
                 rq.interpolate(values, g, 0.0)
+
+
+SOURCE = Path(rq.__file__).resolve().parent
+NUMPY_PRODUCTS = {"dot", "matmul", "matvec", "vecmat", "einsum", "tensordot", "inner", "linalg"}
+
+
+def _matrix_products(node, where):
+    """(enclosing definition, line) of every matrix product under an ast node:
+    an @ between operands, any .dot( and np.<name> for NUMPY_PRODUCTS."""
+    for child in ast.iter_child_nodes(node):
+        inside = (f"{where}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                  else where)
+        if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult)
+                or isinstance(child, ast.Attribute) and (
+                    child.attr == "dot" or child.attr in NUMPY_PRODUCTS
+                    and isinstance(child.value, ast.Name) and child.value.id == "np")):
+            yield inside, child.lineno
+        yield from _matrix_products(child, inside)
+
+
+def test_d_dC_is_the_packages_only_matrix_product():
+    # one stencil application everywhere: every BLAS product of the package,
+    # in C or in T, is d_dC's, so only d_dC's bits depend on the BLAS kernel
+    found = [(where, f"{path.name}:{line}") for path in sorted(SOURCE.glob("*.py"))
+             for where, line in _matrix_products(ast.parse(path.read_text()), path.stem)]
+    assert {where for where, _ in found} == {"stencils.d_dC"}, found
 
 
 def _bench_tracer():

@@ -92,6 +92,11 @@ MUTANTS = (
             "tests/test_golden.py::test_verify_report")
            + tuple(f"{_LOST}[{kind}]" for kind in ("simulate", "exponential", "inertial",
                                                     "hyperbolic-gamma-one", "hyperbolic-gamma-t"))),
+    Mutant("pde_residual drops the outer / tau_T", "src/relqtraj/diagnostics.py",
+           "tplan) / tau, tplan) / tau", "tplan) / tau, tplan)",
+           ("tests/test_diagnostics.py::TestPdeResidual::test_baseline_meets_residual_tolerance",
+            "tests/test_golden.py::test_verify_report",
+            "tests/test_golden.py::test_full_run_report")),
     Mutant("figures writes the trajectories slice by slice", "src/relqtraj/cli.py",
            "C, T, t.T, x.T)", "C, T, t, x)",
            ("tests/test_golden.py::test_figures",

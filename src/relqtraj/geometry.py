@@ -16,11 +16,9 @@ read-back slices, from the rates (t_T, x_T) the stage has already formed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .state import T_ROW, TX_ROWS, X_ROW, SimConfig, StateValidationError
+from .state import INF, T_ROW, TX_ROWS, X_ROW, ZERO, SimConfig, StateValidationError
 from .stencils import d_dC
 
 
@@ -31,13 +29,13 @@ def compute_geometry(y, T, config: SimConfig):
     scales as a whole, and gamma = x_C^2 - c^2 t_C^2 with c^2 = config.c_sq,
     both squares one product tx_C * tx_C (g01 is attach_g01's).  Raises
     StateValidationError, naming the first node and the T of its slice,
-    unless gamma is positive and finite; its fast pass is one minimum and
-    one maximum reduction.
+    unless gamma is positive and finite; its fast pass is one count of the
+    mask 0 < gamma < inf, which a NaN fails.
     """
     tx_C = d_dC(y[TX_ROWS], config.plan)
     sq = tx_C * tx_C
     gamma = sq[X_ROW] - config.c_sq * sq[T_ROW]
-    if not (np.minimum.reduce(gamma, None) > 0 and np.maximum.reduce(gamma, None) < math.inf):
+    if np.count_nonzero((gamma > ZERO) & (gamma < INF)) != gamma.size:
         *k, j = np.unravel_index(np.argmin((gamma > 0) & np.isfinite(gamma)), gamma.shape)
         g = gamma[(*k, j)]
         kind = "non-positive" if g <= 0 else "non-finite"

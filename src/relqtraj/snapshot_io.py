@@ -25,6 +25,7 @@ from .state import (
     gaussian_weight,
     make_grid,
     no_density_weight,
+    states_pass,
     uniform_weight,
 )
 
@@ -301,10 +302,12 @@ def read_snapshots(path: str) -> SnapshotSeries:
     if not (slices[:, 1] == cfg.grid.nodes).all():
         raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
     try:
-        for k, state in enumerate(slices[:, 2:6]):  # t, x, u0, u1
-            check_state(state, 4)
+        states = slices[:, 2:6]  # t, x, u0, u1
+        if not states_pass(states):  # one count per rule; check_state names the fault
+            for k, state in enumerate(states):
+                check_state(state, 4)
         k = None  # every state passed; a metric error names the T of its slice
-        return record_series(cfg, Ts[:, 0], slices[:, 2:6], Q=slices[:, 6])
+        return record_series(cfg, Ts[:, 0], states, Q=slices[:, 6])
     except StateValidationError as exc:
         where = "" if k is None else f"slice {k} (data rows {k * n + 1} to {(k + 1) * n}): "
         raise StateValidationError(f"{fname}: {where}{exc}") from exc

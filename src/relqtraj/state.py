@@ -11,6 +11,7 @@ EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
 check_state is the one statement of a state's shape and invariants, for
 every state and RK stage, but for the spacelike slice (gamma > 0), which
 geometry.compute_geometry states; both raise StateValidationError.
+states_pass tests its rules on a read-back stack of states at once.
 SimConfig holds every config default and caches the constants of an RK
 stage as numpy arrays, never Python floats, by the third bit-identity
 rule of the dynamics module docstring.
@@ -42,6 +43,7 @@ def scalar_array(value: float) -> np.ndarray:
 
 
 ZERO = scalar_array(0.0)  # the bound of the stage guards' sign tests
+INF = scalar_array(math.inf)  # the bound of compute_geometry's finiteness test
 # Index tuples of the rows (..., rows, N) of a slice or a stack, built once (a
 # literal a[..., None, :] builds its slice on every call, about 0.1 us more).
 ROW, T_ROW, X_ROW = (..., None, slice(None)), (..., 0, slice(None)), (..., 1, slice(None))
@@ -162,6 +164,16 @@ def check_state(y: np.ndarray, rows: int) -> None:
             f"trajectory ordering lost between nodes {k} and {k + 1} "
             f"(x = {x[k]:.6g}, {x[k + 1]:.6g}): ensemble degeneration"
         )
+
+
+def states_pass(y: np.ndarray) -> bool:
+    """Whether every (4, N) state of the stack y (K, 4, N) passes check_state,
+    by one count per rule over the whole stack.  A False is located, with
+    its message, by check_state on the states in turn."""
+    x = y[:, 1]
+    return (np.count_nonzero(np.isfinite(y)) == y.size
+            and np.count_nonzero(y[:, 2] > ZERO) == y[:, 2].size
+            and np.count_nonzero(x[:, 1:] > x[:, :-1]) == x[:, 1:].size)
 
 
 @dataclass(frozen=True)

@@ -90,13 +90,16 @@ def d_dC(values: np.ndarray, D: np.ndarray) -> np.ndarray:
     """First derivative along the last axis, in the label C or (pde_residual)
     in T, by the plan D: np.matvec, one gemv per row of a stack (..., n).
 
-    A contiguous float64 (n,) array skips the _grid_values check and runs as
-    ndarray.dot: the same single gemv, bit for bit, at about half the call
-    overhead.  The cheapest tests come first; a float64 dtype that is not
-    numpy's own instance only takes the checked path."""
-    if (type(values) is np.ndarray and values.ndim == 1 and values.dtype is _FLOAT64
-            and len(values) == len(D) and values.flags.c_contiguous):
-        return D.dot(values)
+    A float64 ndarray of numpy's own type and native dtype goes straight to
+    the product, a 1-D one as ndarray.dot: the same single gemv, bit for bit,
+    at less call overhead.  Only when numpy refuses its shape does it take
+    the _grid_values check, which names the grid; any other input (a
+    subclass, a list, another dtype or byte order) takes that path first."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        try:
+            return D.dot(values) if values.ndim == 1 else np.matvec(D, values)
+        except ValueError:  # numpy's shape error; _grid_values raises the named one
+            pass
     return np.matvec(D, _grid_values(values, len(D)))
 
 

@@ -33,9 +33,10 @@ array operation takes a Python scalar: under numpy 2's scalar promotion
 (NEP 50) a Python-float operand costs about 0.2-0.4 us more per call than a
 0-d float64 array and gives the same bits.  So every constant is a 0-d array
 cached on the config (c_sq, neg_mc_sq, neg_hbar_sq_over_2m, m, rk_weights)
-or a module constant (state.ZERO, the 1/4 and -1/2 of log_form_Q), x ** 2
-is x * x, 2 k is k + k, and a guard's minimum or maximum is one
-np.minimum.reduce or np.maximum.reduce.
+or a module constant (state.ZERO and INF, the 1/4 and -1/2 of
+log_form_Q), x ** 2 is x * x, 2 k is k + k, a guard's test is one
+np.count_nonzero of a mask and the norm drift's maximum one
+np.maximum.reduce.
 
 run_fixed_steps is the one stepping loop: integrate and the non-relativistic
 solver give it their own step and record functions, and it owns the step

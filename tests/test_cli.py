@@ -390,7 +390,11 @@ class TestAnalyticVerify:
         # reads c t_C = 2 (-1/4) 6 (0.5) = -1.5, so the stored slice is timelike
         ("t", "1", "snapshots.tsv: non-positive spatial metric gamma = -1.25 at node 0 "
                    "(T = 0.5): slice is no longer spacelike"),
-    ], ids=["C-999", "T-7", "t-1"])
+        # each state rule, tested once over the stack, still names its slice
+        ("u0", "-1", "snapshots.tsv: slice 1 (data rows 26 to 50): u0 must be positive"),
+        ("u1", "nan", "snapshots.tsv: slice 1 (data rows 26 to 50): non-finite values in "
+                      "field u1"),
+    ], ids=["C-999", "T-7", "t-1", "u0--1", "u1-nan"])
     def test_verify_rejects_a_tampered_column(self, tmp_path, capsys, column, value, message):
         out = tmp_path / "inertial"
         assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",

@@ -6,6 +6,7 @@ import pytest
 import relqtraj as rq
 from relqtraj.analytic import (
     exponential_ensemble,
+    hyperbolic_gamma_one_ensemble,
     inertial_ensemble,
     sample_state,
 )
@@ -74,6 +75,24 @@ class TestPdeResidual:
         res_t, res_x, sn, nd = rq.pde_residual(exponential_series)
         assert np.max(np.abs(res_t[sn, nd])) <= 1e-10
         assert np.max(np.abs(res_x[sn, nd])) <= 1e-10
+
+    def test_forced_hyperbolic_series_falls_with_the_grid(self):
+        # hyperbolic-gamma-one at B = c = 1 on C in [0.5, 1.5]: tau_T = B C
+        # varies along the slice and the force is non-zero (max |f| 2.16), so
+        # a wrong tau_T shows; the x residual is the force's spatial error,
+        # 6.6e-6 at N = 41 and 4.9e-7 at N = 81 (0.86 without the outer / tau_T)
+        ens = hyperbolic_gamma_one_ensemble(1.0, 1.0)
+        times = np.linspace(0.0, 0.4, 21)
+        worst = {}
+        for n in (41, 81):
+            cfg = rq.SimConfig(c=1.0, weight=ens.weight, grid=rq.make_grid(0.5, 1.5, n),
+                               t_final=0.4)
+            Q = np.tile(ens.Q(cfg.grid.nodes, cfg.mass), (len(times), 1))
+            y = np.array([sample_state(ens, cfg.grid, T).y for T in times])
+            _, res_x, sn, nd = rq.pde_residual(rq.record_series(cfg, times, y, Q))
+            worst[n] = np.max(np.abs(res_x[sn, nd]))
+        assert worst[41] < 1e-5
+        assert worst[41] >= 8 * worst[81]
 
     def test_needs_enough_snapshots(self, inertial_series):
         short = select(inertial_series, slice(5))

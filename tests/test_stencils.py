@@ -164,21 +164,25 @@ class TestDerivative:
     def test_length_mismatch(self):
         g = rq.make_grid(0, 1, 11)
         plan = rq.build_plan(g, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match grid"):
             rq.d_dC(np.zeros(10), plan)
 
     @pytest.mark.parametrize("n", [9, 25, 101, 401])
     def test_every_1d_input_is_the_matrix_product_bitwise(self, order, n):
-        # a contiguous float64 row takes d_dC's fast path; views, lists and
-        # integer arrays take the checked one; all equal plan @ values
+        # every float64 ndarray row, a strided view included, takes d_dC's
+        # direct dispatch; lists, integer and float32 arrays, an ndarray
+        # subclass and big-endian float64 take the checked path; all equal
+        # plan @ values, and a short row of each is the grid error
         plan = rq.build_plan(rq.make_grid(-5, 5, n), order)
         stack = np.random.default_rng(n).standard_normal((n, 3)) * [1.0, 1e-3, 1e6]
-        for v in (stack[:, 0].copy(), stack[:, 1], stack.T[2], np.arange(n)):
+        row = stack[:, 0].copy()
+        for v in (row, stack[:, 1], stack.T[2], np.arange(n), row.astype(np.float32),
+                  row.view(type("Subclass", (np.ndarray,), {})), row.astype(">f8")):
             want = plan @ np.asarray(v, dtype=float)
             assert rq.d_dC(v, plan).tobytes() == want.tobytes()
             assert rq.d_dC(v.tolist(), plan).tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="does not match grid"):
-            rq.d_dC(stack[1:, 0].copy(), plan)
+            with pytest.raises(ValueError, match="does not match grid"):
+                rq.d_dC(v[1:], plan)
 
 
 class TestInterpolate:
@@ -244,7 +248,9 @@ class TestStackedValues:
     def test_last_axis_must_be_the_grid(self):
         g = rq.make_grid(-2, 2, 25)
         plan = rq.build_plan(g, 4)
-        for values in (np.zeros((25, 6)), np.zeros((2, 25, 6)), np.zeros(24), np.float64(1.0)):
+        # a 0-d float64 array takes d_dC's direct dispatch, which numpy refuses
+        for values in (np.zeros((25, 6)), np.zeros((2, 25, 6)), np.zeros(24), np.float64(1.0),
+                       np.array(1.0)):
             with pytest.raises(ValueError, match="does not match grid"):
                 rq.d_dC(values, plan)
             with pytest.raises(ValueError, match="does not match grid"):

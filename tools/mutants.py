@@ -95,8 +95,20 @@ MUTANTS = (
     Mutant("pde_residual drops the outer / tau_T", "src/relqtraj/diagnostics.py",
            "tplan) / tau, tplan) / tau", "tplan) / tau, tplan)",
            ("tests/test_diagnostics.py::TestPdeResidual::test_baseline_meets_residual_tolerance",
+            "tests/test_diagnostics.py::TestPdeResidual::"
+            "test_forced_hyperbolic_series_falls_with_the_grid",
             "tests/test_golden.py::test_verify_report",
             "tests/test_golden.py::test_full_run_report")),
+    Mutant("spacelike guard without its < INF half", "src/relqtraj/geometry.py",
+           "(gamma > ZERO) & (gamma < INF)", "(gamma > ZERO)",
+           ("tests/test_geometry.py::TestComputeGeometry::"
+            "test_overflowing_slice_names_the_first_bad_node",)),
+    Mutant("d_dC lets numpy's shape error escape", "src/relqtraj/stencils.py",
+           "except ValueError:", "except TypeError:",
+           ("tests/test_stencils.py::TestDerivative::test_length_mismatch",
+            "tests/test_stencils.py::TestDerivative::"
+            "test_every_1d_input_is_the_matrix_product_bitwise[2-25]",
+            "tests/test_stencils.py::TestStackedValues::test_last_axis_must_be_the_grid")),
     Mutant("figures writes the trajectories slice by slice", "src/relqtraj/cli.py",
            "C, T, t.T, x.T)", "C, T, t, x)",
            ("tests/test_golden.py::test_figures",

@@ -29,7 +29,6 @@ from .analytic import (
     hyperbolic_gamma_one_ensemble,
     hyperbolic_gamma_T_ensemble,
     inertial_ensemble,
-    sample_state,
 )
 from .diagnostics import RESIDUAL_CADENCE_MAX, evaluate_invariants, residual_admitted
 from .dynamics import IntegrationError, finite_record, integrate, record_series, step_counts
@@ -109,7 +108,7 @@ def _cmd_analytic(args) -> int:
             raise ValueError(f"--{other} does not apply to --kind {args.kind}")
     param = default if getattr(args, flag) is None else getattr(args, flag)
     grid = make_grid(args.grid_min, args.grid_max, args.grid_n)
-    times = [float(s) for s in args.times.split(",")]
+    times = np.array([float(s) for s in args.times.split(",")])
     # a series starts at its initial slice, T = 0, and ends at its last entry
     for T in times:
         if not (T >= 0 and math.isfinite(T)):
@@ -123,8 +122,8 @@ def _cmd_analytic(args) -> int:
     )
     # a closed-form Q is given only for the family whose density has none
     Q = None if ens.Q is None else np.tile(ens.Q(grid.nodes, args.mass), (len(times), 1))
-    series = record_series(cfg, np.array(times),
-                           np.array([sample_state(ens, grid, T).y for T in times]), Q)
+    # the family on the (K, 1) x (N,) grid of times and labels, as (K, 4, N) states
+    series = record_series(cfg, times, np.stack(ens.evaluate(times[:, None], grid.nodes), 1), Q)
     finite_record(series.tau_T, series.f, series.g01)
     write_snapshots(series, args.out, code_version=__version__, start_time=_now(),
                     end_time=_now(), kind=args.kind, **{flag: param})

@@ -56,8 +56,9 @@ class InvariantReport:
 
 def derived_fields(series: SnapshotSeries):
     """(beta, rho_star) of a series, each (K, N): speed in units of c and
-    invariant density f / sqrt(gamma), f the config's weight_f."""
-    y, f = series.y, series.config.weight_f
+    invariant density f / sqrt(gamma), f = exp(ln f) on the grid nodes."""
+    y, cfg = series.y, series.config
+    f = np.exp(cfg.weight.log_f(cfg.grid.nodes))
     return np.abs(y[:, 3]) / y[:, 2], f / np.sqrt(series.gamma)
 
 

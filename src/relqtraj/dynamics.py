@@ -157,9 +157,10 @@ def _slice(y, T, config: SimConfig, Q=None):
 
 
 def record_series(config: SimConfig, times, y, Q=None) -> SnapshotSeries:
-    """The series of the valid states (check_state) y (K, 4, N) at times (K,),
-    from one _slice pass over the stack, with Q from the config's weight
-    unless it is given (K, N): a stored or closed-form potential."""
+    """The series of the states y (K, 4, N) at times (K,), every one checked
+    (check_state) before one _slice pass over the stack, with Q from the
+    config's weight unless it is given (K, N): a stored or closed-form Q."""
+    check_state(y, 4, stack=True)
     tx_C, gamma, Q, tau, f, d = _slice(y, times, config, Q)
     return SnapshotSeries(config, times, y, gamma, Q, tau, f, attach_g01(tx_C, d, config))
 

@@ -20,12 +20,11 @@ from .dynamics import SnapshotSeries, record_series
 from .state import (
     SimConfig,
     StateValidationError,
-    check_state,
     exponential_weight,
     gaussian_weight,
+    integer,
     make_grid,
     no_density_weight,
-    states_pass,
     uniform_weight,
 )
 
@@ -51,14 +50,6 @@ def format_cells(values) -> List[str]:
     return ((_CELL + "\n") * len(flat) % tuple(flat)).splitlines()
 
 
-def _integer(s: str) -> int:
-    """An integer-valued config entry; "25" and "25.0" pass, "17.9" does not."""
-    v = float(s)
-    if not v.is_integer():
-        raise ValueError(f"not an integer: {s!r}")
-    return int(v)
-
-
 # Every config key: the SimConfig attribute it sets and the converter of its
 # text, in the order config_to_text writes them.  A key the text leaves out
 # takes the SimConfig default.
@@ -71,10 +62,10 @@ _KEYS = {
     "weight.kappa": ("weight.params", float),
     "grid.min": ("grid.c_min", float),
     "grid.max": ("grid.c_max", float),
-    "grid.n": ("grid.n_points", _integer),
+    "grid.n": ("grid.n_points", integer),
     "time.final": ("t_final", float),
     "time.dt": ("dt", float),
-    "stencil.order": ("stencil_order", _integer),
+    "stencil.order": ("stencil_order", integer),
     "tol.residual": ("residual_tol", float),
     "tol.invariant": ("invariant_tol", float),
 }
@@ -227,13 +218,17 @@ def write_snapshots(
     return written
 
 
+def _data_rows(fh):
+    """The rows of fh from its position that np.loadtxt reads: every line but
+    an empty one, which it skips (a line of only whitespace is a bad row)."""
+    return (row for row in iter(fh.readline, "") if row != "\n")
+
+
 def _bad_row(fh, width: int) -> Optional[str]:
     """What is wrong with the first row of fh, read from its position, that
     is not width numbers: its count of values or a cell; None if none is.
-    Rows are counted as data rows, the first after the header being 1."""
-    for k, row in enumerate(iter(fh.readline, ""), start=1):
-        if not row.strip():
-            continue
+    Rows are counted as data rows (_data_rows), the first being 1."""
+    for k, row in enumerate(_data_rows(fh), start=1):
         cells = row.rstrip("\n").split("\t")
         if len(cells) != width:
             return f"data row {k} holds {len(cells)} values, not {width}"
@@ -260,7 +255,8 @@ def read_snapshots(path: str) -> SnapshotSeries:
     is not a whole number of N-row slices, a T column that is not constant
     within a slice or does not strictly increase from slice to slice, a C
     column that is not the manifest grid's nodes, or a slice that fails
-    check_state (named by its rows; every state is checked before any gamma).
+    check_state in record_series (named by the error's index and its data
+    rows; every state is checked before any gamma).
     """
     for name in ("manifest.txt", "snapshots.tsv"):
         if not os.path.exists(os.path.join(path, name)):
@@ -272,7 +268,7 @@ def read_snapshots(path: str) -> SnapshotSeries:
         if tuple(fh.readline().rstrip("\n").split("\t")) != SNAPSHOT_COLUMNS:
             raise ValueError(f"{fname}: header row is not {' '.join(SNAPSHOT_COLUMNS)}")
         start = fh.tell()
-        if not any(row.strip() for row in iter(fh.readline, "")):  # loadtxt warns on no data
+        if next(_data_rows(fh), None) is None:  # loadtxt warns on no data
             raise ValueError(f"{fname}: no data rows")
         fh.seek(start)
         try:
@@ -301,14 +297,10 @@ def read_snapshots(path: str) -> SnapshotSeries:
                          f"not after T = {_fmt(Ts[k - 1, 0])}")
     if not (slices[:, 1] == cfg.grid.nodes).all():
         raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
-    try:
-        states = slices[:, 2:6]  # t, x, u0, u1
-        if not states_pass(states):  # one count per rule; check_state names the fault
-            for k, state in enumerate(states):
-                check_state(state, 4)
-        k = None  # every state passed; a metric error names the T of its slice
-        return record_series(cfg, Ts[:, 0], states, Q=slices[:, 6])
-    except StateValidationError as exc:
+    try:  # the states t, x, u0, u1
+        return record_series(cfg, Ts[:, 0], slices[:, 2:6], Q=slices[:, 6])
+    except StateValidationError as exc:  # a metric error names the T of its slice
+        k = exc.index
         where = "" if k is None else f"slice {k} (data rows {k * n + 1} to {(k + 1) * n}): "
         raise StateValidationError(f"{fname}: {where}{exc}") from exc
 

@@ -9,12 +9,11 @@ normalization constant of f.
 
 EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
 check_state is the one statement of a state's shape and invariants, for
-every state and RK stage, but for the spacelike slice (gamma > 0), which
-geometry.compute_geometry states; both raise StateValidationError.
-states_pass tests its rules on a read-back stack of states at once.
-SimConfig holds every config default and caches the constants of an RK
-stage as numpy arrays, never Python floats, by the third bit-identity
-rule of the dynamics module docstring.
+every state, RK stage and (K, 4, N) stack of a series, but for the
+spacelike slice (gamma > 0), which geometry.compute_geometry states; both
+raise StateValidationError.  SimConfig holds every config default and
+caches the constants of an RK stage as numpy arrays, never Python floats,
+by the third bit-identity rule of the dynamics module docstring.
 """
 
 from __future__ import annotations
@@ -44,10 +43,21 @@ def scalar_array(value: float) -> np.ndarray:
 
 ZERO = scalar_array(0.0)  # the bound of the stage guards' sign tests
 INF = scalar_array(math.inf)  # the bound of compute_geometry's finiteness test
-# Index tuples of the rows (..., rows, N) of a slice or a stack, built once (a
-# literal a[..., None, :] builds its slice on every call, about 0.1 us more).
+# Index tuples of the rows (..., rows, N) of a slice or a stack, and of the
+# head and tail nodes (..., N - 1) of a row, built once (a literal
+# a[..., None, :] builds its slice on every call, about 0.1 us more).
 ROW, T_ROW, X_ROW = (..., None, slice(None)), (..., 0, slice(None)), (..., 1, slice(None))
+U0_ROW = (..., 2, slice(None))
 TX_ROWS, U_ROWS = (..., slice(2), slice(None)), (..., slice(2, None), slice(None))
+HEAD, TAIL = (..., slice(-1)), (..., slice(1, None))
+
+
+def integer(value, name: str = "value") -> int:
+    """value as an int, or ValueError naming it: 25, 25.0 and "25.0" pass, 17.9 fails."""
+    v = float(value)
+    if not v.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -61,9 +71,7 @@ class SpatialGrid:
     n_points: int
 
     def __post_init__(self):
-        if not float(self.n_points).is_integer():
-            raise ValueError(f"n_points must be an integer, got {self.n_points}")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", integer(self.n_points, "n_points"))
         if not math.isfinite(self.c_max - self.c_min):
             raise ValueError(f"grid span {self.c_max:g} - {self.c_min:g} is not finite")
         if self.n_points < MIN_POINTS:
@@ -134,46 +142,48 @@ def no_density_weight() -> WeightFunction:
 
 
 class StateValidationError(ValueError):
-    """An ensemble state violates a structural invariant."""
+    """An ensemble state violates a structural invariant; index is the
+    position of the first bad state in a stack, None for one state."""
+
+    index = None
 
 
-def check_state(y: np.ndarray, rows: int) -> None:
+def check_state(y: np.ndarray, rows: int, stack: bool = False) -> None:
     """Raise StateValidationError unless y is a valid ensemble of shape
-    (rows, N), (t, x, u0, u1) for rows = 4 or the non-relativistic (x, v) for
-    rows = 2: every value finite, x strictly increasing, u0 > 0 where there
-    is a u0.  The error names the first broken rule, in that order: the
-    shape, the first field with a non-finite value, u0, the ordering of x.
+    (rows, N), or with stack a (K, rows, N) stack of them: (t, x, u0, u1)
+    for rows = 4 or the non-relativistic (x, v) for rows = 2, every value
+    finite, u0 > 0 where there is a u0, x strictly increasing.  The error
+    names the first broken rule, in that order: the shape, the first field
+    with a non-finite value, u0, the ordering of x.
 
-    Each invariant is one mask counted by np.count_nonzero, which costs a
-    fraction of ndarray.all() on a stage's small arrays; the fault is located
-    only once a count comes up short.
+    Each rule is one np.count_nonzero of a mask over the whole array, a
+    fraction of the cost of ndarray.all() on a stage's small arrays.  Only a
+    short count locates the fault, on a stack by checking its states in
+    turn: the first bad one raises, with its index.
     """
-    if y.ndim != 2 or len(y) != rows or rows not in _FIELDS:
-        raise StateValidationError(f"state array has shape {y.shape}, want ({rows}, N)")
-    finite = np.isfinite(y)
-    if np.count_nonzero(finite) != y.size:
-        bad = int(np.argmin(finite.all(axis=1)))
+    if y.ndim != 2 + stack or y.shape[-2] != rows or rows not in _FIELDS:
+        raise StateValidationError(f"state array has shape {y.shape}, want "
+                                   f"({'K, ' * stack}{rows}, N)")
+    x = y[X_ROW if rows == 4 else T_ROW]  # the x row of (t, x, u0, u1) or (x, v)
+    finite = np.count_nonzero(np.isfinite(y)) == y.size
+    forward = rows == 2 or not np.count_nonzero(y[U0_ROW] <= ZERO)  # finite u0: not > 0 is <= 0
+    ordered = not np.count_nonzero(x[TAIL] <= x[HEAD])
+    if finite and forward and ordered:
+        return
+    for k, state in enumerate(y if stack else ()):
+        try:
+            check_state(state, rows)
+        except StateValidationError as exc:
+            exc.index = k
+            raise
+    if not finite:
+        bad = int(np.argmin(np.isfinite(y).all(axis=1)))
         raise StateValidationError(f"non-finite values in field {_FIELDS[rows][bad]}")
-    if rows == 4 and np.count_nonzero(y[2] > ZERO) != y.shape[1]:
+    if not forward:
         raise StateValidationError("u0 must be positive (forward-in-time propagation)")
-    x = y[1] if rows == 4 else y[0]
-    increasing = x[1:] > x[:-1]
-    if np.count_nonzero(increasing) != increasing.size:
-        k = int(np.argmin(np.diff(x)))
-        raise StateValidationError(
-            f"trajectory ordering lost between nodes {k} and {k + 1} "
-            f"(x = {x[k]:.6g}, {x[k + 1]:.6g}): ensemble degeneration"
-        )
-
-
-def states_pass(y: np.ndarray) -> bool:
-    """Whether every (4, N) state of the stack y (K, 4, N) passes check_state,
-    by one count per rule over the whole stack.  A False is located, with
-    its message, by check_state on the states in turn."""
-    x = y[:, 1]
-    return (np.count_nonzero(np.isfinite(y)) == y.size
-            and np.count_nonzero(y[:, 2] > ZERO) == y[:, 2].size
-            and np.count_nonzero(x[:, 1:] > x[:, :-1]) == x[:, 1:].size)
+    k = int(np.argmin(np.diff(x)))
+    raise StateValidationError(f"trajectory ordering lost between nodes {k} and {k + 1} "
+                               f"(x = {x[k]:.6g}, {x[k + 1]:.6g}): ensemble degeneration")
 
 
 @dataclass(frozen=True)
@@ -216,13 +226,13 @@ def check_positive(**values: float) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Physical constants, grid, integrator step and tolerances for one run.
-    The run's derivative matrix (plan), the weight on the grid nodes
-    (weight_f, for rho_star) and half its log-derivative there (half_dlogf,
-    for log_form_Q), the constant rows of the RK stage (force_sign,
-    rhs_divisor) and its read-only 0-d constants (c_sq, neg_mc_sq,
-    neg_hbar_sq_over_2m, m, rk_weights) are derived once, the squares at
-    construction and the rest on first use; not config keys."""
+    """Physical constants, grid, integrator step and tolerances for one run;
+    an integral stencil_order is held as an int.  The run's derivative
+    matrix (plan), half the weight's log-derivative on the grid nodes
+    (half_dlogf, for log_form_Q), the constant rows of the RK stage
+    (force_sign, rhs_divisor) and its read-only 0-d constants (c_sq,
+    neg_mc_sq, neg_hbar_sq_over_2m, m, rk_weights) are derived once, the
+    squares at construction and the rest on first use; not config keys."""
 
     c: float
     weight: WeightFunction
@@ -240,6 +250,7 @@ class SimConfig:
                        residual_tol=self.residual_tol, invariant_tol=self.invariant_tol)
         if not (self.t_final >= 0 and math.isfinite(self.t_final)):
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
+        object.__setattr__(self, "stencil_order", integer(self.stencil_order, "stencil_order"))
         if self.stencil_order not in STENCIL_ORDERS:
             raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
         try:  # Python's ** raises past about 1.34e154
@@ -251,11 +262,6 @@ class SimConfig:
     @cached_property
     def plan(self) -> np.ndarray:
         return build_plan(self.grid, self.stencil_order)
-
-    @cached_property
-    def weight_f(self) -> np.ndarray:
-        """f = exp(ln f) on the grid nodes, the numerator of rho_star."""
-        return _read_only(np.exp(self.weight.log_f(self.grid.nodes)))
 
     @cached_property
     def half_dlogf(self) -> np.ndarray:

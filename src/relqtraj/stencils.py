@@ -69,7 +69,7 @@ def build_plan(grid: SpatialGrid, order: int) -> np.ndarray:
     """The read-only (n, n) first-derivative matrix, one-sided rows at the edges."""
     if order not in STENCIL_ORDERS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
-    n = grid.n_points
+    order, n = int(order), grid.n_points  # 4.0 is the order 4
     rows = np.arange(n)[:, None]
     cols = np.clip(rows - order // 2, 0, n - order - 1) + np.arange(order + 1)
     D = np.zeros((n, n))

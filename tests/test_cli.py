@@ -466,6 +466,26 @@ class TestAnalyticVerify:
         assert line.startswith("error: ") and line.endswith(
             f"snapshots.tsv: data row 30 holds '{cell}' in column {column}, not a number")
 
+    # np.loadtxt skips an empty line and counts no data row for it, but reads a
+    # line of only whitespace as a row of one value; the line goes before data
+    # row 30, which the empty case then cuts short
+    @pytest.mark.parametrize("line, message", [
+        ("", "snapshots.tsv: data row 30 holds 6 values, not 7"),
+        (" ", "snapshots.tsv: data row 30 holds 1 values, not 7"),
+    ], ids=["empty", "whitespace"])
+    def test_verify_counts_data_rows_as_loadtxt_does(self, tmp_path, capsys, line, message):
+        out = _exponential_output(tmp_path / "exp")
+        capsys.readouterr()
+        table = out / "snapshots.tsv"
+        lines = table.read_text().splitlines()
+        assert _slice_rows(lines, 1.0)[4] == 30
+        if not line:
+            lines[30] = lines[30].rsplit("\t", 1)[0]
+        table.write_text("\n".join(lines[:30] + [line] + lines[30:]) + "\n")
+        assert main(["verify", "--snapshots", str(out)]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ") and err.endswith(message)
+
     def test_verify_missing_directory(self, tmp_path):
         assert main(["verify", "--snapshots", str(tmp_path / "none")]) == 1
 

@@ -15,7 +15,7 @@ from relqtraj.analytic import (
 )
 from relqtraj import dynamics
 from relqtraj.dynamics import IntegrationError, _slice, step_counts
-from relqtraj.state import StateValidationError, WeightFunction
+from relqtraj.state import StateValidationError, WeightFunction, check_state
 from relqtraj.stencils import interior as interior_nodes
 
 from conftest import baseline_config
@@ -391,6 +391,44 @@ def test_stage_of_the_wrong_row_count_is_rejected(rhs, rows):
     with pytest.raises(StateValidationError,
                        match=rf"^state array has shape \(3, 25\), want \({rows}, N\)$"):
         rhs(y, baseline_config())
+
+
+@pytest.mark.parametrize("rhs, rows", [(lambda y, cfg: rq.eom_rhs(y, 0.0, cfg), 4),
+                                       (lambda y, cfg: rq.rk4_step(y, 0.0, cfg), 4),
+                                       (rq.nonrel_rhs, 2)],
+                         ids=["eom_rhs", "rk4_step", "nonrel_rhs"])
+def test_a_stack_of_valid_states_is_no_stage(rhs, rows):
+    # the stage guard takes one (rows, N) state: the caller, not y.ndim, says
+    # whether a stack is allowed
+    cfg = baseline_config()
+    y = rq.rest_initial_state(cfg).y
+    y = y if rows == 4 else np.array([y[1], y[3]])
+    with pytest.raises(StateValidationError,
+                       match=rf"^state array has shape \(2, {rows}, 25\), want \({rows}, N\)$"):
+        rhs(np.stack([y, y]), cfg)
+
+
+# each rule of check_state that a state of the stack can break, from _GUARD_FAULTS
+_STATE_FAULTS = [case for case in _GUARD_FAULTS
+                 if case[1] == 4 and case[0] in ("t", "x", "u0", "u1", "u0<=0", "order")]
+
+
+@pytest.mark.parametrize("mutate, message", [case[2:5:2] for case in _STATE_FAULTS],
+                         ids=[case[0] for case in _STATE_FAULTS])
+@pytest.mark.parametrize("k", [0, 2])
+def test_record_series_names_the_first_bad_state_of_a_stack(k, mutate, message):
+    # slice k of four breaks the rule, and slice 3 breaks the ordering: the
+    # error is the one of slice k alone, its index k, raised before any gamma
+    cfg = baseline_config()
+    y = np.stack([rq.rest_initial_state(cfg).y] * 4)
+    mutate(y[k])
+    _swap_past(y[3])
+    with pytest.raises(StateValidationError, match=message) as exc_info:
+        rq.record_series(cfg, np.arange(4.0), y)
+    assert exc_info.value.index == k
+    with pytest.raises(StateValidationError, match=message) as exc_info:
+        check_state(y[k], 4)
+    assert exc_info.value.index is None
 
 class TestInitialStates:
     def test_gaussian_initial_state(self):

@@ -111,7 +111,7 @@ class TestParseConfig:
         assert "\nweight.kind = none\ngrid.min = 0.5\n" in text
         again = rq.parse_config(text)
         assert again == cfg and hash(again) == hash(cfg)
-        assert np.isnan(again.weight_f).all()
+        assert np.isnan(np.exp(again.weight.log_f(again.grid.nodes))).all()  # f is NaN
         with pytest.raises(ConfigError, match="'weight.a' does not apply to weight.kind 'none'"):
             rq.parse_config(text + "weight.a = 1\n")
 

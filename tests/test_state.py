@@ -204,6 +204,16 @@ class TestSimConfig:
             rq.SimConfig(mass=1, hbar=1, c=1, weight=w, grid=g, t_final=1, dt=1e-3,
                          stencil_order=3)
 
+    def test_an_integral_stencil_order_is_held_as_an_int(self):
+        # like the grid's n_points: 4.0 is the order 4, and 4.5 is refused
+        g, w = rq.make_grid(-5, 5, 25), rq.gaussian_weight(0.5)
+        cfg = rq.SimConfig(c=1, weight=w, grid=g, t_final=1, stencil_order=4.0)
+        assert type(cfg.stencil_order) is int and cfg.stencil_order == 4
+        assert cfg.plan.tobytes() == rq.build_plan(g, 4.0).tobytes() == \
+            rq.build_plan(g, 4).tobytes()
+        with pytest.raises(ValueError, match=r"^stencil_order must be an integer, got 4\.5$"):
+            rq.SimConfig(c=1, weight=w, grid=g, t_final=1, stencil_order=4.5)
+
     def test_stage_scalars_are_read_only_0d_arrays_of_their_formulas(self):
         # each is the Python-float formula's value, cached, and cannot be written
         c, m, hbar, dt = 3.0, 2.0, 0.7, 1e-3

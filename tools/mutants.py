@@ -103,6 +103,17 @@ MUTANTS = (
            "(gamma > ZERO) & (gamma < INF)", "(gamma > ZERO)",
            ("tests/test_geometry.py::TestComputeGeometry::"
             "test_overflowing_slice_names_the_first_bad_node",)),
+    Mutant("state guard without its u0 count", "src/relqtraj/state.py",
+           "rows == 2 or not np.count_nonzero(y[U0_ROW] <= ZERO)", "True",
+           ("tests/test_dynamics.py::test_stage_guard_names_the_broken_invariant[u0<=0-4rows]",
+            "tests/test_dynamics.py::test_record_series_names_the_first_bad_state_of_a_stack"
+            "[0-u0<=0]",
+            "tests/test_cli.py::TestAnalyticVerify::"
+            "test_verify_rejects_a_tampered_column[u0--1]")),
+    Mutant("state guard's shape rule takes any rank", "src/relqtraj/state.py",
+           "y.ndim != 2 + stack or ", "",
+           tuple(f"tests/test_dynamics.py::test_a_stack_of_valid_states_is_no_stage[{rhs}]"
+                 for rhs in ("eom_rhs", "rk4_step", "nonrel_rhs"))),
     Mutant("d_dC lets numpy's shape error escape", "src/relqtraj/stencils.py",
            "except ValueError:", "except TypeError:",
            ("tests/test_stencils.py::TestDerivative::test_length_mismatch",

@@ -82,10 +82,11 @@ class Record(namedtuple("Record", "tau_ensemble t x u0 u1 Q")):
 
 @dataclass(frozen=True)
 class SnapshotSeries:
-    """K recorded slices of one run as read-only arrays in T order: times (K,),
-    the states y (K, 4, N) and the fields of one _slice pass over them, gamma,
-    Q, tau_T and g01 (K, N) and the force f = (f0, f1) (K, 2, N).  Iterating
-    it, or its snapshots list, gives one Record per slice."""
+    """K recorded slices of one run as read-only arrays: times (K,), one per
+    state, finite and strictly increasing (stated here only: a broken rule is a
+    StateValidationError, index the first bad slice), the states y (K, 4, N)
+    and the fields of one _slice pass, gamma, Q, tau_T and g01 (K, N) and the
+    force f = (f0, f1) (K, 2, N).  Iterating it, or .snapshots, gives Records."""
 
     config: SimConfig
     times: np.ndarray
@@ -97,6 +98,19 @@ class SnapshotSeries:
     g01: np.ndarray
 
     def __post_init__(self):  # value data, like an EnsembleState's y
+        T = self.times
+        if T.shape != (len(self.y),):
+            raise StateValidationError(f"snapshot times must be one per state: shape "
+                                       f"{T.shape} for {len(self.y)} states")
+        ok = np.isfinite(T)
+        ok[1:] &= T[1:] > T[:-1]
+        if not ok.all():  # T[k] is not finite, or T[k - 1] is and T[k] is not after it
+            k = int(np.argmin(ok))
+            rule = (f"strictly increase: T = {T[k - 1]:.17g} is followed by T = {T[k]:.17g}"
+                    if np.isfinite(T[k]) else f"be finite: T = {T[k]:.17g}")
+            exc = StateValidationError(f"snapshot times must {rule}")
+            exc.index = k
+            raise exc
         for a in (self.times, self.y, self.gamma, self.Q, self.tau_T, self.f, self.g01):
             a.setflags(write=False)
 
@@ -157,9 +171,8 @@ def _slice(y, T, config: SimConfig, Q=None):
 
 
 def record_series(config: SimConfig, times, y, Q=None) -> SnapshotSeries:
-    """The series of the states y (K, 4, N) at times (K,), every one checked
-    (check_state) before one _slice pass over the stack, with Q from the
-    config's weight unless it is given (K, N): a stored or closed-form Q."""
+    """The SnapshotSeries of the states y (K, 4, N) at times (K,), y checked by
+    check_state before one _slice pass, Q from the weight unless given (K, N)."""
     check_state(y, 4, stack=True)
     tx_C, gamma, Q, tau, f, d = _slice(y, times, config, Q)
     return SnapshotSeries(config, times, y, gamma, Q, tau, f, attach_g01(tx_C, d, config))

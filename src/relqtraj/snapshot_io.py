@@ -196,15 +196,10 @@ def write_snapshots(
     start_time and end_time, then simulate's cadence, n_steps, stride and
     final_T or analytic's kind and parameter) as a "# run.<key> = <value>"
     comment, in call order; a float value is one 17-digit cell.  An empty
-    series, or snapshot times that do not strictly increase, are a
-    ValueError, raised before any file is written."""
+    series is a ValueError, raised before any file is written."""
     cfg, times = series.config, series.times
     if not times.size:
         raise ValueError("a snapshot series to write needs at least one snapshot")
-    late = np.flatnonzero(~(times[1:] > times[:-1]))
-    if late.size:
-        raise ValueError(f"snapshot times must strictly increase: T = {_fmt(times[late[0]])} "
-                         f"is followed by T = {_fmt(times[late[0] + 1])}")
     os.makedirs(path, exist_ok=True)
     written = [os.path.join(path, "snapshots.tsv"), os.path.join(path, "manifest.txt")]
     write_series(written[0], SNAPSHOT_COLUMNS, times, cfg.grid.nodes,
@@ -251,13 +246,12 @@ def read_snapshots(path: str) -> SnapshotSeries:
     manifest.txt or snapshots.tsv is a FileNotFoundError, a bad manifest
     load_config's ConfigError, and a ValueError a table whose header is not
     SNAPSHOT_COLUMNS, that has no data rows, a row that does not hold one
-    number per column (named by its data row), a row count that
-    is not a whole number of N-row slices, a T column that is not constant
-    within a slice or does not strictly increase from slice to slice, a C
-    column that is not the manifest grid's nodes, or a slice that fails
-    check_state in record_series (named by the error's index and its data
-    rows; every state is checked before any gamma).
-    """
+    number per column (named by its data row), a row count that is not a
+    whole number of N-row slices, a T column that is not constant within a
+    slice (all NaN is constant: the series rules name it), a C column that is
+    not the manifest grid's nodes, or a slice that fails check_state, the
+    spacelike guard or SnapshotSeries' time rules, in that order (named by
+    the error's index and its data rows)."""
     for name in ("manifest.txt", "snapshots.tsv"):
         if not os.path.exists(os.path.join(path, name)):
             raise FileNotFoundError(f"no {name} in {path}")
@@ -280,21 +274,15 @@ def read_snapshots(path: str) -> SnapshotSeries:
     if cols != width:
         raise ValueError(f"{fname}: rows hold {cols} values, not {width}")
     if rows % n:
-        raise ValueError(f"{fname}: {rows} data rows are not a whole number of "
-                         f"{n}-row slices")
+        raise ValueError(f"{fname}: {rows} data rows are not a whole number of {n}-row slices")
     # (K, 7, N): each slice's state rows t, x, u0, u1 and its Q row are contiguous
     slices = np.ascontiguousarray(table.reshape(-1, n, width).transpose(0, 2, 1))
     Ts = slices[:, 0]
-    mixed = np.flatnonzero((Ts != Ts[:, :1]).any(axis=1))
+    mixed = np.flatnonzero(((Ts != Ts[:, :1]) & ~(np.isnan(Ts) & np.isnan(Ts[:, :1]))).any(1))
     if mixed.size:
         k = mixed[0]
         raise ValueError(f"{fname}: column T is not constant in slice {k} "
                          f"(data rows {k * n + 1} to {(k + 1) * n})")
-    late = np.flatnonzero(~(Ts[1:, 0] > Ts[:-1, 0]))
-    if late.size:
-        k = late[0] + 1
-        raise ValueError(f"{fname}: slice {k} has T = {_fmt(Ts[k, 0])}, "
-                         f"not after T = {_fmt(Ts[k - 1, 0])}")
     if not (slices[:, 1] == cfg.grid.nodes).all():
         raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
     try:  # the states t, x, u0, u1

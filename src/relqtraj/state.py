@@ -142,8 +142,8 @@ def no_density_weight() -> WeightFunction:
 
 
 class StateValidationError(ValueError):
-    """An ensemble state violates a structural invariant; index is the
-    position of the first bad state in a stack, None for one state."""
+    """An ensemble state or series violates a structural invariant; index is
+    the first bad state of a stack or time of a series, None for one state."""
 
     index = None
 

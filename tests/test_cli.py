@@ -566,16 +566,31 @@ class TestAnalyticVerify:
         assert "time.final = 0" in (out / "manifest.txt").read_text().splitlines()
 
 
+def _T_cells(lines, cell):
+    """lines with the T cell of each replaced by cell."""
+    return [cell + line[line.index("\t"):] for line in lines]
+
+
 # fault -> (analytic --times, edit of the snapshots.tsv lines, the command run
 # on the edited output, the error it must print); with no edit, analytic itself
 # refuses.  Line 0 is the header, and the slice at T = k is lines 1 + 25 k to 25 + 25 k.
 SNAPSHOT_ORDER_FAULTS = {
     # the slice at T = 1 repeated after the last
-    "repeated-slice": ("0,1,2,3", lambda ls: ls + ls[26:51],
-                       "verify", "snapshots.tsv: slice 4 has T = 1, not after T = 3"),
+    "repeated-slice": ("0,1,2,3", lambda ls: ls + ls[26:51], "verify",
+                       "snapshots.tsv: slice 4 (data rows 101 to 125): snapshot times must "
+                       "strictly increase: T = 3 is followed by T = 1"),
     # the slices at T = 1 and T = 3 swapped
-    "T-out-of-order": ("0,1,2,3", lambda ls: ls[:26] + ls[76:] + ls[51:76] + ls[26:51],
-                       "verify", "snapshots.tsv: slice 2 has T = 2, not after T = 3"),
+    "T-out-of-order": ("0,1,2,3", lambda ls: ls[:26] + ls[76:] + ls[51:76] + ls[26:51], "verify",
+                       "snapshots.tsv: slice 2 (data rows 51 to 75): snapshot times must "
+                       "strictly increase: T = 3 is followed by T = 2"),
+    # every T of the slice at T = 2 is NaN: constant, but not a time
+    "nan-T": ("0,1,2,3", lambda ls: ls[:51] + _T_cells(ls[51:76], "nan") + ls[76:], "verify",
+              "snapshots.tsv: slice 2 (data rows 51 to 75): snapshot times must be finite: "
+              "T = nan"),
+    # the last slice at T = inf, which is after T = 2
+    "inf-T": ("0,1,2,3", lambda ls: ls[:76] + _T_cells(ls[76:], "inf"), "verify",
+              "snapshots.tsv: slice 3 (data rows 76 to 100): snapshot times must be finite: "
+              "T = inf"),
     # figures wrote header-only files from a series with no snapshot
     "no-snapshot": ("0,1,2,3", lambda ls: ls[:1], "figures", "snapshots.tsv: no data rows"),
     # a descending series was written, and verify rejected it as a bad grid

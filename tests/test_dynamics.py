@@ -430,6 +430,25 @@ def test_record_series_names_the_first_bad_state_of_a_stack(k, mutate, message):
         check_state(y[k], 4)
     assert exc_info.value.index is None
 
+
+@pytest.mark.parametrize("times, message, index", [
+    # a count that is not one time per state; a (1,) times does not broadcast
+    ([0.0, 1.0], r"be one per state: shape \(2,\) for 3 states", None),
+    ([0.0], r"be one per state: shape \(1,\) for 3 states", None),
+    ([0.0, math.nan, 2.0], "be finite: T = nan", 1),
+    ([0.0, 2.0, math.inf], "be finite: T = inf", 2),
+    ([0.0, 2.0, 1.0], "strictly increase: T = 2 is followed by T = 1", 2),
+], ids=["2-times", "1-time", "nan", "inf", "order"])
+def test_record_series_holds_the_series_time_rules(tmp_path, times, message, index):
+    # the rules of SnapshotSeries, raised before anything is written
+    cfg = baseline_config()
+    y = np.stack([rq.rest_initial_state(cfg).y] * 3)
+    with pytest.raises(StateValidationError, match=f"^snapshot times must {message}$") as exc:
+        rq.write_snapshots(rq.record_series(cfg, np.array(times), y), str(tmp_path / "out"))
+    assert exc.value.index == index
+    assert not (tmp_path / "out").exists()
+
+
 class TestInitialStates:
     def test_gaussian_initial_state(self):
         cfg = baseline_config()

@@ -45,6 +45,7 @@ _SIGN = "_rows(self.grid.n_points, -self.c, -1.0)"
 _STENCILS = "tests/test_stencils.py::TestBuildPlan::"
 _NAN = "tests/test_cli.py::TestAnalyticVerify::test_verify_fails_a_nan_wherever_it_sits"
 _LOST = "tests/test_golden.py::test_the_stored_columns_lose_nothing"
+_SERIES = "tests/test_dynamics.py::test_record_series_holds_the_series_time_rules"
 
 MUTANTS = (
     Mutant("log_form_Q quarter to half", "src/relqtraj/qpotential.py",
@@ -125,6 +126,15 @@ MUTANTS = (
            ("tests/test_golden.py::test_figures",
             "tests/test_cli.py::TestFigures::"
             "test_trajectories_are_the_simultaneity_cells_label_by_label")),
+    Mutant("series rule without its order test", "src/relqtraj/dynamics.py",
+           "        ok[1:] &= T[1:] > T[:-1]\n", "",
+           (f"{_SERIES}[order]",)
+           + tuple(f"tests/test_cli.py::test_snapshot_order_is_checked[{fault}]"
+                   for fault in ("repeated-slice", "T-out-of-order", "descending-times",
+                                 "unsorted-times"))),
+    Mutant("series rule without its count test", "src/relqtraj/dynamics.py",
+           "if T.shape != (len(self.y),):", "if False:",
+           (f"{_SERIES}[2-times]", f"{_SERIES}[1-time]")),
 )
 
 

@@ -40,7 +40,7 @@ from .snapshot_io import (
     write_series,
     write_snapshots,
 )
-from .state import MIN_POINTS, SimConfig, check_positive, make_grid
+from .state import MIN_POINTS, SimConfig, StateValidationError, check_positive, make_grid
 from .stencils import STENCIL_ORDERS
 
 EXIT_OK = 0
@@ -121,8 +121,11 @@ def _cmd_analytic(args) -> int:
     )
     # a closed-form Q is given only for the family whose density has none
     Q = None if ens.Q is None else np.tile(ens.Q(grid.nodes, args.mass), (len(times), 1))
-    # the family on the (K, 1) x (N,) grid of times and labels, as (K, 4, N) states
-    series = record_series(cfg, times, np.stack(ens.evaluate(times[:, None], grid.nodes), 1), Q)
+    y = np.stack(ens.evaluate(times[:, None], grid.nodes), 1)  # on the (K, 1) x (N,) grid
+    try:
+        series = record_series(cfg, times, y, Q)
+    except StateValidationError as exc:  # every fault here has an index: its --times entry
+        raise StateValidationError(f"--times entry T = {times[exc.index]:.6g}: {exc}") from exc
     finite_record(series.tau_T, series.f, series.g01)
     write_snapshots(series, args.out, code_version=__version__, start_time=_now(),
                     end_time=_now(), kind=args.kind, **{flag: param})

@@ -12,13 +12,13 @@ with tau_T = exp(-Q / m c^2) and the force components (for x^alpha = (ct, x))
 so the force is the slice-restricted gradient of the quantum potential mapped
 back to inertial components, always orthogonal to the four-velocity.
 
-The solver steps the raw (4, N) array y = (t, x, u0, u1) that an
-EnsembleState wraps.  rk4_step runs eom_rhs 4 times per step; eom_rhs checks
-the stage (check_state), then _slice runs one function per layer:
-compute_geometry ((t_C, x_C) as one (2, N) array, gamma), compute_Q (Q, Q_C),
-tau_factor, compute_force ((f0, f1) as one (2, N) array) and the rate rows.
-It is the one chain for any leading shape: a stage or a record is one (4, N)
-slice, and a series read back or sampled (record_series) one (K, 4, N) stack.
+No term holds T, so no stage function takes it: rk4_step runs eom_rhs 4
+times per step on the raw (4, N) array y = (t, x, u0, u1) of an
+EnsembleState; eom_rhs checks the stage (check_state), then _slice runs
+one function per layer: compute_geometry ((t_C, x_C) and gamma), compute_Q
+(Q, Q_C), tau_factor, compute_force ((f0, f1) as one (2, N) array) and the
+rate rows, for any leading shape: a stage or a record is one (4, N) slice,
+a series read back or sampled (record_series) one (K, 4, N) stack.
 
 On N = 25 a stage's cost is the count and kind of its numpy calls, not
 arithmetic, so the chain is written to make few and cheap ones while every
@@ -40,9 +40,9 @@ np.maximum.reduce.
 
 run_fixed_steps is the one stepping loop: integrate and the non-relativistic
 solver give it their own step and record functions, and it owns the step
-counts, the record cadence and the failure handling of both: a broken rule
-(StateValidationError) or failed arithmetic (ArithmeticError) in a step or
-record becomes there, and only there, an IntegrationError at the T reached.
+counts, the run's T, the record cadence and the failure handling of both:
+a broken rule (StateValidationError) or failed arithmetic (ArithmeticError)
+in a step or record becomes there, and only there, an IntegrationError.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -82,11 +83,10 @@ class Record(namedtuple("Record", "tau_ensemble t x u0 u1 Q")):
 
 @dataclass(frozen=True)
 class SnapshotSeries:
-    """K recorded slices of one run as read-only arrays: times (K,), one per
-    state, finite and strictly increasing (stated here only: a broken rule is a
-    StateValidationError, index the first bad slice), the states y (K, 4, N)
-    and the fields of one _slice pass, gamma, Q, tau_T and g01 (K, N) and the
-    force f = (f0, f1) (K, 2, N).  Iterating it, or .snapshots, gives Records."""
+    """K recorded slices of one run as read-only arrays: times (K,), held to
+    check_times, the states y (K, 4, N) and the fields of one _slice pass,
+    gamma, Q, tau_T and g01 (K, N) and the force f = (f0, f1) (K, 2, N).
+    Iterating it, or .snapshots, gives Records."""
 
     config: SimConfig
     times: np.ndarray
@@ -98,19 +98,7 @@ class SnapshotSeries:
     g01: np.ndarray
 
     def __post_init__(self):  # value data, like an EnsembleState's y
-        T = self.times
-        if T.shape != (len(self.y),):
-            raise StateValidationError(f"snapshot times must be one per state: shape "
-                                       f"{T.shape} for {len(self.y)} states")
-        ok = np.isfinite(T)
-        ok[1:] &= T[1:] > T[:-1]
-        if not ok.all():  # T[k] is not finite, or T[k - 1] is and T[k] is not after it
-            k = int(np.argmin(ok))
-            rule = (f"strictly increase: T = {T[k - 1]:.17g} is followed by T = {T[k]:.17g}"
-                    if np.isfinite(T[k]) else f"be finite: T = {T[k]:.17g}")
-            exc = StateValidationError(f"snapshot times must {rule}")
-            exc.index = k
-            raise exc
+        check_times(self.times, len(self.y))
         for a in (self.times, self.y, self.gamma, self.Q, self.tau_T, self.f, self.g01):
             a.setflags(write=False)
 
@@ -121,6 +109,21 @@ class SnapshotSeries:
         return map(Record, self.times.tolist(), *self.y.transpose(1, 0, 2), self.Q)
 
     snapshots = property(lambda self: list(self))
+
+
+def check_times(T: np.ndarray, states: int) -> None:
+    """The series time rules, stated here only: T (states,), each finite and
+    after the one before; else StateValidationError, index the first bad T."""
+    if T.shape != (states,):
+        raise StateValidationError(f"snapshot times must be one per state: shape "
+                                   f"{T.shape} for {states} states")
+    ok = np.isfinite(T)
+    ok[1:] &= T[1:] > T[:-1]
+    if not ok.all():  # T[k] is not finite, or T[k - 1] is and T[k] is not after it
+        k = int(np.argmin(ok))
+        rule = (f"strictly increase: T = {T[k - 1]:.17g} is followed by T = {T[k]:.17g}"
+                if np.isfinite(T[k]) else f"be finite: T = {T[k]:.17g}")
+        raise StateValidationError(f"snapshot times must {rule}", k)
 
 
 class IntegrationError(RuntimeError):
@@ -156,13 +159,13 @@ def tau_factor(Q: np.ndarray, config: SimConfig) -> np.ndarray:
     return np.exp(Q / config.neg_mc_sq)
 
 
-def _slice(y, T, config: SimConfig, Q=None):
-    """The fields (tx_C, gamma, Q, tau_T, f, d) of the slice y = (t, x, u0, u1)
-    at ensemble time T, or of a stack y (K, 4, N) at times T (K,), layer by
-    layer; tx_C and f are (..., 2, N) and the rate rows d = (u0, u1, f0, f1)
-    tau_T / rhs_divisor (c, 1, m, m) are (..., 4, N), three operations bitwise
-    the 1-D rows (x / 1.0 == x).  Q_C enters only the force."""
-    tx_C, gamma = compute_geometry(y, T, config)
+def _slice(y, config: SimConfig, Q=None):
+    """The fields (tx_C, gamma, Q, tau_T, f, d) of the slice y = (t, x, u0, u1),
+    or of a stack y (K, 4, N), layer by layer; tx_C and f are (..., 2, N) and
+    the rate rows d = (u0, u1, f0, f1) tau_T / rhs_divisor (c, 1, m, m) are
+    (..., 4, N), three operations bitwise the 1-D rows (x / 1.0 == x).  Q_C
+    enters only the force."""
+    tx_C, gamma = compute_geometry(y, config)
     Q, Q_C = compute_Q(gamma, config, Q)
     tau = tau_factor(Q, config)
     f = compute_force(tx_C, gamma, Q_C, config)
@@ -171,49 +174,46 @@ def _slice(y, T, config: SimConfig, Q=None):
 
 
 def record_series(config: SimConfig, times, y, Q=None) -> SnapshotSeries:
-    """The SnapshotSeries of the states y (K, 4, N) at times (K,), y checked by
-    check_state before one _slice pass, Q from the weight unless given (K, N)."""
+    """The SnapshotSeries of the states y (K, 4, N) at times (K,), checked by
+    check_times and check_state before one _slice pass, Q given (K, N) or not."""
+    check_times(times, len(y))
     check_state(y, 4, stack=True)
-    tx_C, gamma, Q, tau, f, d = _slice(y, times, config, Q)
+    tx_C, gamma, Q, tau, f, d = _slice(y, config, Q)
     return SnapshotSeries(config, times, y, gamma, Q, tau, f, attach_g01(tx_C, d, config))
 
 
-def eom_rhs(y, T, config: SimConfig) -> np.ndarray:
+def eom_rhs(y, config: SimConfig) -> np.ndarray:
     """Right-hand side rows (dt/dT, dx/dT, dU0/dT, dU1/dT) of one RK stage
     y = (t, x, u0, u1), shape (4, N), from _slice.  The stage is checked
     first, by the state guard, and raises StateValidationError when it
     breaks an invariant or is not (4, N)."""
     check_state(y, 4)
-    return _slice(y, T, config)[-1]
+    return _slice(y, config)[-1]
 
 
 def _rk4(rhs, y, config: SimConfig):
-    """One classical RK4 step of y' = rhs(y, h) over config.dt, h the stage's
-    offset: y + dt/6 (k1 + 2 k2 + 2 k3 + k4), with the weights dt/2, dt and
+    """One classical RK4 step of the autonomous y' = rhs(y, config) over
+    config.dt: y + dt/6 (k1 + 2 k2 + 2 k3 + k4), with the weights dt/2, dt and
     dt/6 of config.rk_weights and 2 k written k + k (the same bits)."""
     half, full, sixth = config.rk_weights
-    h = 0.5 * config.dt
-    k1 = rhs(y, 0.0)
-    k2 = rhs(y + half * k1, h)
-    k3 = rhs(y + half * k2, h)
-    k4 = rhs(y + full * k3, config.dt)
+    k1 = rhs(y, config)
+    k2 = rhs(y + half * k1, config)
+    k3 = rhs(y + half * k2, config)
+    k4 = rhs(y + full * k3, config)
     return y + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
-def rk4_step(y: np.ndarray, T: float, config: SimConfig) -> np.ndarray:
+def rk4_step(y: np.ndarray, config: SimConfig) -> np.ndarray:
     """One classical four-stage Runge-Kutta step of size config.dt from the (4, N)
-    array y at ensemble time T; a stage that breaks an invariant, or a norm drift
-    over ABORT_FACTOR x invariant_tol (the mass shell), raises StateValidationError."""
-    y = _rk4(lambda y, h: eom_rhs(y, T + h, config), y, config)
+    array y; a stage that breaks an invariant, or a norm drift over
+    ABORT_FACTOR x invariant_tol (the mass shell), raises StateValidationError."""
+    y = _rk4(eom_rhs, y, config)
     # max(|v| / c^2) == max(|v|) / c^2 exactly, so one division by c^2
     drift = np.maximum.reduce(np.abs(norm_violation(y[2:], config.c_sq)))
     worst = float(drift) / config.c ** 2
     if worst > ABORT_FACTOR * config.invariant_tol:
-        raise StateValidationError(
-            f"four-velocity norm drift {worst:.3e} exceeds "
-            f"{ABORT_FACTOR:g} x invariant_tol = {ABORT_FACTOR * config.invariant_tol:.1e} "
-            f"after step to T = {T + config.dt:.6g}"
-        )
+        raise StateValidationError(f"four-velocity norm drift {worst:.3e} exceeds {ABORT_FACTOR:g}"
+                                   f" x invariant_tol = {ABORT_FACTOR * config.invariant_tol:.1e}")
     return y
 
 
@@ -252,7 +252,7 @@ def step_counts(config: SimConfig, cadence: float) -> tuple:
 
 
 def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, collect):
-    """Advance y = step(y, T) from T = 0 to t_final, keeping record(T, y) every
+    """Advance y = step(y) from T = 0 to t_final, keeping record(T, y) every
     `cadence` and at the end, with T = k * dt after k steps; returns
     collect(the list of records).  A failed step or record raises
     IntegrationError naming T, with collect(the records before it) attached."""
@@ -265,30 +265,26 @@ def run_fixed_steps(config: SimConfig, cadence: float, y, step, record, collect)
                 out.append(record(T, y))
             if k == n_steps:
                 break
-            y = step(y, T)
+            y = step(y)
         except (StateValidationError, ArithmeticError) as exc:
             raise IntegrationError(f"run failed at T = {T:.6g}: {exc}", collect(out)) from exc
     return collect(out)
 
 
-def integrate(
-    config: SimConfig,
-    initial_state: Optional[EnsembleState] = None,
-    cadence: float = 1.0,
-) -> SnapshotSeries:
-    """Fixed-step RK4 from T = 0 to t_final, recording every `cadence` units
-    of T and the final state: each record is checked (check_state), then one
-    _slice pass on its (4, N) slice.  t_final and cadence must be whole
-    multiples of dt (ValueError otherwise).  A failure, a record refused by
-    check_state or finite_record included, raises IntegrationError with the
-    series of the records before it."""
-    state = rest_initial_state(config) if initial_state is None else initial_state
+def integrate(config: SimConfig, y0=None, cadence: float = 1.0) -> SnapshotSeries:
+    """Fixed-step RK4 from the (4, N) array y0 (the rest state by default) at
+    T = 0 to t_final, recording every `cadence` units of T and the final
+    state: each record, y0 first, is checked (check_state), then one _slice
+    pass on its (4, N) slice.  t_final and cadence must be whole multiples of
+    dt (ValueError otherwise).  A failure, a record refused by check_state or
+    finite_record included, raises IntegrationError with the records before it."""
+    y0 = rest_initial_state(config).y if y0 is None else y0
     n = config.grid.n_points
     shapes = ((), (4, n), (n,), (n,), (n,), (2, n), (n,))  # a record's T, y and fields
 
     def record(T, y):  # a step's output; its stages checked only their inputs
         check_state(y, 4)
-        tx_C, gamma, Q, tau, f, d = _slice(y, T, config)
+        tx_C, gamma, Q, tau, f, d = _slice(y, config)
         g01 = attach_g01(tx_C, d, config)
         finite_record(tau, f, g01)
         return T, y, gamma, Q, tau, f, g01
@@ -298,8 +294,8 @@ def integrate(
         return SnapshotSeries(config, *(np.reshape(c, (len(records), *s)) for c, s in
                                         zip(columns, shapes)))
 
-    return run_fixed_steps(config, cadence, state.y, lambda y, T: rk4_step(y, T, config),
-                           record, collect)
+    return run_fixed_steps(config, cadence, y0, partial(rk4_step, config=config), record,
+                           collect)
 
 
 def finite_record(tau_T, f, g01) -> None:

@@ -2,7 +2,7 @@
 
 On each constant-T slice the induced spatial metric reduces to the scalar
 gamma = x_C^2 - c^2 t_C^2, which must stay positive for the slice to remain
-spacelike; like every state rule, a broken one raises StateValidationError.
+spacelike, a state rule: a timelike slice of a stack is its error's index.
 The time-space block g01 = eta_ab x^a_T x^b_C vanishes for an orthogonal
 trajectory/slice foliation; it is monitored as a residual, never projected
 away, so drift stays visible as a correctness signal.
@@ -22,15 +22,15 @@ from .state import INF, T_ROW, TX_ROWS, X_ROW, ZERO, SimConfig, StateValidationE
 from .stencils import d_dC
 
 
-def compute_geometry(y, T, config: SimConfig):
-    """(tx_C, gamma) of the slice with rows t, x = y[..., 0, :], y[..., 1, :]
-    at ensemble time T, or of a stack at times T (K,): the label-derivatives
-    (t_C, x_C) as the rows (..., 2, N) of one d_dC call, which compute_force
-    scales as a whole, and gamma = x_C^2 - c^2 t_C^2 with c^2 = config.c_sq,
-    both squares one product tx_C * tx_C (g01 is attach_g01's).  Raises
-    StateValidationError, naming the first node and the T of its slice,
-    unless gamma is positive and finite; its fast pass is one count of the
-    mask 0 < gamma < inf, which a NaN fails.
+def compute_geometry(y, config: SimConfig):
+    """(tx_C, gamma) of the slice with rows t, x = y[..., 0, :], y[..., 1, :],
+    or of a stack of them: the label-derivatives (t_C, x_C) as the rows
+    (..., 2, N) of one d_dC call, which compute_force scales as a whole, and
+    gamma = x_C^2 - c^2 t_C^2 with c^2 = config.c_sq, both squares one
+    product tx_C * tx_C (g01 is attach_g01's).  Raises StateValidationError,
+    naming the first node (index: its slice of a stack), unless gamma is
+    positive and finite; its fast pass is one count of the mask
+    0 < gamma < inf, which a NaN fails.
     """
     tx_C = d_dC(y[TX_ROWS], config.plan)
     sq = tx_C * tx_C
@@ -39,8 +39,8 @@ def compute_geometry(y, T, config: SimConfig):
         *k, j = np.unravel_index(np.argmin((gamma > 0) & np.isfinite(gamma)), gamma.shape)
         g = gamma[(*k, j)]
         kind = "non-positive" if g <= 0 else "non-finite"
-        raise StateValidationError(f"{kind} spatial metric gamma = {g:.6g} at node {j} (T = "
-                                   f"{np.asarray(T)[tuple(k)]:.6g}): slice is no longer spacelike")
+        raise StateValidationError(f"{kind} spatial metric gamma = {g:.6g} at node {j}: "
+                                   "slice is no longer spacelike", *map(int, k))
     return tx_C, gamma
 
 

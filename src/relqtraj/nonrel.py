@@ -15,6 +15,7 @@ and keep the bit-identity rules of the dynamics module docstring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,8 +69,6 @@ def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
     On failure raises IntegrationError with the partial list attached.
     """
-    def step(y, _t):
-        return _rk4(lambda y, _h: nonrel_rhs(y, config), y, config)
-
     y = np.array([config.grid.nodes, np.zeros(config.grid.n_points)])
-    return run_fixed_steps(config, cadence, y, step, NonRelState, list)
+    return run_fixed_steps(config, cadence, y, partial(_rk4, nonrel_rhs, config=config),
+                           NonRelState, list)

@@ -249,9 +249,9 @@ def read_snapshots(path: str) -> SnapshotSeries:
     number per column (named by its data row), a row count that is not a
     whole number of N-row slices, a T column that is not constant within a
     slice (all NaN is constant: the series rules name it), a C column that is
-    not the manifest grid's nodes, or a slice that fails check_state, the
-    spacelike guard or SnapshotSeries' time rules, in that order (named by
-    the error's index and its data rows)."""
+    not the manifest grid's nodes, or a slice that fails the series time
+    rules, check_state or the spacelike guard, in that order (named by the
+    error's index and its data rows)."""
     for name in ("manifest.txt", "snapshots.tsv"):
         if not os.path.exists(os.path.join(path, name)):
             raise FileNotFoundError(f"no {name} in {path}")
@@ -287,10 +287,10 @@ def read_snapshots(path: str) -> SnapshotSeries:
         raise ValueError(f"{fname}: column C is not the manifest's grid nodes")
     try:  # the states t, x, u0, u1
         return record_series(cfg, Ts[:, 0], slices[:, 2:6], Q=slices[:, 6])
-    except StateValidationError as exc:  # a metric error names the T of its slice
+    except StateValidationError as exc:  # every fault here has an index: its slice
         k = exc.index
-        where = "" if k is None else f"slice {k} (data rows {k * n + 1} to {(k + 1) * n}): "
-        raise StateValidationError(f"{fname}: {where}{exc}") from exc
+        raise StateValidationError(f"{fname}: slice {k} (data rows {k * n + 1} to "
+                                   f"{(k + 1) * n}): {exc}") from exc
 
 
 def write_report(report: InvariantReport, path: str) -> None:

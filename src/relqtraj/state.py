@@ -143,9 +143,11 @@ def no_density_weight() -> WeightFunction:
 
 class StateValidationError(ValueError):
     """An ensemble state or series violates a structural invariant; index is
-    the first bad state of a stack or time of a series, None for one state."""
+    the first bad slice of a stack or series, which its caller names, or None."""
 
-    index = None
+    def __init__(self, message: str, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 def check_state(y: np.ndarray, rows: int, stack: bool = False) -> None:
@@ -174,8 +176,7 @@ def check_state(y: np.ndarray, rows: int, stack: bool = False) -> None:
         try:
             check_state(state, rows)
         except StateValidationError as exc:
-            exc.index = k
-            raise
+            raise StateValidationError(str(exc), k) from None
     if not finite:
         bad = int(np.argmin(np.isfinite(y).all(axis=1)))
         raise StateValidationError(f"non-finite values in field {_FIELDS[rows][bad]}")

@@ -130,7 +130,7 @@ class TestAcceptance:
                            grid=grid, t_final=T, dt=1e-3, invariant_tol=1e-6)
         ens = inertial_ensemble(beta0, c)
         y0 = ens.evaluate(0.0, grid.nodes)
-        series = rq.integrate(cfg, initial_state=rq.EnsembleState(0.0, y0), cadence=1.0)
+        series = rq.integrate(cfg, y0, cadence=1.0)
         err = 0.0
         for s in series:
             te, xe, u0e, u1e = ens.evaluate(s.tau_ensemble, grid.nodes)
@@ -152,7 +152,7 @@ class TestAcceptance:
         w = hyperbolic_unit_metric_weight(B, m, hb, c, 0.45, 2.55)
         cfg = rq.SimConfig(mass=m, hbar=hb, c=c, weight=w, grid=grid, t_final=1.0)
         st = sample_state(hyperbolic_gamma_one_ensemble(B, c), grid, 0.7)
-        _, gamma = rq.compute_geometry(st.y, 0.7, cfg)
+        _, gamma = rq.compute_geometry(st.y, cfg)
         gamma_err = float(np.max(np.abs(gamma - 1.0)))
 
         Q_num, _ = rq.compute_Q(gamma, cfg)
@@ -165,7 +165,7 @@ class TestAcceptance:
         grid2 = rq.make_grid(-1, 1, 201)
         cfg2 = rq.SimConfig(c=2.0, weight=rq.uniform_weight(), grid=grid2, t_final=1.0)
         st2 = sample_state(hyperbolic_gamma_T_ensemble(0.5, 2.0), grid2, 1.0)
-        _, gamma2 = rq.compute_geometry(st2.y, 1.0, cfg2)
+        _, gamma2 = rq.compute_geometry(st2.y, cfg2)
         spread = float((np.max(gamma2) - np.min(gamma2)) / np.mean(gamma2))
 
         ok = gamma_err <= 1e-6 and q_rel <= 1e-4 and spread <= 1e-8
@@ -199,7 +199,7 @@ class TestAcceptance:
         cfg6 = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                             grid=grid6, t_final=2, dt=1e-3, invariant_tol=1e-6)
         y0 = inertial_ensemble(0.6, 2.0).evaluate(0.0, grid6.nodes)
-        inert_series = rq.integrate(cfg6, initial_state=rq.EnsembleState(0.0, y0), cadence=0.5)
+        inert_series = rq.integrate(cfg6, y0, cadence=0.5)
 
         rep_exp, ok_exp = gate(exp_series)
         rep_in, ok_in = gate(inert_series)

@@ -190,7 +190,7 @@ class TestSampledInvariants:
         cfg = rq.SimConfig(c=c, weight=rq.uniform_weight(), grid=g, t_final=1)
         st = sample_state(ens, g, T)
         np.testing.assert_allclose(-st.u0 ** 2 + st.u1 ** 2, -c ** 2, rtol=1e-13)
-        tx_C, gamma = rq.compute_geometry(st.y, T, cfg)
+        tx_C, gamma = rq.compute_geometry(st.y, cfg)
         g01 = rq.attach_g01(tx_C, np.array((st.u0 / c, st.u1)), cfg)  # tau_T = 1
         np.testing.assert_allclose(gamma, 1.0, atol=1e-12)
         # g01 = tau_T (u1 x_C - c u0 t_C) vanishes on both families, whatever tau_T

@@ -16,6 +16,7 @@ same x* with v* = d_T x*; its time error there reads 9.5e-11.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def _nested_Q(A, root_gamma, C):
 def _manufactured(T, C, y, rhs):
     """(y*, S) as numpy functions of (T, C) that give the rows of y* and of
     the source S = d_T y* - rhs(y*); a field is (y*, S, the solver's
-    right-hand side as a function of (y, T, config))."""
+    right-hand side as a function of (y, config))."""
     source = [sympy.diff(yk, T) - rk for yk, rk in zip(y, rhs)]
     return tuple(sympy.lambdify((T, C), rows, "numpy", cse=True) for rows in (y, source))
 
@@ -74,7 +75,7 @@ def nonrel_field():
     Q = _nested_Q(sympy.exp(-C ** 2 / 4) / sympy.sqrt(x_C), x_C, C)
     y = (x, sympy.diff(x, T))
     rhs = (y[1], -sympy.diff(Q, C) / x_C)
-    return (*_manufactured(T, C, y, rhs), lambda y, _T, cfg: nonrel_rhs(y, cfg))
+    return (*_manufactured(T, C, y, rhs), nonrel_rhs)
 
 
 def _rows(f, T, C):
@@ -89,11 +90,14 @@ def _run(field, n, t_final, dt):
     cfg = rq.SimConfig(mass=1.0, hbar=1.0, c=3.0, weight=rq.gaussian_weight(0.5),
                        grid=rq.make_grid(-5, 5, n), t_final=t_final, dt=dt, invariant_tol=1.0)
     C = cfg.grid.nodes
+    ones = np.ones_like(C)
 
-    def step(y, T):
-        return _rk4(lambda y, h: rhs(y, T + h, cfg) + _rows(source, T + h, C), y, cfg)
+    def forced(y, cfg):  # autonomous: T rides in a last row, dT/dT = 1
+        return np.vstack((rhs(y[:-1], cfg) + _rows(source, y[-1, 0], C), ones))
 
-    records = run_fixed_steps(cfg, t_final, _rows(y_star, 0.0, C), step, lambda T, y: y, list)
+    y0 = np.vstack((_rows(y_star, 0.0, C), np.zeros_like(C)))
+    records = run_fixed_steps(cfg, t_final, y0, partial(_rk4, forced, config=cfg),
+                              lambda T, y: y[:-1], list)
     return records[-1], _rows(y_star, t_final, C)
 
 

@@ -40,7 +40,7 @@ def spectrum(cfg):
         step = np.zeros_like(flat)
         step[i] = h
         up, down = ((flat + s).reshape(y0.shape) for s in (step, -step))
-        J[:, i] = (eom_rhs(up, 0.0, cfg) - eom_rhs(down, 0.0, cfg)).ravel() / (h + h)
+        J[:, i] = (eom_rhs(up, cfg) - eom_rhs(down, cfg)).ravel() / (h + h)
     return np.linalg.eigvals(J)
 
 

@@ -300,7 +300,7 @@ class TestOnePlanPerConfig:
             report = rq.evaluate_invariants(series)
             y = series.y[-1]
             for k in range(3):
-                y = rq.rk4_step(y, cfg.t_final + k * cfg.dt, cfg)
+                y = rq.rk4_step(y, cfg)
         assert "pde_residual_x" in [r.name for r in report.records]
         assert len(tracer.arrays()[0]) == 2
 

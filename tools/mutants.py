@@ -127,14 +127,21 @@ MUTANTS = (
             "tests/test_cli.py::TestFigures::"
             "test_trajectories_are_the_simultaneity_cells_label_by_label")),
     Mutant("series rule without its order test", "src/relqtraj/dynamics.py",
-           "        ok[1:] &= T[1:] > T[:-1]\n", "",
+           "    ok[1:] &= T[1:] > T[:-1]\n", "",
            (f"{_SERIES}[order]",)
            + tuple(f"tests/test_cli.py::test_snapshot_order_is_checked[{fault}]"
                    for fault in ("repeated-slice", "T-out-of-order", "descending-times",
                                  "unsorted-times"))),
     Mutant("series rule without its count test", "src/relqtraj/dynamics.py",
-           "if T.shape != (len(self.y),):", "if False:",
-           (f"{_SERIES}[2-times]", f"{_SERIES}[1-time]")),
+           "if T.shape != (states,):", "if False:",
+           (f"{_SERIES}[2-times]", f"{_SERIES}[1-time]", f"{_SERIES}[2-times-timelike]")),
+    Mutant("spacelike guard without its slice index", "src/relqtraj/geometry.py",
+           '"slice is no longer spacelike", *map(int, k))', '"slice is no longer spacelike")',
+           ("tests/test_cli.py::TestAnalyticVerify::test_verify_rejects_a_tampered_column[t-1]",
+            "tests/test_cli.py::TestAnalyticVerify::"
+            "test_analytic_names_the_time_of_a_timelike_slice")
+           + tuple(f"tests/test_dynamics.py::test_record_series_names_the_first_bad_state_of_a_"
+                   f"stack[{k}-{fault}]" for k in (0, 2) for fault in ("gamma<=0", "gamma-nan"))),
 )
 
 

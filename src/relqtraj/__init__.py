@@ -10,7 +10,6 @@ dtau/dT of proper time against ensemble time.
 
 from .state import (
     SpatialGrid,
-    EnsembleState,
     WeightFunction,
     SimConfig,
     make_grid,
@@ -33,14 +32,13 @@ from .dynamics import (
     rest_initial_state,
     integrate,
 )
-from .nonrel import NonRelState, nonrel_Q, nonrel_rhs, nonrel_integrate
+from .nonrel import nonrel_Q, nonrel_rhs, nonrel_integrate
 from .analytic import (
     AnalyticEnsemble,
     inertial_ensemble,
     exponential_ensemble,
     hyperbolic_gamma_one_ensemble,
     hyperbolic_gamma_T_ensemble,
-    sample_state,
 )
 from .diagnostics import (
     InvariantRecord,

@@ -17,14 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .state import (
-    EnsembleState,
-    SpatialGrid,
-    WeightFunction,
-    exponential_weight,
-    no_density_weight,
-    uniform_weight,
-)
+from .state import WeightFunction, exponential_weight, no_density_weight, uniform_weight
 
 
 def _stack4(t, x, u0, u1):
@@ -110,8 +103,3 @@ def hyperbolic_gamma_T_ensemble(A: float, c: float) -> AnalyticEnsemble:
         return _stack4(t, x, c * np.cosh(A * C), c * np.sinh(A * C))
 
     return AnalyticEnsemble(evaluate, uniform_weight())
-
-
-def sample_state(ens: AnalyticEnsemble, grid: SpatialGrid, T: float) -> EnsembleState:
-    """Sample a closed-form ensemble onto a grid as an EnsembleState."""
-    return EnsembleState(float(T), ens.evaluate(T, grid.nodes))

@@ -107,11 +107,15 @@ def _cmd_analytic(args) -> int:
             raise ValueError(f"--{other} does not apply to --kind {args.kind}")
     param = default if getattr(args, flag) is None else getattr(args, flag)
     grid = make_grid(args.grid_min, args.grid_max, args.grid_n)
-    times = np.array([float(s) for s in args.times.split(",")])
-    # a series starts at its initial slice, T = 0 (a NaN fails too), and ends at its last entry
-    for T in times:
-        if not T >= 0:
-            raise ValueError(f"--times entry {T:g} is not a nonnegative ensemble time")
+    times = []
+    for entry in args.times.split(","):  # a series runs from T = 0 to its last entry
+        try:
+            times.append(float(entry))
+        except ValueError:  # not a number: refused below, as a NaN is
+            times.append(np.nan)
+        if not 0 <= times[-1] < np.inf:
+            raise ValueError(f"--times entry {entry.strip()} is not a finite nonnegative time")
+    times = np.array(times)
     check_positive(mass=args.mass, hbar=args.hbar, c=args.c)  # before a family divides by them
     ens = family(param, args)
     # the config refuses a c or hbar that squares past a float before Q squares c

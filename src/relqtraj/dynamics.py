@@ -12,9 +12,9 @@ with tau_T = exp(-Q / m c^2) and the force components (for x^alpha = (ct, x))
 so the force is the slice-restricted gradient of the quantum potential mapped
 back to inertial components, always orthogonal to the four-velocity.
 
-No term holds T, so no stage function takes it: rk4_step runs eom_rhs 4
-times per step on the raw (4, N) array y = (t, x, u0, u1) of an
-EnsembleState; eom_rhs checks the stage (check_state), then _slice runs
+No term holds T, so no stage function takes it.  A state is its (4, N)
+array y = (t, x, u0, u1), in no wrapper: rk4_step runs eom_rhs 4 times per
+step on it; eom_rhs checks the stage (check_state), then _slice runs
 one function per layer: compute_geometry ((t_C, x_C) and gamma), compute_Q
 (Q, Q_C), tau_factor, compute_force ((f0, f1) as one (2, N) array) and the
 rate rows, for any leading shape: a stage or a record is one (4, N) slice,
@@ -60,9 +60,9 @@ from .qpotential import log_form_Q
 from .state import (
     ROW,
     U_ROWS,
-    EnsembleState,
     SimConfig,
     StateValidationError,
+    _read_only,
     check_positive,
     check_state,
     norm_violation,
@@ -97,7 +97,7 @@ class SnapshotSeries:
     f: np.ndarray
     g01: np.ndarray
 
-    def __post_init__(self):  # value data, like an EnsembleState's y
+    def __post_init__(self):  # value data: every array read-only
         check_times(self.times, len(self.y))
         for a in (self.times, self.y, self.gamma, self.Q, self.tau_T, self.f, self.g01):
             a.setflags(write=False)
@@ -217,11 +217,12 @@ def rk4_step(y: np.ndarray, config: SimConfig) -> np.ndarray:
     return y
 
 
-def rest_initial_state(config: SimConfig) -> EnsembleState:
-    """Ensemble at rest on the t = 0 slice with labels C as positions."""
+def rest_initial_state(config: SimConfig) -> np.ndarray:
+    """The read-only (4, N) array (t, x, u0, u1) of the ensemble at rest on
+    the t = 0 slice, labels C as positions; integrate's first record checks it."""
     n = config.grid.n_points
-    return EnsembleState(0.0, np.array([np.zeros(n), config.grid.nodes,
-                                        np.full(n, config.c), np.zeros(n)]))
+    return _read_only(np.array([np.zeros(n), config.grid.nodes, np.full(n, config.c),
+                                np.zeros(n)]))
 
 
 def step_counts(config: SimConfig, cadence: float) -> tuple:
@@ -278,7 +279,7 @@ def integrate(config: SimConfig, y0=None, cadence: float = 1.0) -> SnapshotSerie
     pass on its (4, N) slice.  t_final and cadence must be whole multiples of
     dt (ValueError otherwise).  A failure, a record refused by check_state or
     finite_record included, raises IntegrationError with the records before it."""
-    y0 = rest_initial_state(config).y if y0 is None else y0
+    y0 = rest_initial_state(config) if y0 is None else y0
     n = config.grid.n_points
     shapes = ((), (4, n), (n,), (n,), (n,), (2, n), (n,))  # a record's T, y and fields
 

@@ -8,36 +8,25 @@ coordinate time is the evolution parameter, and the equations are
 
     dx/dt = v        dv/dt = f_Q / m,   f_Q = -(1 / x_C) dQ/dC .
 
-The RK stages step the raw (2, N) array (x, v) that a NonRelState wraps
-and keep the bit-identity rules of the dynamics module docstring.
+A state is its (2, N) array (x, v): the RK stages step it, keeping the
+bit-identity rules of the dynamics module docstring, and a record is the
+NonRelRecord (t, x, v) of read-only views of its rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 import numpy as np
 
 from .dynamics import _rk4, run_fixed_steps
 from .qpotential import log_form_Q
-from .state import ZERO, SimConfig, StateValidationError, check_state
+from .state import ZERO, SimConfig, StateValidationError, _read_only, check_state
 from .stencils import d_dC
 
-
-@dataclass(frozen=True)
-class NonRelState:
-    """Rows x, v of the read-only (2, N) array y, at coordinate time t."""
-
-    t: float
-    y: np.ndarray
-
-    def __post_init__(self):
-        check_state(self.y, 2)
-        self.y.setflags(write=False)
-
-    x = property(lambda self: self.y[0])
-    v = property(lambda self: self.y[1])
+# One record: coordinate time t and the rows x, v of its read-only (2, N) state.
+NonRelRecord = namedtuple("NonRelRecord", "t x v")
 
 
 def nonrel_Q(x, config: SimConfig):
@@ -64,11 +53,16 @@ def nonrel_rhs(y: np.ndarray, config: SimConfig) -> np.ndarray:
 
 def nonrel_integrate(config: SimConfig, cadence: float = 1.0) -> list:
     """Fixed-step RK4 from rest at x = C, t = 0, to t_final; returns one
-    NonRelState per record.
+    NonRelRecord per record, its state checked (check_state) and made read-only.
 
     t_final and cadence must be whole multiples of dt (ValueError otherwise).
-    On failure raises IntegrationError with the partial list attached.
+    A failure, a record refused by check_state included, raises
+    IntegrationError with the records before it.
     """
+    def record(t, y):  # a step's output; its stages checked only their inputs
+        check_state(y, 2)
+        return NonRelRecord(t, *_read_only(y))
+
     y = np.array([config.grid.nodes, np.zeros(config.grid.n_points)])
     return run_fixed_steps(config, cadence, y, partial(_rk4, nonrel_rhs, config=config),
-                           NonRelState, list)
+                           record, list)

@@ -7,13 +7,14 @@ logarithmic derivatives of f^(1/2), so the log form sidesteps underflow in
 the far tails and makes the dynamics exactly independent of any
 normalization constant of f.
 
-EnsembleState wraps the solver's (4, N) array (t, x, u0, u1) of one slice.
-check_state is the one statement of a state's shape and invariants, for
-every state, RK stage and (K, 4, N) stack of a series, but for the
-spacelike slice (gamma > 0), which geometry.compute_geometry states; both
-raise StateValidationError.  SimConfig holds every config default and
-caches the constants of an RK stage as numpy arrays, never Python floats,
-by the third bit-identity rule of the dynamics module docstring.
+A state is its array, (4, N) rows (t, x, u0, u1) or the non-relativistic
+(2, N) rows (x, v).  check_state is the one statement of a state's shape
+and invariants, for every RK stage, record and (K, 4, N) stack of a
+series, but for the spacelike slice (gamma > 0), which
+geometry.compute_geometry states; both raise StateValidationError.
+SimConfig holds every config default and caches the constants of an RK
+stage as numpy arrays, never Python floats, by the third bit-identity rule
+of the dynamics module docstring.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ def check_state(y: np.ndarray, rows: int, stack: bool = False) -> None:
     for rows = 4 or the non-relativistic (x, v) for rows = 2, every value
     finite, u0 > 0 where there is a u0, x strictly increasing.  The error
     names the first broken rule, in that order: the shape, the first field
-    with a non-finite value, u0, the ordering of x.
+    with a non-finite value, u0, the ordering of x.  It guards each RK stage
+    (eom_rhs, nonrel_rhs), each record of integrate and nonrel_integrate and
+    the stack of record_series.
 
     Each rule is one np.count_nonzero of a mask over the whole array, a
     fraction of the cost of ndarray.all() on a stage's small arrays.  Only a
@@ -187,6 +190,8 @@ def check_state(y: np.ndarray, rows: int, stack: bool = False) -> None:
                                f"(x = {x[k]:.6g}, {x[k + 1]:.6g}): ensemble degeneration")
 
 
+# No program path builds an EnsembleState.  Its only readers are the
+# benchmark's: bench/spans.py's TARGETS and bench/workloads.py's fine_io pacers.
 @dataclass(frozen=True)
 class EnsembleState:
     """Per-node trajectory data on one simultaneity submanifold.

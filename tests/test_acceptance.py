@@ -20,7 +20,6 @@ from relqtraj.analytic import (
     hyperbolic_gamma_one_Q,
     hyperbolic_gamma_T_ensemble,
     inertial_ensemble,
-    sample_state,
 )
 from relqtraj.stencils import interior as interior_nodes
 
@@ -151,8 +150,8 @@ class TestAcceptance:
         grid = rq.make_grid(0.5, 2.5, 81)
         w = hyperbolic_unit_metric_weight(B, m, hb, c, 0.45, 2.55)
         cfg = rq.SimConfig(mass=m, hbar=hb, c=c, weight=w, grid=grid, t_final=1.0)
-        st = sample_state(hyperbolic_gamma_one_ensemble(B, c), grid, 0.7)
-        _, gamma = rq.compute_geometry(st.y, cfg)
+        y = hyperbolic_gamma_one_ensemble(B, c).evaluate(0.7, grid.nodes)
+        _, gamma = rq.compute_geometry(y, cfg)
         gamma_err = float(np.max(np.abs(gamma - 1.0)))
 
         Q_num, _ = rq.compute_Q(gamma, cfg)
@@ -164,8 +163,8 @@ class TestAcceptance:
         # fan family: gamma uniform in C
         grid2 = rq.make_grid(-1, 1, 201)
         cfg2 = rq.SimConfig(c=2.0, weight=rq.uniform_weight(), grid=grid2, t_final=1.0)
-        st2 = sample_state(hyperbolic_gamma_T_ensemble(0.5, 2.0), grid2, 1.0)
-        _, gamma2 = rq.compute_geometry(st2.y, cfg2)
+        y2 = hyperbolic_gamma_T_ensemble(0.5, 2.0).evaluate(1.0, grid2.nodes)
+        _, gamma2 = rq.compute_geometry(y2, cfg2)
         spread = float((np.max(gamma2) - np.min(gamma2)) / np.mean(gamma2))
 
         ok = gamma_err <= 1e-6 and q_rel <= 1e-4 and spread <= 1e-8

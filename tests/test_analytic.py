@@ -8,8 +8,8 @@ from relqtraj.analytic import (
     hyperbolic_gamma_T_ensemble,
     inertial_ensemble,
     exponential_ensemble,
-    sample_state,
 )
+from relqtraj.state import check_state
 
 
 class TestInertial:
@@ -188,21 +188,22 @@ class TestSampledInvariants:
         ens = make(c)
         g = rq.make_grid(-2, 2, 25)
         cfg = rq.SimConfig(c=c, weight=rq.uniform_weight(), grid=g, t_final=1)
-        st = sample_state(ens, g, T)
-        np.testing.assert_allclose(-st.u0 ** 2 + st.u1 ** 2, -c ** 2, rtol=1e-13)
-        tx_C, gamma = rq.compute_geometry(st.y, cfg)
-        g01 = rq.attach_g01(tx_C, np.array((st.u0 / c, st.u1)), cfg)  # tau_T = 1
+        _, _, u0, u1 = y = ens.evaluate(T, g.nodes)
+        check_state(y, 4)
+        np.testing.assert_allclose(-u0 ** 2 + u1 ** 2, -c ** 2, rtol=1e-13)
+        tx_C, gamma = rq.compute_geometry(y, cfg)
+        g01 = rq.attach_g01(tx_C, np.array((u0 / c, u1)), cfg)  # tau_T = 1
         np.testing.assert_allclose(gamma, 1.0, atol=1e-12)
         # g01 = tau_T (u1 x_C - c u0 t_C) vanishes on both families, whatever tau_T
         np.testing.assert_allclose(g01, 0.0, atol=1e-12)
 
     def test_norm_on_hyperbolic_families(self):
         g = rq.make_grid(0.5, 2.5, 25)
-        st = sample_state(hyperbolic_gamma_one_ensemble(1.0, 3.0), g, 0.4)
-        np.testing.assert_allclose(-st.u0 ** 2 + st.u1 ** 2, -9.0, rtol=1e-12)
+        _, _, u0, u1 = hyperbolic_gamma_one_ensemble(1.0, 3.0).evaluate(0.4, g.nodes)
+        np.testing.assert_allclose(-u0 ** 2 + u1 ** 2, -9.0, rtol=1e-12)
         g2 = rq.make_grid(-1, 1, 25)
-        st2 = sample_state(hyperbolic_gamma_T_ensemble(1.0, 3.0), g2, 1.0)
-        np.testing.assert_allclose(-st2.u0 ** 2 + st2.u1 ** 2, -9.0, rtol=1e-12)
+        _, _, u0, u1 = hyperbolic_gamma_T_ensemble(1.0, 3.0).evaluate(1.0, g2.nodes)
+        np.testing.assert_allclose(-u0 ** 2 + u1 ** 2, -9.0, rtol=1e-12)
 
 
 class TestFamilyData:

@@ -560,14 +560,17 @@ class TestAnalyticVerify:
         assert not (out / "report.tsv").exists()
 
     @pytest.mark.parametrize("times, bad", [("-1,-0.5", "-1"), ("0,1,-2", "-2"),
-                                            ("0,nan", "nan")])
-    def test_analytic_refuses_a_time_before_the_initial_slice(self, tmp_path, capsys,
-                                                              times, bad):
+                                            ("0,nan", "nan"), ("0,1e400", "1e400"),
+                                            ("0, x", "x")])
+    def test_analytic_refuses_a_times_entry_that_is_no_time(self, tmp_path, capsys,
+                                                            times, bad):
+        # before the initial slice, not finite, or not a number: named as typed
         out = tmp_path / "out"
         assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
                      "--grid-max", "2", "--grid-n", "25", f"--times={times}",
                      "--out", str(out)]) == 1
-        assert f"--times entry {bad} " in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: --times entry {bad} is not a finite nonnegative time\n"
         assert not out.exists()
 
     def test_analytic_records_its_last_time_as_the_horizon(self, tmp_path):
@@ -699,7 +702,7 @@ def test_a_timelike_slice_in_a_run_is_a_runtime_failure(tmp_path, capsys, monkey
     # the rest slice with t = 0.2 at its last node, where t_C = 1 and gamma =
     # 1 - 9 t_C^2 = -8: the run fails at its first record and keeps nothing
     def timelike_run(cfg, cadence):
-        y = rq.rest_initial_state(cfg).y.copy()
+        y = rq.rest_initial_state(cfg).copy()
         y[0, 24] = 0.2
         return rq.integrate(cfg, y, cadence)
 

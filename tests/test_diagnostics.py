@@ -8,7 +8,6 @@ from relqtraj.analytic import (
     exponential_ensemble,
     hyperbolic_gamma_one_ensemble,
     inertial_ensemble,
-    sample_state,
 )
 from relqtraj.diagnostics import reference_zero_ratio
 
@@ -18,7 +17,7 @@ from conftest import baseline_config, select
 def analytic_series(ens, cfg, times):
     """Assemble a SnapshotSeries by sampling a closed form at each time and
     running the standard field pipeline once over the stack."""
-    y = np.array([sample_state(ens, cfg.grid, T).y for T in times])
+    y = np.array([ens.evaluate(T, cfg.grid.nodes) for T in times])
     return rq.record_series(cfg, np.asarray(times, dtype=float), y)
 
 
@@ -51,7 +50,7 @@ def exponential_series():
 class TestDerivedFields:
     def test_rest_state(self):
         cfg = baseline_config()
-        rest = rq.record_series(cfg, np.zeros(1), rq.rest_initial_state(cfg).y[None])
+        rest = rq.record_series(cfg, np.zeros(1), rq.rest_initial_state(cfg)[None])
         (beta,), (rho_star,) = rq.derived_fields(rest)
         np.testing.assert_array_equal(beta, np.zeros(25))
         # unit metric: invariant density reduces to the weight itself
@@ -88,7 +87,7 @@ class TestPdeResidual:
             cfg = rq.SimConfig(c=1.0, weight=ens.weight, grid=rq.make_grid(0.5, 1.5, n),
                                t_final=0.4)
             Q = np.tile(ens.Q(cfg.grid.nodes, cfg.mass), (len(times), 1))
-            y = np.array([sample_state(ens, cfg.grid, T).y for T in times])
+            y = np.array([ens.evaluate(T, cfg.grid.nodes) for T in times])
             _, res_x, sn, nd = rq.pde_residual(rq.record_series(cfg, times, y, Q))
             worst[n] = np.max(np.abs(res_x[sn, nd]))
         assert worst[41] < 1e-5

@@ -11,11 +11,10 @@ from relqtraj.analytic import (
     inertial_ensemble,
     hyperbolic_gamma_one_ensemble,
     hyperbolic_gamma_one_Q,
-    sample_state,
 )
 from relqtraj import dynamics
 from relqtraj.dynamics import IntegrationError, _slice, step_counts
-from relqtraj.state import StateValidationError, WeightFunction, check_state
+from relqtraj.state import EnsembleState, StateValidationError, WeightFunction, check_state
 from relqtraj.stencils import interior as interior_nodes
 
 from conftest import baseline_config
@@ -25,8 +24,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _initial_geometry(cfg):
     # ((t_C, x_C), gamma) of the rest slice
-    st = rq.rest_initial_state(cfg)
-    return rq.compute_geometry(st.y, cfg)
+    return rq.compute_geometry(rq.rest_initial_state(cfg), cfg)
 
 
 class TestComputeQ:
@@ -118,8 +116,7 @@ class TestComputeForce:
         cfg = rq.SimConfig(mass=m, c=c, weight=rq.uniform_weight(), grid=g, t_final=1)
         plan = cfg.plan
         ens = hyperbolic_gamma_one_ensemble(B, c)
-        st = sample_state(ens, g, T=0.0)
-        geom = rq.compute_geometry(st.y, cfg)
+        geom = rq.compute_geometry(ens.evaluate(0.0, g.nodes), cfg)
         Q = hyperbolic_gamma_one_Q(B, g.nodes, m, c)
         Q_C_exact = -m * c ** 2 / g.nodes
         f0, f1 = rq.compute_force(*geom, Q_C_exact, cfg)
@@ -127,8 +124,8 @@ class TestComputeForce:
         np.testing.assert_allclose(f0, 0.0, atol=1e-13)
         # at later slices the inertial components rotate but stay orthogonal
         # to the four-velocity; the label-derivative comes from the stencils
-        st = sample_state(ens, g, T=0.8)
-        geom = rq.compute_geometry(st.y, cfg)
+        _, _, u0, u1 = y = ens.evaluate(0.8, g.nodes)
+        geom = rq.compute_geometry(y, cfg)
         Q_C = rq.d_dC(Q, plan)
         f0, f1 = rq.compute_force(*geom, Q_C, cfg)
         interior = interior_nodes(cfg.stencil_order, g.n_points)
@@ -140,7 +137,7 @@ class TestComputeForce:
             rtol=1e-3,
         )
         np.testing.assert_allclose(
-            (-st.u0 * f0 + st.u1 * f1)[interior], 0.0, atol=1e-9
+            (-u0 * f0 + u1 * f1)[interior], 0.0, atol=1e-9
         )
 
 
@@ -182,7 +179,7 @@ class TestEomRhs:
         kappa = 0.3
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
-        d = rq.eom_rhs(rq.rest_initial_state(cfg).y, cfg)
+        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
         rate = exponential_ensemble(kappa, 1.0, 1.0, 1.0).evaluate(1.0, 0.0)[0]  # t/T
         np.testing.assert_allclose(d[0], rate, rtol=1e-12)
         np.testing.assert_allclose(d[1], 0.0, atol=1e-13)
@@ -192,7 +189,7 @@ class TestEomRhs:
     def test_gaussian_center_symmetry(self):
         # Q is even at T = 0, so the central node feels no force
         cfg = baseline_config()
-        d = rq.eom_rhs(rq.rest_initial_state(cfg).y, cfg)
+        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
         assert d[3, 12] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -210,7 +207,7 @@ class TestRk4Step:
         kappa = 0.25
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=0.1)
-        new = rq.rk4_step(rq.rest_initial_state(cfg).y, cfg)
+        new = rq.rk4_step(rq.rest_initial_state(cfg), cfg)
         rate = exponential_ensemble(kappa, 1.0, 1.0, 2.0).evaluate(1.0, 0.0)[0]  # t/T
         np.testing.assert_allclose(new[0], rate * 0.1, rtol=1e-13)
         np.testing.assert_allclose(new[1], cfg.grid.nodes, atol=1e-13)
@@ -232,7 +229,7 @@ class TestRk4Step:
         # over eom_rhs, written with Python-float weights
         cfg = rq.parse_config((CONFIGS / "gaussian_c3.txt").read_text())
         dt = cfg.dt
-        y = ref = rq.rest_initial_state(cfg).y
+        y = ref = rq.rest_initial_state(cfg)
         for _ in range(50):
             y = rq.rk4_step(y, cfg)
             k1 = rq.eom_rhs(ref, cfg)
@@ -244,7 +241,7 @@ class TestRk4Step:
 
 
 class TestStageGuard:
-    """Intermediate RK stages are held to the EnsembleState invariants."""
+    """Intermediate RK stages are held to the state invariants (check_state)."""
 
     @staticmethod
     def _streaming(u1, dt):
@@ -281,7 +278,7 @@ class TestStageGuard:
         # the stage core against compute_geometry, compute_Q, tau_factor and
         # compute_force chained field by field, bitwise
         cfg = baseline_config()
-        t, x, u0, u1 = y = rq.rest_initial_state(cfg).y
+        t, x, u0, u1 = y = rq.rest_initial_state(cfg)
         tx_C, gamma = rq.compute_geometry(y, cfg)
         Q, Q_C = rq.compute_Q(gamma, cfg)
         tau = rq.tau_factor(Q, cfg)
@@ -294,7 +291,7 @@ class TestStageGuard:
         # reference: every layer as plain 1-D expressions and one matmul per
         # derivative, on an evolved slice where t_C, f0 and Q_C are all nonzero
         cfg = baseline_config()
-        y = rq.rest_initial_state(cfg).y
+        y = rq.rest_initial_state(cfg)
         for k in range(50):
             y = rq.rk4_step(y, cfg)
         t, x, u0, u1 = y
@@ -374,7 +371,7 @@ _GUARD_FAULTS = [
                          ids=[f"{case[0]}-{case[1]}rows" for case in _GUARD_FAULTS])
 def test_stage_guard_names_the_broken_invariant(rows, mutate, error, message):
     cfg = baseline_config()
-    y = rq.rest_initial_state(cfg).y.copy()
+    y = rq.rest_initial_state(cfg).copy()
     y = y if rows == 4 else np.array([y[1], y[3]])
     mutate(y)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
@@ -400,7 +397,7 @@ def test_a_stack_of_valid_states_is_no_stage(rhs, rows):
     # the stage guard takes one (rows, N) state: the caller, not y.ndim, says
     # whether a stack is allowed
     cfg = baseline_config()
-    y = rq.rest_initial_state(cfg).y
+    y = rq.rest_initial_state(cfg)
     y = y if rows == 4 else np.array([y[1], y[3]])
     with pytest.raises(StateValidationError,
                        match=rf"^state array has shape \(2, {rows}, 25\), want \({rows}, N\)$"):
@@ -421,7 +418,7 @@ def test_record_series_names_the_first_bad_state_of_a_stack(k, name, mutate, mes
     # rule checked before any gamma, or for a spacelike fault the same rule:
     # the error is the one of slice k alone, its index k
     cfg = baseline_config()
-    y = np.stack([rq.rest_initial_state(cfg).y] * 4)
+    y = np.stack([rq.rest_initial_state(cfg)] * 4)
     spacelike = name.startswith("gamma")
     mutate(y[k])
     (mutate if spacelike else _swap_past)(y[3])
@@ -447,7 +444,7 @@ def test_record_series_names_the_first_bad_state_of_a_stack(k, name, mutate, mes
 def test_record_series_holds_the_series_time_rules(tmp_path, times, message, index, timelike):
     # the rules of SnapshotSeries, raised before anything is written
     cfg = baseline_config()
-    y = np.stack([rq.rest_initial_state(cfg).y] * 3)
+    y = np.stack([rq.rest_initial_state(cfg)] * 3)
     if timelike:
         y[2, 0, 24] = 0.2  # gamma = -8 at node 24, as in _GUARD_FAULTS
     with pytest.raises(StateValidationError, match=f"^snapshot times must {message}$") as exc:
@@ -459,15 +456,16 @@ def test_record_series_holds_the_series_time_rules(tmp_path, times, message, ind
 class TestInitialStates:
     def test_gaussian_initial_state(self):
         cfg = baseline_config()
-        st = rq.rest_initial_state(cfg)
-        np.testing.assert_array_equal(st.x, cfg.grid.nodes)
-        np.testing.assert_array_equal(st.t, np.zeros(25))
-        np.testing.assert_array_equal(st.u0, np.full(25, 3.0))
-        np.testing.assert_allclose(-st.u0 ** 2 + st.u1 ** 2, -9.0, rtol=1e-15)
+        t, x, u0, u1 = y = rq.rest_initial_state(cfg)
+        assert y.shape == (4, 25) and not y.flags.writeable
+        np.testing.assert_array_equal(x, cfg.grid.nodes)
+        np.testing.assert_array_equal(t, np.zeros(25))
+        np.testing.assert_array_equal(u0, np.full(25, 3.0))
+        np.testing.assert_allclose(-u0 ** 2 + u1 ** 2, -9.0, rtol=1e-15)
 
     def test_initial_time_rate_is_dilation_factor(self):
         cfg = baseline_config()
-        d = rq.eom_rhs(rq.rest_initial_state(cfg).y, cfg)
+        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
         assert d[0, 12] == pytest.approx(np.exp(-1.0 / 36.0), rel=1e-12)
 
 
@@ -508,7 +506,7 @@ class TestIntegrate:
         cfg = baseline_config(t_final=5.0, invariant_tol=1e-13)
         # the mass shell is a state rule: the step breaks it, the run names T
         with pytest.raises(StateValidationError, match="^four-velocity norm drift"):
-            rq.rk4_step(rq.rest_initial_state(cfg).y, cfg)
+            rq.rk4_step(rq.rest_initial_state(cfg), cfg)
         with pytest.raises(IntegrationError, match="^run failed at T = 0: four-velocity") \
                 as exc_info:
             rq.integrate(cfg)
@@ -516,13 +514,13 @@ class TestIntegrate:
         assert len(exc_info.value.series) >= 1
 
     def test_one_state_per_record(self, monkeypatch):
-        # the RK steps and the 4 records run on the raw (4, N) array: only
-        # the rest state builds an EnsembleState, yet check_state still sees
-        # each of the 4 x 30 stages and each of the 4 records
+        # the rest state, the RK steps and the 4 records are the raw (4, N)
+        # array: no EnsembleState is built, yet check_state still sees each
+        # of the 4 x 30 stages and each of the 4 records
         text = (CONFIGS / "gaussian_c3.txt").read_text()
         cfg = rq.parse_config(text.replace("time.final = 10", "time.final = 0.03"))
         builds, checks = [], []
-        init, check = rq.EnsembleState.__init__, dynamics.check_state
+        init, check = EnsembleState.__init__, dynamics.check_state
 
         def counting(self, *args, **kwargs):
             builds.append(None)
@@ -532,11 +530,11 @@ class TestIntegrate:
             checks.append(None)
             check(y, rows)
 
-        monkeypatch.setattr(rq.EnsembleState, "__init__", counting)
+        monkeypatch.setattr(EnsembleState, "__init__", counting)
         monkeypatch.setattr(dynamics, "check_state", counting_check)
         series = rq.integrate(cfg, cadence=0.01)
         assert series.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
-        assert len(builds) == 1
+        assert len(builds) == 0
         assert len(checks) == 4 * 30 + 4
 
     @pytest.mark.parametrize("broken, cadence, kept", [(0.02, 0.01, [0.0, 0.01]),
@@ -615,7 +613,7 @@ def test_a_boosted_run_boosts_back_to_the_rest_run(beta, baseline_series):
     cfg = replace(rq.parse_config((CONFIGS / "gaussian_c3.txt").read_text()), t_final=1.0)
     assert replace(cfg, t_final=10.0) == baseline_series.config
     rest = dict(zip(baseline_series.times.tolist(), baseline_series.y))
-    boosted = rq.integrate(cfg, _boost(rq.rest_initial_state(cfg).y, beta, cfg.c), cadence=0.1)
+    boosted = rq.integrate(cfg, _boost(rq.rest_initial_state(cfg), beta, cfg.c), cadence=0.1)
     assert len(boosted) == 11
     gap = max(np.abs(_boost(y, -beta, cfg.c) - rest[T]).max()
               for T, y in zip(boosted.times.tolist(), boosted.y))

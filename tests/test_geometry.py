@@ -6,7 +6,6 @@ from relqtraj.analytic import (
     hyperbolic_gamma_one_ensemble,
     hyperbolic_gamma_T_ensemble,
     inertial_ensemble,
-    sample_state,
 )
 from relqtraj.state import StateValidationError
 from relqtraj.stencils import interior
@@ -31,8 +30,7 @@ class TestComputeGeometry:
         # x_C = cosh(cBT), c t_C = sinh(cBT): gamma = 1 identically
         g = rq.make_grid(0.5, 3.0, 25)
         ens = hyperbolic_gamma_one_ensemble(B=1.0, c=3.0)
-        st = sample_state(ens, g, T=0.7)
-        _, gamma = rq.compute_geometry(st.y, _config(g, 3.0))
+        _, gamma = rq.compute_geometry(ens.evaluate(0.7, g.nodes), _config(g, 3.0))
         np.testing.assert_allclose(gamma, 1.0, atol=1e-10)
 
     def test_hyperbolic_fan_slice(self):
@@ -40,8 +38,7 @@ class TestComputeGeometry:
         g = rq.make_grid(-1, 1, 25)
         cfg = _config(g, 2.0)
         ens = hyperbolic_gamma_T_ensemble(A=1.0, c=2.0)
-        st = sample_state(ens, g, T=1.0)
-        _, gamma = rq.compute_geometry(st.y, cfg)
+        _, gamma = rq.compute_geometry(ens.evaluate(1.0, g.nodes), cfg)
         # edge rows carry the largest truncation constants at 25 nodes
         np.testing.assert_allclose(gamma, 4.0, rtol=1e-4)
         assert np.max(np.abs(gamma[interior(4, 25)] - gamma[12])) < 1e-9
@@ -50,10 +47,10 @@ class TestComputeGeometry:
         # derivatives of linear fields are exact: gamma = 1, g01 = 0
         g = rq.make_grid(-2, 2, 25)
         ens = inertial_ensemble(beta0=0.6, c=1.0)
-        st = sample_state(ens, g, T=1.3)
+        y = ens.evaluate(1.3, g.nodes)
         cfg = _config(g, 1.0)
-        tx_C, gamma = rq.compute_geometry(st.y, cfg)
-        g01 = rq.attach_g01(tx_C, np.array((st.u0, st.u1)), cfg)  # tau_T = 1, c = 1
+        tx_C, gamma = rq.compute_geometry(y, cfg)
+        g01 = rq.attach_g01(tx_C, y[2:], cfg)  # tau_T = 1, c = 1
         np.testing.assert_allclose(gamma, 1.0, atol=1e-13)
         np.testing.assert_allclose(g01, 0.0, atol=1e-13)
 

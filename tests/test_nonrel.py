@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import relqtraj as rq
-from relqtraj.nonrel import NonRelState
-from relqtraj.state import StateValidationError, WeightFunction
+from relqtraj import nonrel
+from relqtraj.state import StateValidationError, WeightFunction, check_state
 
 from conftest import baseline_config
 
@@ -81,8 +83,8 @@ class TestNonRelRhs:
         # reference: the log-form Q with Python floats and one matmul per
         # derivative, on a state 50 steps in where v and the force are nonzero
         cfg = baseline_config(t_final=0.05)
-        y = rq.nonrel_integrate(cfg, cadence=0.05)[-1].y
-        x, v = y
+        _, x, v = rq.nonrel_integrate(cfg, cadence=0.05)[-1]
+        y = np.array([x, v])
         m, hbar = cfg.mass, cfg.hbar
 
         def D(u):
@@ -99,40 +101,70 @@ class TestNonRelRhs:
 
 
 class TestNonRelState:
-    """NonRelState is held to the same guard as the RK stages."""
+    """A (2, N) state (x, v) is held to the guard of the RK stages and records."""
 
     def test_crossing_rejected(self, grid25):
         x = grid25.nodes.copy()
         x[4] = x[5] + 0.1
         with pytest.raises(StateValidationError, match="between nodes 4 and 5"):
-            NonRelState(0.0, np.array([x, np.zeros(25)]))
+            check_state(np.array([x, np.zeros(25)]), 2)
 
     def test_nonfinite_velocity_rejected(self, grid25):
         v = np.zeros(25)
         v[7] = np.nan
         with pytest.raises(StateValidationError, match="non-finite values in field v"):
-            NonRelState(0.0, np.array([grid25.nodes, v]))
+            check_state(np.array([grid25.nodes, v]), 2)
 
     def test_length_mismatch_rejected(self, grid25):
         # the wrong row count is reported before the non-finite third row
         y = np.array([grid25.nodes, np.zeros(25), np.full(25, np.nan)])
         with pytest.raises(StateValidationError, match=r"shape \(3, 25\), want \(2, N\)"):
-            NonRelState(0.0, y)
+            check_state(y, 2)
 
 
 class TestNonRelIntegrate:
-    def test_one_state_per_kept_record(self, monkeypatch):
-        # the RK stages run on the raw (x, v) array; only records build a state
-        built = []
-        init = NonRelState.__init__
+    def test_one_check_per_stage_and_record(self, monkeypatch):
+        # the RK stages and the records run on the raw (x, v) array: check_state
+        # sees each of the 4 x 50 stages and each of the 6 records, whose rows
+        # are read-only views of the checked state
+        checks = []
+        check = nonrel.check_state
 
-        def counting(self, t, y):
-            built.append(t)
-            init(self, t, y)
+        def counting(y, rows):
+            checks.append(y)
+            check(y, rows)
 
-        monkeypatch.setattr(NonRelState, "__init__", counting)
+        monkeypatch.setattr(nonrel, "check_state", counting)
         out = rq.nonrel_integrate(baseline_config(t_final=0.5, dt=0.01), cadence=0.1)
-        assert built == [s.t for s in out] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        assert [s.t for s in out] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        assert len(checks) == 4 * 50 + 6
+        for s in out:
+            assert s.x.base is s.v.base and any(s.x.base is y for y in checks)
+            assert not (s.x.flags.writeable or s.v.flags.writeable)
+
+    @pytest.mark.parametrize("broken, cadence, kept", [(0.02, 0.01, [0.0, 0.01]),
+                                                        (0.03, 0.02, [0.0, 0.02])])
+    def test_a_nonrel_record_that_breaks_the_state_is_refused(self, monkeypatch, broken,
+                                                              cadence, kept):
+        # the step to a record time, or the last step, swaps two trajectories:
+        # the run fails at that t and keeps only the records before it
+        cfg = baseline_config(t_final=0.03)
+        step, steps = nonrel._rk4, []
+
+        def crossing(rhs, y, config):  # the k-th step ends at t = k * dt
+            y = step(rhs, y, config)
+            steps.append(None)
+            if math.isclose(len(steps) * config.dt, broken):
+                y = y.copy()
+                y[0, [3, 4]] = y[0, [4, 3]]
+            return y
+
+        monkeypatch.setattr(nonrel, "_rk4", crossing)
+        with pytest.raises(rq.IntegrationError, match=rf"^run failed at T = {broken:g}: "
+                           "trajectory ordering lost between nodes 3 and 4") as exc_info:
+            rq.nonrel_integrate(cfg, cadence=cadence)
+        assert isinstance(exc_info.value.__cause__, StateValidationError)
+        assert [s.t for s in exc_info.value.series] == kept
 
     def test_zero_duration_returns_initial(self):
         cfg = baseline_config(t_final=0.0)

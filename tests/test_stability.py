@@ -32,7 +32,7 @@ def _config(n, weight=None):
 
 def spectrum(cfg):
     """Eigenvalues of the central-difference Jacobian of eom_rhs at rest."""
-    y0 = rq.rest_initial_state(cfg).y
+    y0 = rq.rest_initial_state(cfg)
     flat = y0.ravel()
     J = np.empty((flat.size, flat.size))
     for i in range(flat.size):

@@ -5,7 +5,10 @@ import pytest
 
 import relqtraj as rq
 from relqtraj.analytic import hyperbolic_gamma_one_ensemble
-from relqtraj.state import StateValidationError, check_state
+from relqtraj.cli import main
+from relqtraj.state import EnsembleState, StateValidationError, check_state
+
+from conftest import baseline_config
 
 
 class TestMakeGrid:
@@ -139,12 +142,12 @@ class TestEnsembleState:
         return np.array([np.zeros(n), x, np.full(n, c), np.zeros(n)])
 
     def test_valid_state_accepted(self):
-        st = rq.EnsembleState(0.0, self._array())
+        st = EnsembleState(0.0, self._array())
         assert st.x.shape == (9,)
 
     def test_state_wraps_its_array_read_only(self):
         y = self._array()
-        st = rq.EnsembleState(0.0, y)
+        st = EnsembleState(0.0, y)
         assert st.y is y and not y.flags.writeable
         for k, row in enumerate((st.t, st.x, st.u0, st.u1)):
             assert np.shares_memory(row, y) and np.array_equal(row, y[k])
@@ -155,19 +158,19 @@ class TestEnsembleState:
         y = self._array()
         y[1, 4] = y[1, 5] + 0.1
         with pytest.raises(StateValidationError, match="degeneration"):
-            rq.EnsembleState(0.0, y)
+            EnsembleState(0.0, y)
 
     def test_backward_time_rejected(self):
         y = self._array()
         y[2, 3] = -1.0
         with pytest.raises(StateValidationError, match="u0"):
-            rq.EnsembleState(0.0, y)
+            EnsembleState(0.0, y)
 
     def test_nonfinite_rejected(self):
         y = self._array()
         y[0, 0] = np.nan
         with pytest.raises(StateValidationError):
-            rq.EnsembleState(0.0, y)
+            EnsembleState(0.0, y)
 
     def test_first_broken_invariant_is_reported(self):
         # non-finite t is reported before the ordering of x
@@ -175,7 +178,7 @@ class TestEnsembleState:
         y[0, 2] = np.inf
         y[1, 4] = y[1, 5] + 0.1
         with pytest.raises(StateValidationError, match="non-finite values in field t"):
-            rq.EnsembleState(0.0, y)
+            EnsembleState(0.0, y)
 
     def test_length_mismatch_rejected(self):
         # a (4, N) state can be given only the wrong shape, not ragged rows
@@ -183,13 +186,36 @@ class TestEnsembleState:
                             (np.s_[1:3], r"\(2, 9\)")):
             with pytest.raises(StateValidationError,
                                match=rf"state array has shape {shape}, want \(4, N\)"):
-                rq.EnsembleState(0.0, self._array()[rows])
+                EnsembleState(0.0, self._array()[rows])
 
     def test_length_mismatch_reported_before_other_faults(self):
         y = self._array()[:3]
         y[0, 0] = np.nan
         with pytest.raises(StateValidationError, match=r"state array has shape \(3, 9\)"):
-            rq.EnsembleState(0.0, y)
+            EnsembleState(0.0, y)
+
+
+def test_no_program_path_builds_an_ensemble_state(tmp_path, monkeypatch):
+    # a state is its array: both solvers, a read-back and analytic build no
+    # EnsembleState, which the counter sees when one is built
+    builds, init = [], EnsembleState.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EnsembleState, "__init__", counting)
+    cfg = baseline_config(t_final=0.02)
+    series = rq.integrate(cfg, cadence=0.01)
+    rq.nonrel_integrate(cfg, cadence=0.01)
+    rq.write_snapshots(series, str(tmp_path / "run"))
+    rq.read_snapshots(str(tmp_path / "run"))
+    assert main(["analytic", "--kind", "inertial", "--c", "2", "--grid-min", "-2",
+                 "--grid-max", "2", "--grid-n", "25", "--times", "0,0.5",
+                 "--out", str(tmp_path / "analytic")]) == 0
+    assert builds == []
+    EnsembleState(0.0, series.y[0].copy())
+    assert len(builds) == 1
 
 
 class TestSimConfig:

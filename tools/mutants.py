@@ -46,6 +46,8 @@ _STENCILS = "tests/test_stencils.py::TestBuildPlan::"
 _NAN = "tests/test_cli.py::TestAnalyticVerify::test_verify_fails_a_nan_wherever_it_sits"
 _LOST = "tests/test_golden.py::test_the_stored_columns_lose_nothing"
 _SERIES = "tests/test_dynamics.py::test_record_series_holds_the_series_time_rules"
+_NONREL_REFUSED = "tests/test_nonrel.py::TestNonRelIntegrate::" \
+                  "test_a_nonrel_record_that_breaks_the_state_is_refused"
 
 MUTANTS = (
     Mutant("log_form_Q quarter to half", "src/relqtraj/qpotential.py",
@@ -111,6 +113,9 @@ MUTANTS = (
             "[0-u0<=0]",
             "tests/test_cli.py::TestAnalyticVerify::"
             "test_verify_rejects_a_tampered_column[u0--1]")),
+    Mutant("nonrel record without check_state", "src/relqtraj/nonrel.py",
+           "        check_state(y, 2)\n", "",
+           (f"{_NONREL_REFUSED}[0.02-0.01-kept0]", f"{_NONREL_REFUSED}[0.03-0.02-kept1]")),
     Mutant("state guard's shape rule takes any rank", "src/relqtraj/state.py",
            "y.ndim != 2 + stack or ", "",
            tuple(f"tests/test_dynamics.py::test_a_stack_of_valid_states_is_no_stage[{rhs}]"

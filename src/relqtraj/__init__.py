@@ -17,22 +17,15 @@ from .state import (
     exponential_weight,
     uniform_weight,
 )
-from .stencils import build_plan, d_dC, interpolate
-from .geometry import compute_geometry, attach_g01
+from .stencils import build_plan
 from .dynamics import (
-    Record,
     SnapshotSeries,
     IntegrationError,
-    compute_Q,
-    compute_force,
-    tau_factor,
-    eom_rhs,
-    rk4_step,
     record_series,
     rest_initial_state,
     integrate,
 )
-from .nonrel import nonrel_Q, nonrel_rhs, nonrel_integrate
+from .nonrel import nonrel_integrate
 from .analytic import (
     AnalyticEnsemble,
     inertial_ensemble,

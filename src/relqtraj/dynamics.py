@@ -73,6 +73,8 @@ ABORT_FACTOR = 10.0  # rk4_step aborts when norm drift exceeds this times invari
 STEP_MULTIPLE_RTOL = 1e-9  # t_final and cadence must be this close to k * dt
 
 
+# No program path reads a Record.  Its only readers are bench/workloads.py's
+# Headline.check, FineIO.check (via _state_arrays), Sweep and bench/make_reference.py.
 class Record(namedtuple("Record", "tau_ensemble t x u0 u1 Q")):
     """One slice of a series, a read-only view of its arrays: T, and the
     rows s.state.t, x, u0, u1 and s.quantum.Q (state and quantum are s)."""
@@ -86,7 +88,7 @@ class SnapshotSeries:
     """K recorded slices of one run as read-only arrays: times (K,), held to
     check_times, the states y (K, 4, N) and the fields of one _slice pass,
     gamma, Q, tau_T and g01 (K, N) and the force f = (f0, f1) (K, 2, N).
-    Iterating it, or .snapshots, gives Records."""
+    Iterating it, or .snapshots, gives the Records that only bench/ reads."""
 
     config: SimConfig
     times: np.ndarray
@@ -114,9 +116,10 @@ class SnapshotSeries:
 def check_times(T: np.ndarray, states: int) -> None:
     """The series time rules, stated here only: T (states,), each finite and
     after the one before; else StateValidationError, index the first bad T."""
-    if T.shape != (states,):
-        raise StateValidationError(f"snapshot times must be one per state: shape "
-                                   f"{T.shape} for {states} states")
+    if not isinstance(T, np.ndarray) or T.shape != (states,):
+        raise StateValidationError("snapshot times must be " + (
+            f"one per state: shape {T.shape} for {states} states"
+            if isinstance(T, np.ndarray) else f"an array, not a {type(T).__name__}"))
     ok = np.isfinite(T)
     ok[1:] &= T[1:] > T[:-1]
     if not ok.all():  # T[k] is not finite, or T[k - 1] is and T[k] is not after it

@@ -166,9 +166,11 @@ def check_state(y: np.ndarray, rows: int, stack: bool = False) -> None:
     short count locates the fault, on a stack by checking its states in
     turn: the first bad one raises, with its index.
     """
-    if y.ndim != 2 + stack or y.shape[-2] != rows or rows not in _FIELDS:
-        raise StateValidationError(f"state array has shape {y.shape}, want "
-                                   f"({'K, ' * stack}{rows}, N)")
+    if (not isinstance(y, np.ndarray) or y.ndim != 2 + stack or y.shape[-2] != rows
+            or rows not in _FIELDS):
+        got = (f"array has shape {y.shape}" if isinstance(y, np.ndarray)
+               else f"is a {type(y).__name__}, not an array")
+        raise StateValidationError(f"state {got}, want ({'K, ' * stack}{rows}, N)")
     x = y[X_ROW if rows == 4 else T_ROW]  # the x row of (t, x, u0, u1) or (x, v)
     finite = np.count_nonzero(np.isfinite(y)) == y.size
     forward = rows == 2 or not np.count_nonzero(y[U0_ROW] <= ZERO)  # finite u0: not > 0 is <= 0

@@ -21,7 +21,9 @@ from relqtraj.analytic import (
     hyperbolic_gamma_T_ensemble,
     inertial_ensemble,
 )
-from relqtraj.stencils import interior as interior_nodes
+from relqtraj.dynamics import compute_Q
+from relqtraj.geometry import compute_geometry
+from relqtraj.stencils import d_dC, interior as interior_nodes, interpolate
 
 from conftest import baseline_config
 from _hyperbolic_oracle import hyperbolic_unit_metric_weight
@@ -57,14 +59,14 @@ class TestAcceptance:
         at ~2.6e-3 at T=1 for every N from 17 to 33, so it is printed here
         but not held to the bound.
         """
-        def worst_ratio(snapshots, grid):
+        def worst_ratio(series, grid):
             worst, worst_T = 0.0, 0.0
-            for s in snapshots:
-                qmax = np.max(np.abs(s.quantum.Q))
+            for T, Q in zip(series.times.tolist(), series.Q):
+                qmax = np.max(np.abs(Q))
                 for cq in (np.sqrt(2), -np.sqrt(2)):
-                    r = abs(rq.interpolate(s.quantum.Q, grid, cq)) / qmax
+                    r = abs(interpolate(Q, grid, cq)) / qmax
                     if r > worst:
-                        worst, worst_T = r, s.tau_ensemble
+                        worst, worst_T = r, T
             return worst, worst_T
 
         cfg, rel, _ = c100_pair
@@ -94,9 +96,10 @@ class TestAcceptance:
         """c=100 trajectories match the independent non-relativistic solver."""
         cfg, rel, nonrel = c100_pair
         xs = {st.t: st.x for st in nonrel}
-        dx = max(float(np.max(np.abs(s.state.x - xs[s.tau_ensemble]))) for s in rel)
-        dt = max(float(np.max(np.abs(s.state.t - s.tau_ensemble))) for s in rel)
-        x_range = max(float(np.ptp(s.state.x)) for s in rel)
+        x = rel.y[:, 1]
+        dx = float(np.max(np.abs(x - [xs[T] for T in rel.times.tolist()])))
+        dt = float(np.max(np.abs(rel.y[:, 0] - rel.times[:, None])))
+        x_range = float(np.max(np.ptp(x, axis=1)))
         ok = dx <= 1e-3 * x_range and dt <= 1e-3
         assert _line(4, ok,
                      f"max|x_rel - x_nonrel| = {dx:.3e} (tol {1e-3 * x_range:.3e}), "
@@ -111,9 +114,8 @@ class TestAcceptance:
                            invariant_tol=1e-6)
         series = rq.integrate(cfg, cadence=0.5)
         rate = exponential_ensemble(kappa, 1.0, 1.0, c).evaluate(1.0, 0.0)[0]  # t/T
-        dx = max(float(np.max(np.abs(s.state.x - cfg.grid.nodes))) for s in series)
-        dt_err = max(float(np.max(np.abs(s.state.t - rate * s.tau_ensemble)))
-                     for s in series)
+        dx = float(np.max(np.abs(series.y[:, 1] - cfg.grid.nodes)))
+        dt_err = float(np.max(np.abs(series.y[:, 0] - rate * series.times[:, None])))
         tau_err = float(np.max(np.abs(series.tau_T / rate - 1.0)))
         ok = dx <= 1e-10 and dt_err <= 1e-10 and tau_err <= 1e-9
         assert _line(5, ok,
@@ -130,14 +132,8 @@ class TestAcceptance:
         ens = inertial_ensemble(beta0, c)
         y0 = ens.evaluate(0.0, grid.nodes)
         series = rq.integrate(cfg, y0, cadence=1.0)
-        err = 0.0
-        for s in series:
-            te, xe, u0e, u1e = ens.evaluate(s.tau_ensemble, grid.nodes)
-            err = max(err,
-                      float(np.max(np.abs(s.state.t - te))),
-                      float(np.max(np.abs(s.state.x - xe))),
-                      float(np.max(np.abs(s.state.u0 - u0e))),
-                      float(np.max(np.abs(s.state.u1 - u1e))))
+        err = max(float(np.max(np.abs(y - ens.evaluate(T, grid.nodes))))
+                  for T, y in zip(series.times.tolist(), series.y))
         qf = max(float(np.max(np.abs(series.Q))), float(np.max(np.abs(series.f))))
         ok = err <= 1e-10 and qf <= 1e-12
         assert _line(6, ok, f"max field err {err:.2e} (1e-10), max|Q|,|f| {qf:.2e} (1e-12)")
@@ -151,10 +147,10 @@ class TestAcceptance:
         w = hyperbolic_unit_metric_weight(B, m, hb, c, 0.45, 2.55)
         cfg = rq.SimConfig(mass=m, hbar=hb, c=c, weight=w, grid=grid, t_final=1.0)
         y = hyperbolic_gamma_one_ensemble(B, c).evaluate(0.7, grid.nodes)
-        _, gamma = rq.compute_geometry(y, cfg)
+        _, gamma = compute_geometry(y, cfg)
         gamma_err = float(np.max(np.abs(gamma - 1.0)))
 
-        Q_num, _ = rq.compute_Q(gamma, cfg)
+        Q_num, _ = compute_Q(gamma, cfg)
         Q_exact = hyperbolic_gamma_one_Q(B, grid.nodes, m, c)
         interior = interior_nodes(cfg.stencil_order, grid.n_points)
         q_err = float(np.max(np.abs((Q_num - Q_exact)[interior])))
@@ -164,7 +160,7 @@ class TestAcceptance:
         grid2 = rq.make_grid(-1, 1, 201)
         cfg2 = rq.SimConfig(c=2.0, weight=rq.uniform_weight(), grid=grid2, t_final=1.0)
         y2 = hyperbolic_gamma_T_ensemble(0.5, 2.0).evaluate(1.0, grid2.nodes)
-        _, gamma2 = rq.compute_geometry(y2, cfg2)
+        _, gamma2 = compute_geometry(y2, cfg2)
         spread = float((np.max(gamma2) - np.min(gamma2)) / np.mean(gamma2))
 
         ok = gamma_err <= 1e-6 and q_rel <= 1e-4 and spread <= 1e-8
@@ -242,13 +238,13 @@ class TestAcceptance:
         for n in (81, 161, 321):
             g = rq.make_grid(-np.pi, np.pi, n)
             plan = rq.build_plan(g, 4)
-            errs.append(np.max(np.abs(rq.d_dC(np.sin(g.nodes), plan) - np.cos(g.nodes))))
+            errs.append(np.max(np.abs(d_dC(np.sin(g.nodes), plan) - np.cos(g.nodes))))
         space_rate = float(np.mean([np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])]))
 
         finals = []
         for dt in (0.04, 0.02, 0.01):
             cfg = baseline_config(t_final=2.0, dt=dt)
-            finals.append(rq.integrate(cfg, cadence=10.0).snapshots[-1].state.x)
+            finals.append(rq.integrate(cfg, cadence=10.0).y[-1, 1])
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         time_rate = float(np.log2(e1 / e2))

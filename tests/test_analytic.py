@@ -9,6 +9,7 @@ from relqtraj.analytic import (
     inertial_ensemble,
     exponential_ensemble,
 )
+from relqtraj.geometry import attach_g01, compute_geometry
 from relqtraj.state import check_state
 
 
@@ -191,8 +192,8 @@ class TestSampledInvariants:
         _, _, u0, u1 = y = ens.evaluate(T, g.nodes)
         check_state(y, 4)
         np.testing.assert_allclose(-u0 ** 2 + u1 ** 2, -c ** 2, rtol=1e-13)
-        tx_C, gamma = rq.compute_geometry(y, cfg)
-        g01 = rq.attach_g01(tx_C, np.array((u0 / c, u1)), cfg)  # tau_T = 1
+        tx_C, gamma = compute_geometry(y, cfg)
+        g01 = attach_g01(tx_C, np.array((u0 / c, u1)), cfg)  # tau_T = 1
         np.testing.assert_allclose(gamma, 1.0, atol=1e-12)
         # g01 = tau_T (u1 x_C - c u0 t_C) vanishes on both families, whatever tau_T
         np.testing.assert_allclose(g01, 0.0, atol=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relqtraj as rq
-from relqtraj import cli
+from relqtraj import cli, state
 from relqtraj.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -729,7 +729,7 @@ def test_running_out_of_memory_is_a_runtime_failure(tmp_path, capsys, monkeypatc
     def no_memory(grid, order):
         raise error
 
-    monkeypatch.setattr("relqtraj.state.build_plan", no_memory)
+    monkeypatch.setattr(state, "build_plan", no_memory)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(CONFIGS / "gaussian_c3.txt"),
                  "--out", str(out)]) == 2

@@ -113,7 +113,7 @@ def inertial_limit_metric(series):
     """max |Q| / (m c^2) over the series: dimensionless distance from
     quantum inertial motion."""
     cfg = series.config
-    worst = max(float(np.max(np.abs(s.quantum.Q))) for s in series)
+    worst = float(np.max(np.abs(series.Q)))
     return worst / (cfg.mass * cfg.c ** 2)
 
 

@@ -13,9 +13,12 @@ from relqtraj.analytic import (
     hyperbolic_gamma_one_Q,
 )
 from relqtraj import dynamics
-from relqtraj.dynamics import IntegrationError, _slice, step_counts
+from relqtraj.dynamics import (IntegrationError, Record, _slice, compute_force, compute_Q,
+                               eom_rhs, rk4_step, step_counts, tau_factor)
+from relqtraj.geometry import compute_geometry
+from relqtraj.nonrel import nonrel_rhs
 from relqtraj.state import EnsembleState, StateValidationError, WeightFunction, check_state
-from relqtraj.stencils import interior as interior_nodes
+from relqtraj.stencils import d_dC, interior as interior_nodes, interpolate
 
 from conftest import baseline_config
 
@@ -24,7 +27,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _initial_geometry(cfg):
     # ((t_C, x_C), gamma) of the rest slice
-    return rq.compute_geometry(rq.rest_initial_state(cfg), cfg)
+    return compute_geometry(rq.rest_initial_state(cfg), cfg)
 
 
 class TestComputeQ:
@@ -34,12 +37,12 @@ class TestComputeQ:
         # polynomials the stencils reproduce
         cfg = baseline_config()
         _, gamma = _initial_geometry(cfg)
-        Q, Q_C = rq.compute_Q(gamma, cfg)
+        Q, Q_C = compute_Q(gamma, cfg)
         C = cfg.grid.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5), atol=1e-12)
-        assert rq.interpolate(Q, cfg.grid, 0.0) == pytest.approx(0.25, abs=1e-12)
-        assert rq.interpolate(Q, cfg.grid, np.sqrt(2)) == pytest.approx(0.0, abs=1e-12)
-        assert rq.interpolate(Q, cfg.grid, -np.sqrt(2)) == pytest.approx(0.0, abs=1e-12)
+        assert interpolate(Q, cfg.grid, 0.0) == pytest.approx(0.25, abs=1e-12)
+        assert interpolate(Q, cfg.grid, np.sqrt(2)) == pytest.approx(0.0, abs=1e-12)
+        assert interpolate(Q, cfg.grid, -np.sqrt(2)) == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(Q_C, -0.25 * C, atol=1e-12)
 
     def test_uniform_weight_zero(self):
@@ -47,7 +50,7 @@ class TestComputeQ:
         cfg = rq.SimConfig(mass=1, hbar=1, c=3, weight=rq.uniform_weight(),
                            grid=cfg.grid, t_final=1, dt=1e-3)
         _, gamma = _initial_geometry(cfg)
-        Q, _ = rq.compute_Q(gamma, cfg)
+        Q, _ = compute_Q(gamma, cfg)
         np.testing.assert_allclose(Q, 0.0, atol=1e-13)
 
     def test_exponential_weight_constant(self):
@@ -56,7 +59,7 @@ class TestComputeQ:
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
         _, gamma = _initial_geometry(cfg)
-        Q, Q_C = rq.compute_Q(gamma, cfg)
+        Q, Q_C = compute_Q(gamma, cfg)
         np.testing.assert_allclose(Q, -0.5 * kappa ** 2, atol=1e-14)
         # one stencil pass amplifies the ~1e-16 nodal rounding of Q by sum|w|
         np.testing.assert_allclose(Q_C, 0.0, atol=5e-12)
@@ -71,21 +74,21 @@ class TestComputeQ:
         scaled = WeightFunction("gaussian", ((2, -a), (0, math.log(37.0))), (a,))
         C = cfg.grid.nodes
         assert scaled.log_f(C).tobytes() == (-a * C ** 2 + np.log(37.0)).tobytes()
-        Q1, QC1 = rq.compute_Q(geom[1], cfg)
-        Q2, QC2 = rq.compute_Q(geom[1], replace(cfg, weight=scaled))
+        Q1, QC1 = compute_Q(geom[1], cfg)
+        Q2, QC2 = compute_Q(geom[1], replace(cfg, weight=scaled))
         assert np.array_equal(Q1, Q2)
         assert np.array_equal(QC1, QC2)
-        f1a, f1b = rq.compute_force(*geom, QC1, cfg)
-        f2a, f2b = rq.compute_force(*geom, QC2, cfg)
+        f1a, f1b = compute_force(*geom, QC1, cfg)
+        f2a, f2b = compute_force(*geom, QC2, cfg)
         assert np.array_equal(f1a, f2a) and np.array_equal(f1b, f2b)
-        assert np.array_equal(rq.tau_factor(Q1, cfg), rq.tau_factor(Q2, cfg))  # m = 1, c = 3
+        assert np.array_equal(tau_factor(Q1, cfg), tau_factor(Q2, cfg))  # m = 1, c = 3
 
     def test_stretch_scaling(self):
         # x = 2C halves the density scale twice over: Q picks up a factor 1/4
         g = rq.make_grid(-2, 2, 25)
         cfg = rq.SimConfig(c=1, weight=rq.gaussian_weight(0.5), grid=g, t_final=1)
-        _, gamma = rq.compute_geometry(np.array((np.zeros(25), 2.0 * g.nodes)), cfg)
-        Q, _ = rq.compute_Q(gamma, cfg)
+        _, gamma = compute_geometry(np.array((np.zeros(25), 2.0 * g.nodes)), cfg)
+        Q, _ = compute_Q(gamma, cfg)
         C = g.nodes
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5) / 4.0, atol=1e-12)
 
@@ -95,8 +98,8 @@ class TestComputeForce:
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(0.3),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
         geom = _initial_geometry(cfg)
-        _, Q_C = rq.compute_Q(geom[1], cfg)
-        f0, f1 = rq.compute_force(*geom, Q_C, cfg)
+        _, Q_C = compute_Q(geom[1], cfg)
+        f0, f1 = compute_force(*geom, Q_C, cfg)
         np.testing.assert_allclose(f0, 0.0, atol=5e-12)
         np.testing.assert_allclose(f1, 0.0, atol=5e-12)
 
@@ -104,8 +107,8 @@ class TestComputeForce:
         # t_C = 0, x_C = 1, gamma = 1: f0 = 0 and f1 = -Q_C = (hbar^2 a^2/m) C
         cfg = baseline_config()
         geom = _initial_geometry(cfg)
-        _, Q_C = rq.compute_Q(geom[1], cfg)
-        f0, f1 = rq.compute_force(*geom, Q_C, cfg)
+        _, Q_C = compute_Q(geom[1], cfg)
+        f0, f1 = compute_force(*geom, Q_C, cfg)
         np.testing.assert_allclose(f0, 0.0, atol=1e-13)
         np.testing.assert_allclose(f1, 0.25 * cfg.grid.nodes, atol=1e-12)
 
@@ -116,18 +119,18 @@ class TestComputeForce:
         cfg = rq.SimConfig(mass=m, c=c, weight=rq.uniform_weight(), grid=g, t_final=1)
         plan = cfg.plan
         ens = hyperbolic_gamma_one_ensemble(B, c)
-        geom = rq.compute_geometry(ens.evaluate(0.0, g.nodes), cfg)
+        geom = compute_geometry(ens.evaluate(0.0, g.nodes), cfg)
         Q = hyperbolic_gamma_one_Q(B, g.nodes, m, c)
         Q_C_exact = -m * c ** 2 / g.nodes
-        f0, f1 = rq.compute_force(*geom, Q_C_exact, cfg)
+        f0, f1 = compute_force(*geom, Q_C_exact, cfg)
         np.testing.assert_allclose(f1, m * c ** 2 / g.nodes, rtol=1e-12)
         np.testing.assert_allclose(f0, 0.0, atol=1e-13)
         # at later slices the inertial components rotate but stay orthogonal
         # to the four-velocity; the label-derivative comes from the stencils
         _, _, u0, u1 = y = ens.evaluate(0.8, g.nodes)
-        geom = rq.compute_geometry(y, cfg)
-        Q_C = rq.d_dC(Q, plan)
-        f0, f1 = rq.compute_force(*geom, Q_C, cfg)
+        geom = compute_geometry(y, cfg)
+        Q_C = d_dC(Q, plan)
+        f0, f1 = compute_force(*geom, Q_C, cfg)
         interior = interior_nodes(cfg.stencil_order, g.n_points)
         # d_dC of ln(C) at 25 nodes carries ~2e-4 relative truncation at
         # the small-C end (|Q^(5)| = 24/C^5)
@@ -144,7 +147,7 @@ class TestComputeForce:
 class TestTauFactor:
     def test_zero_potential(self):
         cfg = baseline_config()  # m = 1, c = 3
-        np.testing.assert_array_equal(rq.tau_factor(np.zeros(5), cfg), np.ones(5))
+        np.testing.assert_array_equal(tau_factor(np.zeros(5), cfg), np.ones(5))
 
     def test_exponential_contraction(self):
         # Q = -(hbar^2/2m) kappa^2 < 0 contracts: dtau/dT > 1
@@ -152,14 +155,14 @@ class TestTauFactor:
         cfg = rq.SimConfig(mass=m, hbar=hbar, c=c, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1)
         Q = np.full(9, -(hbar ** 2 / (2 * m)) * kappa ** 2)
-        tau = rq.tau_factor(Q, cfg)
+        tau = tau_factor(Q, cfg)
         np.testing.assert_allclose(
             tau, exponential_ensemble(kappa, m, hbar, c).evaluate(1.0, 0.0)[0], rtol=1e-15
         )
         assert np.all(tau > 1.0)
 
     def test_gaussian_center_dilation(self):
-        assert rq.tau_factor(np.array([0.25]), baseline_config())[0] == pytest.approx(
+        assert tau_factor(np.array([0.25]), baseline_config())[0] == pytest.approx(
             np.exp(-1.0 / 36.0), rel=1e-12
         )
 
@@ -168,7 +171,7 @@ class TestEomRhs:
     def test_inertial_straight_lines(self):
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                            grid=rq.make_grid(-8, 8, 17), t_final=1, dt=1e-3)
-        d = rq.eom_rhs(inertial_ensemble(0.6, cfg.c).evaluate(0.7, cfg.grid.nodes), cfg)
+        d = eom_rhs(inertial_ensemble(0.6, cfg.c).evaluate(0.7, cfg.grid.nodes), cfg)
         np.testing.assert_allclose(d[2], 0.0, atol=1e-12)
         np.testing.assert_allclose(d[3], 0.0, atol=1e-12)
         G = 1.0 / np.sqrt(1 - 0.36)
@@ -179,7 +182,7 @@ class TestEomRhs:
         kappa = 0.3
         cfg = rq.SimConfig(mass=1, hbar=1, c=1, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=1e-3)
-        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
+        d = eom_rhs(rq.rest_initial_state(cfg), cfg)
         rate = exponential_ensemble(kappa, 1.0, 1.0, 1.0).evaluate(1.0, 0.0)[0]  # t/T
         np.testing.assert_allclose(d[0], rate, rtol=1e-12)
         np.testing.assert_allclose(d[1], 0.0, atol=1e-13)
@@ -189,7 +192,7 @@ class TestEomRhs:
     def test_gaussian_center_symmetry(self):
         # Q is even at T = 0, so the central node feels no force
         cfg = baseline_config()
-        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
+        d = eom_rhs(rq.rest_initial_state(cfg), cfg)
         assert d[3, 12] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -198,7 +201,7 @@ class TestRk4Step:
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.uniform_weight(),
                            grid=rq.make_grid(-8, 8, 17), t_final=1, dt=0.1)
         ens = inertial_ensemble(0.6, cfg.c)
-        new = rq.rk4_step(ens.evaluate(0.0, cfg.grid.nodes), cfg)
+        new = rk4_step(ens.evaluate(0.0, cfg.grid.nodes), cfg)
         te, xe, _, _ = ens.evaluate(0.1, cfg.grid.nodes)
         np.testing.assert_allclose(new[1], xe, atol=1e-13)
         np.testing.assert_allclose(new[0], te, atol=1e-13)
@@ -207,7 +210,7 @@ class TestRk4Step:
         kappa = 0.25
         cfg = rq.SimConfig(mass=1, hbar=1, c=2, weight=rq.exponential_weight(kappa),
                            grid=rq.make_grid(-2, 2, 25), t_final=1, dt=0.1)
-        new = rq.rk4_step(rq.rest_initial_state(cfg), cfg)
+        new = rk4_step(rq.rest_initial_state(cfg), cfg)
         rate = exponential_ensemble(kappa, 1.0, 1.0, 2.0).evaluate(1.0, 0.0)[0]  # t/T
         np.testing.assert_allclose(new[0], rate * 0.1, rtol=1e-13)
         np.testing.assert_allclose(new[1], cfg.grid.nodes, atol=1e-13)
@@ -218,8 +221,7 @@ class TestRk4Step:
         finals = []
         for dt in (0.025, 0.0125, 0.00625):
             cfg = baseline_config(t_final=0.5, dt=dt)
-            s = rq.integrate(cfg, cadence=10.0)
-            finals.append(s.snapshots[-1].state.x)
+            finals.append(rq.integrate(cfg, cadence=10.0).y[-1, 1])
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert np.log2(e1 / e2) == pytest.approx(4.0, abs=0.5)
@@ -231,11 +233,11 @@ class TestRk4Step:
         dt = cfg.dt
         y = ref = rq.rest_initial_state(cfg)
         for _ in range(50):
-            y = rq.rk4_step(y, cfg)
-            k1 = rq.eom_rhs(ref, cfg)
-            k2 = rq.eom_rhs(ref + 0.5 * dt * k1, cfg)
-            k3 = rq.eom_rhs(ref + 0.5 * dt * k2, cfg)
-            k4 = rq.eom_rhs(ref + dt * k3, cfg)
+            y = rk4_step(y, cfg)
+            k1 = eom_rhs(ref, cfg)
+            k2 = eom_rhs(ref + 0.5 * dt * k1, cfg)
+            k3 = eom_rhs(ref + 0.5 * dt * k2, cfg)
+            k4 = eom_rhs(ref + dt * k3, cfg)
             ref = ref + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert np.count_nonzero(ref[3]) and np.array_equal(y, ref)
 
@@ -259,7 +261,7 @@ class TestStageGuard:
         u1[12], u1[13] = 5.0, -5.0
         y, cfg = self._streaming(u1, dt=0.1)
         with pytest.raises(StateValidationError, match="nodes 12 and 13"):
-            rq.rk4_step(y, cfg)
+            rk4_step(y, cfg)
         # a run names the T the failed step started from and keeps the records before it
         with pytest.raises(IntegrationError,
                            match=r"^run failed at T = 0: .*nodes 12 and 13") as exc_info:
@@ -272,20 +274,20 @@ class TestStageGuard:
         y, cfg = self._streaming(np.full(25, 1e300), dt=1e9)
         with np.errstate(over="ignore"), \
                 pytest.raises(StateValidationError, match="non-finite values in field t"):
-            rq.rk4_step(y, cfg)
+            rk4_step(y, cfg)
 
     def test_eom_rhs_matches_the_per_layer_functions(self):
         # the stage core against compute_geometry, compute_Q, tau_factor and
         # compute_force chained field by field, bitwise
         cfg = baseline_config()
         t, x, u0, u1 = y = rq.rest_initial_state(cfg)
-        tx_C, gamma = rq.compute_geometry(y, cfg)
-        Q, Q_C = rq.compute_Q(gamma, cfg)
-        tau = rq.tau_factor(Q, cfg)
-        f0, f1 = rq.compute_force(tx_C, gamma, Q_C, cfg)
+        tx_C, gamma = compute_geometry(y, cfg)
+        Q, Q_C = compute_Q(gamma, cfg)
+        tau = tau_factor(Q, cfg)
+        f0, f1 = compute_force(tx_C, gamma, Q_C, cfg)
         want = np.array([tau * u0 / cfg.c, tau * u1,
                          tau * f0 / cfg.mass, tau * f1 / cfg.mass])
-        assert rq.eom_rhs(y, cfg).tobytes() == want.tobytes()
+        assert eom_rhs(y, cfg).tobytes() == want.tobytes()
 
     def test_eom_rhs_is_the_1d_row_expressions_bitwise(self):
         # reference: every layer as plain 1-D expressions and one matmul per
@@ -293,7 +295,7 @@ class TestStageGuard:
         cfg = baseline_config()
         y = rq.rest_initial_state(cfg)
         for k in range(50):
-            y = rq.rk4_step(y, cfg)
+            y = rk4_step(y, cfg)
         t, x, u0, u1 = y
         c, m, hbar = cfg.c, cfg.mass, cfg.hbar
 
@@ -309,7 +311,7 @@ class TestStageGuard:
         f0, f1 = -c * t_C / gamma * D(Q), -x_C / gamma * D(Q)
         assert np.count_nonzero(t_C) and np.count_nonzero(f0)
         want = np.array([tau * u0 / c, tau * u1, tau * f0 / m, tau * f1 / m])
-        assert rq.eom_rhs(y, cfg).tobytes() == want.tobytes()
+        assert eom_rhs(y, cfg).tobytes() == want.tobytes()
 
 
 
@@ -375,11 +377,11 @@ def test_stage_guard_names_the_broken_invariant(rows, mutate, error, message):
     y = y if rows == 4 else np.array([y[1], y[3]])
     mutate(y)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=message):
-        rq.eom_rhs(y, cfg) if rows == 4 else rq.nonrel_rhs(y, cfg)
+        eom_rhs(y, cfg) if rows == 4 else nonrel_rhs(y, cfg)
 
 
-@pytest.mark.parametrize("rhs, rows", [(rq.eom_rhs, 4),
-                                       (rq.nonrel_rhs, 2)], ids=["eom_rhs", "nonrel_rhs"])
+@pytest.mark.parametrize("rhs, rows", [(eom_rhs, 4),
+                                       (nonrel_rhs, 2)], ids=["eom_rhs", "nonrel_rhs"])
 def test_stage_of_the_wrong_row_count_is_rejected(rhs, rows):
     # the shape is checked before the non-finite third row is looked up
     y = np.ones((3, 25))
@@ -389,9 +391,9 @@ def test_stage_of_the_wrong_row_count_is_rejected(rhs, rows):
         rhs(y, baseline_config())
 
 
-@pytest.mark.parametrize("rhs, rows", [(rq.eom_rhs, 4),
-                                       (rq.rk4_step, 4),
-                                       (rq.nonrel_rhs, 2)],
+@pytest.mark.parametrize("rhs, rows", [(eom_rhs, 4),
+                                       (rk4_step, 4),
+                                       (nonrel_rhs, 2)],
                          ids=["eom_rhs", "rk4_step", "nonrel_rhs"])
 def test_a_stack_of_valid_states_is_no_stage(rhs, rows):
     # the stage guard takes one (rows, N) state: the caller, not y.ndim, says
@@ -402,6 +404,37 @@ def test_a_stack_of_valid_states_is_no_stage(rhs, rows):
     with pytest.raises(StateValidationError,
                        match=rf"^state array has shape \(2, {rows}, 25\), want \({rows}, N\)$"):
         rhs(np.stack([y, y]), cfg)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda cfg, y: eom_rhs(y.tolist(), cfg), StateValidationError,
+     r"state is a list, not an array, want \(4, N\)"),
+    (lambda cfg, y: nonrel_rhs(tuple(y[1::2]), cfg), StateValidationError,
+     r"state is a tuple, not an array, want \(2, N\)"),
+    (lambda cfg, y: rq.record_series(cfg, np.zeros(1), [y]), StateValidationError,
+     r"state is a list, not an array, want \(K, 4, N\)"),
+    (lambda cfg, y: rq.integrate(cfg, y0=y.tolist()), IntegrationError,
+     r"run failed at T = 0: state is a list, not an array, want \(4, N\)"),
+], ids=["eom_rhs", "nonrel_rhs", "record_series", "integrate"])
+def test_the_state_guard_refuses_a_value_that_is_not_an_array(call, error, message):
+    # check_state names the type of a value that has no shape to name
+    cfg = baseline_config(t_final=0.01)
+    with pytest.raises(error, match=f"^{message}$"):
+        call(cfg, rq.rest_initial_state(cfg))
+
+
+@pytest.mark.parametrize("times", [[0.0], (0.0,), 0.0], ids=["list", "tuple", "float"])
+@pytest.mark.parametrize("build", ["record_series", "SnapshotSeries"])
+def test_the_series_time_guard_refuses_times_that_are_not_an_array(build, times):
+    # check_times names the type, for either way of building a series
+    cfg = baseline_config()
+    y = rq.rest_initial_state(cfg)[None]
+    with pytest.raises(StateValidationError,
+                       match=rf"^snapshot times must be an array, not a {type(times).__name__}$"):
+        if build == "record_series":
+            rq.record_series(cfg, times, y)
+        else:
+            replace(rq.record_series(cfg, np.zeros(1), y), times=times)
 
 
 # each rule of check_state that a state of the stack can break, and the two
@@ -427,7 +460,7 @@ def test_record_series_names_the_first_bad_state_of_a_stack(k, name, mutate, mes
             rq.record_series(cfg, np.arange(4.0), y)
         assert exc_info.value.index == k
         with pytest.raises(StateValidationError, match=message) as exc_info:
-            rq.compute_geometry(y[k], cfg) if spacelike else check_state(y[k], 4)
+            compute_geometry(y[k], cfg) if spacelike else check_state(y[k], 4)
         assert exc_info.value.index is None
 
 
@@ -465,7 +498,7 @@ class TestInitialStates:
 
     def test_initial_time_rate_is_dilation_factor(self):
         cfg = baseline_config()
-        d = rq.eom_rhs(rq.rest_initial_state(cfg), cfg)
+        d = eom_rhs(rq.rest_initial_state(cfg), cfg)
         assert d[0, 12] == pytest.approx(np.exp(-1.0 / 36.0), rel=1e-12)
 
 
@@ -476,9 +509,7 @@ class TestIntegrate:
         assert s.times == pytest.approx([0.0, 1.0, 2.0, 3.0])
 
     def test_eleven_snapshots_on_full_run(self, baseline_integer_snapshots):
-        assert [s.tau_ensemble for s in baseline_integer_snapshots] == pytest.approx(
-            list(range(11))
-        )
+        assert baseline_integer_snapshots.times == pytest.approx(list(range(11)))
 
     @pytest.mark.parametrize("cadence", [0.0, float("nan"), float("inf")])
     def test_cadence_must_be_positive_and_finite(self, cadence):
@@ -500,13 +531,13 @@ class TestIntegrate:
         cfg = baseline_config(t_final=0.0)
         s = rq.integrate(cfg)
         assert len(s) == 1
-        np.testing.assert_array_equal(s.snapshots[0].state.x, cfg.grid.nodes)
+        np.testing.assert_array_equal(s.y[0, 1], cfg.grid.nodes)
 
     def test_abort_on_tiny_invariant_tolerance(self):
         cfg = baseline_config(t_final=5.0, invariant_tol=1e-13)
         # the mass shell is a state rule: the step breaks it, the run names T
         with pytest.raises(StateValidationError, match="^four-velocity norm drift"):
-            rq.rk4_step(rq.rest_initial_state(cfg), cfg)
+            rk4_step(rq.rest_initial_state(cfg), cfg)
         with pytest.raises(IntegrationError, match="^run failed at T = 0: four-velocity") \
                 as exc_info:
             rq.integrate(cfg)
@@ -571,8 +602,7 @@ class TestIntegrate:
         assert rep["subluminality"].passed
 
     def test_subluminal_throughout(self, baseline_series):
-        for s in baseline_series:
-            assert np.all(np.abs(s.state.u1) < s.state.u0)
+        assert np.all(np.abs(baseline_series.y[:, 3]) < baseline_series.y[:, 2])
 
     def test_gamma_stays_positive(self, baseline_series):
         assert np.all(baseline_series.gamma > 0)
@@ -592,6 +622,22 @@ def test_the_stacked_slice_is_its_per_slice_calls_bitwise(baseline_series):
     fields, again = ("gamma", "Q", "tau_T", "f", "g01"), rq.record_series(cfg, times, y)
     assert [getattr(again, k).tobytes() for k in fields] == \
         [getattr(baseline_series, k).tobytes() for k in fields]
+
+
+def test_the_per_slice_view_the_benchmark_reads(baseline_integer_snapshots):
+    # bench/workloads.py and bench/make_reference.py read a series slice by
+    # slice; no program path does.  Each Record is a read-only view of times,
+    # y and Q, and .snapshots is the list that iterating gives.
+    series = baseline_integer_snapshots
+    records = series.snapshots
+    assert [type(s) for s in records] == [Record] * len(series)
+    assert [s.tau_ensemble for s in series] == series.times.tolist()
+    for k, s in enumerate(records):
+        assert type(s.tau_ensemble) is float and s.tau_ensemble == series.times[k]
+        rows = [s.state.t, s.state.x, s.state.u0, s.state.u1, s.quantum.Q]
+        for view, row in zip(rows, [*series.y[k], series.Q[k]]):
+            assert np.shares_memory(view, row) and np.array_equal(view, row)
+            assert not view.flags.writeable
 
 
 def _boost(y, beta, c):
@@ -636,9 +682,9 @@ def test_the_time_field_tends_to_its_first_order_closed_form():
           - cfg.hbar / (2 * cfg.mass) * (1 - a * C ** 2) * math.atan(k))
     gaps = []
     for c in (40.0, 80.0, 160.0):
-        final = rq.integrate(replace(cfg, c=c), cadence=1.0).snapshots[-1]
-        assert final.tau_ensemble == 1.0
-        gaps.append(np.abs(c ** 2 * (final.state.t - 1.0) - dt).max())
+        series = rq.integrate(replace(cfg, c=c), cadence=1.0)
+        assert series.times[-1] == 1.0
+        gaps.append(np.abs(c ** 2 * (series.y[-1, 0] - 1.0) - dt).max())
     assert gaps[0] / gaps[1] == pytest.approx(4, rel=0.1), gaps
     assert gaps[1] / gaps[2] == pytest.approx(4, rel=0.1), gaps
     assert gaps[0] < 1e-3 * np.abs(dt).max(), gaps
@@ -657,9 +703,9 @@ def test_the_trajectory_field_tends_to_the_nonrelativistic_one_as_one_over_c_squ
     assert nonrel.t == 1.0
     r = []
     for c in (20.0, 40.0, 80.0, 160.0):
-        final = rq.integrate(replace(cfg, c=c), cadence=1.0).snapshots[-1]
-        assert final.tau_ensemble == 1.0
-        r.append(c ** 2 * np.abs(final.state.x - nonrel.x).max())
+        series = rq.integrate(replace(cfg, c=c), cadence=1.0)
+        assert series.times[-1] == 1.0
+        r.append(c ** 2 * np.abs(series.y[-1, 1] - nonrel.x).max())
     steps = np.diff(r)
     assert steps[0] / steps[1] == pytest.approx(4, rel=0.1), r
     assert steps[1] / steps[2] == pytest.approx(4, rel=0.1), r
@@ -673,7 +719,7 @@ class TestReferenceTrajectories:
         grid = rq.make_grid(-5, 5, 25)
 
         def crossing(Q, lo, hi):
-            f = lambda cq: rq.interpolate(Q, grid, cq)
+            f = lambda cq: interpolate(Q, grid, cq)
             a, b = lo, hi
             fa = f(a)
             for _ in range(80):
@@ -684,8 +730,7 @@ class TestReferenceTrajectories:
                     b = m
             return 0.5 * (a + b)
 
-        for s in baseline_integer_snapshots:
-            Q = s.quantum.Q
+        for Q in baseline_integer_snapshots.Q:
             right = crossing(Q, 1.0, 1.9)
             left = crossing(Q, -1.9, -1.0)
             assert abs(right - np.sqrt(2)) < 0.11

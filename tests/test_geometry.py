@@ -7,6 +7,7 @@ from relqtraj.analytic import (
     hyperbolic_gamma_T_ensemble,
     inertial_ensemble,
 )
+from relqtraj.geometry import attach_g01, compute_geometry
 from relqtraj.state import StateValidationError
 from relqtraj.stencils import interior
 
@@ -21,7 +22,7 @@ class TestComputeGeometry:
         # t = 0, x = C gives t_C = 0, x_C = 1, gamma = 1 at every node
         g = rq.make_grid(-5, 5, 25)
         tx = np.array((np.zeros(25), g.nodes))
-        (t_C, x_C), gamma = rq.compute_geometry(tx, _config(g, 3.0))
+        (t_C, x_C), gamma = compute_geometry(tx, _config(g, 3.0))
         np.testing.assert_allclose(t_C, 0.0, atol=1e-14)
         np.testing.assert_allclose(x_C, 1.0, atol=1e-13)
         np.testing.assert_allclose(gamma, 1.0, atol=1e-12)
@@ -30,7 +31,7 @@ class TestComputeGeometry:
         # x_C = cosh(cBT), c t_C = sinh(cBT): gamma = 1 identically
         g = rq.make_grid(0.5, 3.0, 25)
         ens = hyperbolic_gamma_one_ensemble(B=1.0, c=3.0)
-        _, gamma = rq.compute_geometry(ens.evaluate(0.7, g.nodes), _config(g, 3.0))
+        _, gamma = compute_geometry(ens.evaluate(0.7, g.nodes), _config(g, 3.0))
         np.testing.assert_allclose(gamma, 1.0, atol=1e-10)
 
     def test_hyperbolic_fan_slice(self):
@@ -38,7 +39,7 @@ class TestComputeGeometry:
         g = rq.make_grid(-1, 1, 25)
         cfg = _config(g, 2.0)
         ens = hyperbolic_gamma_T_ensemble(A=1.0, c=2.0)
-        _, gamma = rq.compute_geometry(ens.evaluate(1.0, g.nodes), cfg)
+        _, gamma = compute_geometry(ens.evaluate(1.0, g.nodes), cfg)
         # edge rows carry the largest truncation constants at 25 nodes
         np.testing.assert_allclose(gamma, 4.0, rtol=1e-4)
         assert np.max(np.abs(gamma[interior(4, 25)] - gamma[12])) < 1e-9
@@ -49,8 +50,8 @@ class TestComputeGeometry:
         ens = inertial_ensemble(beta0=0.6, c=1.0)
         y = ens.evaluate(1.3, g.nodes)
         cfg = _config(g, 1.0)
-        tx_C, gamma = rq.compute_geometry(y, cfg)
-        g01 = rq.attach_g01(tx_C, y[2:], cfg)  # tau_T = 1, c = 1
+        tx_C, gamma = compute_geometry(y, cfg)
+        g01 = attach_g01(tx_C, y[2:], cfg)  # tau_T = 1, c = 1
         np.testing.assert_allclose(gamma, 1.0, atol=1e-13)
         np.testing.assert_allclose(g01, 0.0, atol=1e-13)
 
@@ -58,7 +59,7 @@ class TestComputeGeometry:
         # superluminal label spread: x_C^2 < c^2 t_C^2
         g = rq.make_grid(0, 1, 11)
         with pytest.raises(StateValidationError, match="node"):
-            rq.compute_geometry(np.array((2.0 * g.nodes, g.nodes)), _config(g, 1.0))
+            compute_geometry(np.array((2.0 * g.nodes, g.nodes)), _config(g, 1.0))
 
     def test_overflowing_slice_names_the_first_bad_node(self):
         # x_C^2 overflows to inf from node 18 on; the smallest gamma, 1 at
@@ -69,5 +70,5 @@ class TestComputeGeometry:
         with np.errstate(over="ignore"), pytest.raises(
                 StateValidationError,
                 match=r"^non-finite spatial metric gamma = inf at node 18: "):
-            rq.compute_geometry(np.array((np.zeros(25), x)), _config(g, 3.0))
+            compute_geometry(np.array((np.zeros(25), x)), _config(g, 3.0))
 

@@ -5,7 +5,9 @@ import pytest
 
 import relqtraj as rq
 from relqtraj import nonrel
+from relqtraj.nonrel import nonrel_Q, nonrel_rhs
 from relqtraj.state import StateValidationError, WeightFunction, check_state
+from relqtraj.stencils import d_dC
 
 from conftest import baseline_config
 
@@ -23,12 +25,12 @@ def _config(grid, weight, hbar=1.0, mass=1.0):
 class TestNonRelQ:
     def test_identity_positions_gaussian(self, grid25):
         C = grid25.nodes
-        Q, _ = rq.nonrel_Q(C, _config(grid25, rq.gaussian_weight(0.5)))
+        Q, _ = nonrel_Q(C, _config(grid25, rq.gaussian_weight(0.5)))
         np.testing.assert_allclose(Q, -0.5 * (0.25 * C ** 2 - 0.5), atol=1e-12)
 
     def test_uniform_weight_zero(self, grid25):
         C = grid25.nodes
-        Q, _ = rq.nonrel_Q(C, _config(grid25, rq.uniform_weight()))
+        Q, _ = nonrel_Q(C, _config(grid25, rq.uniform_weight()))
         np.testing.assert_allclose(Q, 0.0, atol=1e-13)
 
     def test_uniform_stretch_against_symbolic_oracle(self):
@@ -48,7 +50,7 @@ class TestNonRelQ:
 
         g = rq.make_grid(-2, 2, 25)
         cfg = _config(g, rq.gaussian_weight(a_val), hbar, m)
-        Q_num, _ = rq.nonrel_Q(2.0 * g.nodes, cfg)
+        Q_num, _ = nonrel_Q(2.0 * g.nodes, cfg)
         for idx in (2, 7, 12, 17, 22):
             expect = float(Q_sym.subs(C, sympy.Float(g.nodes[idx], 30)))
             assert Q_num[idx] == pytest.approx(expect, abs=1e-12)
@@ -57,11 +59,11 @@ class TestNonRelQ:
         x = grid25.nodes.copy()
         x[3] = x[5]
         with pytest.raises(ValueError):
-            rq.nonrel_Q(x, _config(grid25, rq.gaussian_weight(0.5)))
+            nonrel_Q(x, _config(grid25, rq.gaussian_weight(0.5)))
 
 
 def _rhs(cfg, x, v):
-    return rq.nonrel_rhs(np.array([x, v]), cfg)
+    return nonrel_rhs(np.array([x, v]), cfg)
 
 
 class TestNonRelRhs:
@@ -97,7 +99,7 @@ class TestNonRelRhs:
         Q = -(hbar ** 2 / (2.0 * m)) * (g * D(g) * Lp + (Lp ** 2 + D(Lp)) / gamma)
         assert np.count_nonzero(v) and np.count_nonzero(x_C - 1.0)
         want = np.array([v, -(D(Q)) / x_C / m])
-        assert np.array_equal(rq.nonrel_rhs(y, cfg), want)
+        assert np.array_equal(nonrel_rhs(y, cfg), want)
 
 
 class TestNonRelState:
@@ -177,7 +179,7 @@ class TestNonRelIntegrate:
         out = rq.nonrel_integrate(cfg)
         prev = None
         for st in out:
-            x_C = rq.d_dC(st.x, cfg.plan)
+            x_C = d_dC(st.x, cfg.plan)
             assert np.all(x_C >= 1.0 - 1e-9)
             width = st.x[-1] - st.x[0]
             if prev is not None:
@@ -189,7 +191,7 @@ class TestNonRelIntegrate:
         # preservation property of the family
         cfg = baseline_config(t_final=10.0)
         for st in rq.nonrel_integrate(cfg):
-            gamma = rq.d_dC(st.x, cfg.plan) ** 2
+            gamma = d_dC(st.x, cfg.plan) ** 2
             spread = gamma.max() - gamma.min()
             assert spread <= 1e-3 * gamma.mean()
 
@@ -212,8 +214,8 @@ def _energies(cfg, cadence):
     fh = np.exp(cfg.weight.log_f(C)) * (C[1] - C[0])
 
     def energy(state):
-        x_C = rq.d_dC(state.x, cfg.plan)
-        r = cfg.weight.dlog_f(C) - rq.d_dC(np.log(x_C), cfg.plan)
+        x_C = d_dC(state.x, cfg.plan)
+        r = cfg.weight.dlog_f(C) - d_dC(np.log(x_C), cfg.plan)
         kinetic = 0.5 * cfg.mass * state.v ** 2
         return np.sum(fh * (kinetic + cfg.hbar ** 2 / (8 * cfg.mass) * r ** 2 / x_C ** 2))
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import relqtraj as rq
-from relqtraj.stencils import fornberg_weights, interior
+from relqtraj.dynamics import rk4_step
+from relqtraj.stencils import d_dC, fornberg_weights, interior, interpolate
 
 from conftest import baseline_config
 
@@ -75,7 +76,7 @@ class TestBuildPlan:
         g = rq.make_grid(-1, 1, 21)
         plan = rq.build_plan(g, order)
         for k in range(order + 1):
-            d = rq.d_dC(g.nodes ** k, plan)
+            d = d_dC(g.nodes ** k, plan)
             expect = np.zeros(21) if k == 0 else k * g.nodes ** (k - 1)
             np.testing.assert_allclose(d, expect, atol=5e-12)
 
@@ -126,12 +127,12 @@ class TestDerivative:
     def test_identity_samples(self):
         g = rq.make_grid(-3, 3, 15)
         plan = rq.build_plan(g, 4)
-        np.testing.assert_allclose(rq.d_dC(g.nodes, plan), 1.0, atol=1e-13)
+        np.testing.assert_allclose(d_dC(g.nodes, plan), 1.0, atol=1e-13)
 
     def test_quadratic_exact_at_half(self):
         g = rq.make_grid(-1, 1, 21)
         plan = rq.build_plan(g, 2)
-        d = rq.d_dC(g.nodes ** 2, plan)
+        d = d_dC(g.nodes ** 2, plan)
         i = int(np.argmin(np.abs(g.nodes - 0.5)))
         assert g.nodes[i] == pytest.approx(0.5)
         assert d[i] == pytest.approx(1.0, abs=1e-13)
@@ -141,7 +142,7 @@ class TestDerivative:
         for n in (81, 161, 321):
             g = rq.make_grid(-np.pi, np.pi, n)
             plan = rq.build_plan(g, 4)
-            err = np.max(np.abs(rq.d_dC(np.sin(g.nodes), plan) - np.cos(g.nodes)))
+            err = np.max(np.abs(d_dC(np.sin(g.nodes), plan) - np.cos(g.nodes)))
             errs[n] = err
         rate1 = np.log2(errs[81] / errs[161])
         rate2 = np.log2(errs[161] / errs[321])
@@ -157,7 +158,7 @@ class TestDerivative:
         for n in (81, 161):
             g = rq.make_grid(-1, 1, n)
             plan = rq.build_plan(g, order)
-            errs.append(np.max(np.abs(rq.d_dC(np.exp(g.nodes), plan) - np.exp(g.nodes))))
+            errs.append(np.max(np.abs(d_dC(np.exp(g.nodes), plan) - np.exp(g.nodes))))
         rate = np.log2(errs[0] / errs[1])
         assert rate == pytest.approx(order, abs=0.3)
 
@@ -165,7 +166,7 @@ class TestDerivative:
         g = rq.make_grid(0, 1, 11)
         plan = rq.build_plan(g, 4)
         with pytest.raises(ValueError, match="does not match grid"):
-            rq.d_dC(np.zeros(10), plan)
+            d_dC(np.zeros(10), plan)
 
     @pytest.mark.parametrize("n", [9, 25, 101, 401])
     def test_every_1d_input_is_the_matrix_product_bitwise(self, order, n):
@@ -179,43 +180,43 @@ class TestDerivative:
         for v in (row, stack[:, 1], stack.T[2], np.arange(n), row.astype(np.float32),
                   row.view(type("Subclass", (np.ndarray,), {})), row.astype(">f8")):
             want = plan @ np.asarray(v, dtype=float)
-            assert rq.d_dC(v, plan).tobytes() == want.tobytes()
-            assert rq.d_dC(v.tolist(), plan).tobytes() == want.tobytes()
+            assert d_dC(v, plan).tobytes() == want.tobytes()
+            assert d_dC(v.tolist(), plan).tobytes() == want.tobytes()
             with pytest.raises(ValueError, match="does not match grid"):
-                rq.d_dC(v[1:], plan)
+                d_dC(v[1:], plan)
 
 
 class TestInterpolate:
     def test_identity(self):
         g = rq.make_grid(-3, 3, 25)
-        assert rq.interpolate(g.nodes, g, 1.2345) == pytest.approx(1.2345, abs=1e-13)
+        assert interpolate(g.nodes, g, 1.2345) == pytest.approx(1.2345, abs=1e-13)
 
     def test_cubic_exactness(self):
         g = rq.make_grid(-2, 2, 41)
         vals = g.nodes ** 3
-        assert rq.interpolate(vals, g, 0.5) == pytest.approx(0.125, abs=1e-13)
+        assert interpolate(vals, g, 0.5) == pytest.approx(0.125, abs=1e-13)
         # every cubic is reproduced exactly, edges included
         poly = 2.0 - g.nodes + 0.5 * g.nodes ** 2 + 0.25 * g.nodes ** 3
         for cq in (-1.999, -1.3, 0.0, 0.77, 1.999):
             expect = 2.0 - cq + 0.5 * cq ** 2 + 0.25 * cq ** 3
-            assert rq.interpolate(poly, g, cq) == pytest.approx(expect, abs=1e-12)
+            assert interpolate(poly, g, cq) == pytest.approx(expect, abs=1e-12)
 
     def test_lagrange_weights_to_roundoff(self):
         g = rq.make_grid(-5, 5, 25)
         vals = np.random.default_rng(3).standard_normal(25)
         for cq in np.linspace(-5, 5, 41):
-            assert rq.interpolate(vals, g, cq) == pytest.approx(_lagrange(vals, g, cq),
+            assert interpolate(vals, g, cq) == pytest.approx(_lagrange(vals, g, cq),
                                                                rel=1e-14, abs=1e-14)
 
     def test_exponential_accuracy(self):
         g = rq.make_grid(0, 1, 11)
-        got = rq.interpolate(np.exp(g.nodes), g, 0.55)
+        got = interpolate(np.exp(g.nodes), g, 0.55)
         assert got == pytest.approx(np.exp(0.55), abs=1e-5)
 
     def test_out_of_range_rejected(self):
         g = rq.make_grid(0, 1, 11)
         with pytest.raises(ValueError):
-            rq.interpolate(np.zeros(11), g, 1.5)
+            interpolate(np.zeros(11), g, 1.5)
 
 
 class TestStackedValues:
@@ -226,9 +227,9 @@ class TestStackedValues:
         g = rq.make_grid(-2, 2, 25)
         stack = np.random.default_rng(7).standard_normal((6, 25))
         for cq in (-2.0, -1.3, 0.1, 1.99, 2.0):
-            got = rq.interpolate(stack, g, cq)
+            got = interpolate(stack, g, cq)
             assert got.shape == (6,)
-            assert got.tolist() == [rq.interpolate(row, g, cq) for row in stack]
+            assert got.tolist() == [interpolate(row, g, cq) for row in stack]
 
     @pytest.mark.parametrize("n", [25, 101])
     def test_d_dC_is_the_per_row_call_bitwise(self, order, n):
@@ -239,11 +240,11 @@ class TestStackedValues:
         rng = np.random.default_rng(n)
         stack = rng.standard_normal((7, 3, n)) * np.array([1.0, 1e-3, 1e6])[:, None]
         for values in (stack[:, 0].copy(), stack[:, 2], stack[:, :2], np.asfortranarray(stack)):
-            got = rq.d_dC(values, plan)
+            got = d_dC(values, plan)
             assert got.shape == values.shape
             rows = values.reshape(-1, n)
             assert [r.tobytes() for r in got.reshape(-1, n)] == \
-                [rq.d_dC(r.copy(), plan).tobytes() for r in rows]
+                [d_dC(r.copy(), plan).tobytes() for r in rows]
 
     def test_last_axis_must_be_the_grid(self):
         g = rq.make_grid(-2, 2, 25)
@@ -252,9 +253,9 @@ class TestStackedValues:
         for values in (np.zeros((25, 6)), np.zeros((2, 25, 6)), np.zeros(24), np.float64(1.0),
                        np.array(1.0)):
             with pytest.raises(ValueError, match="does not match grid"):
-                rq.d_dC(values, plan)
+                d_dC(values, plan)
             with pytest.raises(ValueError, match="does not match grid"):
-                rq.interpolate(values, g, 0.0)
+                interpolate(values, g, 0.0)
 
 
 SOURCE = Path(rq.__file__).resolve().parent
@@ -300,7 +301,7 @@ class TestOnePlanPerConfig:
             report = rq.evaluate_invariants(series)
             y = series.y[-1]
             for k in range(3):
-                y = rq.rk4_step(y, cfg)
+                y = rk4_step(y, cfg)
         assert "pde_residual_x" in [r.name for r in report.records]
         assert len(tracer.arrays()[0]) == 2
 

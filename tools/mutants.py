@@ -48,6 +48,9 @@ _LOST = "tests/test_golden.py::test_the_stored_columns_lose_nothing"
 _SERIES = "tests/test_dynamics.py::test_record_series_holds_the_series_time_rules"
 _NONREL_REFUSED = "tests/test_nonrel.py::TestNonRelIntegrate::" \
                   "test_a_nonrel_record_that_breaks_the_state_is_refused"
+_REL_MAP = "tests/test_similarity.py::test_a_relativistic_map_scales_the_run_bitwise"
+_NONREL_MAP = "tests/test_similarity.py::test_a_nonrelativistic_map_scales_the_run_bitwise"
+_HBAR_SQ = "scalar_array(-(self.hbar ** 2 / (2.0 * self.mass)))"
 
 MUTANTS = (
     Mutant("log_form_Q quarter to half", "src/relqtraj/qpotential.py",
@@ -138,7 +141,7 @@ MUTANTS = (
                    for fault in ("repeated-slice", "T-out-of-order", "descending-times",
                                  "unsorted-times"))),
     Mutant("series rule without its count test", "src/relqtraj/dynamics.py",
-           "if T.shape != (states,):", "if False:",
+           " or T.shape != (states,):", ":",
            (f"{_SERIES}[2-times]", f"{_SERIES}[1-time]", f"{_SERIES}[2-times-timelike]")),
     Mutant("spacelike guard without its slice index", "src/relqtraj/geometry.py",
            '"slice is no longer spacelike", *map(int, k))', '"slice is no longer spacelike")',
@@ -147,6 +150,19 @@ MUTANTS = (
             "test_analytic_names_the_time_of_a_timelike_slice")
            + tuple(f"tests/test_dynamics.py::test_record_series_names_the_first_bad_state_of_a_"
                    f"stack[{k}-{fault}]" for k in (0, 2) for fault in ("gamma<=0", "gamma-nan"))),
+    Mutant("non-relativistic force over m^2", "src/relqtraj/nonrel.py",
+           "f_Q / config.m))", "f_Q / config.m / config.m))",
+           (f"{_NONREL_MAP}[mass_hbar]",)),
+    Mutant("Q prefactor hbar / 2m", "src/relqtraj/state.py",
+           _HBAR_SQ, "scalar_array(-(self.hbar / (2.0 * self.mass)))",
+           (f"{_REL_MAP}[mass_hbar]", f"{_REL_MAP}[length]", f"{_REL_MAP}[c]",
+            f"{_NONREL_MAP}[mass_hbar]")),
+    Mutant("Q prefactor hbar^2 / 2m^2", "src/relqtraj/state.py",
+           _HBAR_SQ, "scalar_array(-(self.hbar ** 2 / (2.0 * self.mass ** 2)))",
+           (f"{_REL_MAP}[mass_hbar]", f"{_NONREL_MAP}[mass_hbar]")),
+    Mutant("force_orthogonality scaled by c^2", "src/relqtraj/diagnostics.py",
+           "(cfg.c * fmax + ORTHOGONALITY_EPS)", "(cfg.c_sq * fmax + ORTHOGONALITY_EPS)",
+           (f"{_REL_MAP}[c]",)),
 )
 
 
